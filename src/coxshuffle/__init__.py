@@ -2,7 +2,6 @@
 models over finite fields, and exhaustive verification of the identities
 connecting them."""
 
-from ._accel import BACKEND as KERNEL_BACKEND
 from .golden import GoldenRational, Rational, golden_sign
 from .group import CoxeterGroup, enumerate_group, get_group
 from .lattice import IntersectionLattice, build_lattice, coexponents
@@ -26,7 +25,6 @@ from .suites import run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "GoldenRational",
     "Rational",
     "golden_sign",

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
-from ._accel import BACKEND
 from .report import Report, exact_str
 from .suites import DEFAULT_PARAMS, SUITES, run_suite
 
@@ -207,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxshuffle",
         description="Exact shuffling measures on finite Coxeter groups, orbit models "
-        "over finite fields, and exhaustive verification suites "
-        f"(kernel backend: {BACKEND}).",
+        "over finite fields, and exhaustive verification suites.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

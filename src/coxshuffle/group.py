@@ -10,7 +10,8 @@ matrices up front would cost tens of MB; the byte keys cost 3.5 MB).
 
 Conjugacy classes, standard-parabolic data (normalizer orders, equivalent
 subsets, fixed spaces), and the exponents (extracted from the length
-generating function) all live here.
+generating function) all live here.  The intersection lattice of the
+group's arrangement is built on first use and kept with the group.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ._accel import kernels
+from .lattice import IntersectionLattice, build_lattice, parabolic_mask, root_line_action
 from .linalg import Subspace, nullspace
 from .rootdata import RootSystem
 
@@ -73,7 +74,10 @@ class CoxeterGroup:
         self._parabolic: Dict[frozenset, ParabolicData] = {}
         self._subgroups: Dict[frozenset, tuple] = {}
         self._minreps: Dict[frozenset, list] = {}
+        self._std_masks: Dict[frozenset, int] = {}
+        self._line_action: Optional[Tuple[tuple, tuple]] = None
         self._exponents: Optional[Tuple[int, ...]] = None
+        self._lattice: Optional[IntersectionLattice] = None
 
     # -- construction ------------------------------------------------------
 
@@ -265,22 +269,33 @@ class CoxeterGroup:
     def conjugacy_classes(self) -> List[ConjugacyClass]:
         if self._classes is not None:
             return self._classes
-        cls_of = kernels.conjugacy_closure(self.rmult, self.lmult, self.rank)
-        groups: Dict[int, List[int]] = {}
-        for i, c in enumerate(cls_of):
-            groups.setdefault(c, []).append(i)
-        classes = []
-        for c in sorted(groups, key=lambda c: min(groups[c])):
-            members = tuple(sorted(groups[c]))
-            rep = members[0]
-            classes.append(ConjugacyClass(self._class_label(rep, len(classes)), members, rep))
+        # closure of each unclassed element under conjugation by the simple
+        # reflections; seeds are taken in index order, so each class is
+        # found from its smallest member
+        gens = list(zip(self.rmult, self.lmult))
+        class_of = [-1] * self.size
+        classes: List[ConjugacyClass] = []
+        for seed in range(self.size):
+            if class_of[seed] >= 0:
+                continue
+            cid = len(classes)
+            class_of[seed] = cid
+            members = [seed]
+            stack = [seed]
+            while stack:
+                i = stack.pop()
+                for rg, lg in gens:
+                    j = lg[rg[i]]  # s * w * s
+                    if class_of[j] < 0:
+                        class_of[j] = cid
+                        members.append(j)
+                        stack.append(j)
+            classes.append(
+                ConjugacyClass(self._class_label(seed, cid), tuple(sorted(members)), seed)
+            )
         if sum(len(c.members) for c in classes) != self.size:
             raise RuntimeError("class sizes do not sum to the group order")
         self._classes = classes
-        class_of = [0] * self.size
-        for ci, c in enumerate(classes):
-            for i in c.members:
-                class_of[i] = ci
         self._class_of = class_of
         return classes
 
@@ -318,10 +333,14 @@ class CoxeterGroup:
 
     def standard_parabolic_mask(self, K: Iterable[int]) -> int:
         """Bitmask of positive roots in the span of the simple roots in K."""
-        K = tuple(sorted(K))
-        if not K:
-            return 0
-        return kernels.span_mask(self.root_system.root_pairs, K)
+        K = frozenset(K)
+        mask = self._std_masks.get(K)
+        if mask is None:
+            if self._line_action is None:
+                self._line_action = root_line_action(self.root_system)
+            mask = parabolic_mask(*self._line_action, K)
+            self._std_masks[K] = mask
+        return mask
 
     def parabolic_data(self, K: Iterable[int]) -> ParabolicData:
         K = frozenset(K)
@@ -338,7 +357,7 @@ class CoxeterGroup:
         base_set = frozenset(_bits(mask))
         std_sets = {
             frozenset(_bits(self.standard_parabolic_mask(J))): J
-            for J in _all_subsets(rs.rank)
+            for J in all_subsets(rs.rank)
         }
         if not base_set:
             normalizer = self.size
@@ -370,9 +389,35 @@ class CoxeterGroup:
         K = frozenset(K)
         cached = self._minreps.get(K)
         if cached is None:
-            cached = kernels.coset_minreps(self.rmult, self.length, sorted(K), self.by_length)
+            # each coset is the orbit of any member under right multiplication
+            # by K's generators; its first member in length order is the minimum
+            gens = [self.rmult[g] for g in sorted(K)]
+            length = self.length
+            cached = [-1] * self.size
+            for seed in self.by_length:
+                if cached[seed] >= 0:
+                    continue
+                cached[seed] = seed
+                stack = [seed]
+                while stack:
+                    i = stack.pop()
+                    for rg in gens:
+                        j = rg[i]
+                        if cached[j] < 0:
+                            if length[j] <= length[seed]:
+                                raise AssertionError("coset minimum is not unique")
+                            cached[j] = seed
+                            stack.append(j)
             self._minreps[K] = cached
         return cached
+
+    # -- intersection lattice ----------------------------------------------------
+
+    def lattice(self) -> IntersectionLattice:
+        """The intersection lattice of the reflection arrangement, built once."""
+        if self._lattice is None:
+            self._lattice = build_lattice(self.root_system)
+        return self._lattice
 
     # -- exponents ---------------------------------------------------------------
 
@@ -423,7 +468,8 @@ def _bits(mask: int):
         i += 1
 
 
-def _all_subsets(r: int):
+def all_subsets(r: int):
+    """Every subset of range(r), in the order of its bitmask."""
     for m in range(1 << r):
         yield frozenset(_bits(m))
 
@@ -487,14 +533,12 @@ _GROUPS: Dict[str, CoxeterGroup] = {}
 
 
 def get_group(type_name: str) -> CoxeterGroup:
-    """Process-wide registry of enumerated groups (built once, shared);
-    also persisted to disk when COXSHUFFLE_CACHE is set."""
+    """Process-wide registry of enumerated groups (built once, shared)."""
     key = type_name.strip().upper().replace(" ", "")
     g = _GROUPS.get(key)
     if g is None:
-        from . import cache
         from .rootdata import parse_type
 
-        g = cache.cached(f"group_{key}", lambda: CoxeterGroup(parse_type(type_name)))
+        g = CoxeterGroup(parse_type(type_name))
         _GROUPS[key] = g
     return g

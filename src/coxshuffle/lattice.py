@@ -6,17 +6,20 @@ identified by the bitmask of positive roots whose hyperplanes contain it
 Containment of flats is then a subset test on masks, which keeps the
 Moebius recursion cheap even for the 60-hyperplane H4 arrangement.
 
-Flats are generated level by level: a flat of rank k+1 is the closure of
-a rank-k flat plus one root outside it.  Every root inside the closure
-produces the same child, so each covering edge costs one span computation.
+Every flat of a Coxeter arrangement is W-conjugate to the fixed space of a
+standard parabolic subgroup W_K (Orlik-Solomon, "Coxeter arrangements",
+1983; Barcelo-Ihrig, J. Algebraic Combin. 9, 1999), and the roots vanishing
+there form the subsystem Phi_K = W_K . Delta_K.  So the flats are the
+W-orbits of the 2^r standard masks, enumerated breadth first under the
+permutations the simple reflections induce on the positive-root lines; the
+build needs no linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
 
-from ._accel import kernels
 from .linalg import Subspace, nullspace
 from .rootdata import RootSystem
 
@@ -48,64 +51,79 @@ class CharPoly:
         return " + ".join(f"{c}*x^{i}" for i, c in enumerate(self.coefficients) if c)
 
 
+def root_line_action(rs: RootSystem) -> Tuple[tuple, tuple]:
+    """(perms, simple): perms[g][j] is the positive-root index of the line
+    of s_g(root j), and simple[i] the index of the i-th simple root."""
+    n = rs.n_positive
+    perms = tuple(
+        tuple(rs.signed_index(rs.apply_simple(g, root)) % n for root in rs.positive_roots)
+        for g in range(rs.rank)
+    )
+    if any(sorted(p) != list(range(n)) for p in perms):
+        raise ValueError("simple reflections do not permute the positive roots")
+    simple = tuple(rs.signed_index(a) for a in rs.simple_roots)
+    return perms, simple
+
+
+def parabolic_mask(
+    perms: Sequence[Sequence[int]], simple: Sequence[int], K: Collection[int]
+) -> int:
+    """Bitmask of the positive roots of W_K: the closure of K's simple roots
+    under K's reflections."""
+    lines = {simple[i] for i in K}
+    stack = list(lines)
+    while stack:
+        j = stack.pop()
+        for g in K:
+            k = perms[g][j]
+            if k not in lines:
+                lines.add(k)
+                stack.append(k)
+    return sum(1 << j for j in lines)
+
+
+def _permute_mask(mask: int, perm: Sequence[int]) -> int:
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class IntersectionLattice:
     """Poset of arrangement flats under reverse inclusion, V at the bottom."""
 
     def __init__(self, rs: RootSystem):
-        if rs.n_positive > 60:
-            raise ValueError("arrangement too large (more than 60 hyperplanes)")
         self.root_system = rs
-        self.flats: List[Flat] = []
-        self.mask_to_id: Dict[int, int] = {}
         self._moebius: Dict[int, Dict[int, int]] = {}
         self._subspaces: Dict[int, Subspace] = {}
         self._build()
 
     def _build(self):
         rs = self.root_system
-        pairs = rs.root_pairs
-        n = rs.n_positive
-
-        def add(mask: int, rank: int, basis: tuple) -> int:
-            fid = self.mask_to_id.get(mask)
-            if fid is None:
-                fid = len(self.flats)
-                self.flats.append(Flat(mask, rank, basis))
-                self.mask_to_id[mask] = fid
-            return fid
-
-        add(0, 0, ())
-        level = []
-        covered = 0
-        for j in range(n):
-            if covered >> j & 1:
+        perms, simple = root_line_action(rs)
+        found: Dict[int, Flat] = {}
+        for m in range(1 << rs.rank):
+            K = tuple(i for i in range(rs.rank) if m >> i & 1)
+            seed = parabolic_mask(perms, simple, K)
+            if seed in found:  # K is conjugate to an earlier subset
                 continue
-            mask = kernels.span_mask(pairs, (j,))
-            covered |= mask
-            level.append(add(mask, 1, (j,)))
-
-        for rank in range(2, rs.rank + 1):
-            nxt = []
-            for fid in level:
-                flat = self.flats[fid]
-                done = flat.mask
-                for j in range(n):
-                    if done >> j & 1:
-                        continue
-                    mask = kernels.span_mask(pairs, flat.basis + (j,))
-                    done |= mask
-                    gid = add(mask, rank, flat.basis + (j,))
-                    if gid == len(self.flats) - 1 and self.flats[gid].rank == rank:
-                        nxt.append(gid)
-            # keep only genuinely new flats of this rank, deduplicated
-            level = sorted(fid for fid in set(nxt) if self.flats[fid].rank == rank)
-            if not level:
-                break
+            # breadth-first W-orbit; a flat's basis is the image of K's
+            # simple roots under the word that reached it
+            found[seed] = Flat(seed, len(K), tuple(simple[i] for i in K))
+            queue = [seed]
+            for mask in queue:
+                basis = found[mask].basis
+                for p in perms:
+                    img = _permute_mask(mask, p)
+                    if img not in found:
+                        found[img] = Flat(img, len(K), tuple(p[j] for j in basis))
+                        queue.append(img)
 
         # deterministic ordering: by rank, then mask
-        order = sorted(range(len(self.flats)), key=lambda i: (self.flats[i].rank, self.flats[i].mask))
-        self.flats = [self.flats[i] for i in order]
-        self.mask_to_id = {f.mask: i for i, f in enumerate(self.flats)}
+        self.flats: List[Flat] = sorted(found.values(), key=lambda f: (f.rank, f.mask))
+        self.mask_to_id: Dict[int, int] = {f.mask: i for i, f in enumerate(self.flats)}
         self.ranks = [f.rank for f in self.flats]
         self.masks = [f.mask for f in self.flats]
 
@@ -132,8 +150,18 @@ class IntersectionLattice:
         """mu(bottom, Y) for every flat Y >= bottom."""
         cached = self._moebius.get(bottom)
         if cached is None:
-            ids, mu = kernels.moebius_from_bottom(self.masks, self.ranks, bottom)
-            cached = dict(zip(ids, mu))
+            # flats are sorted by rank, so every flat below Y precedes it
+            bmask = self.masks[bottom]
+            cached = {}
+            masks: List[int] = []
+            mus: List[int] = []
+            for i, mi in enumerate(self.masks):
+                if mi & bmask != bmask:
+                    continue
+                mu = 1 if i == bottom else -sum(m for mz, m in zip(masks, mus) if mz & mi == mz)
+                masks.append(mi)
+                mus.append(mu)
+                cached[i] = mu
             self._moebius[bottom] = cached
         return cached
 
@@ -210,7 +238,7 @@ def _dot(row, v):
 
 
 def build_lattice(rs: RootSystem) -> IntersectionLattice:
-    """Flats generated by iterated intersection of the reflecting hyperplanes."""
+    """Flats of the reflection arrangement, as W-orbits of standard parabolic masks."""
     return IntersectionLattice(rs)
 
 
@@ -238,9 +266,7 @@ def integer_roots(coeffs: Sequence[int], bound: int) -> Optional[List[int]]:
 
 def coexponents(group, K) -> List[int]:
     """Integer roots of the restricted characteristic polynomial above Fix(W_K)."""
-    from .measures import get_lattice  # lattice cache lives with the measures
-
-    lat = get_lattice(group)
+    lat = group.lattice()
     mask = group.standard_parabolic_mask(K)
     fid = lat.mask_to_id[mask]
     cp = lat.char_poly(fid)

@@ -23,22 +23,14 @@ from fractions import Fraction
 from math import factorial, gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .group import ClassLabel, CoxeterGroup
-from .lattice import IntersectionLattice, build_lattice
+from .group import ClassLabel, CoxeterGroup, all_subsets
+from .lattice import IntersectionLattice
 from .rootdata import affine_data, p_count
-
-_LATTICES: Dict[int, IntersectionLattice] = {}
 
 
 def get_lattice(g: CoxeterGroup) -> IntersectionLattice:
-    lat = _LATTICES.get(id(g))
-    if lat is None:
-        from . import cache
-
-        key = f"lattice_{g.root_system.type_name()}"
-        lat = cache.cached(key, lambda: build_lattice(g.root_system))
-        _LATTICES[id(g)] = lat
-    return lat
+    """The group's intersection lattice; it lives and dies with the group."""
+    return g.lattice()
 
 
 def binom(x: Union[int, Fraction], n: int) -> Fraction:
@@ -129,11 +121,6 @@ class FaceWeights:
         return min(self.weights.values())
 
 
-def _all_subsets(r: int):
-    for m in range(1 << r):
-        yield frozenset(i for i in range(r) if m >> i & 1)
-
-
 def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
     """The group-theoretic face weights of the one-step chamber walk."""
     x = Fraction(x)
@@ -143,7 +130,7 @@ def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
     r = g.rank
     xr = x**r
     weights: Dict[FrozenSet[int], Fraction] = {}
-    for K in _all_subsets(r):
+    for K in all_subsets(r):
         fid = lat.mask_to_id[g.standard_parabolic_mask(K)]
         chi = lat.char_poly(fid)
         if method == "definition":
@@ -171,7 +158,7 @@ def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
     if method in ("definition", "os_sign"):
         fw = face_weights(g, x, method)
         values: Dict[FrozenSet[int], Fraction] = {}
-        for D in _all_subsets(g.rank):
+        for D in all_subsets(g.rank):
             values[D] = sum(v for K, v in fw.weights.items() if not (K & D))
         return WMeasure.from_descent_values(g, x, values)
     if method == "closed_form":
@@ -191,12 +178,12 @@ def _closed_form(g: CoxeterGroup, x: Fraction) -> WMeasure:
     values: Dict[FrozenSet[int], Fraction] = {}
     if fam == "A":
         n = r + 1
-        for D in _all_subsets(r):
+        for D in all_subsets(r):
             values[D] = binom(x + n - 1 - len(D), n) / x**n
     elif fam == "B":
         n = r
         denom = x**n * 2**n * factorial(n)
-        for D in _all_subsets(r):
+        for D in all_subsets(r):
             d = len(D)
             num = Fraction(1)
             for i in range(1, n + 1):
@@ -204,14 +191,14 @@ def _closed_form(g: CoxeterGroup, x: Fraction) -> WMeasure:
             values[D] = num / denom
     elif fam == "H3":
         denom = 120 * x**3
-        for D in _all_subsets(3):
+        for D in all_subsets(3):
             num = Fraction(1)
             for c in _H3_SHIFTS[len(D)]:
                 num *= x + c
             values[D] = num / denom
     elif fam == "H4":
         denom = 14400 * x**4
-        for D in _all_subsets(4):
+        for D in all_subsets(4):
             d = len(D)
             if d in _H4_SHIFTS_D:
                 num = Fraction(1)
@@ -314,7 +301,7 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
 
 def uniform_chamber_weights(g: CoxeterGroup) -> FaceWeights:
     """All weight on the chambers (type-empty faces), uniformly."""
-    weights = {K: Fraction(0) for K in _all_subsets(g.rank)}
+    weights = {K: Fraction(0) for K in all_subsets(g.rank)}
     weights[frozenset()] = Fraction(1, g.size)
     return FaceWeights(g, Fraction(0), weights, "manual")
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .gfpoly import FqContext, FqPoly, factor, is_irreducible, is_prime
+from .measures import binom
 from .orbits import b_pair_type
 
 
@@ -152,13 +152,6 @@ def count_signed_ornaments(n: int, q: int) -> int:
 # -- Reiner-style s-vector counts ---------------------------------------------------
 
 
-def _binom(x, n: int) -> Fraction:
-    num = Fraction(1)
-    for j in range(n):
-        num *= Fraction(x) - j
-    return num / factorial(n)
-
-
 def s_vector_count(group, w_index: int, q: int) -> int:
     """Number of weakly decreasing s in {0..(q-1)/2}^n strictly decreasing at
     the descents of w (sentinel s_(n+1) = 0): the binomial
@@ -167,7 +160,7 @@ def s_vector_count(group, w_index: int, q: int) -> int:
         raise ValueError("q must be odd")
     n = group.rank
     d = len(group.descent_set(w_index))
-    val = _binom(Fraction(q - 1, 2) + n - d, n)
+    val = binom(Fraction(q - 1, 2) + n - d, n)
     assert val.denominator == 1
     return int(val)
 

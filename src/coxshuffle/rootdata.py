@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .golden import GoldenRational, golden_sign
 
@@ -75,7 +75,6 @@ class RootSystem:
     simple_roots: tuple  # unit coordinate vectors
     positive_roots: tuple  # coordinates in the simple-root basis
     root_index: dict = field(hash=False, compare=False, repr=False, default=None)
-    root_pairs: tuple = field(hash=False, compare=False, repr=False, default=None)
 
     @property
     def n_positive(self) -> int:
@@ -302,7 +301,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         )
 
     index = {v: i for i, v in enumerate(positives)}
-    pairs = tuple(tuple(_int_pair(x) for x in v) for v in positives)
     return RootSystem(
         family=family,
         rank=rank,
@@ -313,20 +311,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         simple_roots=rs_stub.simple_roots,
         positive_roots=tuple(positives),
         root_index=index,
-        root_pairs=pairs,
     )
-
-
-def _int_pair(x) -> Tuple[int, int]:
-    """Root coordinates as ring integers (a, b) meaning a + b*phi."""
-    if isinstance(x, GoldenRational):
-        if x.a.denominator != 1 or x.b.denominator != 1:
-            raise ValueError(f"non-integral root coordinate {x}")
-        return (int(x.a), int(x.b))
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ValueError(f"non-integral root coordinate {x}")
-    return (int(f), 0)
 
 
 def parse_type(name: str) -> RootSystem:

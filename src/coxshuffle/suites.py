@@ -17,6 +17,7 @@ from .gfpoly import FqContext, monic_polys
 from .group import get_group
 from .measures import (
     bhr_step,
+    binom,
     convolve,
     face_weights,
     h_measure,
@@ -267,17 +268,6 @@ def _suite_sl35(p: dict) -> Report:
 # -- bijection suites -------------------------------------------------------------
 
 
-def _binom_int(x: int, n: int) -> int:
-    num = 1
-    for j in range(n):
-        num *= x - j
-    from math import factorial
-
-    v = Fraction(num, factorial(n))
-    assert v.denominator == 1
-    return int(v)
-
-
 def _suite_gr_census(p: dict) -> Report:
     rep = Report("gr_census", p)
     one, cyc = gessel_reutenauer([(1, 2), (1, 2), (2,), (2, 3), (2, 3, 2, 3, 3)])
@@ -291,7 +281,7 @@ def _suite_gr_census(p: dict) -> Report:
             counts[w] = counts.get(w, 0) + 1
         bad = []
         for w in itertools.permutations(range(1, n + 1)):
-            expect = _binom_int(q + n - 1 - descent_count(w), n)
+            expect = binom(q + n - 1 - descent_count(w), n)
             if counts.get(tuple(w), 0) != expect:
                 bad.append(w)
         rep.add(f"p={q} n={n} {mode}: per-element counts C(p+n-1-d(w), n)",
@@ -308,7 +298,7 @@ def _suite_reiner_counts(p: dict) -> Report:
         g = get_group(f"B{n}") if n >= 2 else None
         if n == 1:
             # rank-1 hyperoctahedral group: two elements, d(id) = 0, d(s) = 1
-            total = _binom_int((q - 1) // 2 + 1, 1) + _binom_int((q - 1) // 2, 1)
+            total = int(binom((q - 1) // 2 + 1, 1) + binom((q - 1) // 2, 1))
         else:
             total = sum(s_vector_count(g, i, q) for i in range(g.size))
         rep.add(f"n={n} q={q}: sum over the group of s-vector counts", q**n, total,

@@ -1,4 +1,4 @@
-"""Disk cache round-trips, report serialization, suite registry."""
+"""Pickling of exact values, report serialization, suite registry."""
 
 import json
 import pickle
@@ -6,47 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from coxshuffle import cache
 from coxshuffle.golden import GoldenRational
-from coxshuffle.group import CoxeterGroup
 from coxshuffle.linalg import canonicalize
-from coxshuffle.measures import h_measure
 from coxshuffle.report import Report, exact_str
-from coxshuffle.rootdata import parse_type
 from coxshuffle.suites import DEFAULT_PARAMS, SUITES, run_suite
-
-
-def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("COXSHUFFLE_CACHE", str(tmp_path))
-    calls = []
-
-    def build():
-        calls.append(1)
-        return CoxeterGroup(parse_type("B2"))
-
-    g1 = cache.cached("group_B2", build)
-    g2 = cache.cached("group_B2", build)
-    assert len(calls) == 1  # second load came from disk
-    assert g2.size == 8 and g2.length == g1.length
-    m1 = h_measure(g1, 3, "definition")
-    m2 = h_measure(g2, 3, "definition")
-    assert m1.dense() == m2.dense()
-
-
-def test_cache_rejects_corruption(tmp_path, monkeypatch):
-    monkeypatch.setenv("COXSHUFFLE_CACHE", str(tmp_path))
-    cache.store("thing", {"a": 1})
-    path = next(tmp_path.iterdir())
-    wrapper = pickle.loads(path.read_bytes())
-    wrapper["payload"] = wrapper["payload"][:-1] + b"x"
-    path.write_bytes(pickle.dumps(wrapper))
-    assert cache.load("thing") is None  # checksum mismatch -> rebuilt
-
-
-def test_cache_disabled_without_env(monkeypatch):
-    monkeypatch.delenv("COXSHUFFLE_CACHE", raising=False)
-    assert cache.cache_dir() is None
-    assert cache.load("anything") is None
 
 
 def test_golden_and_subspace_pickle():

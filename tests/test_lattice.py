@@ -1,16 +1,146 @@
 """Intersection lattices: flats, Moebius values, characteristic polynomials."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from coxshuffle.golden import GoldenRational
-from coxshuffle.group import get_group
-from coxshuffle.lattice import build_lattice, coexponents, integer_roots
+from coxshuffle.group import CoxeterGroup, get_group
+from coxshuffle.lattice import (
+    build_lattice,
+    coexponents,
+    integer_roots,
+    parabolic_mask,
+    root_line_action,
+)
 from coxshuffle.linalg import canonicalize
-from coxshuffle.measures import get_lattice
+from coxshuffle.measures import get_lattice, h_measure
 from coxshuffle.rootdata import parse_type
+
+SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
+             "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]
+
+
+def permuted_b3():
+    """B3 with its positive roots listed in a shuffled order."""
+    rs = parse_type("B3")
+    order = list(range(rs.n_positive))
+    random.Random(5).shuffle(order)
+    return dataclasses.replace(
+        rs,
+        positive_roots=tuple(rs.positive_roots[i] for i in order),
+        root_index={rs.positive_roots[i]: k for k, i in enumerate(order)},
+    )
+
+
+# -- span oracle: flats by golden-integer elimination, no group action ----------
+
+
+def _gmul(x, y):
+    """Product of a + b*phi ring integers, with phi**2 = phi + 1."""
+    a1, b1 = x
+    a2, b2 = y
+    return (a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+
+
+def _ring_int(x):
+    a, b = (x.a, x.b) if isinstance(x, GoldenRational) else (Fraction(x), Fraction(0))
+    assert a.denominator == 1 and b.denominator == 1, x
+    return (int(a), int(b))
+
+
+def root_pairs(rs):
+    return [[_ring_int(x) for x in root] for root in rs.positive_roots]
+
+
+def _eliminate(v, row, col):
+    """Division-free: p*v - v[col]*row, clearing v[col] with row's pivot p."""
+    p, e = row[col], v[col]
+    out = []
+    for vj, rj in zip(v, row):
+        pj, ej = _gmul(p, vj), _gmul(e, rj)
+        out.append((pj[0] - ej[0], pj[1] - ej[1]))
+    return out
+
+
+def span_mask(pairs, basis_idx):
+    """Bitmask of the roots lying in the span of the given roots."""
+    echelon = []  # (row, pivot column)
+    for i in basis_idx:
+        v = pairs[i]
+        for row, col in echelon:
+            if v[col] != (0, 0):
+                v = _eliminate(v, row, col)
+        col = next((c for c, x in enumerate(v) if x != (0, 0)), None)
+        if col is not None:
+            echelon.append((v, col))
+    mask = 0
+    for idx, v in enumerate(pairs):
+        for row, col in echelon:
+            if v[col] != (0, 0):
+                v = _eliminate(v, row, col)
+        if all(x == (0, 0) for x in v):
+            mask |= 1 << idx
+    return mask
+
+
+def span_flat_ranks(rs):
+    """mask -> rank, level by level: a rank-(k+1) flat is the span of a
+    rank-k flat's basis plus one root outside it."""
+    pairs = root_pairs(rs)
+    ranks = {0: 0}
+    level = {0: ()}
+    for rank in range(1, rs.rank + 1):
+        nxt = {}
+        for mask, basis in level.items():
+            done = mask
+            for j in range(len(pairs)):
+                if not done >> j & 1:
+                    child = span_mask(pairs, basis + (j,))
+                    done |= child
+                    nxt.setdefault(child, basis + (j,))
+        ranks.update((m, rank) for m in nxt)
+        level = nxt
+    return ranks
+
+
+def arrangement(t):
+    return permuted_b3() if t == "permuted B3" else parse_type(t)
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_orbit_flats_equal_span_flats(t):
+    rs = arrangement(t)
+    lat = build_lattice(rs)
+    expect = span_flat_ranks(rs)
+    assert {f.mask: f.rank for f in lat.flats} == expect
+    assert lat.masks == sorted(expect, key=lambda m: (expect[m], m))
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_standard_parabolic_masks_equal_span_masks(t):
+    rs = arrangement(t)
+    pairs = root_pairs(rs)
+    simple = [rs.root_index[a] for a in rs.simple_roots]
+    action = root_line_action(rs)
+    g = get_group(t) if t in SUPPORTED else None
+    for m in range(1 << rs.rank):
+        K = [i for i in range(rs.rank) if m >> i & 1]
+        expect = span_mask(pairs, [simple[i] for i in K])
+        assert parabolic_mask(*action, K) == expect
+        if g is not None:
+            assert g.standard_parabolic_mask(K) == expect
+
+
+def test_span_oracle_handles_dependent_roots():
+    rs = parse_type("A3")
+    pairs = root_pairs(rs)
+    full = (1 << rs.n_positive) - 1
+    for combo in itertools.combinations(range(rs.n_positive), 4):
+        assert span_mask(pairs, combo) == full  # four roots of a rank-3 system
 
 
 def brute_flat_count(rs):
@@ -96,19 +226,7 @@ def test_zaslavsky_chamber_count():
 
 def test_lattice_independent_of_hyperplane_order():
     # same arrangement presented with the roots permuted: same invariants
-    import dataclasses
-    import random
-
-    rs = parse_type("B3")
-    order = list(range(rs.n_positive))
-    random.Random(5).shuffle(order)
-    permuted = dataclasses.replace(
-        rs,
-        positive_roots=tuple(rs.positive_roots[i] for i in order),
-        root_index={rs.positive_roots[i]: k for k, i in enumerate(order)},
-        root_pairs=tuple(rs.root_pairs[i] for i in order),
-    )
-    a, b = build_lattice(rs), build_lattice(permuted)
+    a, b = build_lattice(parse_type("B3")), build_lattice(permuted_b3())
     assert len(a) == len(b)
     assert sorted(a.flat_dim(i) for i in range(len(a))) == sorted(
         b.flat_dim(i) for i in range(len(b))
@@ -170,9 +288,28 @@ def test_flat_subspaces_lie_in_their_hyperplanes():
 
 
 def test_build_rejects_oversized_arrangements():
-    import dataclasses
-
+    # 120 listed roots, but the reflections only reach the first 60
     rs = parse_type("H4")
     fake = dataclasses.replace(rs, positive_roots=rs.positive_roots * 2)
     with pytest.raises(ValueError):
         build_lattice(fake)
+
+
+def test_b3_lattice_and_char_poly():
+    lat = build_lattice(parse_type("B3"))
+    assert len(lat) == 24
+    chi = lat.char_poly(lat.bottom_id())
+    assert chi.coefficients == (-15, 23, -9, 1)  # (x-1)(x-3)(x-5)
+
+
+def test_lattice_lives_with_its_group():
+    # the registry used to key lattices by id(g), which a freed group's
+    # successor can reuse; each group must get its own lattice
+    for t in ("B2", "A3", "G2", "H3", "B3", "A2", "A4"):
+        g = CoxeterGroup(parse_type(t))
+        lat = get_lattice(g)
+        assert lat is get_lattice(g)
+        assert lat.root_system is g.root_system
+        assert len(lat) == len(build_lattice(parse_type(t)))
+        h_measure(g, 2)
+        del g, lat
