@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import List, Optional
 
-from .report import Report, exact_str
+from .report import exact_str
 from .suites import DEFAULT_PARAMS, SUITES, run_suite
 
 
@@ -139,15 +138,6 @@ def cmd_bijection(args) -> int:
     return 0
 
 
-def _single_point_params(name: str, params: dict) -> Optional[List[dict]]:
-    """Split a suite's parameter grid into single points for --jobs."""
-    if "grid" in params and isinstance(params["grid"], list) and len(params["grid"]) > 1:
-        return [{**params, "grid": [entry]} for entry in params["grid"]]
-    if "types" in params and isinstance(params["types"], list) and len(params["types"]) > 1:
-        return [{**params, "types": [t]} for t in params["types"]]
-    return None
-
-
 def cmd_verify(args) -> int:
     name = args.suite
     if name == "problem1":  # dispatch on --family
@@ -176,20 +166,7 @@ def cmd_verify(args) -> int:
         overrides["seed"] = args.seed
     merged = dict(DEFAULT_PARAMS.get(name, {}))
     merged.update(overrides)
-
-    if args.jobs > 1:
-        split = _single_point_params(name, merged)
-    else:
-        split = None
-    if split:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            partials = list(pool.map(lambda p: run_suite(name, p), split))
-        report = Report(name, merged)
-        for part in partials:  # deterministic merge: grid order
-            report.checks.extend(part.checks)
-        report.finish()
-    else:
-        report = run_suite(name, merged)
+    report = run_suite(name, merged)
 
     text = report.to_json()
     if args.out:
@@ -276,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int)
     p.add_argument("--x", action="append", help="override x (repeatable)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the JSON report to a file")
     p.set_defaults(func=cmd_verify)
 

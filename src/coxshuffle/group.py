@@ -20,7 +20,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .lattice import IntersectionLattice, build_lattice, parabolic_mask, root_line_action
+from .lattice import (
+    IntersectionLattice,
+    build_lattice,
+    parabolic_mask,
+    permute_mask,
+    root_line_action,
+)
 from .linalg import Subspace, nullspace
 from .rootdata import RootSystem
 
@@ -254,16 +260,6 @@ class CoxeterGroup:
             )
         return self._matrices[i]
 
-    def line_image_sets(self, mask_roots: Sequence[int]):
-        """Yields (element, image of the given root-line set) for all elements."""
-        n_pos = self.n_pos
-        mb = bytes(mask_roots)
-        line = bytes([x if x < n_pos else x - n_pos for x in range(2 * n_pos)]) + bytes(
-            range(2 * n_pos, 256)
-        )
-        for i in range(self.size):
-            yield i, frozenset(mb.translate(self.tables[i]).translate(line))
-
     # -- conjugacy classes ---------------------------------------------------
 
     def conjugacy_classes(self) -> List[ConjugacyClass]:
@@ -336,11 +332,14 @@ class CoxeterGroup:
         K = frozenset(K)
         mask = self._std_masks.get(K)
         if mask is None:
-            if self._line_action is None:
-                self._line_action = root_line_action(self.root_system)
-            mask = parabolic_mask(*self._line_action, K)
+            mask = parabolic_mask(*self._root_line_action(), K)
             self._std_masks[K] = mask
         return mask
+
+    def _root_line_action(self) -> Tuple[tuple, tuple]:
+        if self._line_action is None:
+            self._line_action = root_line_action(self.root_system)
+        return self._line_action
 
     def parabolic_data(self, K: Iterable[int]) -> ParabolicData:
         K = frozenset(K)
@@ -353,31 +352,30 @@ class CoxeterGroup:
         one = rs.cartan_like_matrix[0][0] / rs.cartan_like_matrix[0][0]
         fixed = nullspace(rows, rs.rank, one=one)
 
-        mask = self.standard_parabolic_mask(K)
-        base_set = frozenset(_bits(mask))
-        std_sets = {
-            frozenset(_bits(self.standard_parabolic_mask(J))): J
-            for J in all_subsets(rs.rank)
-        }
-        if not base_set:
-            normalizer = self.size
-            orbit = {frozenset()}
-        else:
-            orbit = set()
-            normalizer = 0
-            for _, img in self.line_image_sets(sorted(base_set)):
-                if img == base_set:
-                    normalizer += 1
-                orbit.add(img)
+        # the W-orbit of the standard mask, breadth first under the simple
+        # reflections; its stabilizer is the normalizer of W_K
+        perms = self._root_line_action()[0]
+        orbit = {self.standard_parabolic_mask(K)}
+        queue = list(orbit)
+        for mask in queue:
+            for p in perms:
+                img = permute_mask(mask, p)
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
         equivalent = sorted(
-            (tuple(sorted(J)) for s, J in std_sets.items() if s in orbit),
+            (
+                tuple(sorted(J))
+                for J in all_subsets(rs.rank)
+                if self.standard_parabolic_mask(J) in orbit
+            ),
             key=lambda t: (len(t), t),
         )
         data = ParabolicData(
             K=K,
             subgroup_order=sub_order,
             fixed_space=fixed,
-            normalizer_order=normalizer,
+            normalizer_order=self.size // len(orbit),
             lambda_count=len(equivalent),
             conjugacy_rep=equivalent[0],
         )

@@ -82,7 +82,8 @@ def parabolic_mask(
     return sum(1 << j for j in lines)
 
 
-def _permute_mask(mask: int, perm: Sequence[int]) -> int:
+def permute_mask(mask: int, perm: Sequence[int]) -> int:
+    """Image of a root-line bitmask under a permutation of the lines."""
     out = 0
     while mask:
         low = mask & -mask
@@ -116,7 +117,7 @@ class IntersectionLattice:
             for mask in queue:
                 basis = found[mask].basis
                 for p in perms:
-                    img = _permute_mask(mask, p)
+                    img = permute_mask(mask, p)
                     if img not in found:
                         found[img] = Flat(img, len(K), tuple(p[j] for j in basis))
                         queue.append(img)

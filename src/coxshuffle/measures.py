@@ -11,13 +11,20 @@ Three independent routes to the same measure:
                A, B, H3, H4, keyed by descent statistics.
 
 Also: the one-step chamber walk (an independent oracle via coset minima),
-transition matrices with their exact spectrum identity, convolution in the
-group algebra, the identity/longest-element product formulas, the positive
-solution counting identity for crystallographic types, and class pushforwards.
+transition matrices with their exact spectrum identity, the identity/longest-
+element product formulas, the positive solution counting identity for
+crystallographic types, and class pushforwards.
+
+Every H(W, x) is constant on right-descent classes, and the class sums span
+Solomon's descent algebra, which is closed under products (L. Solomon, "A
+Mackey formula in the group ring of a Coxeter group", J. Algebra 41, 1976).
+So the convolution of two such measures is computed in that algebra: one
+value per descent class, each from integer counts of factorizations.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
@@ -62,8 +69,15 @@ class WMeasure:
     def from_descent_values(
         cls, group: CoxeterGroup, x_param, values: Dict[FrozenSet[int], Fraction]
     ) -> "WMeasure":
-        dense = [values[group.descent_set(i)] for i in range(group.size)]
-        m = cls(group, x_param, dense)
+        table = [values[D] for D in all_subsets(group.rank)]  # indexed by descent mask
+        sizes = Counter(group.descent_mask)
+        total = sum(n * table[dm] for dm, n in sizes.items())
+        if total != 1:
+            raise ValueError(f"measure coefficients sum to {total}, not 1")
+        m = cls.__new__(cls)
+        m.group = group
+        m.x_param = x_param
+        m._dense = tuple(map(table.__getitem__, group.descent_mask))
         m._by_descent = dict(values)
         return m
 
@@ -76,15 +90,13 @@ class WMeasure:
     def by_descent(self) -> Dict[FrozenSet[int], Fraction]:
         """Descent-class compression; requires constancy on descent classes."""
         if self._by_descent is None:
-            out: Dict[FrozenSet[int], Fraction] = {}
-            for i, v in enumerate(self._dense):
-                d = self.group.descent_set(i)
-                if d in out:
-                    if out[d] != v:
-                        raise ValueError("measure is not constant on descent classes")
-                else:
-                    out[d] = v
-            self._by_descent = out
+            by_mask: Dict[int, Fraction] = {}
+            for dm, v in zip(self.group.descent_mask, self._dense):
+                if by_mask.setdefault(dm, v) != v:
+                    raise ValueError("measure is not constant on descent classes")
+            self._by_descent = {
+                D: by_mask[dm] for dm, D in enumerate(all_subsets(self.group.rank))
+            }
         return self._by_descent
 
     def __eq__(self, other):
@@ -338,25 +350,36 @@ def _mat_mul_frac(A, B):
     ]
 
 
-# -- group-algebra operations ---------------------------------------------------
+# -- descent-algebra operations -------------------------------------------------
 
 
 def convolve(m1: WMeasure, m2: WMeasure) -> WMeasure:
-    """Group-algebra product: out(w) = sum over uv = w of m1(u) m2(v)."""
+    """Product in Solomon's descent algebra: out(w) = sum over uv = w of m1(u) m2(v).
+
+    Both factors must be constant on descent classes (``by_descent`` raises
+    ValueError otherwise), and then so is the product, so it is fixed by its value at one element w per class:
+    out(w) = sum over D1, D2 of m1[D1] m2[D2] N(D1, D2; w), where N counts
+    the u in class D1 with u^-1 w in class D2."""
     if m1.group is not m2.group:
         raise ValueError("measures live on different groups")
     g = m1.group
-    out = [Fraction(0)] * g.size
-    d1, d2 = m1.dense(), m2.dense()
-    for u in range(g.size):
-        a = d1[u]
-        if a == 0:
-            continue
-        for v in range(g.size):
-            b = d2[v]
-            if b != 0:
-                out[g.multiply(u, v)] += a * b
-    return WMeasure(g, None, out)
+    subsets = list(all_subsets(g.rank))
+    c1 = [m1.by_descent()[D] for D in subsets]
+    c2 = [m2.by_descent()[D] for D in subsets]
+    dm, index = g.descent_mask, g.index
+    # as t runs over W, u = t^-1 does too, and u^-1 w = t w
+    u_class = [dm[i] for i in g.inverse]
+    rep: Dict[int, int] = {}
+    for i, d in enumerate(dm):
+        rep.setdefault(d, i)
+    values: Dict[FrozenSet[int], Fraction] = {}
+    for d, D in enumerate(subsets):
+        tw = map(index.__getitem__, map(g.keys[rep[d]].translate, g.tables))
+        inner: Dict[int, Fraction] = {}  # D1 -> sum over D2 of N(D1, D2; w) m2[D2]
+        for (d1, d2), n in Counter(zip(u_class, map(dm.__getitem__, tw))).items():
+            inner[d1] = inner.get(d1, 0) + n * c2[d2]
+        values[D] = sum(c1[d1] * s for d1, s in inner.items())
+    return WMeasure.from_descent_values(g, None, values)
 
 
 def point_mass(g: CoxeterGroup, i: int) -> WMeasure:

@@ -144,12 +144,22 @@ def test_verify_with_overrides(capsys, tmp_path):
                for c in data["checks"])
 
 
-def test_verify_jobs_deterministic(capsys):
-    code1, out1, _ = run_cli(capsys, "verify", "spectrum")
-    code2, out2, _ = run_cli(capsys, "verify", "spectrum", "--jobs", "3")
-    assert code1 == code2 == 0
-    d1, d2 = json.loads(out1), json.loads(out2)
-    assert d1["checks"] == d2["checks"]
+def test_verify_jobs_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "spectrum", "--jobs", "3"])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("usage:")
+    assert "unrecognized arguments: --jobs 3" in err
+    assert "Traceback" not in err
+
+
+def test_verify_convolution_reports_known_counterexamples(capsys):
+    code, out, _ = run_cli(capsys, "verify", "convolution", "--type", "D4", "--type", "H4")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["description"] for c in checks] == ["D4: H_2 * H_3 vs H_6", "H4: H_2 * H_3 vs H_6"]
+    assert all(c["actual"] == "different" and not c["pass"] for c in checks)
 
 
 def test_refine_census_cli(capsys):

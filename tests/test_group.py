@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from coxshuffle.group import cycle_type, get_group, signed_cycle_type
+from coxshuffle.group import all_subsets, cycle_type, get_group, signed_cycle_type
 from coxshuffle.rootdata import parse_type
+
+SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
+             "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]
 
 
 def inversions(perm):
@@ -183,6 +186,37 @@ def test_parabolic_data_against_brute_force(t):
         assert pd.lambda_count == lam, (t, sorted(K))
         assert pd.subgroup_order % 1 == 0 and g.size % pd.subgroup_order == 0
         assert pd.normalizer_order % pd.subgroup_order == 0
+
+
+def line_image_parabolic(g, K):
+    """Oracle for (normalizer order, equivalent-subset count, representative):
+    the image of the standard root-line set under every element of W."""
+    n = g.n_pos
+    line = bytes(a % n for a in range(2 * n)) + bytes(range(2 * n, 256))
+
+    def line_set(mask):
+        return frozenset(j for j in range(n) if mask >> j & 1)
+
+    base = line_set(g.standard_parabolic_mask(K))
+    roots = bytes(sorted(base))
+    images = [frozenset(roots.translate(g.tables[i]).translate(line)) for i in range(g.size)]
+    orbit = set(images)
+    equivalent = sorted(
+        (tuple(sorted(J)) for J in all_subsets(g.rank)
+         if line_set(g.standard_parabolic_mask(J)) in orbit),
+        key=lambda t: (len(t), t),
+    )
+    return images.count(base), len(equivalent), equivalent[0]
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_parabolic_data_against_line_images(t):
+    g = get_group(t)
+    for K in all_subsets(g.rank):
+        pd = g.parabolic_data(K)
+        assert (pd.normalizer_order, pd.lambda_count, pd.conjugacy_rep) == (
+            line_image_parabolic(g, K)
+        ), (t, sorted(K))
 
 
 def test_lambda_counts_sum():

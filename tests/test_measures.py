@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -225,11 +225,56 @@ def test_transition_matrix_size_guard():
         transition_matrix(get_group("H4"), 2)
 
 
+def dense_convolve(m1, m2):
+    """Oracle: the group-algebra product out(w) = sum over uv = w of m1(u) m2(v)
+    over all |W|^2 pairs, in integers scaled by the common denominators."""
+    g = m1.group
+    s1 = lcm(*(v.denominator for v in m1.dense()))
+    s2 = lcm(*(v.denominator for v in m2.dense()))
+    a = [int(v * s1) for v in m1.dense()]
+    b = [int(v * s2) for v in m2.dense()]
+    out = [0] * g.size
+    for u in range(g.size):
+        if a[u]:
+            for v in range(g.size):
+                out[g.multiply(u, v)] += a[u] * b[v]
+    return tuple(Fraction(n, s1 * s2) for n in out)
+
+
+CONVOLVE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2",
+                  "I2(5)", "I2(6)", "I2(10)", "H3"]
+
+
+@pytest.mark.parametrize("t", CONVOLVE_TYPES)
+@pytest.mark.parametrize("x,y", [(2, 3), (Fraction(1, 2), 2), (-1, 2), (7, Fraction(-3, 2))])
+def test_convolution_against_dense_oracle(t, x, y):
+    g = get_group(t)
+    prod = convolve(h_measure(g, x), h_measure(g, y))
+    oracle = dense_convolve(h_measure(g, x), h_measure(g, y))
+    assert prod.dense() == oracle
+    # the dense product is itself constant on descent classes (Solomon)
+    by_class = {}
+    for dm, v in zip(g.descent_mask, oracle):
+        assert by_class.setdefault(dm, v) == v
+
+
 def test_convolution_identity_element():
+    for t in ("A1", "B2", "G2", "H3", "D4"):
+        g = get_group(t)
+        m = h_measure(g, 3, "definition")
+        assert convolve(m, point_mass(g, 0)) == m
+        assert convolve(point_mass(g, 0), m) == m
+
+
+def test_convolution_rejects_non_descent_constant_factor():
     g = get_group("B2")
-    m = h_measure(g, 3, "definition")
-    assert convolve(m, point_mass(g, 0)) == m
-    assert convolve(point_mass(g, 0), m) == m
+    m = h_measure(g, 3)
+    s = point_mass(g, 1)  # a simple reflection: its class holds another element
+    assert g.length[1] == 1
+    with pytest.raises(ValueError):
+        convolve(m, s)
+    with pytest.raises(ValueError):
+        convolve(s, m)
 
 
 def test_convolution_a1():
