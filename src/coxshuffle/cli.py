@@ -33,7 +33,10 @@ def _write_out(text: str, out: Optional[str]):
 
 
 def _parse_x(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:  # "1/0": a usage error like any other bad rational
+        raise ValueError(f"x = {s!r} has a zero denominator") from None
 
 
 def cmd_coxeter(args) -> int:

@@ -9,14 +9,15 @@ exact and computed on demand (for H4, materializing all 14400 4x4 golden
 matrices up front would cost tens of MB; the byte keys cost 3.5 MB).
 
 Conjugacy classes, standard-parabolic data (normalizer orders, equivalent
-subsets, fixed spaces), and the exponents (extracted from the length
+subsets, fixed spaces), coset minima with their per-element masks, the
+descent counts of each class, and the exponents (extracted from the length
 generating function) all live here.  The intersection lattice of the
 group's arrangement is built on first use and kept with the group.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -80,6 +81,8 @@ class CoxeterGroup:
         self._parabolic: Dict[frozenset, ParabolicData] = {}
         self._subgroups: Dict[frozenset, tuple] = {}
         self._minreps: Dict[frozenset, list] = {}
+        self._minrep_masks: Optional[Tuple[List[int], Counter]] = None
+        self._class_descents: Optional[List[Counter]] = None
         self._std_masks: Dict[frozenset, int] = {}
         self._line_action: Optional[Tuple[tuple, tuple]] = None
         self._exponents: Optional[Tuple[int, ...]] = None
@@ -408,6 +411,29 @@ class CoxeterGroup:
                             stack.append(j)
             self._minreps[K] = cached
         return cached
+
+    def minrep_masks(self) -> Tuple[List[int], Counter]:
+        """Per element, the mask of the subsets K (bit k for the k-th
+        ``all_subsets`` entry) for which the element is its own
+        ``coset_minreps(K)`` entry, and the number of elements per mask."""
+        if self._minrep_masks is None:
+            masks = [0] * self.size
+            for k, K in enumerate(all_subsets(self.rank)):
+                bit = 1 << k
+                for i in set(self.coset_minreps(K)):  # the minima are the fixed points
+                    masks[i] |= bit
+            self._minrep_masks = (masks, Counter(masks))
+        return self._minrep_masks
+
+    def class_descent_counts(self) -> List[Counter]:
+        """Per conjugacy class, in ``conjugacy_classes()`` order, the number
+        of its members with each descent mask."""
+        if self._class_descents is None:
+            dm = self.descent_mask
+            self._class_descents = [
+                Counter(map(dm.__getitem__, c.members)) for c in self.conjugacy_classes()
+            ]
+        return self._class_descents
 
     # -- intersection lattice ----------------------------------------------------
 

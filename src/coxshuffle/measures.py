@@ -19,7 +19,14 @@ Every H(W, x) is constant on right-descent classes, and the class sums span
 Solomon's descent algebra, which is closed under products (L. Solomon, "A
 Mackey formula in the group ring of a Coxeter group", J. Algebra 41, 1976).
 So the convolution of two such measures is computed in that algebra: one
-value per descent class, each from integer counts of factorizations.
+value per descent class, each from integer counts of factorizations.  The
+walk step lies in the same algebra (Bidigare-Hanlon-Rockmore, Duke Math. J.
+99, 1999; Brown, Ann. Probab. 28, 2000), and class masses are sums over
+descent classes, so neither adds Fractions one element at a time: the walk
+takes one face-weight sum per distinct coset-minimum mask, the pushforward
+weighs the descent values by integer class-and-descent-class counts, and
+dense values are filled by table lookup.  The integer tables are built once
+per group (``CoxeterGroup.minrep_masks``, ``class_descent_counts``).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .group import ClassLabel, CoxeterGroup, all_subsets
@@ -70,15 +77,25 @@ class WMeasure:
         cls, group: CoxeterGroup, x_param, values: Dict[FrozenSet[int], Fraction]
     ) -> "WMeasure":
         table = [values[D] for D in all_subsets(group.rank)]  # indexed by descent mask
-        sizes = Counter(group.descent_mask)
-        total = sum(n * table[dm] for dm, n in sizes.items())
+        m = cls._from_keys(
+            group, x_param, group.descent_mask, table, Counter(group.descent_mask)
+        )
+        m._by_descent = dict(values)
+        return m
+
+    @classmethod
+    def _from_keys(cls, group: CoxeterGroup, x_param, keys, table, counts) -> "WMeasure":
+        """The measure with value ``table[keys[i]]`` at element i, where
+        ``counts[k]`` is the number of elements with key k; the total is
+        checked as the sum of count times value over the keys."""
+        total = sum(n * table[k] for k, n in counts.items())
         if total != 1:
             raise ValueError(f"measure coefficients sum to {total}, not 1")
         m = cls.__new__(cls)
         m.group = group
         m.x_param = x_param
-        m._dense = tuple(map(table.__getitem__, group.descent_mask))
-        m._by_descent = dict(values)
+        m._dense = tuple(map(table.__getitem__, keys))
+        m._by_descent = None
         return m
 
     def value(self, i: int) -> Fraction:
@@ -100,11 +117,12 @@ class WMeasure:
         return self._by_descent
 
     def __eq__(self, other):
-        return (
-            isinstance(other, WMeasure)
-            and self.group is other.group
-            and self._dense == other._dense
-        )
+        if not isinstance(other, WMeasure) or self.group is not other.group:
+            return False
+        if self._by_descent is not None and other._by_descent is not None:
+            # exact: both are descent-class constant and no descent class is empty
+            return self._by_descent == other._by_descent
+        return self._dense == other._dense
 
     def __hash__(self):
         return hash((id(self.group), self._dense))
@@ -297,18 +315,20 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
 
     For each face (a coset uW_K) the landing chamber is the coset element
     of minimal length; the walk lands on w with the total weight of the
-    faces whose minimum is w.  Computed independently of h_measure, as a
-    cross-check oracle."""
+    faces whose minimum is w, i.e. the sum of v_K over the K for which w is
+    its own ``coset_minreps(K)`` entry.  That sum depends only on w's mask
+    of such K (``g.minrep_masks()``), so it is taken once per distinct mask.
+    Computed from coset minima alone, independently of the descent sets and
+    of h_measure, as a cross-check oracle."""
     total = fw.face_total()
     if total != 1:
         raise ValueError(f"face weights sum to {total}, not 1")
-    dense = [Fraction(0)] * g.size
-    for K, v in fw.weights.items():
-        reps = g.coset_minreps(K)
-        for i in range(g.size):
-            if reps[i] == i:
-                dense[i] += v
-    return WMeasure(g, fw.x_param, dense)
+    by_bit = [(sum(1 << i for i in K), v) for K, v in fw.weights.items()]
+    masks, counts = g.minrep_masks()
+    table = {
+        mask: sum((v for k, v in by_bit if mask >> k & 1), Fraction(0)) for mask in counts
+    }
+    return WMeasure._from_keys(g, fw.x_param, masks, table, counts)
 
 
 def uniform_chamber_weights(g: CoxeterGroup) -> FaceWeights:
@@ -410,11 +430,19 @@ class ClassMeasure:
 
 
 def pushforward_classes(m: WMeasure) -> ClassMeasure:
-    """Total measure of each conjugacy class."""
+    """Total measure of each conjugacy class, as the sum over descent masks D
+    of m[D] times the number of class members in descent class D
+    (``g.class_descent_counts()``).  The measure must be constant on descent
+    classes (``by_descent`` raises ValueError otherwise)."""
     g = m.group
+    by_descent = m.by_descent()
+    values = [by_descent[D] for D in all_subsets(g.rank)]  # indexed by descent mask
+    # integer numerators over a common denominator: one Fraction per class
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
     out: Dict[ClassLabel, Fraction] = {}
-    for c in g.conjugacy_classes():
-        out[c.label] = sum(m.value(i) for i in c.members)
+    for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts()):
+        out[c.label] = Fraction(sum(n * nums[d] for d, n in counts.items()), den)
     return ClassMeasure(out)
 
 

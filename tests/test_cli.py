@@ -53,6 +53,17 @@ def test_measure_rejects_zero_x(capsys):
     assert "nonzero" in err or "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("measure", "--type", "A3", "--x", "1/0"),
+    ("verify", "walk_oracle", "--type", "A2", "--x", "1/0"),
+])
+def test_zero_denominator_x_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_lattice_emit_to_file(tmp_path, capsys):
     out = tmp_path / "flats.csv"
     code, _, _ = run_cli(capsys, "lattice", "--type", "B2", "--emit", str(out))

@@ -313,3 +313,14 @@ def test_coset_minreps_definitions():
             coset = {g.multiply(i, u) for u in sub}
             best = min(coset, key=lambda j: g.length[j])
             assert reps[i] == best
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_minrep_masks_are_descent_free_subsets(t):
+    # w is the minimum of its coset w W_K exactly when K avoids its right descents
+    g = get_group(t)
+    masks, counts = g.minrep_masks()
+    for i in range(g.size):
+        dm = g.descent_mask[i]
+        assert masks[i] == sum(1 << k for k in range(1 << g.rank) if not k & dm)
+    assert counts == Counter(masks)

@@ -9,6 +9,7 @@ import pytest
 from coxshuffle.group import get_group
 from coxshuffle.measures import (
     ClassMeasure,
+    FaceWeights,
     WMeasure,
     bhr_step,
     binom,
@@ -27,6 +28,8 @@ from coxshuffle.shuffling import exact_shuffle_law
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
                "I2(2)", "I2(5)", "I2(6)", "I2(10)", "D4"]
+SUPPORTED = SMALL_TYPES + ["I2(3)", "I2(4)", "H3", "H4"]
+ORACLE_XS = [2, Fraction(1, 2), -1, Fraction(7, 3)]
 
 
 def test_a1_x2_against_shuffle_oracle():
@@ -89,6 +92,10 @@ def test_measure_sum_guard():
     g = get_group("A1")
     with pytest.raises(ValueError):
         WMeasure(g, None, [Fraction(1, 2), Fraction(1, 4)])
+    values = dict(h_measure(g, 2).by_descent())
+    values[frozenset()] += 1
+    with pytest.raises(ValueError, match="sum to 2"):
+        WMeasure.from_descent_values(g, None, values)
 
 
 def test_longshort_examples():
@@ -141,14 +148,100 @@ def test_sommers_hypothesis_gate():
     assert not r.hypothesis_ok and r.passed is None
 
 
-def test_bhr_point_mass_on_full_type():
-    g = get_group("B2")
+def full_type_weights(g):
+    """All weight on the one face of full type K = S, the whole group."""
     weights = {K: Fraction(0) for K in map(frozenset, _subsets(g.rank))}
     weights[frozenset(range(g.rank))] = Fraction(1)
-    fw = face_weights(g, 2, "definition")
-    fw.weights = weights
-    m = bhr_step(g, fw)
+    return FaceWeights(g, Fraction(0), weights, "manual")
+
+
+def test_bhr_point_mass_on_full_type():
+    g = get_group("B2")
+    m = bhr_step(g, full_type_weights(g))
     assert m.value(0) == 1  # the chamber closest to the identity is the identity
+
+
+def dense_bhr_step(g, fw):
+    """Oracle: the walk step one element at a time, v_K added to every
+    minimum of a coset of W_K."""
+    dense = [Fraction(0)] * g.size
+    for K, v in fw.weights.items():
+        reps = g.coset_minreps(K)
+        for i in range(g.size):
+            if reps[i] == i:
+                dense[i] += v
+    return tuple(dense)
+
+
+def dense_pushforward(m):
+    """Oracle: each class mass as the sum of the measure over its members."""
+    return {c.label: sum(m.value(i) for i in c.members) for c in m.group.conjugacy_classes()}
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_bhr_step_against_dense_oracle(t):
+    g = get_group(t)
+    weights = [face_weights(g, x) for x in ORACLE_XS]
+    for fw in weights + [uniform_chamber_weights(g), full_type_weights(g)]:
+        assert bhr_step(g, fw).dense() == dense_bhr_step(g, fw), fw.x_param
+
+
+def test_bhr_step_reads_no_descent_sets_and_no_measure(monkeypatch):
+    import coxshuffle.measures as measures
+    from coxshuffle.group import CoxeterGroup
+    from coxshuffle.rootdata import parse_type
+
+    g = CoxeterGroup(parse_type("B3"))  # a private group: its descent table is removed
+    fw = face_weights(g, 3)
+    expected = dense_bhr_step(g, fw)
+    g.descent_mask = None
+
+    def no_measure(*args, **kwargs):
+        raise AssertionError("the walk step must not call h_measure")
+
+    monkeypatch.setattr(measures, "h_measure", no_measure)
+    assert bhr_step(g, fw).dense() == expected
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_pushforward_against_dense_oracle(t):
+    g = get_group(t)
+    for x in ORACLE_XS:
+        m = h_measure(g, x)
+        assert pushforward_classes(m).values == dense_pushforward(m), x
+
+
+@pytest.mark.parametrize("t", ["B3", "D4"])
+def test_pushforward_of_a_product_against_dense_oracle(t):
+    g = get_group(t)
+    prod = convolve(h_measure(g, 2), h_measure(g, 3))
+    assert pushforward_classes(prod).values == dense_pushforward(prod)
+
+
+def test_pushforward_rejects_non_descent_constant_measure():
+    with pytest.raises(ValueError, match="not constant on descent classes"):
+        pushforward_classes(point_mass(get_group("B2"), 1))
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "D4", "H3"])
+def test_measure_equality_matches_dense_comparison(t):
+    g = get_group(t)
+    h2, h3 = h_measure(g, 2), h_measure(g, 3)
+    walk2, walk3 = bhr_step(g, face_weights(g, 2)), bhr_step(g, face_weights(g, 3))
+    dense2 = WMeasure(g, Fraction(2), h2.dense())
+    dense3 = WMeasure(g, Fraction(3), h3.dense())
+    dense3.by_descent()  # now carries descent values too
+    # the identity and the longest element are alone in their descent classes
+    values = dict(h2.by_descent())
+    values[frozenset()] += 1
+    values[frozenset(range(g.rank))] -= 1
+    moved = WMeasure.from_descent_values(g, Fraction(2), values)
+    pairs = [(h2, h_measure(g, 2, "os_sign")), (h2, h3), (h2, walk2), (h2, walk3),
+             (h2, dense2), (h2, dense3), (h3, dense3), (walk2, dense2),
+             (h2, moved), (walk2, moved)]
+    for a, b in pairs:
+        assert (a == b) == (b == a) == (a.dense() == b.dense())
+    assert h2 == walk2 == dense2 and h3 == dense3 and h2 != h3 and h2 != moved
 
 
 def test_bhr_uniform_chamber_weights():
