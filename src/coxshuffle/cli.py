@@ -9,7 +9,8 @@ Subcommands:
   bijection      Gessel-Reutenauer tools (gr, refine)
   verify         run a verification suite; exit 0 iff it passes
 
-Exit codes: 0 pass, 1 fail, 2 usage error.
+Exit codes: 0 pass, 1 fail, 2 usage error (a bad argument, a flag the
+chosen suite does not read, or an output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -18,10 +19,32 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .report import exact_str
 from .suites import DEFAULT_PARAMS, SUITES, run_suite
+
+
+# The flags each verify suite reads, and the parameter each one overrides.
+# Any other flag is a usage error: the suite would run its default grid and
+# record the ignored value in its report.
+SUITE_FLAGS: Dict[str, Dict[str, str]] = {
+    "triple_agreement": {"--type": "types", "--x": "xs"},
+    "longshort": {"--type": "types", "--x": "xs"},
+    "sommers": {},
+    "convolution": {"--type": "types", "--x": "x"},
+    "h4_counterexample": {"--x": "x"},
+    "spectrum": {"--type": "types", "--x": "x"},
+    "walk_oracle": {"--type": "types", "--x": "xs"},
+    "nonnegativity": {},
+    "problem1_A": {"--n": "grid", "--q": "grid"},
+    "problem1_B": {"--n": "grid", "--q": "grid"},
+    "sl35_counterexample": {},
+    "gr_census": {},
+    "reiner_counts": {"--n": "grid", "--q": "grid"},
+    "ornament_counts": {"--n": "grid", "--q": "grid"},
+    "sampler_tv": {"--seed": "seed"},
+}
 
 
 def _write_out(text: str, out: Optional[str]):
@@ -148,21 +171,36 @@ def cmd_verify(args) -> int:
             print("verify problem1 needs --family A or --family B", file=sys.stderr)
             return 2
         name = f"problem1_{args.family}"
+    elif args.family is not None:
+        print(f"verify {name} does not read --family; only problem1 does", file=sys.stderr)
+        return 2
     if name not in SUITES:
         print(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}", file=sys.stderr)
+        return 2
+    reads = SUITE_FLAGS[name]
+    given = {"--type": args.type, "--n": args.n, "--q": args.q, "--x": args.x,
+             "--seed": args.seed}
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            known = ", ".join(reads) or "none; it runs only its default grid"
+            print(f"verify {name} does not read {flag} (flags it reads: {known})",
+                  file=sys.stderr)
+            return 2
+    if (args.n is None) != (args.q is None):
+        print("--n and --q must be given together", file=sys.stderr)
         return 2
     overrides = {}
     if args.type:
         overrides["types"] = args.type
-    if args.n is not None and args.q is not None:
+    if args.n is not None:
         overrides["grid"] = [(args.n, args.q)]
-    elif args.n is not None or args.q is not None:
-        print("--n and --q must be given together", file=sys.stderr)
-        return 2
     if args.x is not None:
         xs = [_parse_x(v) for v in args.x]
-        if name in ("triple_agreement", "longshort", "walk_oracle"):
+        if reads["--x"] == "xs":
             overrides["xs"] = xs
+        elif len(xs) > 1:
+            print(f"verify {name} reads one --x, not {len(xs)}", file=sys.stderr)
+            return 2
         else:
             overrides["x"] = xs[0]
     if args.seed is not None:
@@ -267,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,15 +10,18 @@ matrices up front would cost tens of MB; the byte keys cost 3.5 MB).
 
 Conjugacy classes, standard-parabolic data (normalizer orders, equivalent
 subsets, fixed spaces), coset minima with their per-element masks, the
-descent counts of each class, and the exponents (extracted from the length
-generating function) all live here.  The intersection lattice of the
-group's arrangement is built on first use and kept with the group.
+descent counts of each class, the descent-class sizes, the structure
+constants of the descent algebra, and the exponents (extracted from the
+length generating function) all live here, each built once on first use.
+The intersection lattice of the group's arrangement is built on first use
+and kept with the group.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -83,6 +86,9 @@ class CoxeterGroup:
         self._minreps: Dict[frozenset, list] = {}
         self._minrep_masks: Optional[Tuple[List[int], Counter]] = None
         self._class_descents: Optional[List[Counter]] = None
+        self._descent_sizes: Optional[Counter] = None
+        self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
+        self._descent_minrep_pairs: Optional[FrozenSet[Tuple[int, int]]] = None
         self._std_masks: Dict[frozenset, int] = {}
         self._line_action: Optional[Tuple[tuple, tuple]] = None
         self._exponents: Optional[Tuple[int, ...]] = None
@@ -434,6 +440,45 @@ class CoxeterGroup:
                 Counter(map(dm.__getitem__, c.members)) for c in self.conjugacy_classes()
             ]
         return self._class_descents
+
+    def descent_class_sizes(self) -> Counter:
+        """The number of elements with each descent mask."""
+        if self._descent_sizes is None:
+            self._descent_sizes = Counter(self.descent_mask)
+        return self._descent_sizes
+
+    def descent_structure(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Structure constants of Solomon's descent algebra: per descent mask
+        d, the pairs (d1, d2) with N(d1, d2; d) > 0, each packed as
+        d1 << rank | d2, and the counts N in the same order.  N counts the u
+        with descent mask d1 and u^-1 w descent mask d2, for any one w of
+        mask d; it does not depend on which w (L. Solomon, J. Algebra 41,
+        1976)."""
+        if self._descent_structure is None:
+            dm, index, r = self.descent_mask, self.index, self.rank
+            # as t runs over W, u = t^-1 does too, and u^-1 w = t w
+            u_class = [dm[i] << r for i in self.inverse]
+            rep: Dict[int, int] = {}
+            for i, d in enumerate(dm):
+                rep.setdefault(d, i)
+            out = []
+            for d in range(1 << r):
+                tw = map(index.__getitem__, map(self.keys[rep[d]].translate, self.tables))
+                counts = Counter(map(or_, u_class, map(dm.__getitem__, tw)))
+                pairs, ns = zip(*sorted(counts.items()))
+                out.append((pairs, ns))
+            self._descent_structure = out
+        return self._descent_structure
+
+    def descent_minrep_pairs(self) -> FrozenSet[Tuple[int, int]]:
+        """The distinct (descent mask, ``minrep_masks`` mask) pairs of the
+        elements: two measures, one constant on each kind of class, agree at
+        every element iff they agree on each pair."""
+        if self._descent_minrep_pairs is None:
+            self._descent_minrep_pairs = frozenset(
+                zip(self.descent_mask, self.minrep_masks()[0])
+            )
+        return self._descent_minrep_pairs
 
     # -- intersection lattice ----------------------------------------------------
 

@@ -98,6 +98,7 @@ class IntersectionLattice:
     def __init__(self, rs: RootSystem):
         self.root_system = rs
         self._moebius: Dict[int, Dict[int, int]] = {}
+        self._char_polys: Dict[int, CharPoly] = {}
         self._subspaces: Dict[int, Subspace] = {}
         self._build()
 
@@ -201,15 +202,19 @@ class IntersectionLattice:
         return fid
 
     def char_poly(self, X: Union[int, Subspace]) -> CharPoly:
-        """chi of the restricted poset of flats above X (X = V gives chi(L, x))."""
+        """chi of the restricted poset of flats above X (X = V gives chi(L, x)),
+        summed from the Moebius function once per flat."""
         fid = X if isinstance(X, int) else self.flat_id_of_subspace(X)
         if not 0 <= fid < len(self.flats):
             raise ValueError("not a flat id")
-        mu = self.moebius_from(fid)
-        coeffs = [0] * (self.flat_dim(fid) + 1)
-        for y, m in mu.items():
-            coeffs[self.flat_dim(y)] += m
-        return CharPoly(tuple(coeffs))
+        cached = self._char_polys.get(fid)
+        if cached is None:
+            coeffs = [0] * (self.flat_dim(fid) + 1)
+            for y, m in self.moebius_from(fid).items():
+                coeffs[self.flat_dim(y)] += m
+            cached = CharPoly(tuple(coeffs))
+            self._char_polys[fid] = cached
+        return cached
 
     def flat_subspace(self, fid: int) -> Subspace:
         """The flat itself, as a canonical subspace of V."""

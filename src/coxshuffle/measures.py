@@ -19,22 +19,25 @@ Every H(W, x) is constant on right-descent classes, and the class sums span
 Solomon's descent algebra, which is closed under products (L. Solomon, "A
 Mackey formula in the group ring of a Coxeter group", J. Algebra 41, 1976).
 So the convolution of two such measures is computed in that algebra: one
-value per descent class, each from integer counts of factorizations.  The
-walk step lies in the same algebra (Bidigare-Hanlon-Rockmore, Duke Math. J.
-99, 1999; Brown, Ann. Probab. 28, 2000), and class masses are sums over
-descent classes, so neither adds Fractions one element at a time: the walk
-takes one face-weight sum per distinct coset-minimum mask, the pushforward
-weighs the descent values by integer class-and-descent-class counts, and
-dense values are filled by table lookup.  The integer tables are built once
-per group (``CoxeterGroup.minrep_masks``, ``class_descent_counts``).
+value per descent class, an integer combination of the algebra's structure
+constants.  The walk step lies in the same algebra (Bidigare-Hanlon-Rockmore,
+Duke Math. J. 99, 1999; Brown, Ann. Probab. 28, 2000), and class masses are
+sums over descent classes, so none of these adds Fractions one element at a
+time: the walk takes one face-weight sum per distinct coset-minimum mask,
+the pushforward weighs the descent values by integer class-and-descent-class
+counts, a walk step is compared with a descent-valued measure once per
+distinct (descent mask, coset-minimum mask) pair, and dense values are
+filled by table lookup.  The integer tables are built once per group
+(``CoxeterGroup.descent_structure``, ``descent_class_sizes``,
+``minrep_masks``, ``descent_minrep_pairs``, ``class_descent_counts``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .group import ClassLabel, CoxeterGroup, all_subsets
@@ -71,16 +74,18 @@ class WMeasure:
         self.x_param = x_param
         self._dense = tuple(dense)
         self._by_descent: Optional[Dict[FrozenSet[int], Fraction]] = None
+        self._by_minrep: Optional[Dict[int, Fraction]] = None  # walk steps only
 
     @classmethod
     def from_descent_values(
         cls, group: CoxeterGroup, x_param, values: Dict[FrozenSet[int], Fraction]
     ) -> "WMeasure":
-        table = [values[D] for D in all_subsets(group.rank)]  # indexed by descent mask
+        subsets = list(all_subsets(group.rank))
+        table = [values[D] for D in subsets]  # indexed by descent mask
         m = cls._from_keys(
-            group, x_param, group.descent_mask, table, Counter(group.descent_mask)
+            group, x_param, group.descent_mask, table, group.descent_class_sizes()
         )
-        m._by_descent = dict(values)
+        m._by_descent = dict(zip(subsets, table))
         return m
 
     @classmethod
@@ -96,6 +101,7 @@ class WMeasure:
         m.x_param = x_param
         m._dense = tuple(map(table.__getitem__, keys))
         m._by_descent = None
+        m._by_minrep = None
         return m
 
     def value(self, i: int) -> Fraction:
@@ -105,7 +111,8 @@ class WMeasure:
         return self._dense
 
     def by_descent(self) -> Dict[FrozenSet[int], Fraction]:
-        """Descent-class compression; requires constancy on descent classes."""
+        """Descent-class compression, keyed in descent-mask order; requires
+        constancy on descent classes."""
         if self._by_descent is None:
             by_mask: Dict[int, Fraction] = {}
             for dm, v in zip(self.group.descent_mask, self._dense):
@@ -119,9 +126,17 @@ class WMeasure:
     def __eq__(self, other):
         if not isinstance(other, WMeasure) or self.group is not other.group:
             return False
+        # exact: each table covers its classes, and no class in it is empty
         if self._by_descent is not None and other._by_descent is not None:
-            # exact: both are descent-class constant and no descent class is empty
             return self._by_descent == other._by_descent
+        if self._by_minrep is not None and other._by_minrep is not None:
+            return self._by_minrep == other._by_minrep
+        for a, b in ((self, other), (other, self)):
+            if a._by_descent is not None and b._by_minrep is not None:
+                values = list(a._by_descent.values())  # indexed by descent mask
+                return all(
+                    values[d] == b._by_minrep[k] for d, k in self.group.descent_minrep_pairs()
+                )
         return self._dense == other._dense
 
     def __hash__(self):
@@ -328,7 +343,9 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
     table = {
         mask: sum((v for k, v in by_bit if mask >> k & 1), Fraction(0)) for mask in counts
     }
-    return WMeasure._from_keys(g, fw.x_param, masks, table, counts)
+    m = WMeasure._from_keys(g, fw.x_param, masks, table, counts)
+    m._by_minrep = table
+    return m
 
 
 def uniform_chamber_weights(g: CoxeterGroup) -> FaceWeights:
@@ -377,29 +394,30 @@ def convolve(m1: WMeasure, m2: WMeasure) -> WMeasure:
     """Product in Solomon's descent algebra: out(w) = sum over uv = w of m1(u) m2(v).
 
     Both factors must be constant on descent classes (``by_descent`` raises
-    ValueError otherwise), and then so is the product, so it is fixed by its value at one element w per class:
-    out(w) = sum over D1, D2 of m1[D1] m2[D2] N(D1, D2; w), where N counts
-    the u in class D1 with u^-1 w in class D2."""
+    ValueError otherwise), and then so is the product, so it is fixed by its
+    value on each class D: out[D] = sum of N m1[D1] m2[D2] over the group's
+    cached structure constants (D1, D2, N) of D
+    (``CoxeterGroup.descent_structure``).  With each factor's values put as
+    integer numerators over one common denominator, A and B, every class
+    value is one integer sum and one Fraction over A B."""
     if m1.group is not m2.group:
         raise ValueError("measures live on different groups")
     g = m1.group
-    subsets = list(all_subsets(g.rank))
-    c1 = [m1.by_descent()[D] for D in subsets]
-    c2 = [m2.by_descent()[D] for D in subsets]
-    dm, index = g.descent_mask, g.index
-    # as t runs over W, u = t^-1 does too, and u^-1 w = t w
-    u_class = [dm[i] for i in g.inverse]
-    rep: Dict[int, int] = {}
-    for i, d in enumerate(dm):
-        rep.setdefault(d, i)
+    a, den_a = _over_common_denominator(m1.by_descent().values())
+    b, den_b = _over_common_denominator(m2.by_descent().values())
+    ab = [x * y for x in a for y in b]  # indexed by D1 << rank | D2
+    den = den_a * den_b
     values: Dict[FrozenSet[int], Fraction] = {}
-    for d, D in enumerate(subsets):
-        tw = map(index.__getitem__, map(g.keys[rep[d]].translate, g.tables))
-        inner: Dict[int, Fraction] = {}  # D1 -> sum over D2 of N(D1, D2; w) m2[D2]
-        for (d1, d2), n in Counter(zip(u_class, map(dm.__getitem__, tw))).items():
-            inner[d1] = inner.get(d1, 0) + n * c2[d2]
-        values[D] = sum(c1[d1] * s for d1, s in inner.items())
+    for D, (pairs, counts) in zip(all_subsets(g.rank), g.descent_structure()):
+        values[D] = Fraction(sum(map(mul, counts, map(ab.__getitem__, pairs))), den)
     return WMeasure.from_descent_values(g, None, values)
+
+
+def _over_common_denominator(values) -> Tuple[List[int], int]:
+    """Integer numerators of the values over their least common denominator."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def point_mass(g: CoxeterGroup, i: int) -> WMeasure:
@@ -435,11 +453,9 @@ def pushforward_classes(m: WMeasure) -> ClassMeasure:
     (``g.class_descent_counts()``).  The measure must be constant on descent
     classes (``by_descent`` raises ValueError otherwise)."""
     g = m.group
-    by_descent = m.by_descent()
-    values = [by_descent[D] for D in all_subsets(g.rank)]  # indexed by descent mask
-    # integer numerators over a common denominator: one Fraction per class
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    # integer numerators, indexed by descent mask, over a common denominator:
+    # one Fraction per class
+    nums, den = _over_common_denominator(m.by_descent().values())
     out: Dict[ClassLabel, Fraction] = {}
     for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts()):
         out[c.label] = Fraction(sum(n * nums[d] for d, n in counts.items()), den)

@@ -188,3 +188,58 @@ def test_unsupported_type_error(capsys):
     code, _, err = run_cli(capsys, "measure", "--type", "I2(7)", "--x", "2")
     assert code == 2
     assert "unsupported" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("measure", "--type", "A2", "--x", "2", "--out"),
+    ("lattice", "--type", "A2", "--emit"),
+    ("orbits", "--family", "A", "--n", "2", "--q", "3", "--emit"),
+    ("verify", "sl35_counterexample", "--out"),
+])
+def test_unwritable_output_is_one_error_line(capsys, tmp_path, argv):
+    missing = tmp_path / "no_such_dir" / "out"
+    code, _, err = run_cli(capsys, *argv, str(missing))
+    assert code == 2
+    assert err.startswith("error:") and str(missing) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("sommers", "--type", "H4"), "--type"),
+    (("h4_counterexample", "--type", "A2"), "--type"),
+    (("sampler_tv", "--type", "A2"), "--type"),
+    (("gr_census", "--x", "3"), "--x"),
+    (("sl35_counterexample", "--n", "3", "--q", "7"), "--n"),
+    (("gr_census", "--n", "3", "--q", "5"), "--n"),
+    (("nonnegativity", "--x", "3"), "--x"),
+    (("spectrum", "--seed", "3"), "--seed"),
+    (("triple_agreement", "--family", "A"), "--family"),
+])
+def test_verify_rejects_flags_the_suite_does_not_read(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""  # no report: the suite did not run
+    assert f"verify {argv[0]} does not read {flag}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_single_x_suite_rejects_repeated_x(capsys):
+    code, out, err = run_cli(capsys, "verify", "convolution", "--x", "2", "--x", "3")
+    assert code == 2 and out == ""
+    assert "verify convolution reads one --x" in err
+
+
+def test_suite_flags_cover_every_suite_and_name_real_parameters():
+    from coxshuffle.cli import SUITE_FLAGS
+    from coxshuffle.suites import DEFAULT_PARAMS, SUITES
+
+    assert set(SUITE_FLAGS) == set(SUITES)
+    for name, reads in SUITE_FLAGS.items():
+        assert set(reads.values()) <= set(DEFAULT_PARAMS[name]), name
+        assert ("--n" in reads) == ("--q" in reads), name
+
+
+def test_verify_override_a_suite_reads_is_applied(capsys):
+    code, out, _ = run_cli(capsys, "verify", "h4_counterexample", "--x", "3")
+    assert code == 0
+    assert any(c["description"].startswith("H(-3) separates") for c in json.loads(out)["checks"])

@@ -324,3 +324,38 @@ def test_minrep_masks_are_descent_free_subsets(t):
         dm = g.descent_mask[i]
         assert masks[i] == sum(1 << k for k in range(1 << g.rank) if not k & dm)
     assert counts == Counter(masks)
+
+
+def brute_structure_counts(g, w):
+    """Oracle: N(d1, d2; w), the number of u with descent mask d1 and u^-1 w
+    descent mask d2, by one group multiplication per u."""
+    dm = g.descent_mask
+    return Counter((dm[u], dm[g.multiply(g.inverse[u], w)]) for u in range(g.size))
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_descent_structure_against_brute_force(t):
+    g = get_group(t)
+    structure = g.descent_structure()
+    assert len(structure) == 1 << g.rank
+    members = {}
+    for i, d in enumerate(g.descent_mask):
+        members.setdefault(d, []).append(i)
+    for d, (pairs, counts) in enumerate(structure):
+        assert len(set(pairs)) == len(pairs) == len(counts) and min(counts) > 0
+        table = {(p >> g.rank, p & ((1 << g.rank) - 1)): n for p, n in zip(pairs, counts)}
+        # the counts are the same for every w of the class (Solomon): every
+        # member on small groups, and otherwise the last, which is not the
+        # member the table was built from
+        ws = members[d] if g.size <= 400 else members[d][-1:]
+        for w in ws:
+            assert brute_structure_counts(g, w) == table, (d, w)
+    assert structure is g.descent_structure()
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_descent_class_sizes_and_pairs(t):
+    g = get_group(t)
+    assert g.descent_class_sizes() == Counter(g.descent_mask)
+    assert len(g.descent_class_sizes()) == 1 << g.rank  # no descent class is empty
+    assert g.descent_minrep_pairs() == set(zip(g.descent_mask, g.minrep_masks()[0]))

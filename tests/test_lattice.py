@@ -206,6 +206,28 @@ def test_moebius_recursion_reverified():
         assert lat.verify_moebius()
 
 
+def fresh_char_poly(lat, fid):
+    """Oracle: mu(fid, Y) by the defining recursion over ``leq`` alone, then
+    chi as the sum of mu(fid, Y) x^dim(Y)."""
+    above = sorted((y for y in range(len(lat)) if lat.leq(fid, y)), key=lambda y: lat.ranks[y])
+    mu = {}
+    for y in above:
+        mu[y] = 1 if y == fid else -sum(m for z, m in mu.items() if lat.leq(z, y))
+    coeffs = [0] * (lat.flat_dim(fid) + 1)
+    for y, m in mu.items():
+        coeffs[lat.flat_dim(y)] += m
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("t", ["A4", "B4", "D4", "H3"])
+def test_cached_char_poly_against_fresh_moebius_sum(t):
+    lat = get_lattice(get_group(t))
+    for fid in range(len(lat)):
+        cp = lat.char_poly(fid)
+        assert cp.coefficients == fresh_char_poly(lat, fid), fid
+        assert lat.char_poly(fid) is cp  # computed once per flat
+
+
 def test_moebius_h4_sampled_bottoms():
     g = get_group("H4")
     lat = get_lattice(g)

@@ -6,7 +6,7 @@ from math import factorial, lcm
 
 import pytest
 
-from coxshuffle.group import get_group
+from coxshuffle.group import all_subsets, get_group
 from coxshuffle.measures import (
     ClassMeasure,
     FaceWeights,
@@ -223,11 +223,16 @@ def test_pushforward_rejects_non_descent_constant_measure():
         pushforward_classes(point_mass(get_group("B2"), 1))
 
 
-@pytest.mark.parametrize("t", ["A3", "B3", "D4", "H3"])
+@pytest.mark.parametrize("t", SUPPORTED)
 def test_measure_equality_matches_dense_comparison(t):
     g = get_group(t)
     h2, h3 = h_measure(g, 2), h_measure(g, 3)
     walk2, walk3 = bhr_step(g, face_weights(g, 2)), bhr_step(g, face_weights(g, 3))
+    walk_uniform = bhr_step(g, uniform_chamber_weights(g))
+    walk_identity = bhr_step(g, full_type_weights(g))
+    identity = WMeasure.from_descent_values(
+        g, None, {D: Fraction(int(not D)) for D in all_subsets(g.rank)}
+    )
     dense2 = WMeasure(g, Fraction(2), h2.dense())
     dense3 = WMeasure(g, Fraction(3), h3.dense())
     dense3.by_descent()  # now carries descent values too
@@ -236,12 +241,29 @@ def test_measure_equality_matches_dense_comparison(t):
     values[frozenset()] += 1
     values[frozenset(range(g.rank))] -= 1
     moved = WMeasure.from_descent_values(g, Fraction(2), values)
-    pairs = [(h2, h_measure(g, 2, "os_sign")), (h2, h3), (h2, walk2), (h2, walk3),
-             (h2, dense2), (h2, dense3), (h3, dense3), (walk2, dense2),
-             (h2, moved), (walk2, moved)]
-    for a, b in pairs:
-        assert (a == b) == (b == a) == (a.dense() == b.dense())
-    assert h2 == walk2 == dense2 and h3 == dense3 and h2 != h3 and h2 != moved
+    ms = [h2, h_measure(g, 2, "os_sign"), h3, walk2, walk3, walk_uniform, walk_identity,
+          identity, dense2, dense3, moved]
+    for a in ms:
+        for b in ms:
+            assert (a == b) == (b == a) == (a.dense() == b.dense())
+    assert h2 == walk2 == dense2 and h3 == walk3 == dense3 and walk_identity == identity
+    assert h2 != h3 and h2 != moved and walk2 != moved and walk2 != walk3
+    assert walk_uniform != h2 and walk3 != h2
+
+
+class NoDenseValues:
+    def __eq__(self, other):
+        raise AssertionError("dense values were compared")
+
+
+def test_walk_equality_reads_no_dense_values():
+    g = get_group("H4")
+    h2 = h_measure(g, 2)
+    walks = [bhr_step(g, face_weights(g, x)) for x in (2, 3)]
+    for m in [h2] + walks:
+        m._dense = NoDenseValues()
+    assert walks[0] == h2 and h2 == walks[0]
+    assert walks[1] != h2 and walks[0] != walks[1]
 
 
 def test_bhr_uniform_chamber_weights():
