@@ -1,60 +1,61 @@
 """Exact shuffling measures on finite Coxeter groups, semisimple-orbit
 models over finite fields, and exhaustive verification of the identities
-connecting them."""
+connecting them.
 
-from .golden import GoldenRational, Rational, golden_sign
-from .group import CoxeterGroup, enumerate_group, get_group
-from .lattice import IntersectionLattice, build_lattice, coexponents
-from .linalg import Subspace, canonicalize, intersect
-from .measures import (
-    FaceWeights,
-    WMeasure,
-    bhr_step,
-    convolve,
-    face_weights,
-    h_measure,
-    longshort_values,
-    pushforward_classes,
-    sommers_identity_check,
-    transition_matrix,
-)
-from .orbits import enumerate_orbits, orbit_class_distribution, orbit_family, phi_map
-from .rootdata import RootSystem, affine_data, build_root_system, p_count
-from .suites import run_suite
+The public names below load their submodule on first use (PEP 562), so
+that importing one submodule, say ``coxshuffle.orbits``, does not load the
+group, lattice and measure code as well."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GoldenRational",
-    "Rational",
-    "golden_sign",
-    "CoxeterGroup",
-    "enumerate_group",
-    "get_group",
-    "IntersectionLattice",
-    "build_lattice",
-    "coexponents",
-    "Subspace",
-    "canonicalize",
-    "intersect",
-    "FaceWeights",
-    "WMeasure",
-    "bhr_step",
-    "convolve",
-    "face_weights",
-    "h_measure",
-    "longshort_values",
-    "pushforward_classes",
-    "sommers_identity_check",
-    "transition_matrix",
-    "enumerate_orbits",
-    "orbit_class_distribution",
-    "orbit_family",
-    "phi_map",
-    "RootSystem",
-    "affine_data",
-    "build_root_system",
-    "p_count",
-    "run_suite",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_SUBMODULE = {
+    "GoldenRational": "golden",
+    "Rational": "golden",
+    "golden_sign": "golden",
+    "CoxeterGroup": "group",
+    "enumerate_group": "group",
+    "get_group": "group",
+    "IntersectionLattice": "lattice",
+    "build_lattice": "lattice",
+    "coexponents": "lattice",
+    "Subspace": "linalg",
+    "canonicalize": "linalg",
+    "intersect": "linalg",
+    "FaceWeights": "measures",
+    "WMeasure": "measures",
+    "bhr_step": "measures",
+    "convolve": "measures",
+    "face_weights": "measures",
+    "h_measure": "measures",
+    "longshort_values": "measures",
+    "pushforward_classes": "measures",
+    "sommers_identity_check": "measures",
+    "transition_matrix": "measures",
+    "enumerate_orbits": "orbits",
+    "orbit_class_distribution": "orbits",
+    "orbit_family": "orbits",
+    "phi_map": "orbits",
+    "RootSystem": "rootdata",
+    "affine_data": "rootdata",
+    "build_root_system": "rootdata",
+    "p_count": "rootdata",
+    "run_suite": "suites",
+}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -195,7 +195,9 @@ def cmd_verify(args) -> int:
     if args.n is not None:
         overrides["grid"] = [(args.n, args.q)]
     if args.x is not None:
-        xs = [_parse_x(v) for v in args.x]
+        # an integral x as an int, as the default grids hold it, so that
+        # "--x 2" writes the default run's "2", not "2/1"
+        xs = [x.numerator if x.denominator == 1 else x for x in map(_parse_x, args.x)]
         if reads["--x"] == "xs":
             overrides["xs"] = xs
         elif len(xs) > 1:

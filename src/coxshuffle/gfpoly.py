@@ -2,17 +2,26 @@
 
 Prime fields represent elements as ints 0..p-1; extensions as coefficient
 tuples over the prime field modulo a monic irreducible (the first one in
-lexicographic order, so contexts are canonical).  Factorization is by
-trial division against a sieved table of all monic irreducibles of degree
-up to deg(f)/2 — after those are removed, any nontrivial remainder is
-itself irreducible — so it is deterministic and trivially correct at the
-degrees used here.
+lexicographic order, so contexts are canonical).
+
+Polynomial arithmetic has one implementation: the list kernels
+(``poly_mul``, ``poly_divmod``, ``poly_gcd``, ``poly_powmod``) on trimmed
+coefficient lists, with the field operations taken from the context.
+``FqPoly`` wraps them.
+
+``degree_layers`` splits a monic polynomial into distinct-degree layers
+(Cantor–Zassenhaus): enough for the degree partition and, in ``orbits``,
+for the class map, without finding a single factor.  ``factor`` still
+gives the factors themselves, by trial division against a sieved table of
+all monic irreducibles of degree up to deg(f)/2 — after those are
+removed, any nontrivial remainder is itself irreducible — because the
+necklace encodings and the orbit tables need them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from operator import mul as _int_mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 
@@ -145,10 +154,32 @@ class FqContext:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("finite-field division by zero")
+        if self.e == 1:
+            return pow(a, -1, self.p)
         return self.pow(a, self.order - 2)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
+
+    # -- vector operations (the inner loops of the polynomial kernels) -------
+
+    def dot(self, xs, ys):
+        """The sum of x*y over the pairs of xs and ys."""
+        if self.e == 1:
+            return sum(map(_int_mul, xs, ys)) % self.p
+        add, mul = self.add, self.mul
+        out = self.zero
+        for x, y in zip(xs, ys):
+            out = add(out, mul(x, y))
+        return out
+
+    def axpy(self, xs, c, ys) -> list:
+        """The vector xs + c*ys (ys at least as long as xs)."""
+        if self.e == 1:
+            p = self.p
+            return [(x + c * y) % p for x, y in zip(xs, ys)]
+        add, mul = self.add, self.mul
+        return [add(x, mul(c, y)) for x, y in zip(xs, ys)]
 
     # -- multiplicative structure --------------------------------------------
 
@@ -206,22 +237,174 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
-# -- polynomials ---------------------------------------------------------------
+# -- list kernels ----------------------------------------------------------------
+# A polynomial is a sequence of coefficients, low to high, with no trailing
+# zero (the zero polynomial is empty).  Every kernel returns trimmed lists
+# and never changes its arguments.
 
 
-@dataclass(frozen=True)
+def _trim(ctx: FqContext, cs: list) -> list:
+    zero = ctx.zero
+    while cs and cs[-1] == zero:
+        cs.pop()
+    return cs
+
+
+def poly_axpy(ctx: FqContext, a: Sequence, c, b: Sequence) -> list:
+    """a + c*b."""
+    zero = ctx.zero
+    n = max(len(a), len(b))
+    return _trim(ctx, ctx.axpy([*a, *[zero] * (n - len(a))], c, [*b, *[zero] * (n - len(b))]))
+
+
+def poly_mul(ctx: FqContext, a: Sequence, b: Sequence) -> list:
+    """a*b, one dot product per coefficient."""
+    if not a or not b:
+        return []
+    la, lb = len(a), len(b)
+    rb = b[::-1]
+    dot = ctx.dot
+    out = []
+    for k in range(la + lb - 1):
+        lo = max(0, k - lb + 1)
+        hi = min(k, la - 1)
+        # the sum of a[i] * b[k - i] over lo <= i <= hi; b[k - i] = rb[lb - 1 - k + i]
+        out.append(dot(a[lo:hi + 1], rb[lb - 1 - k + lo:lb - k + hi]))
+    return out
+
+
+def poly_divmod(ctx: FqContext, a: Sequence, b: Sequence) -> Tuple[list, list]:
+    """(quotient, remainder) of a by b."""
+    db = len(b) - 1
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) <= db:
+        return [], list(a)
+    zero = ctx.zero
+    lead_inv = None if b[-1] == ctx.one else ctx.inv(b[-1])
+    neg, mul, axpy = ctx.neg, ctx.mul, ctx.axpy
+    rem = list(a)
+    quot = [zero] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c == zero:
+            continue
+        if lead_inv is not None:
+            c = mul(c, lead_inv)
+        quot[i - db] = c
+        # rem[i] becomes zero and is dropped below
+        rem[i - db:i] = axpy(rem[i - db:i], neg(c), b)
+    del rem[db:]
+    return quot, _trim(ctx, rem)
+
+
+def poly_monic(ctx: FqContext, a: Sequence) -> list:
+    if not a or a[-1] == ctx.one:
+        return list(a)
+    inv, mul = ctx.inv(a[-1]), ctx.mul
+    return [mul(inv, c) for c in a]
+
+
+def poly_gcd(ctx: FqContext, a: Sequence, b: Sequence) -> list:
+    """Monic gcd of a and b ([] when both are zero)."""
+    while b:
+        a, b = b, poly_divmod(ctx, a, b)[1]
+    return poly_monic(ctx, a)
+
+
+def poly_powmod(ctx: FqContext, a: Sequence, k: int, m: Sequence) -> list:
+    """a^k mod m, by square and multiply; m has degree >= 1."""
+    base = poly_divmod(ctx, a, m)[1]
+    out = None  # the power 1
+    while True:
+        if k & 1:
+            out = base if out is None else poly_divmod(ctx, poly_mul(ctx, out, base), m)[1]
+        k >>= 1
+        if not k:
+            return [ctx.one] if out is None else out
+        base = poly_divmod(ctx, poly_mul(ctx, base, base), m)[1]
+
+
+# -- distinct-degree layers ------------------------------------------------------
+
+
+def degree_layers(ctx: FqContext, f: list) -> List[Tuple[int, int, list]]:
+    """Distinct-degree layers of a monic f of degree >= 1 (Cantor–Zassenhaus).
+
+    The layer (d, j, g) is the product g of the irreducible factors of f of
+    degree d and multiplicity at least j, so a factor of multiplicity k lies
+    in the layers j = 1..k of its degree.  For d = 1, 2, ...: h = z^(q^d)
+    mod rem by repeated q-th powering, and g = gcd(rem, h - z) holds every
+    degree-d factor once, since all smaller degrees are gone; then "rem /= g;
+    g = gcd(rem, g)" peels one copy of each per pass until g = 1.  Once
+    deg rem < 2d, rem is irreducible and is the last layer.
+    """
+    one = ctx.one
+    z = [ctx.zero, one]
+    minus_one = ctx.neg(one)
+    q = ctx.order
+    layers = []
+    rem, h, d = f, z, 0
+    while len(rem) > 1:
+        d += 1
+        if len(rem) - 1 < 2 * d:
+            layers.append((len(rem) - 1, 1, rem))
+            break
+        h = poly_powmod(ctx, h, q, rem)
+        g = poly_gcd(ctx, rem, poly_axpy(ctx, h, minus_one, z))
+        j = 1
+        while len(g) > 1:
+            layers.append((d, j, g))
+            rem, r = poly_divmod(ctx, rem, g)
+            if r:
+                raise RuntimeError("a distinct-degree layer does not divide the polynomial")
+            g = poly_gcd(ctx, rem, g)
+            j += 1
+    check_layers(len(f) - 1, layers)
+    return layers
+
+
+def check_layers(degree: int, layers: Sequence[Tuple[int, int, list]]) -> None:
+    """Raise RuntimeError unless every degree-d layer has a degree divisible
+    by d and the layer degrees add up to ``degree``."""
+    if any((len(g) - 1) % d for d, _, g in layers) or sum(
+        len(g) - 1 for _, _, g in layers
+    ) != degree:
+        raise RuntimeError("distinct-degree layers do not add up to the polynomial")
+
+
+def layer_partition(layers: Sequence[Tuple[int, int, list]]) -> tuple:
+    """Factor-degree partition (with multiplicity) from the layers."""
+    parts = []
+    for d, _, g in layers:
+        parts.extend([d] * ((len(g) - 1) // d))
+    return tuple(sorted(parts, reverse=True))
+
+
+# -- polynomials -----------------------------------------------------------------
+
+
 class FqPoly:
     """Polynomial over an FqContext; coefficients low-to-high, trimmed."""
 
-    ctx: FqContext
-    coeffs: tuple
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx: FqContext, coeffs: tuple):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FqPoly is immutable")
+
+    def __reduce__(self):
+        return (FqPoly, (self.ctx, self.coeffs))
+
+    def __repr__(self):
+        return f"FqPoly(ctx={self.ctx!r}, coeffs={self.coeffs!r})"
 
     @staticmethod
     def make(ctx: FqContext, coeffs: Sequence) -> "FqPoly":
-        cs = list(coeffs)
-        while cs and ctx.is_zero(cs[-1]):
-            cs.pop()
-        return FqPoly(ctx, tuple(cs))
+        return FqPoly(ctx, tuple(_trim(ctx, list(coeffs))))
 
     @staticmethod
     def from_ints(ctx: FqContext, ints: Sequence[int]) -> "FqPoly":
@@ -254,52 +437,20 @@ class FqPoly:
 
     def add(self, other: "FqPoly") -> "FqPoly":
         ctx = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [ctx.zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [ctx.zero] * (n - len(other.coeffs))
-        return FqPoly.make(ctx, [ctx.add(x, y) for x, y in zip(a, b)])
+        return FqPoly(ctx, tuple(poly_axpy(ctx, self.coeffs, ctx.one, other.coeffs)))
 
     def mul(self, other: "FqPoly") -> "FqPoly":
-        ctx = self.ctx
-        if self.is_zero or other.is_zero:
-            return FqPoly.make(ctx, [])
-        out = [ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if ctx.is_zero(x):
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-        return FqPoly.make(ctx, out)
-
-    def scale(self, c) -> "FqPoly":
-        ctx = self.ctx
-        return FqPoly.make(ctx, [ctx.mul(c, x) for x in self.coeffs])
+        return FqPoly(self.ctx, tuple(poly_mul(self.ctx, self.coeffs, other.coeffs)))
 
     def monic(self) -> "FqPoly":
-        if self.is_zero:
-            return self
-        return self.scale(self.ctx.inv(self.coeffs[-1]))
+        return FqPoly(self.ctx, tuple(poly_monic(self.ctx, self.coeffs)))
 
     def divmod(self, other: "FqPoly") -> Tuple["FqPoly", "FqPoly"]:
-        ctx = self.ctx
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = ctx.inv(other.coeffs[-1])
-        quot = [ctx.zero] * max(0, len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if ctx.is_zero(c):
-                continue
-            f = ctx.mul(c, lead_inv)
-            quot[i - d] = f
-            for j in range(d + 1):
-                rem[i - d + j] = ctx.sub(rem[i - d + j], ctx.mul(f, other.coeffs[j]))
-        return FqPoly.make(ctx, quot), FqPoly.make(ctx, rem)
+        quot, rem = poly_divmod(self.ctx, self.coeffs, other.coeffs)
+        return FqPoly(self.ctx, tuple(quot)), FqPoly(self.ctx, tuple(rem))
 
     def mod(self, other: "FqPoly") -> "FqPoly":
-        return self.divmod(other)[1]
+        return FqPoly(self.ctx, tuple(poly_divmod(self.ctx, self.coeffs, other.coeffs)[1]))
 
     def divides(self, other: "FqPoly") -> bool:
         return other.divmod(self)[1].is_zero

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .labels import ClassLabel
 from .lattice import (
     IntersectionLattice,
     build_lattice,
@@ -33,26 +34,6 @@ from .lattice import (
 )
 from .linalg import Subspace, nullspace
 from .rootdata import RootSystem
-
-
-@dataclass(frozen=True)
-class ClassLabel:
-    """Conjugacy class label: a partition (family A), a pair of partitions
-    (family B), or an opaque index with a representative element."""
-
-    kind: str  # "partition" | "bipartition" | "opaque"
-    data: tuple
-
-    def __str__(self):
-        if self.kind == "partition":
-            return "(" + ",".join(map(str, self.data)) + ")"
-        if self.kind == "bipartition":
-            lam, mu = self.data
-            return "(" + ",".join(map(str, lam)) + "|" + ",".join(map(str, mu)) + ")"
-        return f"class{self.data[0]}"
-
-    def sort_key(self):
-        return (self.kind, self.data)
 
 
 @dataclass(frozen=True)

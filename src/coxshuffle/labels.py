@@ -1,0 +1,74 @@
+"""Conjugacy-class labels and measures on them.
+
+Kept apart from ``group`` and ``measures`` (which re-export both names) so
+that the finite-field side can label classes without loading group,
+lattice or measure code.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict
+
+
+class ClassLabel:
+    """Conjugacy class label: a partition (family A), a pair of partitions
+    (family B), or an opaque index with a representative element."""
+
+    __slots__ = ("kind", "data")
+
+    def __init__(self, kind: str, data: tuple):
+        object.__setattr__(self, "kind", kind)  # "partition" | "bipartition" | "opaque"
+        object.__setattr__(self, "data", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassLabel is immutable")
+
+    def __reduce__(self):
+        return (ClassLabel, (self.kind, self.data))
+
+    def __eq__(self, other):
+        if other.__class__ is not ClassLabel:
+            return NotImplemented
+        return self.kind == other.kind and self.data == other.data
+
+    def __hash__(self):
+        return hash((self.kind, self.data))
+
+    def __repr__(self):
+        return f"ClassLabel(kind={self.kind!r}, data={self.data!r})"
+
+    def __str__(self):
+        if self.kind == "partition":
+            return "(" + ",".join(map(str, self.data)) + ")"
+        if self.kind == "bipartition":
+            lam, mu = self.data
+            return "(" + ",".join(map(str, lam)) + "|" + ",".join(map(str, mu)) + ")"
+        return f"class{self.data[0]}"
+
+    def sort_key(self):
+        return (self.kind, self.data)
+
+
+class ClassMeasure:
+    """Probability (or signed) measure on conjugacy-class labels."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: Dict[ClassLabel, Fraction]):
+        if sum(values.values()) != 1:
+            raise ValueError("class measure does not sum to 1")
+        self.values = values
+
+    def __repr__(self):
+        return f"ClassMeasure(values={self.values!r})"
+
+    def __eq__(self, other):
+        # classes of mass zero may be absent on either side
+        return isinstance(other, ClassMeasure) and self.nonzero() == other.nonzero()
+
+    def nonzero(self) -> Dict[ClassLabel, Fraction]:
+        return {k: v for k, v in self.values.items() if v != 0}
+
+    def sorted_items(self):
+        return sorted(self.values.items(), key=lambda kv: kv[0].sort_key())

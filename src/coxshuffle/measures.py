@@ -40,7 +40,8 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .group import ClassLabel, CoxeterGroup, all_subsets
+from .group import CoxeterGroup, all_subsets
+from .labels import ClassLabel, ClassMeasure
 from .lattice import IntersectionLattice
 from .rootdata import affine_data, p_count
 
@@ -424,27 +425,6 @@ def point_mass(g: CoxeterGroup, i: int) -> WMeasure:
     dense = [Fraction(0)] * g.size
     dense[i] = Fraction(1)
     return WMeasure(g, None, dense)
-
-
-@dataclass
-class ClassMeasure:
-    """Probability (or signed) measure on conjugacy-class labels."""
-
-    values: Dict[ClassLabel, Fraction]
-
-    def __post_init__(self):
-        if sum(self.values.values()) != 1:
-            raise ValueError("class measure does not sum to 1")
-
-    def __eq__(self, other):
-        # classes of mass zero may be absent on either side
-        return isinstance(other, ClassMeasure) and self.nonzero() == other.nonzero()
-
-    def nonzero(self) -> Dict[ClassLabel, Fraction]:
-        return {k: v for k, v in self.values.items() if v != 0}
-
-    def sorted_items(self):
-        return sorted(self.values.items(), key=lambda kv: kv[0].sort_key())
 
 
 def pushforward_classes(m: WMeasure) -> ClassMeasure:

@@ -7,27 +7,63 @@ map sends a polynomial to a conjugacy-class label of the Weyl group through
 its irreducible factorization: factor degrees for type A; for type B the
 unique splitting into conjugate pairs [phi(z)phi(-z)]^r times self-conjugate
 factors phi^s with s in {0,1}, giving a pair of partitions.
+
+``phi_map`` reads both labels off the distinct-degree layers of
+``gfpoly.degree_layers`` and never finds a single factor.  ``b_pair_type``
+reads the type-B label off a full ``factor()``; the necklace encodings use
+it, and the tests hold ``phi_map`` to it and to ``degree_partition``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
-from .gfpoly import FactorMultiset, FqContext, FqPoly, factor, is_prime
-from .group import ClassLabel
-from .measures import ClassMeasure
+from .gfpoly import (
+    FactorMultiset,
+    FqContext,
+    FqPoly,
+    degree_layers,
+    factor,
+    is_prime,
+    layer_partition,
+    poly_axpy,
+    poly_gcd,
+    poly_powmod,
+)
+from .labels import ClassLabel, ClassMeasure
 
 
-@dataclass(frozen=True)
 class OrbitFamily:
-    tag: str  # "A" or "B"
-    n: int
-    q: int  # field size (prime power; acceptance runs use primes)
-    ctx: FqContext
+    __slots__ = ("tag", "n", "q", "ctx")
+
+    def __init__(self, tag: str, n: int, q: int, ctx: FqContext):
+        object.__setattr__(self, "tag", tag)  # "A" or "B"
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)  # field size (prime power; acceptance runs use primes)
+        object.__setattr__(self, "ctx", ctx)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OrbitFamily is immutable")
+
+    def __reduce__(self):
+        return (OrbitFamily, self._key())
+
+    def _key(self) -> tuple:
+        return (self.tag, self.n, self.q, self.ctx)
+
+    def __eq__(self, other):
+        if other.__class__ is not OrbitFamily:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"OrbitFamily(tag={self.tag!r}, n={self.n!r}, q={self.q!r}, ctx={self.ctx!r})"
 
     @property
     def rank(self) -> int:
@@ -78,16 +114,53 @@ def enumerate_orbits(fam: OrbitFamily) -> Iterator[FqPoly]:
 
 def phi_map(fam: OrbitFamily, f: FqPoly) -> ClassLabel:
     """Weyl-group class label of the orbit represented by f."""
+    ctx = f.ctx
     if fam.tag == "A":
         if f.degree != fam.n or not f.is_monic:
             raise ValueError("expected a monic polynomial of degree n")
-        if len(f.coeffs) >= fam.n and not f.ctx.is_zero(f.coeffs[fam.n - 1]):
+        if len(f.coeffs) >= fam.n and not ctx.is_zero(f.coeffs[fam.n - 1]):
             raise ValueError("coefficient of z^(n-1) must vanish")
-        return ClassLabel("partition", factor(f).degree_partition())
+        return ClassLabel("partition", layer_partition(degree_layers(ctx, f.coeffs)))
     if f.degree != 2 * fam.n or not f.is_monic or not f.is_even_function():
         raise ValueError("expected a monic even polynomial of degree 2n")
-    lam, mu = b_pair_type(factor(f))
-    return ClassLabel("bipartition", (lam, mu))
+    return ClassLabel("bipartition", _b_layer_type(ctx, f.coeffs[::2]))
+
+
+def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
+    """``b_pair_type`` of f(z) = g(z^2), from the distinct-degree layers of g.
+
+    y^k | g gives z^(2k) | f: k to lambda_1.  A factor psi != y of g of
+    degree m and multiplicity k, with root beta, gives psi(z^2) =
+    phi(z)phi(-z), a conjugate pair of degree m, when beta is a square in
+    F_(q^m): k to lambda_m.  Otherwise psi(z^2) is self-conjugate of degree
+    2m, and k = 2r + s sends r to lambda_(2m) and s to mu_m.  In a layer P
+    of degree-m factors, the squares are the roots of gcd(P, y^((q^m-1)/2)
+    - 1); each pass adds them to lambda_m, and the t others add t to mu_m
+    on odd passes and move t from mu_m to lambda_(2m) on even ones.
+    """
+    one = ctx.one
+    minus_one = ctx.neg(one)
+    lam: Counter = Counter()
+    mu: Counter = Counter()
+    k = 0
+    while ctx.is_zero(g[k]):  # g is monic, so this stops
+        k += 1
+    lam[1] += k
+    g = g[k:]
+    if len(g) > 1:
+        y = [ctx.zero, one]
+        for m, j, layer in degree_layers(ctx, g):
+            power = poly_powmod(ctx, y, (ctx.order**m - 1) // 2, layer)
+            squares = poly_gcd(ctx, layer, poly_axpy(ctx, power, minus_one, [one]))
+            s = (len(squares) - 1) // m
+            t = (len(layer) - 1) // m - s
+            lam[m] += s
+            if j % 2:
+                mu[m] += t
+            else:
+                lam[2 * m] += t
+                mu[m] -= t
+    return _partition(lam), _partition(mu)
 
 
 def b_pair_type(fac: FactorMultiset) -> Tuple[tuple, tuple]:
@@ -188,13 +261,28 @@ def split_census_constant_one(n: int, q: int) -> Tuple[int, Fraction]:
     return census, prediction
 
 
-@dataclass
 class TranslationReport:
-    n: int
-    q: int
-    hypothesis_ok: bool
-    fibers_identical: bool = None
-    distribution: dict = None
+    __slots__ = ("n", "q", "hypothesis_ok", "fibers_identical", "distribution")
+
+    def __init__(self, n: int, q: int, hypothesis_ok: bool,
+                 fibers_identical: bool = None, distribution: dict = None):
+        self.n = n
+        self.q = q
+        self.hypothesis_ok = hypothesis_ok
+        self.fibers_identical = fibers_identical
+        self.distribution = distribution
+
+    def _fields(self) -> tuple:
+        return (self.n, self.q, self.hypothesis_ok, self.fibers_identical, self.distribution)
+
+    def __eq__(self, other):
+        if other.__class__ is not TranslationReport:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("TranslationReport(n={!r}, q={!r}, hypothesis_ok={!r}, fibers_identical={!r}, "
+                "distribution={!r})".format(*self._fields()))
 
 
 def translation_invariance_check(n: int, q: int) -> TranslationReport:

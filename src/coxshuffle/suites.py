@@ -37,7 +37,7 @@ from .necklaces import (
     s_vector_count,
 )
 from .orbits import (
-    identity_class_count,
+    identity_class_label,
     identity_class_prediction,
     orbit_class_distribution,
     orbit_family,
@@ -222,9 +222,12 @@ def _suite_nonnegativity(p: dict) -> Report:
 
 def _suite_problem1(tag: str, p: dict) -> Report:
     rep = Report(f"problem1_{tag}", p)
+    spot_dist = None
     for n, q in p["grid"]:
         fam = orbit_family(tag, n, q)
         dist = orbit_class_distribution(fam)
+        if (tag, n, q) == ("A", 3, 7):
+            spot_dist = dist
         group_type = f"A{n - 1}" if tag == "A" else f"B{n}"
         g = get_group(group_type)
         push = pushforward_classes(h_measure(g, q, "definition"))
@@ -239,14 +242,12 @@ def _suite_problem1(tag: str, p: dict) -> Report:
                 f"{tag} n={n} q={q} class {label}: orbit count vs q^r * measure mass",
                 mass_scaled, orbit_count, "exhaustive",
             )
-        count = identity_class_count(fam)
+        count = dist.values.get(identity_class_label(fam), Fraction(0)) * total
         pred = identity_class_prediction(fam)
-        rep.add(f"{tag} n={n} q={q}: identity-class orbit count", pred,
-                Fraction(count), "product-formula")
-    if tag == "A" and (3, 7) in [tuple(e) for e in p["grid"]]:
-        fam = orbit_family("A", 3, 7)
-        dist = orbit_class_distribution(fam)
-        spot = {str(k): str(v) for k, v in dist.sorted_items()}
+        rep.add(f"{tag} n={n} q={q}: identity-class orbit count", pred, count,
+                "product-formula")
+    if spot_dist is not None:
+        spot = {str(k): str(v) for k, v in spot_dist.sorted_items()}
         rep.add("spot values for (3,7)",
                 "{(1,1,1): 12/49, (2,1): 3/7, (3): 16/49}",
                 "{" + ", ".join(f"{k}: {v}" for k, v in sorted(spot.items())) + "}",

@@ -243,3 +243,19 @@ def test_verify_override_a_suite_reads_is_applied(capsys):
     code, out, _ = run_cli(capsys, "verify", "h4_counterexample", "--x", "3")
     assert code == 0
     assert any(c["description"].startswith("H(-3) separates") for c in json.loads(out)["checks"])
+
+
+def test_verify_integral_x_is_written_as_the_default_grid_writes_it(capsys):
+    def params_and_checks(out):
+        report = json.loads(out)
+        return report["params"], report["checks"]
+
+    _, default, _ = run_cli(capsys, "verify", "h4_counterexample")
+    code, given, _ = run_cli(capsys, "verify", "h4_counterexample", "--x", "2")
+    assert code == 0
+    assert params_and_checks(given) == params_and_checks(default)
+    assert json.loads(given)["params"]["x"] == "2"
+    code, out, _ = run_cli(capsys, "verify", "walk_oracle", "--type", "A2",
+                           "--x", "2", "--x", "1/2")
+    assert code == 0
+    assert json.loads(out)["params"]["xs"] == "[2, 1/2]"

@@ -1,10 +1,18 @@
 """Orbit enumeration, the class map, and the distribution identities."""
 
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from coxshuffle.gfpoly import FqContext, FqPoly, factor
+import coxshuffle
+from coxshuffle import gfpoly
+from coxshuffle.gfpoly import FqContext, FqPoly, check_layers, degree_layers, factor
 from coxshuffle.group import get_group
 from coxshuffle.measures import h_measure, pushforward_classes
 from coxshuffle.orbits import (
@@ -18,6 +26,7 @@ from coxshuffle.orbits import (
     split_census_constant_one,
     translation_invariance_check,
 )
+from coxshuffle.suites import DEFAULT_PARAMS
 
 
 def test_enumerate_counts():
@@ -137,3 +146,117 @@ def test_translation_invariance():
     assert translation_invariance_check(3, 5).fibers_identical
     r = translation_invariance_check(3, 3)
     assert not r.hypothesis_ok  # p divides n: the check is gated off
+
+
+# -- the class map from distinct-degree layers, against factor() ------------------
+
+
+def factor_label(fam, f):
+    """The class label by the independent path: full factorization."""
+    fac = factor(f)
+    return fac.degree_partition() if fam.tag == "A" else b_pair_type(fac)
+
+
+def assert_labels_match_factor(fam, polys):
+    for f in polys:
+        assert phi_map(fam, f).data == factor_label(fam, f), str(f)
+
+
+@pytest.mark.parametrize("tag", ["A", "B"])
+def test_layer_labels_match_factor_on_problem1_grids(tag):
+    for n, q in DEFAULT_PARAMS[f"problem1_{tag}"]["grid"]:
+        fam = orbit_family(tag, n, q)
+        assert_labels_match_factor(fam, enumerate_orbits(fam))
+
+
+@pytest.mark.parametrize("tag,n,q,e", [
+    ("A", 3, 2, 1),  # characteristic 2
+    ("A", 2, 2, 2),  # F_4, p | n
+    ("A", 3, 3, 2),  # F_9, p | n
+    ("B", 2, 3, 2),  # F_9
+])
+def test_layer_labels_match_factor_in_char_2_and_prime_powers(tag, n, q, e):
+    fam = orbit_family(tag, n, q, e)
+    assert_labels_match_factor(fam, enumerate_orbits(fam))
+
+
+@pytest.mark.parametrize("tag,n,q", [("A", 5, 7), ("A", 4, 11), ("A", 6, 5), ("B", 3, 11),
+                                     ("B", 4, 7)])
+def test_layer_labels_match_factor_on_benchmark_samples(tag, n, q):
+    fam = orbit_family(tag, n, q)
+    polys = list(enumerate_orbits(fam))
+    assert_labels_match_factor(fam, random.Random(20261018).sample(polys, 300))
+
+
+def _power(ctx, f, k):
+    out = FqPoly.from_ints(ctx, [1])
+    for _ in range(k):
+        out = out.mul(f)
+    return out
+
+
+def test_layer_labels_edge_cases():
+    c3 = FqContext.get(3)
+    for n in (1, 2, 3):
+        fam = orbit_family("B", n, 3)
+        f = FqPoly.from_ints(c3, [0] * (2 * n) + [1])  # z^(2n)
+        assert phi_map(fam, f).data == ((1,) * n, ()) == factor_label(fam, f)
+    # z^2 + 1 = psi(z^2) with psi = y + 1: its root -1 is no square in F_3, so
+    # z^2 + 1 is self-conjugate; multiplicity k = 2r + s gives r to lambda_2 and
+    # s to mu_1 (the parity path: odd and even passes)
+    s1 = FqPoly.from_ints(c3, [1, 0, 1])
+    for k, want in [(1, ((), (1,))), (2, ((2,), ())), (3, ((2,), (1,))), (4, ((2, 2), ()))]:
+        fam = orbit_family("B", k, 3)
+        f = _power(c3, s1, k)
+        assert phi_map(fam, f).data == want == factor_label(fam, f)
+    # the same beside a conjugate pair (z^2 - 1 = (z - 1)(z + 1)) of multiplicity 2,
+    # and for psi = y^2 + y + 2 of degree 2 (z^4 + z^2 + 2, self-conjugate over F_3)
+    # with multiplicity 2 and 3
+    pair = FqPoly.from_ints(c3, [2, 0, 1])
+    quart = FqPoly.from_ints(c3, [2, 0, 1, 0, 1])
+    for f, want in [(_power(c3, s1, 3).mul(_power(c3, pair, 2)), ((2, 1, 1), (1,))),
+                    (_power(c3, quart, 2), ((4,), ())),
+                    (_power(c3, quart, 3).mul(s1), ((4,), (2, 1)))]:
+        fam = orbit_family("B", f.degree // 2, 3)
+        assert phi_map(fam, f).data == want == factor_label(fam, f)
+    c5 = FqContext.get(5)
+    fam = orbit_family("A", 5, 5)
+    f = FqPoly.from_ints(c5, [0] * 5 + [1])  # z^5: one layer per copy of z
+    assert [(d, j) for d, j, _ in degree_layers(c5, f.coeffs)] == [(1, j) for j in range(1, 6)]
+    assert phi_map(fam, f).data == (1,) * 5 == factor_label(fam, f)
+
+
+def test_layer_checks_raise_on_a_corrupted_layer(monkeypatch):
+    c5 = FqContext.get(5)
+    f = FqPoly.from_ints(c5, [1, 0, 0, 1, 0, 1])  # degree 5
+    layers = degree_layers(c5, f.coeffs)
+    check_layers(5, layers)
+    d, j, g = layers[0]
+    with pytest.raises(RuntimeError):
+        check_layers(5, [(d, j, g + [1])] + layers[1:])  # one degree too many
+    with pytest.raises(RuntimeError):
+        check_layers(5, layers[1:])  # a layer lost
+    # a "layer" that does not divide: z + 1, while f(-1) = 1 != 0
+    monkeypatch.setattr(gfpoly, "poly_gcd", lambda ctx, a, b: [1, 1])
+    with pytest.raises(RuntimeError):
+        degree_layers(c5, f.coeffs)
+
+
+def test_orbits_import_loads_no_group_lattice_or_dataclass_code():
+    src = str(Path(coxshuffle.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "import coxshuffle.orbits\n"
+        "loaded = [m for m in ('coxshuffle.group', 'coxshuffle.measures',\n"
+        "          'coxshuffle.lattice', 'dataclasses') if m in sys.modules]\n"
+        "ns = {}\n"
+        "exec('from coxshuffle import *', ns)\n"
+        "import coxshuffle\n"
+        "missing = [n for n in coxshuffle.__all__ if n not in ns]\n"
+        "print(json.dumps([loaded, missing]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded, missing = json.loads(out)
+    assert loaded == [] and missing == []
