@@ -33,7 +33,6 @@ _SUBMODULE = {
     "longshort_values": "measures",
     "pushforward_classes": "measures",
     "sommers_identity_check": "measures",
-    "transition_matrix": "measures",
     "enumerate_orbits": "orbits",
     "orbit_class_distribution": "orbits",
     "orbit_family": "orbits",

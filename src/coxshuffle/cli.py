@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .report import exact_str
-from .suites import DEFAULT_PARAMS, SUITES, run_suite
+from .suites import SUITES, run_suite
 
 
 # The flags each verify suite reads, and the parameter each one overrides.
@@ -98,6 +98,8 @@ def cmd_sample(args) -> int:
     from .measures import h_measure
     from .shuffling import empirical_law, sample_shuffle, tv_distance
 
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     if args.compare == "exact":
         emp = empirical_law(args.model, args.n, args.x, args.count, args.seed)
         t = f"A{args.n - 1}" if args.model == "gsr_a" else f"B{args.n}"
@@ -207,9 +209,7 @@ def cmd_verify(args) -> int:
             overrides["x"] = xs[0]
     if args.seed is not None:
         overrides["seed"] = args.seed
-    merged = dict(DEFAULT_PARAMS.get(name, {}))
-    merged.update(overrides)
-    report = run_suite(name, merged)
+    report = run_suite(name, overrides)
 
     text = report.to_json()
     if args.out:

@@ -549,14 +549,11 @@ def irreducibles(ctx: FqContext, degree: int) -> List[FqPoly]:
 
 
 def is_irreducible(f: FqPoly) -> bool:
+    """f is irreducible iff its only distinct-degree layer is (deg f, 1, f)."""
     if f.degree < 1:
         return False
-    if f.degree == 1:
-        return True
-    for d in range(1, f.degree // 2 + 1):
-        if any(g.divides(f) for g in irreducibles(f.ctx, d)):
-            return False
-    return True
+    layers = degree_layers(f.ctx, f.monic().coeffs)
+    return len(layers) == 1 and layers[0][:2] == (f.degree, 1)
 
 
 def _first_irreducible(p: int, e: int) -> Tuple[int, ...]:

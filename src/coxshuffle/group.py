@@ -10,8 +10,9 @@ matrices up front would cost tens of MB; the byte keys cost 3.5 MB).
 
 Conjugacy classes, standard-parabolic data (normalizer orders, equivalent
 subsets, fixed spaces), coset minima with their per-element masks, the
-descent counts of each class, the descent-class sizes, the structure
-constants of the descent algebra, and the exponents (extracted from the
+descent counts of each class, the structure constants of the descent
+algebra, the per-element keys of each kind of measure value table with
+their counts (``measure_keys``), and the exponents (extracted from the
 length generating function) all live here, each built once on first use.
 The intersection lattice of the group's arrangement is built on first use
 and kept with the group.
@@ -67,9 +68,8 @@ class CoxeterGroup:
         self._minreps: Dict[frozenset, list] = {}
         self._minrep_masks: Optional[Tuple[List[int], Counter]] = None
         self._class_descents: Optional[List[Counter]] = None
-        self._descent_sizes: Optional[Counter] = None
         self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
-        self._descent_minrep_pairs: Optional[FrozenSet[Tuple[int, int]]] = None
+        self._measure_keys: Dict[Tuple[str, ...], Tuple[Sequence, Counter]] = {}
         self._std_masks: Dict[frozenset, int] = {}
         self._line_action: Optional[Tuple[tuple, tuple]] = None
         self._exponents: Optional[Tuple[int, ...]] = None
@@ -422,12 +422,6 @@ class CoxeterGroup:
             ]
         return self._class_descents
 
-    def descent_class_sizes(self) -> Counter:
-        """The number of elements with each descent mask."""
-        if self._descent_sizes is None:
-            self._descent_sizes = Counter(self.descent_mask)
-        return self._descent_sizes
-
     def descent_structure(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
         """Structure constants of Solomon's descent algebra: per descent mask
         d, the pairs (d1, d2) with N(d1, d2; d) > 0, each packed as
@@ -451,15 +445,28 @@ class CoxeterGroup:
             self._descent_structure = out
         return self._descent_structure
 
-    def descent_minrep_pairs(self) -> FrozenSet[Tuple[int, int]]:
-        """The distinct (descent mask, ``minrep_masks`` mask) pairs of the
-        elements: two measures, one constant on each kind of class, agree at
-        every element iff they agree on each pair."""
-        if self._descent_minrep_pairs is None:
-            self._descent_minrep_pairs = frozenset(
-                zip(self.descent_mask, self.minrep_masks()[0])
-            )
-        return self._descent_minrep_pairs
+    def measure_keys(self, *kinds: str) -> Tuple[Sequence, Counter]:
+        """The per-element keys of a measure-table kind and the number of
+        elements per key: element i's key is its descent mask for "descent",
+        its ``minrep_masks`` mask for "minrep" and i for "element".  Given
+        several kinds, the keys are their key sequences and the counts are
+        keyed by the tuples of one element's keys, so two measures agree at
+        every element iff they agree on each tuple that occurs."""
+        cached = self._measure_keys.get(kinds)
+        if cached is None:
+            if len(kinds) > 1:
+                keys = tuple(self.measure_keys(kind)[0] for kind in kinds)
+                cached = (keys, Counter(zip(*keys)))
+            elif kinds == ("descent",):
+                cached = (self.descent_mask, Counter(self.descent_mask))
+            elif kinds == ("minrep",):
+                cached = self.minrep_masks()
+            elif kinds == ("element",):
+                cached = (range(self.size), Counter(range(self.size)))
+            else:
+                raise ValueError(f"unknown measure key kind {kinds!r}")
+            self._measure_keys[kinds] = cached
+        return cached
 
     # -- intersection lattice ----------------------------------------------------
 

@@ -11,25 +11,25 @@ Three independent routes to the same measure:
                A, B, H3, H4, keyed by descent statistics.
 
 Also: the one-step chamber walk (an independent oracle via coset minima),
-transition matrices with their exact spectrum identity, the identity/longest-
-element product formulas, the positive solution counting identity for
-crystallographic types, and class pushforwards.
+the identity/longest-element product formulas, the positive solution
+counting identity for crystallographic types, class pushforwards, and the
+walk's spectrum identity.
 
-Every H(W, x) is constant on right-descent classes, and the class sums span
-Solomon's descent algebra, which is closed under products (L. Solomon, "A
-Mackey formula in the group ring of a Coxeter group", J. Algebra 41, 1976).
-So the convolution of two such measures is computed in that algebra: one
-value per descent class, an integer combination of the algebra's structure
-constants.  The walk step lies in the same algebra (Bidigare-Hanlon-Rockmore,
-Duke Math. J. 99, 1999; Brown, Ann. Probab. 28, 2000), and class masses are
-sums over descent classes, so none of these adds Fractions one element at a
-time: the walk takes one face-weight sum per distinct coset-minimum mask,
-the pushforward weighs the descent values by integer class-and-descent-class
-counts, a walk step is compared with a descent-valued measure once per
-distinct (descent mask, coset-minimum mask) pair, and dense values are
-filled by table lookup.  The integer tables are built once per group
-(``CoxeterGroup.descent_structure``, ``descent_class_sizes``,
-``minrep_masks``, ``descent_minrep_pairs``, ``class_descent_counts``).
+A measure is one value table: H(W, x) is constant on right-descent classes
+and holds 2^r values, one per descent mask; the walk step is constant on
+the classes of coset-minimum masks and holds one face-weight sum per mask.
+Dense values are built on demand and never stored.  The descent-class sums
+span Solomon's descent algebra, which is closed under products (L. Solomon,
+"A Mackey formula in the group ring of a Coxeter group", J. Algebra 41,
+1976), so a convolution is one integer combination of the algebra's
+structure constants per descent class.  The walk's transition matrix is
+right convolution by H (Bidigare-Hanlon-Rockmore, Duke Math. J. 99, 1999;
+Brown, Ann. Probab. 28, 2000), so its spectrum identity
+prod over i = 0..r of (M - x^-i I) = 0 is checked as
+prod (H - x^-i delta_e) = 0 in the same algebra, on every supported type.
+The integer tables are built once per group
+(``CoxeterGroup.descent_structure``, ``measure_keys``,
+``class_descent_counts``).
 """
 
 from __future__ import annotations
@@ -63,88 +63,62 @@ def binom(x: Union[int, Fraction], n: int) -> Fraction:
 
 
 class WMeasure:
-    """Signed measure on the group; coefficients sum to one exactly."""
+    """Signed measure on the group, coefficients summing to one exactly, as
+    one value table: the value at element i is ``table[keys[i]]`` for
+    ``keys, counts = group.measure_keys(kind)``, where the kind is
+    "descent", "minrep" or "element"."""
 
-    def __init__(self, group: CoxeterGroup, x_param: Optional[Fraction], dense: Sequence[Fraction]):
-        if len(dense) != group.size:
+    def __init__(self, group: CoxeterGroup, x_param: Optional[Fraction], kind: str, table):
+        counts = group.measure_keys(kind)[1]
+        if len(table) != len(counts):
             raise ValueError("wrong number of values")
-        total = sum(dense)
+        total = sum(n * table[k] for k, n in counts.items())
         if total != 1:
             raise ValueError(f"measure coefficients sum to {total}, not 1")
         self.group = group
         self.x_param = x_param
-        self._dense = tuple(dense)
-        self._by_descent: Optional[Dict[FrozenSet[int], Fraction]] = None
-        self._by_minrep: Optional[Dict[int, Fraction]] = None  # walk steps only
+        self.kind = kind
+        self.table = dict(table) if isinstance(table, dict) else tuple(table)
 
     @classmethod
     def from_descent_values(
         cls, group: CoxeterGroup, x_param, values: Dict[FrozenSet[int], Fraction]
     ) -> "WMeasure":
-        subsets = list(all_subsets(group.rank))
-        table = [values[D] for D in subsets]  # indexed by descent mask
-        m = cls._from_keys(
-            group, x_param, group.descent_mask, table, group.descent_class_sizes()
-        )
-        m._by_descent = dict(zip(subsets, table))
-        return m
-
-    @classmethod
-    def _from_keys(cls, group: CoxeterGroup, x_param, keys, table, counts) -> "WMeasure":
-        """The measure with value ``table[keys[i]]`` at element i, where
-        ``counts[k]`` is the number of elements with key k; the total is
-        checked as the sum of count times value over the keys."""
-        total = sum(n * table[k] for k, n in counts.items())
-        if total != 1:
-            raise ValueError(f"measure coefficients sum to {total}, not 1")
-        m = cls.__new__(cls)
-        m.group = group
-        m.x_param = x_param
-        m._dense = tuple(map(table.__getitem__, keys))
-        m._by_descent = None
-        m._by_minrep = None
-        return m
+        return cls(group, x_param, "descent", [values[D] for D in all_subsets(group.rank)])
 
     def value(self, i: int) -> Fraction:
-        return self._dense[i]
+        return self.table[self.group.measure_keys(self.kind)[0][i]]
 
     def dense(self) -> Tuple[Fraction, ...]:
-        return self._dense
+        """The value at every element, in element order."""
+        return tuple(map(self.table.__getitem__, self.group.measure_keys(self.kind)[0]))
+
+    def descent_table(self) -> List[Fraction]:
+        """The values indexed by descent mask; raises ValueError unless the
+        measure is constant on descent classes."""
+        by_mask: Dict[int, Fraction] = {}
+        for d, k in self.group.measure_keys("descent", self.kind)[1]:
+            if by_mask.setdefault(d, self.table[k]) != self.table[k]:
+                raise ValueError("measure is not constant on descent classes")
+        return [by_mask[d] for d in range(1 << self.group.rank)]
 
     def by_descent(self) -> Dict[FrozenSet[int], Fraction]:
-        """Descent-class compression, keyed in descent-mask order; requires
-        constancy on descent classes."""
-        if self._by_descent is None:
-            by_mask: Dict[int, Fraction] = {}
-            for dm, v in zip(self.group.descent_mask, self._dense):
-                if by_mask.setdefault(dm, v) != v:
-                    raise ValueError("measure is not constant on descent classes")
-            self._by_descent = {
-                D: by_mask[dm] for dm, D in enumerate(all_subsets(self.group.rank))
-            }
-        return self._by_descent
+        """``descent_table`` keyed by descent set, in descent-mask order."""
+        return dict(zip(all_subsets(self.group.rank), self.descent_table()))
 
     def __eq__(self, other):
         if not isinstance(other, WMeasure) or self.group is not other.group:
             return False
-        # exact: each table covers its classes, and no class in it is empty
-        if self._by_descent is not None and other._by_descent is not None:
-            return self._by_descent == other._by_descent
-        if self._by_minrep is not None and other._by_minrep is not None:
-            return self._by_minrep == other._by_minrep
-        for a, b in ((self, other), (other, self)):
-            if a._by_descent is not None and b._by_minrep is not None:
-                values = list(a._by_descent.values())  # indexed by descent mask
-                return all(
-                    values[d] == b._by_minrep[k] for d, k in self.group.descent_minrep_pairs()
-                )
-        return self._dense == other._dense
+        # each measure is constant where its key is, so the two agree at every
+        # element iff they agree on every pair of keys that occurs
+        a, b = self.table, other.table
+        return all(a[i] == b[j] for i, j in self.group.measure_keys(self.kind, other.kind)[1])
 
     def __hash__(self):
-        return hash((id(self.group), self._dense))
+        return hash((id(self.group), self.value(0)))
 
     def min_value(self) -> Fraction:
-        return min(self._dense)
+        return min(map(self.table.__getitem__, self.group.measure_keys(self.kind)[1]))
 
 
 @dataclass
@@ -196,17 +170,23 @@ def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
     return FaceWeights(g, x, weights, method)
 
 
+def _by_mask(fw: FaceWeights) -> List[Tuple[int, Fraction]]:
+    """(bitmask of K, v_K) per face type K; the bitmask of K is also its
+    index in ``all_subsets`` order."""
+    return [(sum(1 << i for i in K), v) for K, v in fw.weights.items()]
+
+
 def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
     """The shuffling measure, by one of the three independent methods."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
     if method in ("definition", "os_sign"):
-        fw = face_weights(g, x, method)
-        values: Dict[FrozenSet[int], Fraction] = {}
-        for D in all_subsets(g.rank):
-            values[D] = sum(v for K, v in fw.weights.items() if not (K & D))
-        return WMeasure.from_descent_values(g, x, values)
+        by_mask = _by_mask(face_weights(g, x, method))
+        table = [
+            sum((v for k, v in by_mask if not k & d), Fraction(0)) for d in range(1 << g.rank)
+        ]
+        return WMeasure(g, x, "descent", table)
     if method == "closed_form":
         return _closed_form(g, x)
     raise ValueError(f"unknown method {method!r}")
@@ -339,14 +319,12 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
     total = fw.face_total()
     if total != 1:
         raise ValueError(f"face weights sum to {total}, not 1")
-    by_bit = [(sum(1 << i for i in K), v) for K, v in fw.weights.items()]
-    masks, counts = g.minrep_masks()
+    by_mask = _by_mask(fw)
     table = {
-        mask: sum((v for k, v in by_bit if mask >> k & 1), Fraction(0)) for mask in counts
+        mask: sum((v for k, v in by_mask if mask >> k & 1), Fraction(0))
+        for mask in g.minrep_masks()[1]
     }
-    m = WMeasure._from_keys(g, fw.x_param, masks, table, counts)
-    m._by_minrep = table
-    return m
+    return WMeasure(g, fw.x_param, "minrep", table)
 
 
 def uniform_chamber_weights(g: CoxeterGroup) -> FaceWeights:
@@ -356,62 +334,56 @@ def uniform_chamber_weights(g: CoxeterGroup) -> FaceWeights:
     return FaceWeights(g, Fraction(0), weights, "manual")
 
 
-def transition_matrix(g: CoxeterGroup, x, method: str = "definition"):
-    """One-step transition matrix M[u][w] of the chamber walk."""
-    if g.size > 1200:
-        raise ValueError("transition matrix materialization capped at |W| = 1200")
-    dense = h_measure(g, x, method).dense()
-    M = []
-    for u in range(g.size):
-        inv_u = g.inverse[u]
-        M.append([dense[g.multiply(inv_u, w)] for w in range(g.size)])
-    return M
-
-
-def spectrum_check(M: List[List[Fraction]], x, rank: int) -> bool:
-    """Exact check that prod over i = 0..rank of (M - x^-i I) vanishes."""
-    x = Fraction(x)
-    n = len(M)
-    prod = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(rank + 1):
-        c = x**-i
-        factor = [[M[a][b] - (c if a == b else 0) for b in range(n)] for a in range(n)]
-        prod = _mat_mul_frac(prod, factor)
-    return all(prod[a][b] == 0 for a in range(n) for b in range(n))
-
-
-def _mat_mul_frac(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 # -- descent-algebra operations -------------------------------------------------
 
 
-def convolve(m1: WMeasure, m2: WMeasure) -> WMeasure:
-    """Product in Solomon's descent algebra: out(w) = sum over uv = w of m1(u) m2(v).
+def descent_product(g: CoxeterGroup, a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
+    """Product in Solomon's descent algebra of two elements given by their
+    values per descent mask: the group-algebra product out(w) = sum over
+    uv = w of a(u) b(v), which is again constant on descent classes, by its
+    value per class, out[D] = sum of N a[D1] b[D2] over the group's cached
+    structure constants (D1, D2, N) of D (``CoxeterGroup.descent_structure``).
+    With each factor's values put as integer numerators over one common
+    denominator, A and B, every class value is one integer sum and one
+    Fraction over A B."""
+    na, den_a = _over_common_denominator(a)
+    nb, den_b = _over_common_denominator(b)
+    ab = [u * v for u in na for v in nb]  # indexed by D1 << rank | D2
+    den = den_a * den_b
+    return [
+        Fraction(sum(map(mul, counts, map(ab.__getitem__, pairs))), den)
+        for pairs, counts in g.descent_structure()
+    ]
 
-    Both factors must be constant on descent classes (``by_descent`` raises
-    ValueError otherwise), and then so is the product, so it is fixed by its
-    value on each class D: out[D] = sum of N m1[D1] m2[D2] over the group's
-    cached structure constants (D1, D2, N) of D
-    (``CoxeterGroup.descent_structure``).  With each factor's values put as
-    integer numerators over one common denominator, A and B, every class
-    value is one integer sum and one Fraction over A B."""
+
+def convolve(m1: WMeasure, m2: WMeasure) -> WMeasure:
+    """The product measure out(w) = sum over uv = w of m1(u) m2(v), by
+    ``descent_product``.  Both factors must be constant on descent classes
+    (``descent_table`` raises ValueError otherwise)."""
     if m1.group is not m2.group:
         raise ValueError("measures live on different groups")
     g = m1.group
-    a, den_a = _over_common_denominator(m1.by_descent().values())
-    b, den_b = _over_common_denominator(m2.by_descent().values())
-    ab = [x * y for x in a for y in b]  # indexed by D1 << rank | D2
-    den = den_a * den_b
-    values: Dict[FrozenSet[int], Fraction] = {}
-    for D, (pairs, counts) in zip(all_subsets(g.rank), g.descent_structure()):
-        values[D] = Fraction(sum(map(mul, counts, map(ab.__getitem__, pairs))), den)
-    return WMeasure.from_descent_values(g, None, values)
+    return WMeasure(g, None, "descent", descent_product(g, m1.descent_table(), m2.descent_table()))
+
+
+def spectrum_product(h: WMeasure, factors: Optional[int] = None) -> List[Fraction]:
+    """The product of (H - x^-i delta_e) over i = 0..factors-1 in the descent
+    algebra, by descent mask; ``factors`` defaults to rank + 1.  delta_e is 1
+    at the identity, the one element with no descents.  The chamber walk's
+    transition matrix M[u][w] = H(u^-1 w) is right convolution by H
+    (Bidigare-Hanlon-Rockmore), so with all factors this vanishes iff
+    prod over i = 0..rank of (M - x^-i I) does."""
+    if h.x_param is None:
+        raise ValueError("the measure carries no x")
+    g = h.group
+    x = Fraction(h.x_param)
+    values = h.descent_table()
+    prod = [Fraction(int(d == 0)) for d in range(1 << g.rank)]
+    for i in range(g.rank + 1 if factors is None else factors):
+        c = x**-i
+        factor = [v - c if d == 0 else v for d, v in enumerate(values)]
+        prod = descent_product(g, prod, factor)
+    return prod
 
 
 def _over_common_denominator(values) -> Tuple[List[int], int]:
@@ -424,18 +396,18 @@ def _over_common_denominator(values) -> Tuple[List[int], int]:
 def point_mass(g: CoxeterGroup, i: int) -> WMeasure:
     dense = [Fraction(0)] * g.size
     dense[i] = Fraction(1)
-    return WMeasure(g, None, dense)
+    return WMeasure(g, None, "element", dense)
 
 
 def pushforward_classes(m: WMeasure) -> ClassMeasure:
     """Total measure of each conjugacy class, as the sum over descent masks D
     of m[D] times the number of class members in descent class D
     (``g.class_descent_counts()``).  The measure must be constant on descent
-    classes (``by_descent`` raises ValueError otherwise)."""
+    classes (``descent_table`` raises ValueError otherwise)."""
     g = m.group
     # integer numerators, indexed by descent mask, over a common denominator:
     # one Fraction per class
-    nums, den = _over_common_denominator(m.by_descent().values())
+    nums, den = _over_common_denominator(m.descent_table())
     out: Dict[ClassLabel, Fraction] = {}
     for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts()):
         out[c.label] = Fraction(sum(n * nums[d] for d, n in counts.items()), den)

@@ -9,9 +9,10 @@ unique splitting into conjugate pairs [phi(z)phi(-z)]^r times self-conjugate
 factors phi^s with s in {0,1}, giving a pair of partitions.
 
 ``phi_map`` reads both labels off the distinct-degree layers of
-``gfpoly.degree_layers`` and never finds a single factor.  ``b_pair_type``
-reads the type-B label off a full ``factor()``; the necklace encodings use
-it, and the tests hold ``phi_map`` to it and to ``degree_partition``.
+``gfpoly.degree_layers`` and never finds a single factor, and so does
+``translation_invariance_check``.  ``b_pair_type`` reads the type-B
+label off a full ``factor()``; the necklace encodings use it, and the tests
+hold ``phi_map`` to it and to ``degree_partition``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .gfpoly import (
     FqContext,
     FqPoly,
     degree_layers,
-    factor,
     is_prime,
     layer_partition,
     poly_axpy,
@@ -299,7 +299,7 @@ def translation_invariance_check(n: int, q: int) -> TranslationReport:
         coeffs = [ctx.from_int(k) for k in lower] + [ctx.one]
         f = FqPoly.make(ctx, coeffs)
         b = ctx.to_int(f.coeffs[n - 1]) if f.degree >= 1 and len(f.coeffs) > n - 1 else 0
-        fibers[b][factor(f).degree_partition()] += 1
+        fibers[b][layer_partition(degree_layers(ctx, f.coeffs))] += 1
     first = fibers[0]
     ok = all(fibers[b] == first for b in range(q))
     return TranslationReport(n, q, True, ok, dict(first))

@@ -24,8 +24,7 @@ from .measures import (
     longshort_values,
     pushforward_classes,
     sommers_identity_check,
-    spectrum_check,
-    transition_matrix,
+    spectrum_product,
 )
 from .necklaces import (
     count_signed_ornaments,
@@ -181,11 +180,16 @@ def _suite_spectrum(p: dict) -> Report:
     x = p["x"]
     for t in p["types"]:
         g = get_group(t)
-        M = transition_matrix(g, x)
+        h = h_measure(g, x)
+        # the walk matrix M[u][w] = H(u^-1 w) is right convolution by H: each
+        # row holds H's values once each, and its polynomials are H's in the
+        # descent algebra
+        values = h.descent_table()
+        row_sum = sum(n * values[d] for d, n in g.measure_keys("descent")[1].items())
         rep.add(f"{t} x={x}: rows sum to 1", "stochastic",
-                "stochastic" if all(sum(r) == 1 for r in M) else "defective", "identity")
+                "stochastic" if row_sum == 1 else "defective", "identity")
         rep.add(f"{t} x={x}: product of (M - x^-i I) for i = 0..rank", "zero matrix",
-                "zero matrix" if spectrum_check(M, x, g.rank) else "nonzero",
+                "zero matrix" if not any(spectrum_product(h)) else "nonzero",
                 "minimal-polynomial")
     return rep
 
@@ -296,6 +300,8 @@ def _suite_gr_census(p: dict) -> Report:
 def _suite_reiner_counts(p: dict) -> Report:
     rep = Report("reiner_counts", p)
     for n, q in p["grid"]:
+        if n < 1:
+            raise ValueError(f"reiner_counts needs n >= 1, not n = {n}")
         g = get_group(f"B{n}") if n >= 2 else None
         if n == 1:
             # rank-1 hyperoctahedral group: two elements, d(id) = 0, d(s) = 1

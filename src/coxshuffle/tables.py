@@ -104,12 +104,13 @@ def measure_table(g: CoxeterGroup, xs, method: str, fmt: str = "csv") -> str:
         tag = "" if single else f"_x{x}"
         val_cols.extend([f"value_num{tag}", f"value_den{tag}"])
     rows = []
-    for D in sorted(measures[0].by_descent(), key=lambda s: (len(s), sorted(s))):
+    by_descent = [m.by_descent() for m in measures]
+    for D in sorted(by_descent[0], key=lambda s: (len(s), sorted(s))):
         rep = rep_of_descent[D]
         row = {"descent_set": " ".join(str(d + 1) for d in sorted(D))}
-        for x, m in zip(xs, measures):
+        for x, values in zip(xs, by_descent):
             tag = "" if single else f"_x{x}"
-            v = m.by_descent()[D]
+            v = values[D]
             row[f"value_num{tag}"] = v.numerator
             row[f"value_den{tag}"] = v.denominator
         row["class_label"] = str(g.conjugacy_classes()[g.class_of(rep)].label)

@@ -259,3 +259,43 @@ def test_verify_integral_x_is_written_as_the_default_grid_writes_it(capsys):
                            "--x", "2", "--x", "1/2")
     assert code == 0
     assert json.loads(out)["params"]["xs"] == "[2, 1/2]"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_reiner_counts_rejects_n_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "reiner_counts", "--n", n, "--q", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+@pytest.mark.parametrize("compare", [[], ["--compare", "exact"]])
+def test_sample_rejects_count_below_one(capsys, count, compare):
+    code, out, err = run_cli(capsys, "sample", "--model", "typeB_flip", "--n", "3",
+                             "--x", "3", "--count", count, *compare)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--count" in err
+
+
+def test_verify_spectrum_runs_on_every_type(capsys):
+    code, out, _ = run_cli(capsys, "verify", "spectrum", "--type", "H4", "--type", "D4")
+    assert code == 0
+    actual = [c["actual"] for c in json.loads(out)["checks"]]
+    assert actual == ["stochastic", "zero matrix"] * 2
+
+
+def test_verify_passes_only_the_overrides(capsys, monkeypatch):
+    import coxshuffle.cli as cli
+    from coxshuffle.suites import run_suite
+
+    seen = []
+
+    def recording_run_suite(name, params=None):
+        seen.append(params)
+        return run_suite(name, params)
+
+    monkeypatch.setattr(cli, "run_suite", recording_run_suite)
+    code, _, _ = run_cli(capsys, "verify", "walk_oracle", "--type", "A2")
+    assert code == 0
+    assert seen == [{"types": ["A2"]}]

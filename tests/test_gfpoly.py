@@ -141,3 +141,16 @@ def test_poly_str_and_order():
     assert str(f) == "z^3+3z^2+1"
     g = FqPoly.from_ints(c5, [0, 1])
     assert g < f
+
+
+@pytest.mark.parametrize("q,top", [(2, 4), (3, 4), (5, 3)])
+def test_is_irreducible_against_the_sieve(q, top):
+    ctx = FqContext.get(q)
+    for d in range(1, top + 1):
+        sieve = set(irreducibles(ctx, d))
+        for f in monic_polys(ctx, d):
+            assert is_irreducible(f) == (f in sieve), f
+            for c in range(2, q):  # a nonzero multiple has the same answer
+                g = FqPoly.make(ctx, [ctx.mul(ctx.from_int(c), a) for a in f.coeffs])
+                assert is_irreducible(g) == (f in sieve), g
+    assert not is_irreducible(FqPoly.make(ctx, [ctx.one]))

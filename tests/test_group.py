@@ -356,6 +356,22 @@ def test_descent_structure_against_brute_force(t):
 @pytest.mark.parametrize("t", SUPPORTED)
 def test_descent_class_sizes_and_pairs(t):
     g = get_group(t)
-    assert g.descent_class_sizes() == Counter(g.descent_mask)
-    assert len(g.descent_class_sizes()) == 1 << g.rank  # no descent class is empty
-    assert g.descent_minrep_pairs() == set(zip(g.descent_mask, g.minrep_masks()[0]))
+    keys, sizes = g.measure_keys("descent")
+    assert keys is g.descent_mask and sizes == Counter(g.descent_mask)
+    assert len(sizes) == 1 << g.rank  # no descent class is empty
+    assert g.measure_keys("minrep") == g.minrep_masks()
+    keys, pairs = g.measure_keys("descent", "minrep")
+    assert keys == (g.descent_mask, g.minrep_masks()[0])
+    assert pairs == Counter(zip(g.descent_mask, g.minrep_masks()[0]))
+    # w is the minimum of w W_K iff K avoids w's descents, so the minrep mask
+    # is a function of the descent mask: one pair per descent class
+    assert len(pairs) == 1 << g.rank
+    if g.size <= 400:
+        keys, counts = g.measure_keys("element")
+        assert list(keys) == list(range(g.size)) and set(counts.values()) == {1}
+    assert g.measure_keys("descent", "minrep") is g.measure_keys("descent", "minrep")
+
+
+def test_measure_keys_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown measure key kind"):
+        get_group("A2").measure_keys("coset")

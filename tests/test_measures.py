@@ -20,10 +20,10 @@ from coxshuffle.measures import (
     point_mass,
     pushforward_classes,
     sommers_identity_check,
-    spectrum_check,
-    transition_matrix,
+    spectrum_product,
     uniform_chamber_weights,
 )
+from coxshuffle.rootdata import parse_type
 from coxshuffle.shuffling import exact_shuffle_law
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
@@ -90,8 +90,12 @@ def test_descent_class_constancy():
 
 def test_measure_sum_guard():
     g = get_group("A1")
-    with pytest.raises(ValueError):
-        WMeasure(g, None, [Fraction(1, 2), Fraction(1, 4)])
+    with pytest.raises(ValueError, match="sum to 3/4"):
+        WMeasure(g, None, "element", [Fraction(1, 2), Fraction(1, 4)])
+    with pytest.raises(ValueError, match="wrong number of values"):
+        WMeasure(g, None, "element", [Fraction(1)])
+    with pytest.raises(ValueError, match="unknown measure key kind"):
+        WMeasure(g, None, "coset", [Fraction(1, 2), Fraction(1, 2)])
     values = dict(h_measure(g, 2).by_descent())
     values[frozenset()] += 1
     with pytest.raises(ValueError, match="sum to 2"):
@@ -233,9 +237,8 @@ def test_measure_equality_matches_dense_comparison(t):
     identity = WMeasure.from_descent_values(
         g, None, {D: Fraction(int(not D)) for D in all_subsets(g.rank)}
     )
-    dense2 = WMeasure(g, Fraction(2), h2.dense())
-    dense3 = WMeasure(g, Fraction(3), h3.dense())
-    dense3.by_descent()  # now carries descent values too
+    dense2 = WMeasure(g, Fraction(2), "element", h2.dense())
+    dense3 = WMeasure(g, Fraction(3), "element", h3.dense())
     # the identity and the longest element are alone in their descent classes
     values = dict(h2.by_descent())
     values[frozenset()] += 1
@@ -251,19 +254,36 @@ def test_measure_equality_matches_dense_comparison(t):
     assert walk_uniform != h2 and walk3 != h2
 
 
-class NoDenseValues:
-    def __eq__(self, other):
-        raise AssertionError("dense values were compared")
+def no_dense_values(self):
+    raise AssertionError("dense values were read")
 
 
-def test_walk_equality_reads_no_dense_values():
+def test_walk_equality_reads_no_dense_values(monkeypatch):
     g = get_group("H4")
     h2 = h_measure(g, 2)
     walks = [bhr_step(g, face_weights(g, x)) for x in (2, 3)]
-    for m in [h2] + walks:
-        m._dense = NoDenseValues()
+    monkeypatch.setattr(WMeasure, "dense", no_dense_values)
     assert walks[0] == h2 and h2 == walks[0]
     assert walks[1] != h2 and walks[0] != walks[1]
+
+
+def test_h4_measure_ops_read_no_dense_values(monkeypatch):
+    g = get_group("H4")
+    monkeypatch.setattr(WMeasure, "dense", no_dense_values)
+    x = Fraction(7, 3)
+    ms = [h_measure(g, x, method) for method in ("definition", "os_sign", "closed_form")]
+    assert all(m.kind == "descent" and len(m.table) == 16 for m in ms)
+    walk = bhr_step(g, face_weights(g, x))
+    assert walk.kind == "minrep" and len(walk.table) < g.size
+    assert ms[0] == ms[1] == ms[2] == walk and walk == ms[0]
+    prod = convolve(ms[0], h_measure(g, 2))
+    assert prod.kind == "descent" and prod != ms[0]
+    assert sum(pushforward_classes(walk).values.values()) == 1
+    w0v, idv = longshort_values(g, x)
+    assert ms[0].value(g.longest_index) == walk.value(g.longest_index) == w0v
+    assert ms[2].value(0) == walk.value(0) == idv
+    assert walk.min_value() == ms[0].min_value() < 0
+    assert spectrum_product(h_measure(g, 2), g.rank) != [0] * 16
 
 
 def test_bhr_uniform_chamber_weights():
@@ -311,6 +331,34 @@ def brute_transition_row(g, x, u):
     return row
 
 
+def transition_matrix(g, x):
+    """Oracle: the walk's transition matrix M[u][w] = H(u^-1 w), row by row."""
+    dense = h_measure(g, x).dense()
+    return [[dense[g.multiply(g.inverse[u], w)] for w in range(g.size)] for u in range(g.size)]
+
+
+def mat_mul(A, B):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def spectrum_matrix_product(M, x, factors):
+    """Oracle: the product of (M - x^-i I) over i = 0..factors-1, in matrices."""
+    x = Fraction(x)
+    n = len(M)
+    prod = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(factors):
+        c = x**-i
+        prod = mat_mul(prod, [[M[a][b] - (c if a == b else 0) for b in range(n)]
+                              for a in range(n)])
+    return prod
+
+
+def spectrum_check(M, x, rank):
+    """Oracle: prod over i = 0..rank of (M - x^-i I) vanishes."""
+    return not any(map(any, spectrum_matrix_product(M, x, rank + 1)))
+
+
 def test_transition_matrix_examples():
     g = get_group("A1")
     M = transition_matrix(g, 2)
@@ -333,11 +381,26 @@ def test_spectrum_identity(t):
     assert all(sum(row) == 1 for row in M)
     assert spectrum_check(M, 2, g.rank)
     assert not spectrum_check(M, 2, 0)  # M is not the identity
+    assert not any(spectrum_product(h_measure(g, 2)))
 
 
-def test_transition_matrix_size_guard():
-    with pytest.raises(ValueError):
-        transition_matrix(get_group("H4"), 2)
+SPECTRUM_TYPES = [t for t in SUPPORTED if parse_type(t).group_order <= 24]
+
+
+@pytest.mark.parametrize("t", SPECTRUM_TYPES)
+@pytest.mark.parametrize("x", [2, 3, -1, Fraction(1, 2), Fraction(-7, 3)])
+def test_spectrum_product_against_matrix_oracle(t, x):
+    # the matrix of right convolution by f has f(u^-1 w) at (u, w), so the
+    # identity's row of the matrix product is the descent-algebra product
+    g = get_group(t)
+    h = h_measure(g, x)
+    M = transition_matrix(g, x)
+    for factors in (g.rank + 1, g.rank):
+        prod = spectrum_product(h, factors)
+        P = spectrum_matrix_product(M, x, factors)
+        assert P[0] == [prod[d] for d in g.descent_mask], factors
+        assert (not any(prod)) == (not any(map(any, P)))
+    assert not any(spectrum_product(h))
 
 
 def dense_convolve(m1, m2):
