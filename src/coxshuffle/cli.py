@@ -46,6 +46,16 @@ SUITE_FLAGS: Dict[str, Dict[str, str]] = {
     "sampler_tv": {"--seed": "seed"},
 }
 
+# The --n each grid suite accepts, as (least, greatest); None is no bound.
+# The problem1 suites compare with the group A_{n-1} or B_n, and
+# reiner_counts with B_n (n = 1 by hand).
+SUITE_N_RANGE = {
+    "problem1_A": (2, 6),
+    "problem1_B": (2, 4),
+    "reiner_counts": (1, 4),
+    "ornament_counts": (1, None),
+}
+
 
 def _write_out(text: str, out: Optional[str]):
     if out:
@@ -53,6 +63,15 @@ def _write_out(text: str, out: Optional[str]):
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _check_n(n: int, least: int, greatest: Optional[int], cmd: str):
+    if n < least or (greatest is not None and n > greatest):
+        if greatest is None:
+            allowed = f">= {least}"
+        else:
+            allowed = f"{least}" if least == greatest else f"in {least}..{greatest}"
+        raise ValueError(f"{cmd} needs --n {allowed}, not {n}")
 
 
 def _parse_x(s: str) -> Fraction:
@@ -100,6 +119,9 @@ def cmd_sample(args) -> int:
 
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
+    # an exact comparison needs the group A_{n-1} or B_n
+    n_range = {"gsr_a": (2, 6), "typeB_flip": (2, 4)}[args.model] if args.compare else (1, None)
+    _check_n(args.n, *n_range, f"sample --model {args.model}")
     if args.compare == "exact":
         emp = empirical_law(args.model, args.n, args.x, args.count, args.seed)
         t = f"A{args.n - 1}" if args.model == "gsr_a" else f"B{args.n}"
@@ -129,6 +151,7 @@ def cmd_sample(args) -> int:
 def cmd_orbits(args) -> int:
     from .tables import emit_table
 
+    _check_n(args.n, 1, None, "orbits")
     text = emit_table(
         "orbits", {"family": args.family, "n": args.n, "q": args.q}, args.format
     )
@@ -147,6 +170,7 @@ def cmd_bijection(args) -> int:
     # refine
     from .gfpoly import FqContext, FqPoly, monic_polys
 
+    _check_n(args.n, 1, None, "bijection refine")
     ctx = FqContext.get(args.p)
     if args.census:
         counts = {}
@@ -161,6 +185,8 @@ def cmd_bijection(args) -> int:
         return 2
     coeffs = [int(c) for c in args.poly.split(",")]
     f = FqPoly.from_ints(ctx, coeffs)
+    _check_n(args.n, f.degree, f.degree,
+             f"bijection refine --poly {args.poly} (degree {f.degree})")
     w, cycles = refine_phi_A(f, args.mode)
     _write_out(json.dumps({"poly": str(f), "permutation": list(w), "cycles": cycles}), args.out)
     return 0
@@ -191,6 +217,8 @@ def cmd_verify(args) -> int:
     if (args.n is None) != (args.q is None):
         print("--n and --q must be given together", file=sys.stderr)
         return 2
+    if args.n is not None:
+        _check_n(args.n, *SUITE_N_RANGE[name], f"verify {name}")
     overrides = {}
     if args.type:
         overrides["types"] = args.type

@@ -151,12 +151,6 @@ class GoldenRational:
     def __str__(self):
         return format_scalar(self)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
-
 
 PHI = GoldenRational(0, 1)
 

@@ -15,7 +15,12 @@ algebra, the per-element keys of each kind of measure value table with
 their counts (``measure_keys``), and the exponents (extracted from the
 length generating function) all live here, each built once on first use.
 The intersection lattice of the group's arrangement is built on first use
-and kept with the group.
+and kept with the group.  Standard parabolic masks and the orbit part of
+the parabolic data are read from the lattice's W-orbits of flats: the
+normalizer of W_K is the stabilizer of its flat, of order |W| / |orbit|,
+and the subsets equivalent to K are those whose standard flat lies in the
+same orbit.  The generators' byte keys come from
+``RootSystem.simple_action``.
 """
 
 from __future__ import annotations
@@ -26,13 +31,7 @@ from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .labels import ClassLabel
-from .lattice import (
-    IntersectionLattice,
-    build_lattice,
-    parabolic_mask,
-    permute_mask,
-    root_line_action,
-)
+from .lattice import IntersectionLattice, build_lattice
 from .linalg import Subspace, nullspace
 from .rootdata import RootSystem
 
@@ -70,8 +69,6 @@ class CoxeterGroup:
         self._class_descents: Optional[List[Counter]] = None
         self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
         self._measure_keys: Dict[Tuple[str, ...], Tuple[Sequence, Counter]] = {}
-        self._std_masks: Dict[frozenset, int] = {}
-        self._line_action: Optional[Tuple[tuple, tuple]] = None
         self._exponents: Optional[Tuple[int, ...]] = None
         self._lattice: Optional[IntersectionLattice] = None
 
@@ -84,14 +81,10 @@ class CoxeterGroup:
         m = 2 * n_pos
         pad = bytes(range(m, 256))
 
-        gen_keys = []
-        for g in range(r):
-            img = [0] * m
-            for j, root in enumerate(rs.positive_roots):
-                s = rs.signed_index(rs.apply_simple(g, root))
-                img[j] = s
-                img[j + n_pos] = s + n_pos if s < n_pos else s - n_pos
-            gen_keys.append(bytes(img))
+        gen_keys = [
+            bytes(row) + bytes(s + n_pos if s < n_pos else s - n_pos for s in row)
+            for row in rs.simple_action
+        ]
 
         ident = bytes(range(m))
         keys = [ident]
@@ -319,17 +312,7 @@ class CoxeterGroup:
 
     def standard_parabolic_mask(self, K: Iterable[int]) -> int:
         """Bitmask of positive roots in the span of the simple roots in K."""
-        K = frozenset(K)
-        mask = self._std_masks.get(K)
-        if mask is None:
-            mask = parabolic_mask(*self._root_line_action(), K)
-            self._std_masks[K] = mask
-        return mask
-
-    def _root_line_action(self) -> Tuple[tuple, tuple]:
-        if self._line_action is None:
-            self._line_action = root_line_action(self.root_system)
-        return self._line_action
+        return self.lattice().standard_masks[sum(1 << i for i in frozenset(K))]
 
     def parabolic_data(self, K: Iterable[int]) -> ParabolicData:
         K = frozenset(K)
@@ -342,30 +325,18 @@ class CoxeterGroup:
         one = rs.cartan_like_matrix[0][0] / rs.cartan_like_matrix[0][0]
         fixed = nullspace(rows, rs.rank, one=one)
 
-        # the W-orbit of the standard mask, breadth first under the simple
-        # reflections; its stabilizer is the normalizer of W_K
-        perms = self._root_line_action()[0]
-        orbit = {self.standard_parabolic_mask(K)}
-        queue = list(orbit)
-        for mask in queue:
-            for p in perms:
-                img = permute_mask(mask, p)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
+        # the stabilizer of the standard flat is the normalizer of W_K, so its
+        # order is |W| / |orbit|; the subsets equivalent to K share the orbit
+        lat = self.lattice()
+        orbit = lat.orbit_ids[lat.mask_to_id[self.standard_parabolic_mask(K)]]
         equivalent = sorted(
-            (
-                tuple(sorted(J))
-                for J in all_subsets(rs.rank)
-                if self.standard_parabolic_mask(J) in orbit
-            ),
-            key=lambda t: (len(t), t),
+            (tuple(_bits(J)) for J in lat.orbit_subsets[orbit]), key=lambda t: (len(t), t)
         )
         data = ParabolicData(
             K=K,
             subgroup_order=sub_order,
             fixed_space=fixed,
-            normalizer_order=self.size // len(orbit),
+            normalizer_order=self.size // lat.orbit_sizes[orbit],
             lambda_count=len(equivalent),
             conjugacy_rep=equivalent[0],
         )
@@ -572,18 +543,6 @@ def signed_cycle_type(one_line: Sequence[int]) -> tuple:
 def enumerate_group(rs: RootSystem) -> CoxeterGroup:
     """Breadth-first closure of the simple reflections."""
     return CoxeterGroup(rs)
-
-
-def conjugacy_classes(g: CoxeterGroup) -> List[ConjugacyClass]:
-    return g.conjugacy_classes()
-
-
-def parabolic_data(g: CoxeterGroup, K: Iterable[int]) -> ParabolicData:
-    return g.parabolic_data(K)
-
-
-def exponents(g: CoxeterGroup) -> Tuple[int, ...]:
-    return g.exponents()
 
 
 _GROUPS: Dict[str, CoxeterGroup] = {}

@@ -11,16 +11,20 @@ standard parabolic subgroup W_K (Orlik-Solomon, "Coxeter arrangements",
 1983; Barcelo-Ihrig, J. Algebraic Combin. 9, 1999), and the roots vanishing
 there form the subsystem Phi_K = W_K . Delta_K.  So the flats are the
 W-orbits of the 2^r standard masks, enumerated breadth first under the
-permutations the simple reflections induce on the positive-root lines; the
-build needs no linear algebra.
+permutations the simple reflections induce on the positive-root lines
+(read off ``RootSystem.simple_action``).  The build records the standard
+mask of every subset K, the W-orbit of every flat, and each orbit's size
+and the subsets whose standard flat lies in it; the group's parabolic data
+(normalizer order |W| / |orbit|, the count and representative of the
+equivalent subsets) is read from these.  The module does no linear
+algebra: flats are masks, never subspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
-from .linalg import Subspace, nullspace
 from .rootdata import RootSystem
 
 
@@ -28,7 +32,6 @@ from .rootdata import RootSystem
 class Flat:
     mask: int  # positive roots whose hyperplane contains the flat
     rank: int  # codimension of the flat
-    basis: tuple  # indices of roots spanning the normals
 
 
 @dataclass(frozen=True)
@@ -55,13 +58,10 @@ def root_line_action(rs: RootSystem) -> Tuple[tuple, tuple]:
     """(perms, simple): perms[g][j] is the positive-root index of the line
     of s_g(root j), and simple[i] the index of the i-th simple root."""
     n = rs.n_positive
-    perms = tuple(
-        tuple(rs.signed_index(rs.apply_simple(g, root)) % n for root in rs.positive_roots)
-        for g in range(rs.rank)
-    )
+    perms = tuple(tuple(s % n for s in row) for row in rs.simple_action)
     if any(sorted(p) != list(range(n)) for p in perms):
         raise ValueError("simple reflections do not permute the positive roots")
-    simple = tuple(rs.signed_index(a) for a in rs.simple_roots)
+    simple = tuple(rs.root_index[a] for a in rs.simple_roots)
     return perms, simple
 
 
@@ -99,35 +99,50 @@ class IntersectionLattice:
         self.root_system = rs
         self._moebius: Dict[int, Dict[int, int]] = {}
         self._char_polys: Dict[int, CharPoly] = {}
-        self._subspaces: Dict[int, Subspace] = {}
         self._build()
 
     def _build(self):
         rs = self.root_system
         perms, simple = root_line_action(rs)
-        found: Dict[int, Flat] = {}
+        std_masks: List[int] = []  # per subset bitmask m, the standard mask of K
+        orbit_of: Dict[int, int] = {}  # flat mask -> orbit id
+        orbit_ranks: List[int] = []
+        orbit_sizes: List[int] = []
+        orbit_subsets: List[List[int]] = []
         for m in range(1 << rs.rank):
             K = tuple(i for i in range(rs.rank) if m >> i & 1)
             seed = parabolic_mask(perms, simple, K)
-            if seed in found:  # K is conjugate to an earlier subset
+            std_masks.append(seed)
+            orbit = orbit_of.get(seed)
+            if orbit is not None:  # K is conjugate to an earlier subset
+                orbit_subsets[orbit].append(m)
                 continue
-            # breadth-first W-orbit; a flat's basis is the image of K's
-            # simple roots under the word that reached it
-            found[seed] = Flat(seed, len(K), tuple(simple[i] for i in K))
+            # breadth-first W-orbit of the standard flat
+            orbit = len(orbit_sizes)
+            orbit_of[seed] = orbit
             queue = [seed]
             for mask in queue:
-                basis = found[mask].basis
                 for p in perms:
                     img = permute_mask(mask, p)
-                    if img not in found:
-                        found[img] = Flat(img, len(K), tuple(p[j] for j in basis))
+                    if img not in orbit_of:
+                        orbit_of[img] = orbit
                         queue.append(img)
+            orbit_ranks.append(len(K))
+            orbit_sizes.append(len(queue))
+            orbit_subsets.append([m])
 
         # deterministic ordering: by rank, then mask
-        self.flats: List[Flat] = sorted(found.values(), key=lambda f: (f.rank, f.mask))
+        self.flats: List[Flat] = sorted(
+            (Flat(mask, orbit_ranks[orbit]) for mask, orbit in orbit_of.items()),
+            key=lambda f: (f.rank, f.mask),
+        )
         self.mask_to_id: Dict[int, int] = {f.mask: i for i, f in enumerate(self.flats)}
         self.ranks = [f.rank for f in self.flats]
         self.masks = [f.mask for f in self.flats]
+        self.standard_masks: Tuple[int, ...] = tuple(std_masks)
+        self.orbit_ids: List[int] = [orbit_of[mask] for mask in self.masks]
+        self.orbit_sizes: Tuple[int, ...] = tuple(orbit_sizes)
+        self.orbit_subsets: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, orbit_subsets))
 
     # -- poset structure ---------------------------------------------------
 
@@ -172,39 +187,11 @@ class IntersectionLattice:
             return 0
         return self.moebius_from(a).get(b, 0)
 
-    def verify_moebius(self, bottoms: Optional[Sequence[int]] = None) -> bool:
-        """Re-verify the defining recursion by summation over intervals."""
-        if bottoms is None:
-            bottoms = range(len(self.flats))
-        for a in bottoms:
-            mu = self.moebius_from(a)
-            above = sorted(mu, key=lambda i: self.ranks[i])
-            for b in above:
-                total = sum(mu[z] for z in above if self.leq(z, b))
-                expect = 1 if b == a else 0
-                if total != expect:
-                    return False
-        return True
-
     # -- characteristic polynomials -----------------------------------------
 
-    def flat_id_of_subspace(self, X: Subspace) -> int:
-        """Map a flat, given as a subspace of V, back to its id."""
-        rs = self.root_system
-        mask = 0
-        for j, root in enumerate(rs.positive_roots):
-            functional = _root_functional(rs, root)
-            if all(_dot(functional, v) == 0 for v in X.basis):
-                mask |= 1 << j
-        fid = self.mask_to_id.get(mask)
-        if fid is None or self.flat_dim(fid) != X.dim:
-            raise ValueError("subspace is not a flat of the arrangement")
-        return fid
-
-    def char_poly(self, X: Union[int, Subspace]) -> CharPoly:
-        """chi of the restricted poset of flats above X (X = V gives chi(L, x)),
-        summed from the Moebius function once per flat."""
-        fid = X if isinstance(X, int) else self.flat_id_of_subspace(X)
+    def char_poly(self, fid: int) -> CharPoly:
+        """chi of the restricted poset of flats above flat fid (the bottom
+        flat V gives chi(L, x)), summed from the Moebius function once per flat."""
         if not 0 <= fid < len(self.flats):
             raise ValueError("not a flat id")
         cached = self._char_polys.get(fid)
@@ -215,32 +202,6 @@ class IntersectionLattice:
             cached = CharPoly(tuple(coeffs))
             self._char_polys[fid] = cached
         return cached
-
-    def flat_subspace(self, fid: int) -> Subspace:
-        """The flat itself, as a canonical subspace of V."""
-        cached = self._subspaces.get(fid)
-        if cached is None:
-            rs = self.root_system
-            rows = [
-                _root_functional(rs, rs.positive_roots[j]) for j in self.flats[fid].basis
-            ]
-            cached = nullspace(rows, rs.rank)
-            self._subspaces[fid] = cached
-        return cached
-
-    def flats_as_subspaces(self) -> List[Subspace]:
-        return [self.flat_subspace(i) for i in range(len(self.flats))]
-
-
-def _root_functional(rs: RootSystem, root) -> tuple:
-    """Row vector of the linear form v -> (root, v) in simple-root coordinates."""
-    G = rs.gram
-    r = rs.rank
-    return tuple(sum(root[i] * G[i][j] for i in range(r)) for j in range(r))
-
-
-def _dot(row, v):
-    return sum(a * b for a, b in zip(row, v))
 
 
 def build_lattice(rs: RootSystem) -> IntersectionLattice:

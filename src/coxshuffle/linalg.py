@@ -91,9 +91,6 @@ class Subspace:
                 v = [x - f * y for x, y in zip(v, row)]
         return all(_is_zero(x) for x in v)
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.basis)
-
 
 def _pivot_col(row) -> int:
     for j, x in enumerate(row):
@@ -155,10 +152,6 @@ def nullspace(rows: Sequence[Sequence], ambient_dim: int, one=None) -> Subspace:
             v[pc] = -row[j]
         basis.append(tuple(v))
     return canonicalize(basis, ambient_dim)
-
-
-def mat_vec(matrix: Sequence[Sequence], vector: Sequence):
-    return tuple(sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):

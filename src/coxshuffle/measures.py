@@ -412,13 +412,3 @@ def pushforward_classes(m: WMeasure) -> ClassMeasure:
     for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts()):
         out[c.label] = Fraction(sum(n * nums[d] for d, n in counts.items()), den)
     return ClassMeasure(out)
-
-
-def good_prime_bound(g: CoxeterGroup) -> Dict[int, bool]:
-    """Good primes below the maximum exponent: good iff equal to an exponent."""
-    exps = set(g.exponents())
-    out = {}
-    for p in range(2, max(exps) + 1):
-        if all(p % d for d in range(2, p)):
-            out[p] = p in exps
-    return out

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .golden import GoldenRational, golden_sign
@@ -97,17 +98,6 @@ class RootSystem:
             return self.family
         return f"{self.family}{self.rank}"
 
-    def reflection_matrix(self, i: int) -> tuple:
-        """Matrix of the i-th simple reflection in simple-root coordinates."""
-        C = self.cartan_like_matrix
-        rows = []
-        for k in range(self.rank):
-            if k != i:
-                rows.append(tuple(_one_zero(self, k, j) for j in range(self.rank)))
-            else:
-                rows.append(tuple(_one_zero(self, k, j) - C[i][j] for j in range(self.rank)))
-        return tuple(rows)
-
     def apply_simple(self, i: int, v: Sequence) -> tuple:
         """Image of a coordinate vector under the i-th simple reflection."""
         C = self.cartan_like_matrix
@@ -137,11 +127,14 @@ class RootSystem:
             return idx + n
         raise ValueError(f"not a root: {v}")
 
-
-def _one_zero(rs: RootSystem, i: int, j: int):
-    x = rs.cartan_like_matrix[0][0]
-    one = x / x
-    return one if i == j else one * 0
+    @cached_property
+    def simple_action(self) -> tuple:
+        """simple_action[g][j] is the signed index of s_g(positive root j):
+        the one place where simple reflections are applied to the roots."""
+        return tuple(
+            tuple(self.signed_index(self.apply_simple(g, root)) for root in self.positive_roots)
+            for g in range(self.rank)
+        )
 
 
 def _cartan_and_gram(family: str, rank: int, m: Optional[int]):

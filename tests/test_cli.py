@@ -230,13 +230,14 @@ def test_verify_single_x_suite_rejects_repeated_x(capsys):
 
 
 def test_suite_flags_cover_every_suite_and_name_real_parameters():
-    from coxshuffle.cli import SUITE_FLAGS
+    from coxshuffle.cli import SUITE_FLAGS, SUITE_N_RANGE
     from coxshuffle.suites import DEFAULT_PARAMS, SUITES
 
     assert set(SUITE_FLAGS) == set(SUITES)
     for name, reads in SUITE_FLAGS.items():
         assert set(reads.values()) <= set(DEFAULT_PARAMS[name]), name
         assert ("--n" in reads) == ("--q" in reads), name
+        assert ("--n" in reads) == (name in SUITE_N_RANGE), name
 
 
 def test_verify_override_a_suite_reads_is_applied(capsys):
@@ -299,3 +300,24 @@ def test_verify_passes_only_the_overrides(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "walk_oracle", "--type", "A2")
     assert code == 0
     assert seen == [{"types": ["A2"]}]
+
+
+@pytest.mark.parametrize("argv,allowed", [
+    (("verify", "problem1", "--family", "A", "--n", "0", "--q", "3"), "--n in 2..6"),
+    (("verify", "problem1", "--family", "A", "--n", "1", "--q", "5"), "--n in 2..6"),
+    (("verify", "problem1", "--family", "B", "--n", "0", "--q", "3"), "--n in 2..4"),
+    (("verify", "reiner_counts", "--n", "5", "--q", "3"), "--n in 1..4"),
+    (("verify", "ornament_counts", "--n", "0", "--q", "3"), "--n >= 1"),
+    (("verify", "ornament_counts", "--n", "-2", "--q", "3"), "--n >= 1"),
+    (("sample", "--model", "gsr_a", "--n", "-1", "--x", "2", "--count", "2"), "--n >= 1"),
+    (("sample", "--model", "typeB_flip", "--n", "1", "--x", "3", "--compare", "exact"),
+     "--n in 2..4"),
+    (("orbits", "--family", "B", "--n", "0", "--q", "3"), "--n >= 1"),
+    (("bijection", "refine", "--n", "0", "--p", "3", "--census"), "--n >= 1"),
+    (("bijection", "refine", "--n", "5", "--p", "3", "--poly", "1,1"), "--n 1,"),
+])
+def test_n_outside_its_range_is_one_error_line(capsys, argv, allowed):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert allowed in err

@@ -1,24 +1,31 @@
-"""Intersection lattices: flats, Moebius values, characteristic polynomials."""
+"""Intersection lattices: flats, W-orbits, Moebius values, characteristic polynomials."""
 
 import dataclasses
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import coxshuffle
 from coxshuffle.golden import GoldenRational
-from coxshuffle.group import CoxeterGroup, get_group
+from coxshuffle.group import CoxeterGroup, all_subsets, get_group
 from coxshuffle.lattice import (
     build_lattice,
     coexponents,
     integer_roots,
     parabolic_mask,
+    permute_mask,
     root_line_action,
 )
 from coxshuffle.linalg import canonicalize
 from coxshuffle.measures import get_lattice, h_measure
-from coxshuffle.rootdata import parse_type
+from coxshuffle.rootdata import RootSystem, parse_type
 
 SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
              "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]
@@ -27,6 +34,7 @@ SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)"
 def permuted_b3():
     """B3 with its positive roots listed in a shuffled order."""
     rs = parse_type("B3")
+    rs.simple_action  # cached on the original; the copy must derive its own
     order = list(range(rs.n_positive))
     random.Random(5).shuffle(order)
     return dataclasses.replace(
@@ -191,19 +199,25 @@ def test_char_poly_examples():
     assert latb.char_poly(top).coefficients == (1,)
 
 
-def test_char_poly_via_subspace_argument():
-    g = get_group("B2")
-    lat = get_lattice(g)
-    full = lat.flat_subspace(lat.bottom_id())
-    assert lat.char_poly(full).coefficients == (3, -4, 1)
-    with pytest.raises(ValueError):
-        lat.char_poly(canonicalize([(Fraction(1), Fraction(3))], 2))  # not a flat
+def verify_moebius(lat, bottoms=None):
+    """Oracle: re-verify the defining recursion of mu(a, .) by summation
+    over every interval [a, b]."""
+    if bottoms is None:
+        bottoms = range(len(lat))
+    for a in bottoms:
+        mu = lat.moebius_from(a)
+        above = sorted(mu, key=lambda i: lat.ranks[i])
+        for b in above:
+            total = sum(mu[z] for z in above if lat.leq(z, b))
+            if total != (1 if b == a else 0):
+                return False
+    return True
 
 
 def test_moebius_recursion_reverified():
     for t in ("A2", "A3", "B2", "B3", "G2", "I2(6)", "H3"):
         lat = build_lattice(parse_type(t))
-        assert lat.verify_moebius()
+        assert verify_moebius(lat)
 
 
 def fresh_char_poly(lat, fid):
@@ -232,7 +246,7 @@ def test_moebius_h4_sampled_bottoms():
     g = get_group("H4")
     lat = get_lattice(g)
     bottoms = [lat.bottom_id(), 1, len(lat) // 2, lat.top_id()]
-    assert lat.verify_moebius(bottoms)
+    assert verify_moebius(lat, bottoms)
 
 
 def test_zaslavsky_chamber_count():
@@ -291,24 +305,6 @@ def test_integer_roots_helper():
     assert integer_roots((1, 1), 5) is None  # x + 1 has no root in 0..5
 
 
-def test_flat_subspaces_lie_in_their_hyperplanes():
-    g = get_group("B3")
-    lat = get_lattice(g)
-    rs = g.root_system
-    G = rs.gram
-    for fid in range(len(lat)):
-        sub = lat.flat_subspace(fid)
-        assert sub.dim == lat.flat_dim(fid)
-        for j in range(rs.n_positive):
-            if lat.masks[fid] >> j & 1:
-                root = rs.positive_roots[j]
-                functional = [
-                    sum(root[i] * G[i][jj] for i in range(rs.rank)) for jj in range(rs.rank)
-                ]
-                for v in sub.basis:
-                    assert sum(f * x for f, x in zip(functional, v)) == 0
-
-
 def test_build_rejects_oversized_arrangements():
     # 120 listed roots, but the reflections only reach the first 60
     rs = parse_type("H4")
@@ -335,3 +331,77 @@ def test_lattice_lives_with_its_group():
         assert len(lat) == len(build_lattice(parse_type(t)))
         h_measure(g, 2)
         del g, lat
+
+
+# -- the one root action and the one orbit walk ---------------------------------
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_simple_action_equals_applied_reflections(t):
+    rs = arrangement(t)
+    assert rs.simple_action == tuple(
+        tuple(rs.signed_index(rs.apply_simple(g, root)) for root in rs.positive_roots)
+        for g in range(rs.rank)
+    )
+    # decoded by coordinates, without signed_index
+    n = rs.n_positive
+    for g, row in enumerate(rs.simple_action):
+        for root, s in zip(rs.positive_roots, row):
+            image = rs.positive_roots[s % n]
+            assert (image if s < n else tuple(-x for x in image)) == rs.apply_simple(g, root)
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_orbit_ids_are_w_invariant(t):
+    rs = arrangement(t)
+    lat = build_lattice(rs)
+    perms, _ = root_line_action(rs)
+    for fid, mask in enumerate(lat.masks):
+        for p in perms:
+            assert lat.orbit_ids[lat.mask_to_id[permute_mask(mask, p)]] == lat.orbit_ids[fid]
+    assert sum(lat.orbit_sizes) == len(lat)
+    assert sorted(lat.orbit_ids) == sorted(
+        o for o, size in enumerate(lat.orbit_sizes) for _ in range(size)
+    )
+    # every subset K lies in the orbit of its standard flat, and only there
+    members = sorted(m for subsets in lat.orbit_subsets for m in subsets)
+    assert members == list(range(1 << rs.rank))
+    for o, subsets in enumerate(lat.orbit_subsets):
+        for m in subsets:
+            assert lat.orbit_ids[lat.mask_to_id[lat.standard_masks[m]]] == o
+    if t in SUPPORTED:
+        g = get_group(t)
+        reps = {g.parabolic_data(K).conjugacy_rep for K in all_subsets(g.rank)}
+        assert len(reps) == len(lat.orbit_sizes)
+
+
+@pytest.mark.parametrize("t", ["B3", "H3", "I2(5)"])
+def test_group_and_parabolic_data_read_only_the_simple_action(t, monkeypatch):
+    expect = len(build_lattice(parse_type(t)))
+    rs = parse_type(t)
+    rs.simple_action  # built once, before reflections become unavailable
+
+    def no_reflections(self, i, v):
+        raise AssertionError("apply_simple called after simple_action was built")
+
+    monkeypatch.setattr(RootSystem, "apply_simple", no_reflections)
+    g = CoxeterGroup(rs)
+    lat = g.lattice()
+    for K in all_subsets(g.rank):
+        pd = g.parabolic_data(K)
+        assert g.size % pd.normalizer_order == 0
+    assert len(lat) == expect
+
+
+def test_lattice_import_loads_no_linear_algebra_group_or_measure_code():
+    src = str(Path(coxshuffle.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "import coxshuffle.lattice\n"
+        "print(json.dumps([m for m in ('coxshuffle.linalg', 'coxshuffle.group',\n"
+        "                  'coxshuffle.measures') if m in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == []
