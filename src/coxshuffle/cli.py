@@ -21,6 +21,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
+from .gfpoly import is_prime
 from .report import exact_str
 from .suites import SUITES, run_suite
 
@@ -56,6 +57,15 @@ SUITE_N_RANGE = {
     "ornament_counts": (1, None),
 }
 
+# The family whose group each grid suite's --q must be very good for, read
+# with --n: A_{n-1} (problem1_A) or B_n.
+SUITE_Q_FAMILY = {
+    "problem1_A": "A",
+    "problem1_B": "B",
+    "reiner_counts": "B",
+    "ornament_counts": "B",
+}
+
 
 def _write_out(text: str, out: Optional[str]):
     if out:
@@ -72,6 +82,18 @@ def _check_n(n: int, least: int, greatest: Optional[int], cmd: str):
         else:
             allowed = f"{least}" if least == greatest else f"in {least}..{greatest}"
         raise ValueError(f"{cmd} needs --n {allowed}, not {n}")
+
+
+def _check_q(q: int, family: str, n: int, cmd: str, very_good: bool = True):
+    """--q is a prime (the CLI reaches no prime powers), odd for type B,
+    and with very_good, prime to n for A_{n-1}."""
+    if not is_prime(q):
+        raise ValueError(f"{cmd} needs --q a prime, not {q}")
+    if family == "B" and q == 2:
+        raise ValueError(f"{cmd} needs an odd --q: 2 is not very good for B{n}")
+    if very_good and family == "A" and n % q == 0:
+        raise ValueError(f"{cmd} needs --q prime to --n: {q} divides {n}, "
+                         f"so it is not very good for A{n - 1}")
 
 
 def _parse_x(s: str) -> Fraction:
@@ -152,6 +174,8 @@ def cmd_orbits(args) -> int:
     from .tables import emit_table
 
     _check_n(args.n, 1, None, "orbits")
+    # the orbits of a family whose q is not very good are listed all the same
+    _check_q(args.q, args.family, args.n, "orbits", very_good=False)
     text = emit_table(
         "orbits", {"family": args.family, "n": args.n, "q": args.q}, args.format
     )
@@ -219,6 +243,7 @@ def cmd_verify(args) -> int:
         return 2
     if args.n is not None:
         _check_n(args.n, *SUITE_N_RANGE[name], f"verify {name}")
+        _check_q(args.q, SUITE_Q_FAMILY[name], args.n, f"verify {name}")
     overrides = {}
     if args.type:
         overrides["types"] = args.type

@@ -18,10 +18,15 @@ and the subsets whose standard flat lies in it; the group's parabolic data
 (normalizer order |W| / |orbit|, the count and representative of the
 equivalent subsets) is read from these.  The module does no linear
 algebra: flats are masks, never subspaces.
+
+mu(V, Y) is W-invariant, so the Moebius recursion from the bottom flat V
+runs once per W-orbit of flats, at each orbit's standard flat, and is then
+read off by orbit id; from any other bottom it runs once per flat above it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
@@ -164,23 +169,46 @@ class IntersectionLattice:
         return max(range(len(self.flats)), key=lambda i: self.ranks[i])
 
     def moebius_from(self, bottom: int) -> Dict[int, int]:
-        """mu(bottom, Y) for every flat Y >= bottom."""
+        """mu(bottom, Y) for every flat Y >= bottom: once per W-orbit of flats
+        from V, per flat from any other bottom."""
         cached = self._moebius.get(bottom)
         if cached is None:
-            # flats are sorted by rank, so every flat below Y precedes it
-            bmask = self.masks[bottom]
-            cached = {}
-            masks: List[int] = []
-            mus: List[int] = []
-            for i, mi in enumerate(self.masks):
-                if mi & bmask != bmask:
-                    continue
-                mu = 1 if i == bottom else -sum(m for mz, m in zip(masks, mus) if mz & mi == mz)
-                masks.append(mi)
-                mus.append(mu)
-                cached[i] = mu
+            if bottom == self.bottom_id():
+                cached = self._moebius_by_orbit()
+            else:
+                cached = self._moebius_by_flat(bottom)
             self._moebius[bottom] = cached
         return cached
+
+    def _moebius_by_flat(self, bottom: int) -> Dict[int, int]:
+        # flats are sorted by rank, so every flat below Y precedes it
+        bmask = self.masks[bottom]
+        out = {}
+        masks: List[int] = []
+        mus: List[int] = []
+        for i, mi in enumerate(self.masks):
+            if mi & bmask != bmask:
+                continue
+            mu = 1 if i == bottom else -sum(m for mz, m in zip(masks, mus) if mz & mi == mz)
+            masks.append(mi)
+            mus.append(mu)
+            out[i] = mu
+        return out
+
+    def _moebius_by_orbit(self) -> Dict[int, int]:
+        # one standard flat per orbit; flat ids ascend by rank, so taking the
+        # orbits by that flat's id sets each orbit's value before it is read
+        reps = [self.mask_to_id[self.standard_masks[subsets[0]]] for subsets in self.orbit_subsets]
+        orbit_mu = [0] * len(reps)
+        for u in sorted(range(len(reps)), key=reps.__getitem__):
+            rep = self.masks[reps[u]]
+            below = bisect_left(self.ranks, self.ranks[reps[u]])
+            orbit_mu[u] = 1 if rep == 0 else -sum(
+                orbit_mu[t]
+                for mz, t in zip(self.masks[:below], self.orbit_ids[:below])
+                if mz & rep == mz
+            )
+        return {i: orbit_mu[t] for i, t in enumerate(self.orbit_ids)}
 
     def moebius(self, a: int, b: int) -> int:
         if not self.leq(a, b):

@@ -306,8 +306,12 @@ def _normal_coordinates(ext: FqContext, q: int, m: int, beta) -> List[int]:
     return [aug[i][m] % q for i in range(m)]
 
 
-def _roots_in_extension(phi: FqPoly, ext: FqContext) -> list:
-    return [a for a in ext.elements() if ext.is_zero(phi.eval_in(ext, a))]
+def _first_root_in_extension(phi: FqPoly, ext: FqContext):
+    """The first root of phi in ``ext.elements()`` order."""
+    for a in ext.elements():
+        if ext.is_zero(phi.eval_in(ext, a)):
+            return a
+    raise RuntimeError(f"{phi} has no root in GF({ext.order})")
 
 
 def normal_basis_encode(phi: FqPoly) -> tuple:
@@ -320,7 +324,7 @@ def normal_basis_encode(phi: FqPoly) -> tuple:
     if not is_irreducible(phi):
         raise ValueError("polynomial is not irreducible")
     ext = FqContext.get(p, i)
-    beta = _roots_in_extension(phi, ext)[0]
+    beta = _first_root_in_extension(phi, ext)
     coords = _normal_coordinates(ext, p, i, beta)
     canon, primitive = canonicalize_necklace("plain", tuple(coords))
     if not primitive:
@@ -344,7 +348,7 @@ def golomb_encode(phi: FqPoly, beta=None) -> tuple:
         beta = ext.generator()
     elif not ext.is_generator(beta):
         raise ValueError("beta does not generate the multiplicative group")
-    root = _roots_in_extension(phi, ext)[0]
+    root = _first_root_in_extension(phi, ext)
     x = ext.dlog(root, beta)
     digits = []
     for _ in range(i):
@@ -385,7 +389,7 @@ def ornament_from_polynomial(f: FqPoly, q: int) -> SignedOrnament:
             done.add(star)
             rep = min(phi, star)
             ext = FqContext.get(q, deg)
-            beta = _roots_in_extension(rep, ext)[0]
+            beta = _first_root_in_extension(rep, ext)
             coords = _normal_coordinates(ext, q, deg, beta)
             word = tuple(_lift_symmetric(c, q) for c in coords)
             canon, primitive = canonicalize_necklace("blinking", word)
@@ -397,7 +401,7 @@ def ornament_from_polynomial(f: FqPoly, q: int) -> SignedOrnament:
             r, s = divmod(k, 2)
             m = deg // 2
             ext = FqContext.get(q, deg)
-            beta = _roots_in_extension(phi, ext)[0]
+            beta = _first_root_in_extension(phi, ext)
             coords = _normal_coordinates(ext, q, deg, beta)
             if any((coords[j] + coords[j + m]) % q for j in range(m)):
                 raise RuntimeError("second half of a self-conjugate root is not negated")

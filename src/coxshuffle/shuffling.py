@@ -1,4 +1,4 @@
-"""Physical card-shuffling samplers and their exact laws.
+"""Physical card-shuffling samplers and their empirical laws.
 
 Both models first build the shuffled deck (the "forward" physical shuffle)
 and then return the inverse group element, whose law is the shuffling
@@ -12,13 +12,14 @@ measure:
 A pile word u in {0..piles-1}^n drawn uniformly is equivalent to the
 multinomial cut plus the uniform interleaving: position j of the shuffled
 deck takes the next card of pile u[j].  That makes exhaustive enumeration
-of the exact law trivial, which is how the samplers are validated.
+of the exact law trivial, which is how the tests validate the samplers, and
+lets the empirical law deal each of the at most piles^n words once.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -56,49 +57,44 @@ def _invert_signed(one_line: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _flip_even(model: str, param: int) -> bool:
+    """Whether the model flips its even-numbered piles; ValueError for an
+    unknown model or a pile count it does not take."""
+    if model == "gsr_a":
+        if param < 1:
+            raise ValueError("pile count must be >= 1")
+        return False
+    if model == "typeB_flip":
+        if param < 1 or param % 2 == 0:
+            raise ValueError("pile count must be odd and >= 1")
+        return True
+    raise ValueError(f"unknown shuffle model {model!r}")
+
+
 def sample_shuffle(
     model: str, n: int, param: int, rng: Optional[random.Random] = None, seed=None
 ) -> Tuple[int, ...]:
     """One sample: a permutation (gsr_a) or signed permutation (typeB_flip)
     in one-line form, distributed by the shuffling measure at x = param."""
+    flip = _flip_even(model, param)
     if rng is None:
         rng = random.Random(seed)
-    if model == "gsr_a":
-        if param < 1:
-            raise ValueError("pile count must be >= 1")
-        word = tuple(rng.randrange(param) for _ in range(n))
-        return _invert_signed(_deal(n, param, word, flip_even=False))
-    if model == "typeB_flip":
-        if param < 1 or param % 2 == 0:
-            raise ValueError("pile count must be odd and >= 1")
-        word = tuple(rng.randrange(param) for _ in range(n))
-        return _invert_signed(_deal(n, param, word, flip_even=True))
-    raise ValueError(f"unknown shuffle model {model!r}")
-
-
-def exact_shuffle_law(model: str, n: int, param: int) -> Dict[Tuple[int, ...], Fraction]:
-    """Law of one sample, by exhaustive enumeration of all param**n pile words."""
-    flip = model == "typeB_flip"
-    if model not in ("gsr_a", "typeB_flip"):
-        raise ValueError(f"unknown shuffle model {model!r}")
-    if flip and param % 2 == 0:
-        raise ValueError("pile count must be odd")
-    total = param**n
-    law: Dict[Tuple[int, ...], Fraction] = {}
-    for word in itertools.product(range(param), repeat=n):
-        w = _invert_signed(_deal(n, param, word, flip_even=flip))
-        law[w] = law.get(w, Fraction(0)) + Fraction(1, total)
-    return law
+    word = tuple(rng.randrange(param) for _ in range(n))
+    return _invert_signed(_deal(n, param, word, flip))
 
 
 def empirical_law(
     model: str, n: int, param: int, count: int, seed: int
 ) -> Dict[Tuple[int, ...], Fraction]:
+    """Law of ``count`` samples drawn as ``sample_shuffle`` draws them from
+    one ``random.Random(seed)``; each distinct pile word is dealt once."""
+    flip = _flip_even(model, param)
     rng = random.Random(seed)
+    words = Counter(tuple(rng.randrange(param) for _ in range(n)) for _ in range(count))
     counts: Dict[Tuple[int, ...], int] = {}
-    for _ in range(count):
-        w = sample_shuffle(model, n, param, rng=rng)
-        counts[w] = counts.get(w, 0) + 1
+    for word, c in words.items():
+        w = _invert_signed(_deal(n, param, word, flip))
+        counts[w] = counts.get(w, 0) + c
     return {w: Fraction(c, count) for w, c in counts.items()}
 
 

@@ -230,7 +230,7 @@ def test_verify_single_x_suite_rejects_repeated_x(capsys):
 
 
 def test_suite_flags_cover_every_suite_and_name_real_parameters():
-    from coxshuffle.cli import SUITE_FLAGS, SUITE_N_RANGE
+    from coxshuffle.cli import SUITE_FLAGS, SUITE_N_RANGE, SUITE_Q_FAMILY
     from coxshuffle.suites import DEFAULT_PARAMS, SUITES
 
     assert set(SUITE_FLAGS) == set(SUITES)
@@ -238,6 +238,7 @@ def test_suite_flags_cover_every_suite_and_name_real_parameters():
         assert set(reads.values()) <= set(DEFAULT_PARAMS[name]), name
         assert ("--n" in reads) == ("--q" in reads), name
         assert ("--n" in reads) == (name in SUITE_N_RANGE), name
+        assert ("--q" in reads) == (name in SUITE_Q_FAMILY), name
 
 
 def test_verify_override_a_suite_reads_is_applied(capsys):
@@ -321,3 +322,38 @@ def test_n_outside_its_range_is_one_error_line(capsys, argv, allowed):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert allowed in err
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (("verify", "problem1", "--family", "A", "--n", "3", "--q", "9"), "--q a prime, not 9"),
+    (("verify", "problem1", "--family", "A", "--n", "3", "--q", "3"),
+     "--q prime to --n: 3 divides 3, so it is not very good for A2"),
+    (("verify", "problem1", "--family", "A", "--n", "4", "--q", "2"), "not very good for A3"),
+    (("verify", "problem1", "--family", "B", "--n", "2", "--q", "2"), "an odd --q"),
+    (("verify", "problem1", "--family", "B", "--n", "2", "--q", "1"), "--q a prime, not 1"),
+    (("verify", "reiner_counts", "--n", "2", "--q", "9"), "--q a prime, not 9"),
+    (("verify", "ornament_counts", "--n", "2", "--q", "2"), "an odd --q"),
+    (("orbits", "--family", "A", "--n", "3", "--q", "4"), "--q a prime, not 4"),
+    (("orbits", "--family", "B", "--n", "2", "--q", "2"), "an odd --q"),
+])
+def test_q_not_prime_or_not_very_good_is_one_error_line(capsys, argv, needs):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert needs in err
+
+
+def test_orbits_list_a_family_whose_q_is_not_very_good(capsys):
+    code, out, _ = run_cli(capsys, "orbits", "--family", "A", "--n", "3", "--q", "3")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 3**2
+
+
+def test_default_grids_have_very_good_q():
+    from coxshuffle.cli import SUITE_N_RANGE, SUITE_Q_FAMILY, _check_n, _check_q
+    from coxshuffle.suites import DEFAULT_PARAMS
+
+    for name, family in SUITE_Q_FAMILY.items():
+        for n, q in DEFAULT_PARAMS[name]["grid"]:
+            _check_n(n, *SUITE_N_RANGE[name], name)
+            _check_q(q, family, n, name)

@@ -214,6 +214,32 @@ def verify_moebius(lat, bottoms=None):
     return True
 
 
+def per_flat_moebius(lat, bottom):
+    """Oracle: mu(bottom, Y) by the defining recursion at every flat Y above
+    bottom, flats taken in rank order."""
+    bmask = lat.masks[bottom]
+    mu = {}
+    for y, my in enumerate(lat.masks):
+        if my & bmask == bmask:
+            mu[y] = 1 if y == bottom else -sum(
+                m for z, m in mu.items() if lat.masks[z] & my == lat.masks[z]
+            )
+    return mu
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_moebius_from_v_by_orbit_equals_per_flat_oracle(t):
+    lat = build_lattice(arrangement(t))
+    v = lat.bottom_id()
+    oracle = per_flat_moebius(lat, v)
+    mu = lat.moebius_from(v)
+    assert list(mu.items()) == list(oracle.items())
+    coeffs = [0] * (lat.flat_dim(v) + 1)
+    for y, m in oracle.items():
+        coeffs[lat.flat_dim(y)] += m
+    assert lat.char_poly(v).coefficients == tuple(coeffs)
+
+
 def test_moebius_recursion_reverified():
     for t in ("A2", "A3", "B2", "B3", "G2", "I2(6)", "H3"):
         lat = build_lattice(parse_type(t))

@@ -24,7 +24,7 @@ from coxshuffle.measures import (
     uniform_chamber_weights,
 )
 from coxshuffle.rootdata import parse_type
-from coxshuffle.shuffling import exact_shuffle_law
+from test_shuffling import exact_shuffle_law
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
                "I2(2)", "I2(5)", "I2(6)", "I2(10)", "D4"]

@@ -9,6 +9,7 @@ import pytest
 from coxshuffle.gfpoly import FqContext, FqPoly, irreducibles, monic_polys
 from coxshuffle.group import get_group
 from coxshuffle.necklaces import (
+    _first_root_in_extension,
     canonicalize_necklace,
     count_signed_ornaments,
     cycles_string,
@@ -25,6 +26,22 @@ from coxshuffle.necklaces import (
     s_vector_count_brute,
 )
 from coxshuffle.orbits import enumerate_orbits, orbit_family, phi_map
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_first_root_is_first_of_brute_force_roots(p, degree):
+    ext = FqContext.get(p, degree)
+    for phi in irreducibles(FqContext.get(p), degree):
+        roots = [a for a in ext.elements() if ext.is_zero(phi.eval_in(ext, a))]
+        assert len(roots) == degree, phi
+        assert _first_root_in_extension(phi, ext) == roots[0], phi
+
+
+def test_first_root_raises_without_a_root():
+    phi = irreducibles(FqContext.get(3), 3)[0]
+    with pytest.raises(RuntimeError, match="no root in GF\\(9\\)"):
+        _first_root_in_extension(phi, FqContext.get(3, 2))
 
 
 def test_plain_primitivity_examples():

@@ -1,5 +1,7 @@
 """Physical samplers: exact laws by enumeration, determinism, statistics."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,11 +9,36 @@ import pytest
 from coxshuffle.group import get_group
 from coxshuffle.measures import h_measure
 from coxshuffle.shuffling import (
+    _deal,
+    _flip_even,
+    _invert_signed,
     empirical_law,
-    exact_shuffle_law,
     sample_shuffle,
     tv_distance,
 )
+
+
+def exact_shuffle_law(model, n, param):
+    """Oracle: law of one sample, by exhaustive enumeration of all param**n
+    pile words."""
+    flip = _flip_even(model, param)
+    total = param**n
+    law = {}
+    for word in itertools.product(range(param), repeat=n):
+        w = _invert_signed(_deal(n, param, word, flip_even=flip))
+        law[w] = law.get(w, Fraction(0)) + Fraction(1, total)
+    return law
+
+
+def per_sample_law(model, n, param, count, seed):
+    """Oracle: the empirical law as ``count`` calls of ``sample_shuffle`` on
+    one generator, each sample dealt on its own."""
+    rng = random.Random(seed)
+    counts = {}
+    for _ in range(count):
+        w = sample_shuffle(model, n, param, rng=rng)
+        counts[w] = counts.get(w, 0) + 1
+    return {w: Fraction(c, count) for w, c in counts.items()}
 
 
 @pytest.mark.parametrize(
@@ -32,6 +59,37 @@ def test_exact_law_equals_measure(model, n, x, t):
     m = h_measure(g, x, "closed_form")
     for i in range(g.size):
         assert law.get(g.one_line[i], Fraction(0)) == m.value(i)
+
+
+@pytest.mark.parametrize("model,n,x", [
+    *(("gsr_a", n, x) for n in (2, 3, 4) for x in (2, 3)),
+    *(("typeB_flip", n, x) for n in (2, 3) for x in (1, 3)),
+])
+@pytest.mark.parametrize("seed", range(5))
+def test_empirical_law_equals_per_sample_loop(model, n, x, seed):
+    emp = empirical_law(model, n, x, 500, seed)
+    oracle = per_sample_law(model, n, x, 500, seed)
+    assert emp == oracle
+    assert list(emp) == list(oracle)  # same order of first appearance
+
+
+class NoDraws(random.Random):
+    def randrange(self, *args):
+        raise AssertionError("drew before checking the arguments")
+
+
+@pytest.mark.parametrize("model,x,message", [
+    ("gsr_a", 0, "pile count must be >= 1"),
+    ("typeB_flip", 2, "pile count must be odd and >= 1"),
+    ("typeB_flip", -1, "pile count must be odd and >= 1"),
+    ("overhand", 2, "unknown shuffle model 'overhand'"),
+])
+def test_bad_arguments_rejected_before_any_draw(model, x, message, monkeypatch):
+    with pytest.raises(ValueError, match=message):
+        sample_shuffle(model, 3, x, rng=NoDraws())
+    monkeypatch.setattr(random, "Random", NoDraws)
+    with pytest.raises(ValueError, match=message):
+        empirical_law(model, 3, x, 10, seed=0)
 
 
 def test_trivial_samplers():
