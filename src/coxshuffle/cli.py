@@ -137,10 +137,14 @@ def cmd_sample(args) -> int:
 
     from .group import get_group
     from .measures import h_measure
-    from .shuffling import empirical_law, sample_shuffle, tv_distance
+    from .shuffling import _flip_even, empirical_law, sample_shuffle, tv_distance
 
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
+    try:
+        _flip_even(args.model, args.x)
+    except ValueError as exc:
+        raise ValueError(f"sample --model {args.model} --x {args.x}: {exc}") from None
     # an exact comparison needs the group A_{n-1} or B_n
     n_range = {"gsr_a": (2, 6), "typeB_flip": (2, 4)}[args.model] if args.compare else (1, None)
     _check_n(args.n, *n_range, f"sample --model {args.model}")
@@ -195,6 +199,8 @@ def cmd_bijection(args) -> int:
     from .gfpoly import FqContext, FqPoly, monic_polys
 
     _check_n(args.n, 1, None, "bijection refine")
+    if not is_prime(args.p):
+        raise ValueError(f"bijection refine needs --p a prime, not {args.p}")
     ctx = FqContext.get(args.p)
     if args.census:
         counts = {}

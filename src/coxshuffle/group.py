@@ -3,23 +3,30 @@
 Elements act faithfully on the signed roots, so each element is keyed by
 its root permutation packed into bytes; composition is then a single
 ``bytes.translate`` call.  Breadth-first closure from the simple
-reflections yields lengths; descent sets come from testing which simple
-roots an element sends negative.  Reflection-representation matrices are
-exact and computed on demand (for H4, materializing all 14400 4x4 golden
-matrices up front would cost tens of MB; the byte keys cost 3.5 MB).
+reflections yields the elements in length order, the right products by
+the generators (``rmult``), and a tree: each element j is found as
+``parent[j] * s_{gen_of[j]}``, with its parent earlier in index order.  The
+left products and the inverses are then one lookup per element along that
+tree, s_h w_j = (s_h w_parent) s_g and w_j^-1 = s_g w_parent^-1, with no
+byte key composed or inverted.  Descent sets come from testing which
+simple roots an element sends negative.  Reflection-representation
+matrices are exact and computed on demand (for H4, materializing all
+14400 4x4 golden matrices up front would cost tens of MB; the byte keys
+cost 3.5 MB).
 
-Conjugacy classes, standard-parabolic data (normalizer orders, equivalent
-subsets, fixed spaces), coset minima with their per-element masks, the
+Conjugacy classes, standard-parabolic data (subgroup and normalizer
+orders, equivalent subsets), the per-element coset-minimum masks, the
 descent counts of each class, the structure constants of the descent
 algebra, the per-element keys of each kind of measure value table with
 their counts (``measure_keys``), and the exponents (extracted from the
-length generating function) all live here, each built once on first use.
-The intersection lattice of the group's arrangement is built on first use
-and kept with the group.  Standard parabolic masks and the orbit part of
-the parabolic data are read from the lattice's W-orbits of flats: the
-normalizer of W_K is the stabilizer of its flat, of order |W| / |orbit|,
-and the subsets equivalent to K are those whose standard flat lies in the
-same orbit.  The generators' byte keys come from
+length generating function) all live here, each built once on first use;
+the coset minima of one W_K are computed on each call, since only the
+masks are kept.  The intersection lattice of the group's arrangement is
+built on first use and kept with the group.  Standard parabolic masks and
+the orbit part of the parabolic data are read from the lattice's W-orbits
+of flats: the normalizer of W_K is the stabilizer of its flat, of order
+|W| / |orbit|, and the subsets equivalent to K are those whose standard
+flat lies in the same orbit.  The generators' byte keys come from
 ``RootSystem.simple_action``.
 """
 
@@ -32,7 +39,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .labels import ClassLabel
 from .lattice import IntersectionLattice, build_lattice
-from .linalg import Subspace, nullspace
 from .rootdata import RootSystem
 
 
@@ -47,7 +53,6 @@ class ConjugacyClass:
 class ParabolicData:
     K: frozenset
     subgroup_order: int
-    fixed_space: Subspace
     normalizer_order: int
     lambda_count: int
     conjugacy_rep: tuple
@@ -64,7 +69,6 @@ class CoxeterGroup:
         self._class_of: Optional[List[int]] = None
         self._parabolic: Dict[frozenset, ParabolicData] = {}
         self._subgroups: Dict[frozenset, tuple] = {}
-        self._minreps: Dict[frozenset, list] = {}
         self._minrep_masks: Optional[Tuple[List[int], Counter]] = None
         self._class_descents: Optional[List[Counter]] = None
         self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
@@ -123,20 +127,17 @@ class CoxeterGroup:
                 f"{rs.type_name()}: enumerated {size} elements, expected {rs.group_order}"
             )
 
-        lmult: List[List[int]] = [[0] * size for _ in range(r)]
-        for g in range(r):
-            tg = tables[index[gen_keys[g]]]
-            lg = lmult[g]
-            for i in range(size):
-                lg[i] = index[keys[i].translate(tg)]
-
-        inverse = [0] * size
-        for i in range(size):
-            k = keys[i]
-            inv = bytearray(m)
-            for a in range(m):
-                inv[k[a]] = a
-            inverse[i] = index[bytes(inv)]
+        # element j is parent[j] * s_{gen_of[j]}, and parents come first, so
+        # s_h * w_j = (s_h * w_parent) * s_g and w_j^-1 = s_g * w_parent^-1
+        lmult: List[List[int]] = []
+        for h in range(r):
+            lh = [rmult[h][0]]
+            for p, g in zip(parent[1:], gen_of[1:]):
+                lh.append(rmult[g][lh[p]])
+            lmult.append(lh)
+        inverse = [0]
+        for p, g in zip(parent[1:], gen_of[1:]):
+            inverse.append(lmult[g][inverse[p]])
 
         descent_mask = [0] * size
         for i in range(size):
@@ -159,13 +160,15 @@ class CoxeterGroup:
         self.lmult = lmult
         self.inverse = inverse
         self.descent_mask = descent_mask
-        self.by_length = sorted(range(size), key=lambda i: (length[i], i))
+        # breadth-first discovery is in length order; a list, so that the
+        # indices coset_minreps stores are these int objects, not fresh ones
+        self.by_length = list(range(size))
         self.one_line = self._build_one_line()
 
-        longest = max(range(size), key=lambda i: length[i])
+        longest = size - 1
         if length[longest] != n_pos or descent_mask[longest] != (1 << rs.rank) - 1:
             raise RuntimeError("longest element is inconsistent")
-        if sum(1 for i in range(size) if descent_mask[i] == 0) != 1:
+        if descent_mask.count(0) != 1:
             raise RuntimeError("identity descent set is not unique")
         self.longest_index = longest
 
@@ -181,9 +184,7 @@ class CoxeterGroup:
             return None
         lines = [None] * self.size
         lines[0] = tuple(range(1, n + 1))
-        for i in self.by_length:
-            if i == 0:
-                continue
+        for i in range(1, self.size):
             p, g = self.parent[i], self.gen_of[i]
             base = list(lines[p])
             if flip and g == rs.rank - 1:
@@ -319,12 +320,7 @@ class CoxeterGroup:
         cached = self._parabolic.get(K)
         if cached is not None:
             return cached
-        rs = self.root_system
         sub_order = len(self.subgroup_elements(K))
-        rows = [rs.cartan_like_matrix[i] for i in sorted(K)]
-        one = rs.cartan_like_matrix[0][0] / rs.cartan_like_matrix[0][0]
-        fixed = nullspace(rows, rs.rank, one=one)
-
         # the stabilizer of the standard flat is the normalizer of W_K, so its
         # order is |W| / |orbit|; the subsets equivalent to K share the orbit
         lat = self.lattice()
@@ -335,7 +331,6 @@ class CoxeterGroup:
         data = ParabolicData(
             K=K,
             subgroup_order=sub_order,
-            fixed_space=fixed,
             normalizer_order=self.size // lat.orbit_sizes[orbit],
             lambda_count=len(equivalent),
             conjugacy_rep=equivalent[0],
@@ -345,30 +340,26 @@ class CoxeterGroup:
 
     def coset_minreps(self, K: Iterable[int]) -> list:
         """For each element, the minimal-length element of its coset w*W_K."""
-        K = frozenset(K)
-        cached = self._minreps.get(K)
-        if cached is None:
-            # each coset is the orbit of any member under right multiplication
-            # by K's generators; its first member in length order is the minimum
-            gens = [self.rmult[g] for g in sorted(K)]
-            length = self.length
-            cached = [-1] * self.size
-            for seed in self.by_length:
-                if cached[seed] >= 0:
-                    continue
-                cached[seed] = seed
-                stack = [seed]
-                while stack:
-                    i = stack.pop()
-                    for rg in gens:
-                        j = rg[i]
-                        if cached[j] < 0:
-                            if length[j] <= length[seed]:
-                                raise AssertionError("coset minimum is not unique")
-                            cached[j] = seed
-                            stack.append(j)
-            self._minreps[K] = cached
-        return cached
+        # each coset is the orbit of any member under right multiplication by
+        # K's generators; its first member in length order is the minimum
+        gens = [self.rmult[g] for g in sorted(frozenset(K))]
+        length = self.length
+        reps = [-1] * self.size
+        for seed in self.by_length:
+            if reps[seed] >= 0:
+                continue
+            reps[seed] = seed
+            stack = [seed]
+            while stack:
+                i = stack.pop()
+                for rg in gens:
+                    j = rg[i]
+                    if reps[j] < 0:
+                        if length[j] <= length[seed]:
+                            raise AssertionError("coset minimum is not unique")
+                        reps[j] = seed
+                        stack.append(j)
+        return reps
 
     def minrep_masks(self) -> Tuple[List[int], Counter]:
         """Per element, the mask of the subsets K (bit k for the k-th

@@ -129,8 +129,9 @@ class RootSystem:
 
     @cached_property
     def simple_action(self) -> tuple:
-        """simple_action[g][j] is the signed index of s_g(positive root j):
-        the one place where simple reflections are applied to the roots."""
+        """simple_action[g][j] is the signed index of s_g(positive root j).
+        ``build_root_system`` stores it from the closure that finds the
+        roots; a copy made with ``dataclasses.replace`` derives it here."""
         return tuple(
             tuple(self.signed_index(self.apply_simple(g, root)) for root in self.positive_roots)
             for g in range(self.rank)
@@ -266,23 +267,32 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         positive_roots=(),
     )
 
-    # closure of the simple roots under all simple reflections
+    # closure of the simple roots under all simple reflections; the positive
+    # roots pass through the frontier once each, in index order, so row i of
+    # images lists s_i of every positive root in order, as (index, negated)
     positives: List[tuple] = list(simple)
-    seen = set(positives)
+    index = {v: i for i, v in enumerate(positives)}
+    images: List[List[tuple]] = [[] for _ in range(rank)]
     frontier = list(simple)
     while frontier:
         new = []
         for v in frontier:
             for i in range(rank):
                 w = rs_stub.apply_simple(i, v)
-                if w in seen:
+                j = index.get(w)
+                if j is not None:
+                    images[i].append((j, False))
                     continue
                 neg = tuple(-x for x in w)
-                if neg in seen:
+                j = index.get(neg)
+                if j is not None:
+                    images[i].append((j, True))
                     continue
-                if rs_stub.root_sign(w) < 0:
+                negated = rs_stub.root_sign(w) < 0
+                if negated:
                     w = neg
-                seen.add(w)
+                index[w] = len(positives)
+                images[i].append((len(positives), negated))
                 positives.append(w)
                 new.append(w)
         frontier = new
@@ -293,8 +303,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             f"{family}{rank}: found {len(positives)} positive roots, expected {n_expected}"
         )
 
-    index = {v: i for i, v in enumerate(positives)}
-    return RootSystem(
+    rs = RootSystem(
         family=family,
         rank=rank,
         m_param=m,
@@ -305,6 +314,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         positive_roots=tuple(positives),
         root_index=index,
     )
+    # the cached property's slot; a dataclasses.replace copy derives its own
+    n = len(positives)
+    rs.__dict__["simple_action"] = tuple(
+        tuple(j + n if negated else j for j, negated in row) for row in images
+    )
+    return rs
 
 
 def parse_type(name: str) -> RootSystem:

@@ -14,36 +14,50 @@ multinomial cut plus the uniform interleaving: position j of the shuffled
 deck takes the next card of pile u[j].  That makes exhaustive enumeration
 of the exact law trivial, which is how the tests validate the samplers, and
 lets the empirical law deal each of the at most piles^n words once.
+
+``sample_shuffle`` draws each pile with ``rng.randrange(piles)``.  The
+empirical law reads the same values from the same Mersenne Twister stream
+a block at a time, with no Python call per draw.  It rests on three facts
+of CPython's ``random.Random``:
+
+  * ``randrange(p)`` returns the first ``getrandbits(k)`` below p, where
+    k = p.bit_length();
+  * ``getrandbits(k)`` with k <= 32 is the top k bits of one 32-bit output;
+  * ``getrandbits(32 * N)`` holds the next N outputs, the first in the
+    lowest 32 bits.
+
+So every pile count below 2**32 takes one path: shift each output right
+by 32 - k and keep the values below p.  The tests check the equality
+against the per-sample loop on the running interpreter.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from itertools import chain, islice, repeat
+from operator import rshift
+from typing import Dict, Iterator, Optional, Tuple
+
+# 32-bit outputs per block of the empirical law's draw (16 KB)
+_BLOCK = 4096
 
 
-def _deal(n: int, piles: int, word: Tuple[int, ...], flip_even: bool) -> Tuple[int, ...]:
+def _deal(word: Tuple[int, ...], flip_even: bool) -> Tuple[int, ...]:
     """Shuffled deck (signed cards if flip_even) produced by a pile word."""
-    sizes = [0] * piles
-    for d in word:
-        sizes[d] += 1
-    start = [0] * piles
-    for p in range(1, piles):
-        start[p] = start[p - 1] + sizes[p - 1]
-    piles_content = []
-    for p in range(piles):
-        cards = list(range(start[p] + 1, start[p] + sizes[p] + 1))
+    sizes = Counter(word)
+    cards = {}
+    top = 0
+    for p in sorted(sizes):  # only the piles the word uses hold cards
+        pile = range(top + 1, top + sizes[p] + 1)
+        top += sizes[p]
         if flip_even and p % 2 == 1:  # pile number p+1 is even
-            cards = [-c for c in reversed(cards)]
-        piles_content.append(cards)
-    nxt = [0] * piles
-    deck = []
-    for d in word:
-        deck.append(piles_content[d][nxt[d]])
-        nxt[d] += 1
-    return tuple(deck)
+            pile = [-c for c in reversed(pile)]
+        cards[p] = iter(pile)
+    return tuple(next(cards[d]) for d in word)
 
 
 def _invert_signed(one_line: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -63,12 +77,16 @@ def _flip_even(model: str, param: int) -> bool:
     if model == "gsr_a":
         if param < 1:
             raise ValueError("pile count must be >= 1")
-        return False
-    if model == "typeB_flip":
+        flip = False
+    elif model == "typeB_flip":
         if param < 1 or param % 2 == 0:
             raise ValueError("pile count must be odd and >= 1")
-        return True
-    raise ValueError(f"unknown shuffle model {model!r}")
+        flip = True
+    else:
+        raise ValueError(f"unknown shuffle model {model!r}")
+    if param >= 1 << 32:  # empirical_law reads each draw from one 32-bit output
+        raise ValueError("pile count must be below 2**32")
+    return flip
 
 
 def sample_shuffle(
@@ -80,7 +98,17 @@ def sample_shuffle(
     if rng is None:
         rng = random.Random(seed)
     word = tuple(rng.randrange(param) for _ in range(n))
-    return _invert_signed(_deal(n, param, word, flip))
+    return _invert_signed(_deal(word, flip))
+
+
+def _output_blocks(rng: random.Random) -> Iterator[array]:
+    """The generator's 32-bit outputs in order, _BLOCK at a time:
+    ``getrandbits(32 * N)`` holds the next N outputs, the first lowest."""
+    while True:
+        block = array("I", rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little"))
+        if sys.byteorder == "big":
+            block.byteswap()
+        yield block
 
 
 def empirical_law(
@@ -89,11 +117,15 @@ def empirical_law(
     """Law of ``count`` samples drawn as ``sample_shuffle`` draws them from
     one ``random.Random(seed)``; each distinct pile word is dealt once."""
     flip = _flip_even(model, param)
-    rng = random.Random(seed)
-    words = Counter(tuple(rng.randrange(param) for _ in range(n)) for _ in range(count))
+    if count < 1:
+        raise ValueError(f"sample count must be >= 1, not {count}")
+    # each rng.randrange(param) is the next output's top k bits that fall below param
+    outputs = chain.from_iterable(_output_blocks(random.Random(seed)))
+    draws = filter(param.__gt__, map(rshift, outputs, repeat(32 - param.bit_length())))
+    words = Counter(islice(zip(*[draws] * n), count) if n > 0 else repeat((), count))
     counts: Dict[Tuple[int, ...], int] = {}
     for word, c in words.items():
-        w = _invert_signed(_deal(n, param, word, flip))
+        w = _invert_signed(_deal(word, flip))
         counts[w] = counts.get(w, 0) + c
     return {w: Fraction(c, count) for w, c in counts.items()}
 

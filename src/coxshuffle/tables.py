@@ -10,8 +10,10 @@ from typing import Dict, List, Sequence
 from .gfpoly import factor
 from .golden import format_scalar
 from .group import CoxeterGroup
+from .linalg import Subspace, nullspace
 from .measures import get_lattice, h_measure
 from .orbits import OrbitFamily, enumerate_orbits, phi_map
+from .rootdata import RootSystem
 
 
 def _emit(rows: List[dict], fieldnames: Sequence[str], fmt: str) -> str:
@@ -53,18 +55,27 @@ def classes_table(g: CoxeterGroup, fmt: str = "csv") -> str:
     return _emit(rows, ["class_label", "size", "representative", "rep_length"], fmt)
 
 
+def fixed_space(rs: RootSystem, K) -> Subspace:
+    """The subspace fixed by the standard parabolic W_K, in simple-root
+    coordinates: the common kernel of the Cartan-like rows indexed by K."""
+    rows = [rs.cartan_like_matrix[i] for i in sorted(K)]
+    one = rs.cartan_like_matrix[0][0] / rs.cartan_like_matrix[0][0]
+    return nullspace(rows, rs.rank, one=one)
+
+
 def parabolics_table(g: CoxeterGroup, fmt: str = "csv") -> str:
     rows = []
     for m in range(1 << g.rank):
         K = frozenset(i for i in range(g.rank) if m >> i & 1)
         pd = g.parabolic_data(K)
+        fixed = fixed_space(g.root_system, K)
         rows.append(
             {
                 "K": " ".join(str(i + 1) for i in sorted(K)),
                 "subgroup_order": pd.subgroup_order,
-                "fixed_dim": pd.fixed_space.dim,
+                "fixed_dim": fixed.dim,
                 "fixed_basis": ";".join(
-                    " ".join(format_scalar(x) for x in row) for row in pd.fixed_space.basis
+                    " ".join(format_scalar(x) for x in row) for row in fixed.basis
                 ),
                 "normalizer_order": pd.normalizer_order,
                 "lambda_count": pd.lambda_count,

@@ -343,6 +343,25 @@ def test_q_not_prime_or_not_very_good_is_one_error_line(capsys, argv, needs):
     assert needs in err
 
 
+@pytest.mark.parametrize("argv,needs", [
+    (("sample", "--model", "typeB_flip", "--n", "3", "--x", "2"),
+     "--x 2: pile count must be odd and >= 1"),
+    (("sample", "--model", "gsr_a", "--n", "3", "--x", "0", "--compare", "exact"),
+     "--x 0: pile count must be >= 1"),
+    (("sample", "--model", "gsr_a", "--n", "3", "--x", str(2**32), "--count", "3"),
+     f"--x {2**32}: pile count must be below 2**32"),
+    (("sample", "--model", "gsr_a", "--n", "3", "--x", str(2**32), "--compare", "exact"),
+     f"--x {2**32}: pile count must be below 2**32"),
+    (("bijection", "refine", "--n", "2", "--p", "4", "--census"), "--p a prime, not 4"),
+    (("bijection", "refine", "--n", "2", "--p", "1", "--poly", "1,1,1"), "--p a prime, not 1"),
+])
+def test_pile_count_or_p_error_names_its_flag(capsys, argv, needs):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert needs in err
+
+
 def test_orbits_list_a_family_whose_q_is_not_very_good(capsys):
     code, out, _ = run_cli(capsys, "orbits", "--family", "A", "--n", "3", "--q", "3")
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 
 from coxshuffle.group import all_subsets, cycle_type, get_group, signed_cycle_type
 from coxshuffle.rootdata import parse_type
+from coxshuffle.tables import fixed_space
 
 SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
              "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]
@@ -102,6 +103,27 @@ def brute_conjugacy_classes(g):
     return sorted(classes, key=min)
 
 
+def inverted_key_index(g, i):
+    """Oracle: the index of w_i^-1, from inverting w_i's root permutation."""
+    inv = bytearray(len(g.keys[i]))
+    for a, b in enumerate(g.keys[i]):
+        inv[b] = a
+    return g.index[bytes(inv)]
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_tree_tables_against_byte_keys(t):
+    g = get_group(t)
+    assert g.inverse == [inverted_key_index(g, i) for i in range(g.size)]
+    for h in range(g.rank):
+        s_h = g.rmult[h][0]
+        assert g.word(s_h) == (h,)
+        assert g.lmult[h] == [g.multiply(s_h, i) for i in range(g.size)]
+    assert isinstance(g.by_length, list)  # holds the indices coset_minreps stores
+    assert g.by_length == sorted(range(g.size), key=lambda i: (g.length[i], i))
+    assert g.longest_index == max(range(g.size), key=g.length.__getitem__)
+
+
 @pytest.mark.parametrize("t", ["A2", "B2", "G2", "I2(5)"])
 def test_conjugacy_classes_against_brute_force(t):
     g = get_group(t)
@@ -158,12 +180,12 @@ def test_parabolic_trivial_and_full():
         g = get_group(t)
         pd = g.parabolic_data(frozenset())
         assert pd.subgroup_order == 1
-        assert pd.fixed_space.dim == g.rank
+        assert fixed_space(g.root_system, frozenset()).dim == g.rank
         assert pd.normalizer_order == g.size
         assert pd.lambda_count == 1
         pd = g.parabolic_data(frozenset(range(g.rank)))
         assert pd.subgroup_order == g.size
-        assert pd.fixed_space.dim == 0
+        assert fixed_space(g.root_system, frozenset(range(g.rank))).dim == 0
         assert pd.lambda_count == 1
 
 

@@ -9,6 +9,7 @@ import pytest
 from coxshuffle.group import get_group
 from coxshuffle.measures import h_measure
 from coxshuffle.shuffling import (
+    _BLOCK,
     _deal,
     _flip_even,
     _invert_signed,
@@ -25,7 +26,7 @@ def exact_shuffle_law(model, n, param):
     total = param**n
     law = {}
     for word in itertools.product(range(param), repeat=n):
-        w = _invert_signed(_deal(n, param, word, flip_even=flip))
+        w = _invert_signed(_deal(word, flip_even=flip))
         law[w] = law.get(w, Fraction(0)) + Fraction(1, total)
     return law
 
@@ -64,17 +65,30 @@ def test_exact_law_equals_measure(model, n, x, t):
 @pytest.mark.parametrize("model,n,x", [
     *(("gsr_a", n, x) for n in (2, 3, 4) for x in (2, 3)),
     *(("typeB_flip", n, x) for n in (2, 3) for x in (1, 3)),
+    # pile counts whose draws are often rejected (1, 5, 129, 300) or need
+    # more than 16 bits of an output (65537)
+    *(("gsr_a", 3, x) for x in (1, 5, 129, 300, 65537)),
+    *(("typeB_flip", 3, x) for x in (5, 129, 65537)),
+    ("gsr_a", 1, 5),
 ])
 @pytest.mark.parametrize("seed", range(5))
 def test_empirical_law_equals_per_sample_loop(model, n, x, seed):
-    emp = empirical_law(model, n, x, 500, seed)
-    oracle = per_sample_law(model, n, x, 500, seed)
+    count = _BLOCK // n + 1  # the kept draws alone fill more than one block
+    emp = empirical_law(model, n, x, count, seed)
+    oracle = per_sample_law(model, n, x, count, seed)
     assert emp == oracle
     assert list(emp) == list(oracle)  # same order of first appearance
 
 
+def test_empirical_law_of_an_empty_deck():
+    assert empirical_law("gsr_a", 0, 2, 5, seed=0) == per_sample_law("gsr_a", 0, 2, 5, 0)
+
+
 class NoDraws(random.Random):
     def randrange(self, *args):
+        raise AssertionError("drew before checking the arguments")
+
+    def getrandbits(self, k):
         raise AssertionError("drew before checking the arguments")
 
 
@@ -83,6 +97,8 @@ class NoDraws(random.Random):
     ("typeB_flip", 2, "pile count must be odd and >= 1"),
     ("typeB_flip", -1, "pile count must be odd and >= 1"),
     ("overhand", 2, "unknown shuffle model 'overhand'"),
+    ("gsr_a", 2**32, r"pile count must be below 2\*\*32"),
+    ("typeB_flip", 2**32 + 1, r"pile count must be below 2\*\*32"),
 ])
 def test_bad_arguments_rejected_before_any_draw(model, x, message, monkeypatch):
     with pytest.raises(ValueError, match=message):
@@ -90,6 +106,13 @@ def test_bad_arguments_rejected_before_any_draw(model, x, message, monkeypatch):
     monkeypatch.setattr(random, "Random", NoDraws)
     with pytest.raises(ValueError, match=message):
         empirical_law(model, 3, x, 10, seed=0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_empirical_law_needs_a_sample(count, monkeypatch):
+    monkeypatch.setattr(random, "Random", NoDraws)
+    with pytest.raises(ValueError, match=f"sample count must be >= 1, not {count}"):
+        empirical_law("gsr_a", 3, 2, count, seed=0)
 
 
 def test_trivial_samplers():
