@@ -97,10 +97,28 @@ def _check_q(q: int, family: str, n: int, cmd: str, very_good: bool = True):
 
 
 def _parse_x(s: str) -> Fraction:
+    """One --x value: a nonzero rational, as every command that reads --x needs."""
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except ZeroDivisionError:  # "1/0": a usage error like any other bad rational
-        raise ValueError(f"x = {s!r} has a zero denominator") from None
+        raise ValueError(f"--x {s!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"--x {s!r} is not a rational number") from None
+    if x == 0:
+        raise ValueError(f"--x {s!r} must be nonzero")
+    return x
+
+
+def _parse_ints(parts, flag: str, given: str) -> List[int]:
+    """The integers of a flag value's parts; any other part is a usage error
+    that names the flag."""
+    out = []
+    for part in parts:
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ValueError(f"{flag} {given!r}: {part!r} is not an integer") from None
+    return out
 
 
 def cmd_coxeter(args) -> int:
@@ -191,7 +209,10 @@ def cmd_bijection(args) -> int:
     from .necklaces import cycles_string, gessel_reutenauer, refine_phi_A
 
     if args.bijection_cmd == "gr":
-        necklaces = [tuple(int(c) for c in part) for part in args.necklaces.split(",")]
+        necklaces = [tuple(_parse_ints(part, "--necklaces", args.necklaces))
+                     for part in args.necklaces.split(",")]
+        if not all(necklaces):
+            raise ValueError(f"--necklaces {args.necklaces!r}: every necklace must be nonempty")
         _, cycles = gessel_reutenauer(necklaces)
         _write_out(cycles_string(cycles), args.out)
         return 0
@@ -211,10 +232,11 @@ def cmd_bijection(args) -> int:
         _write_out(json.dumps(dict(sorted(counts.items())), indent=2), args.out)
         return 0
     if not args.poly:
-        print("need --poly coefficients or --census", file=sys.stderr)
-        return 2
-    coeffs = [int(c) for c in args.poly.split(",")]
-    f = FqPoly.from_ints(ctx, coeffs)
+        raise ValueError("bijection refine needs --poly coefficients or --census")
+    f = FqPoly.from_ints(ctx, _parse_ints(args.poly.split(","), "--poly", args.poly))
+    if not f.is_monic or f.degree < 1:
+        raise ValueError(f"--poly {args.poly!r}: need a monic polynomial of degree >= 1 "
+                         f"over F_{args.p}")
     _check_n(args.n, f.degree, f.degree,
              f"bijection refine --poly {args.poly} (degree {f.degree})")
     w, cycles = refine_phi_A(f, args.mode)

@@ -62,6 +62,7 @@ class FqContext:
                 raise ValueError("modulus must be irreducible")
             self.modulus = modulus
         self._dlog: Dict[object, int] = {}
+        self._dlog_base = None
         self._generator = None
 
     @classmethod
@@ -186,14 +187,7 @@ class FqContext:
     def generator(self):
         """Smallest generator of the multiplicative group (deterministic)."""
         if self._generator is None:
-            q1 = self.order - 1
-            prime_factors = _prime_factors(q1)
-            for a in self.elements():
-                if self.is_zero(a):
-                    continue
-                if all(self.pow(a, q1 // r) != self.one for r in prime_factors):
-                    self._generator = a
-                    break
+            self._generator = next(filter(self.is_generator, self.elements()))
         return self._generator
 
     def is_generator(self, a) -> bool:
@@ -206,15 +200,14 @@ class FqContext:
         """Discrete log by table lookup (fields here have at most 10^5 elements)."""
         if base is None:
             base = self.generator()
-        key = base
-        if not self._dlog.get(("base",)) == key:
+        if self._dlog_base != base:
             table = {}
             cur = self.one
             for k in range(self.order - 1):
                 table[cur] = k
                 cur = self.mul(cur, base)
             self._dlog = table
-            self._dlog[("base",)] = key
+            self._dlog_base = base
         if a not in self._dlog:
             raise ValueError("element is zero or base is not a generator")
         return self._dlog[a]

@@ -20,20 +20,27 @@ descent counts of each class, the structure constants of the descent
 algebra, the per-element keys of each kind of measure value table with
 their counts (``measure_keys``), and the exponents (extracted from the
 length generating function) all live here, each built once on first use;
-the coset minima of one W_K are computed on each call, since only the
-masks are kept.  The intersection lattice of the group's arrangement is
+the elements and the coset minima of one W_K are computed on each call,
+since only the orders and the masks are kept.  The intersection lattice of the group's arrangement is
 built on first use and kept with the group.  Standard parabolic masks and
 the orbit part of the parabolic data are read from the lattice's W-orbits
 of flats: the normalizer of W_K is the stabilizer of its flat, of order
 |W| / |orbit|, and the subsets equivalent to K are those whose standard
 flat lies in the same orbit.  The generators' byte keys come from
 ``RootSystem.simple_action``.
+
+A subset K of the simple reflections, and so a descent set, is a bitmask:
+bit i stands for simple reflection i.  Every per-subset table (the
+parabolic data, the lattice's standard masks) is a list of 2^r entries
+indexed by that mask.  The methods that take K from a caller accept any
+iterable of indices and turn it into a mask in one place (``_mask``).
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import reduce
 from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -51,7 +58,7 @@ class ConjugacyClass:
 
 @dataclass(frozen=True)
 class ParabolicData:
-    K: frozenset
+    mask: int
     subgroup_order: int
     normalizer_order: int
     lambda_count: int
@@ -67,8 +74,7 @@ class CoxeterGroup:
         self._matrices: Dict[int, tuple] = {}
         self._classes: Optional[List[ConjugacyClass]] = None
         self._class_of: Optional[List[int]] = None
-        self._parabolic: Dict[frozenset, ParabolicData] = {}
-        self._subgroups: Dict[frozenset, tuple] = {}
+        self._parabolics: Optional[List[ParabolicData]] = None
         self._minrep_masks: Optional[Tuple[List[int], Counter]] = None
         self._class_descents: Optional[List[Counter]] = None
         self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
@@ -294,55 +300,48 @@ class CoxeterGroup:
     # -- parabolic data --------------------------------------------------------
 
     def subgroup_elements(self, K: Iterable[int]) -> tuple:
-        K = frozenset(K)
-        cached = self._subgroups.get(K)
-        if cached is not None:
-            return cached
+        gens = [self.rmult[g] for g in _bits(_mask(K))]
         seen = {0}
         stack = [0]
         while stack:
             i = stack.pop()
-            for g in K:
-                j = self.rmult[g][i]
+            for rg in gens:
+                j = rg[i]
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
-        out = tuple(sorted(seen))
-        self._subgroups[K] = out
-        return out
+        return tuple(sorted(seen))
 
     def standard_parabolic_mask(self, K: Iterable[int]) -> int:
         """Bitmask of positive roots in the span of the simple roots in K."""
-        return self.lattice().standard_masks[sum(1 << i for i in frozenset(K))]
+        return self.lattice().standard_masks[_mask(K)]
 
     def parabolic_data(self, K: Iterable[int]) -> ParabolicData:
-        K = frozenset(K)
-        cached = self._parabolic.get(K)
-        if cached is not None:
-            return cached
-        sub_order = len(self.subgroup_elements(K))
-        # the stabilizer of the standard flat is the normalizer of W_K, so its
-        # order is |W| / |orbit|; the subsets equivalent to K share the orbit
-        lat = self.lattice()
-        orbit = lat.orbit_ids[lat.mask_to_id[self.standard_parabolic_mask(K)]]
-        equivalent = sorted(
-            (tuple(_bits(J)) for J in lat.orbit_subsets[orbit]), key=lambda t: (len(t), t)
-        )
-        data = ParabolicData(
-            K=K,
-            subgroup_order=sub_order,
-            normalizer_order=self.size // lat.orbit_sizes[orbit],
-            lambda_count=len(equivalent),
-            conjugacy_rep=equivalent[0],
-        )
-        self._parabolic[K] = data
-        return data
+        return self.parabolic_table()[_mask(K)]
+
+    def parabolic_table(self) -> List[ParabolicData]:
+        """The parabolic data of every standard parabolic W_K, indexed by the
+        mask of K, built once."""
+        if self._parabolics is None:
+            # the stabilizer of the standard flat is the normalizer of W_K, so
+            # its order is |W| / |orbit|; the subsets equivalent to K share the
+            # orbit, all of one size, and the least of them represents it
+            lat = self.lattice()
+            reps = [min(tuple(_bits(J)) for J in subsets) for subsets in lat.orbit_subsets]
+            table = []
+            for K, std in enumerate(lat.standard_masks):
+                o = lat.orbit_ids[lat.mask_to_id[std]]
+                table.append(ParabolicData(K, len(self.subgroup_elements(_bits(K))),
+                                           self.size // lat.orbit_sizes[o],
+                                           len(lat.orbit_subsets[o]), reps[o]))
+            self._parabolics = table
+        return self._parabolics
 
     def coset_minreps(self, K: Iterable[int]) -> list:
         """For each element, the minimal-length element of its coset w*W_K."""
         # each coset is the orbit of any member under right multiplication by
         # K's generators; its first member in length order is the minimum
-        gens = [self.rmult[g] for g in sorted(frozenset(K))]
+        gens = [self.rmult[g] for g in _bits(_mask(K))]
         length = self.length
         reps = [-1] * self.size
         for seed in self.by_length:
@@ -362,14 +361,14 @@ class CoxeterGroup:
         return reps
 
     def minrep_masks(self) -> Tuple[List[int], Counter]:
-        """Per element, the mask of the subsets K (bit k for the k-th
-        ``all_subsets`` entry) for which the element is its own
-        ``coset_minreps(K)`` entry, and the number of elements per mask."""
+        """Per element, the set of the subsets K (bit K for the subset of mask
+        K) for which the element is its own ``coset_minreps(K)`` entry, and
+        the number of elements per such set."""
         if self._minrep_masks is None:
             masks = [0] * self.size
-            for k, K in enumerate(all_subsets(self.rank)):
-                bit = 1 << k
-                for i in set(self.coset_minreps(K)):  # the minima are the fixed points
+            for K in range(1 << self.rank):
+                bit = 1 << K
+                for i in set(self.coset_minreps(_bits(K))):  # the minima are the fixed points
                     masks[i] |= bit
             self._minrep_masks = (masks, Counter(masks))
         return self._minrep_masks
@@ -478,6 +477,11 @@ class CoxeterGroup:
         return exps
 
 
+def _mask(K: Iterable[int]) -> int:
+    """The bitmask of a subset K of the simple reflections."""
+    return reduce(or_, (1 << i for i in K), 0)
+
+
 def _bits(mask: int):
     i = 0
     while mask:
@@ -485,12 +489,6 @@ def _bits(mask: int):
             yield i
         mask >>= 1
         i += 1
-
-
-def all_subsets(r: int):
-    """Every subset of range(r), in the order of its bitmask."""
-    for m in range(1 << r):
-        yield frozenset(_bits(m))
 
 
 def cycle_type(one_line: Sequence[int]) -> tuple:

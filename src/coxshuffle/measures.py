@@ -15,6 +15,11 @@ the identity/longest-element product formulas, the positive solution
 counting identity for crystallographic types, class pushforwards, and the
 walk's spectrum identity.
 
+A subset K of the simple reflections, or a descent set D, is a bitmask
+with bit i for simple reflection i, as in ``group``; every per-subset
+table here (face weights, descent values) is a list of 2^r values indexed
+by that mask.
+
 A measure is one value table: H(W, x) is constant on right-descent classes
 and holds 2^r values, one per descent mask; the walk step is constant on
 the classes of coset-minimum masks and holds one face-weight sum per mask.
@@ -36,11 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .group import CoxeterGroup, all_subsets
+from .group import CoxeterGroup
 from .labels import ClassLabel, ClassMeasure
 from .lattice import IntersectionLattice
 from .rootdata import affine_data, p_count
@@ -80,12 +85,6 @@ class WMeasure:
         self.kind = kind
         self.table = dict(table) if isinstance(table, dict) else tuple(table)
 
-    @classmethod
-    def from_descent_values(
-        cls, group: CoxeterGroup, x_param, values: Dict[FrozenSet[int], Fraction]
-    ) -> "WMeasure":
-        return cls(group, x_param, "descent", [values[D] for D in all_subsets(group.rank)])
-
     def value(self, i: int) -> Fraction:
         return self.table[self.group.measure_keys(self.kind)[0][i]]
 
@@ -101,10 +100,6 @@ class WMeasure:
             if by_mask.setdefault(d, self.table[k]) != self.table[k]:
                 raise ValueError("measure is not constant on descent classes")
         return [by_mask[d] for d in range(1 << self.group.rank)]
-
-    def by_descent(self) -> Dict[FrozenSet[int], Fraction]:
-        """``descent_table`` keyed by descent set, in descent-mask order."""
-        return dict(zip(all_subsets(self.group.rank), self.descent_table()))
 
     def __eq__(self, other):
         if not isinstance(other, WMeasure) or self.group is not other.group:
@@ -123,22 +118,23 @@ class WMeasure:
 
 @dataclass
 class FaceWeights:
-    """Weight v_K shared by every face of type K (the cosets of W_K)."""
+    """Weight v_K shared by every face of type K (the cosets of W_K), as
+    ``weights[K]`` for the mask K."""
 
     group: CoxeterGroup
     x_param: Fraction
-    weights: Dict[FrozenSet[int], Fraction]
+    weights: List[Fraction]
     method: str
 
     def face_total(self) -> Fraction:
         g = self.group
         return sum(
-            Fraction(g.size, g.parabolic_data(K).subgroup_order) * v
-            for K, v in self.weights.items()
+            Fraction(g.size, pd.subgroup_order) * v
+            for pd, v in zip(g.parabolic_table(), self.weights)
         )
 
     def min_weight(self) -> Fraction:
-        return min(self.weights.values())
+        return min(self.weights)
 
 
 def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
@@ -149,31 +145,21 @@ def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
     lat = get_lattice(g)
     r = g.rank
     xr = x**r
-    weights: Dict[FrozenSet[int], Fraction] = {}
-    for K in all_subsets(r):
-        fid = lat.mask_to_id[g.standard_parabolic_mask(K)]
-        chi = lat.char_poly(fid)
+    weights: List[Fraction] = []
+    for K in range(1 << r):
+        chi = lat.char_poly(lat.mask_to_id[lat.standard_masks[K]])
         if method == "definition":
-            pd = g.parabolic_data(K)
-            weights[K] = (
-                Fraction(pd.subgroup_order)
-                * chi(x)
-                / (xr * pd.normalizer_order * pd.lambda_count)
-            )
+            pd = g.parabolic_table()[K]
+            weights.append(pd.subgroup_order * chi(x)
+                           / (xr * pd.normalizer_order * pd.lambda_count))
         elif method == "os_sign":
             chi_neg1 = chi(-1)
             if chi_neg1 == 0:
                 raise RuntimeError("restricted characteristic polynomial vanishes at -1")
-            weights[K] = Fraction((-1) ** (r - len(K))) * chi(x) / (xr * chi_neg1)
+            weights.append((-1) ** (r - K.bit_count()) * chi(x) / (xr * chi_neg1))
         else:
             raise ValueError(f"unknown face-weight method {method!r}")
     return FaceWeights(g, x, weights, method)
-
-
-def _by_mask(fw: FaceWeights) -> List[Tuple[int, Fraction]]:
-    """(bitmask of K, v_K) per face type K; the bitmask of K is also its
-    index in ``all_subsets`` order."""
-    return [(sum(1 << i for i in K), v) for K, v in fw.weights.items()]
 
 
 def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
@@ -182,9 +168,10 @@ def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
     if x == 0:
         raise ValueError("x must be nonzero")
     if method in ("definition", "os_sign"):
-        by_mask = _by_mask(face_weights(g, x, method))
+        weights = face_weights(g, x, method).weights
         table = [
-            sum((v for k, v in by_mask if not k & d), Fraction(0)) for d in range(1 << g.rank)
+            sum((v for K, v in enumerate(weights) if not K & D), Fraction(0))
+            for D in range(1 << g.rank)
         ]
         return WMeasure(g, x, "descent", table)
     if method == "closed_form":
@@ -201,47 +188,32 @@ _H4_SHIFTS_D = {0: (29, 19, 11, 1), 3: (1, -1, -11, -19), 4: (-1, -11, -19, -29)
 def _closed_form(g: CoxeterGroup, x: Fraction) -> WMeasure:
     fam = g.root_system.family
     r = g.rank
-    values: Dict[FrozenSet[int], Fraction] = {}
+    masks = range(1 << r)
     if fam == "A":
         n = r + 1
-        for D in all_subsets(r):
-            values[D] = binom(x + n - 1 - len(D), n) / x**n
+        values = [binom(x + n - 1 - D.bit_count(), n) / x**n for D in masks]
     elif fam == "B":
-        n = r
-        denom = x**n * 2**n * factorial(n)
-        for D in all_subsets(r):
-            d = len(D)
-            num = Fraction(1)
-            for i in range(1, n + 1):
-                num *= x + 2 * i - 1 - 2 * d
-            values[D] = num / denom
+        denom = x**r * 2**r * factorial(r)
+        values = [prod(x + 2 * i - 1 - 2 * D.bit_count() for i in range(1, r + 1)) / denom
+                  for D in masks]
     elif fam == "H3":
-        denom = 120 * x**3
-        for D in all_subsets(3):
-            num = Fraction(1)
-            for c in _H3_SHIFTS[len(D)]:
-                num *= x + c
-            values[D] = num / denom
+        values = [prod(x + c for c in _H3_SHIFTS[D.bit_count()]) / (120 * x**3) for D in masks]
     elif fam == "H4":
-        denom = 14400 * x**4
-        for D in all_subsets(4):
-            d = len(D)
-            if d in _H4_SHIFTS_D:
-                num = Fraction(1)
-                for c in _H4_SHIFTS_D[d]:
-                    num *= x + c
-            elif d == 1:
-                quad = x * x + 30 * x + (149 if D <= {0, 1} else 269)
-                num = (x + 1) * (x - 1) * quad
-            else:  # d == 2
-                if D == frozenset({2, 3}):
-                    num = ((x + 1) * (x - 1)) ** 2
-                else:
-                    num = (x + 11) * (x + 1) * (x - 1) * (x - 11)
-            values[D] = num / denom
+        values = [_h4_numerator(x, D) / (14400 * x**4) for D in masks]
     else:
         raise ValueError(f"no closed form for type {g.root_system.type_name()}")
-    return WMeasure.from_descent_values(g, x, values)
+    return WMeasure(g, x, "descent", values)
+
+
+def _h4_numerator(x: Fraction, D: int) -> Fraction:
+    d = D.bit_count()
+    if d in _H4_SHIFTS_D:
+        return prod(x + c for c in _H4_SHIFTS_D[d])
+    if d == 1:  # D is {0} or {1} below 0b100, {2} or {3} above
+        return (x + 1) * (x - 1) * (x * x + 30 * x + (149 if D < 0b100 else 269))
+    if D == 0b1100:  # {2, 3}
+        return ((x + 1) * (x - 1)) ** 2
+    return (x + 11) * (x + 1) * (x - 1) * (x - 11)
 
 
 # -- identity / longest element ------------------------------------------------
@@ -319,9 +291,8 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
     total = fw.face_total()
     if total != 1:
         raise ValueError(f"face weights sum to {total}, not 1")
-    by_mask = _by_mask(fw)
     table = {
-        mask: sum((v for k, v in by_mask if mask >> k & 1), Fraction(0))
+        mask: sum((v for K, v in enumerate(fw.weights) if mask >> K & 1), Fraction(0))
         for mask in g.minrep_masks()[1]
     }
     return WMeasure(g, fw.x_param, "minrep", table)
@@ -329,8 +300,8 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
 
 def uniform_chamber_weights(g: CoxeterGroup) -> FaceWeights:
     """All weight on the chambers (type-empty faces), uniformly."""
-    weights = {K: Fraction(0) for K in all_subsets(g.rank)}
-    weights[frozenset()] = Fraction(1, g.size)
+    weights = [Fraction(0)] * (1 << g.rank)
+    weights[0] = Fraction(1, g.size)
     return FaceWeights(g, Fraction(0), weights, "manual")
 
 

@@ -438,8 +438,9 @@ def refine_phi_A(f: FqPoly, mode: str = "normal_basis") -> Tuple[tuple, List[Lis
     if not f.is_monic or f.degree < 1:
         raise ValueError("expected a monic polynomial of degree >= 1")
     z = FqPoly.from_ints(f.ctx, [0, 1])
+    fac = factor(f)
     necklaces: List[tuple] = []
-    for phi, k in factor(f):
+    for phi, k in fac:
         if mode == "normal_basis":
             neck = normal_basis_encode(phi)
         elif mode == "golomb":
@@ -449,7 +450,7 @@ def refine_phi_A(f: FqPoly, mode: str = "normal_basis") -> Tuple[tuple, List[Lis
         necklaces.extend([neck] * k)
     necklaces.sort()
     one_line, cycles = gessel_reutenauer(necklaces)
-    expected = factor(f).degree_partition()
+    expected = fac.degree_partition()
     got = tuple(sorted((len(c) for c in cycles), reverse=True))
     if got != expected:
         raise RuntimeError("cycle type disagrees with the factorization type")

@@ -29,6 +29,7 @@ from .gfpoly import (
     degree_layers,
     is_prime,
     layer_partition,
+    monic_polys,
     poly_axpy,
     poly_gcd,
     poly_powmod,
@@ -295,9 +296,7 @@ def translation_invariance_check(n: int, q: int) -> TranslationReport:
     if n % ctx.p == 0:
         return TranslationReport(n, q, hypothesis_ok=False)
     fibers: Dict[int, Counter] = {b: Counter() for b in range(q)}
-    for lower in itertools.product(range(q), repeat=n):
-        coeffs = [ctx.from_int(k) for k in lower] + [ctx.one]
-        f = FqPoly.make(ctx, coeffs)
+    for f in monic_polys(ctx, n):
         b = ctx.to_int(f.coeffs[n - 1]) if f.degree >= 1 and len(f.coeffs) > n - 1 else 0
         fibers[b][layer_partition(degree_layers(ctx, f.coeffs))] += 1
     first = fibers[0]

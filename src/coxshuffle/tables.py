@@ -65,13 +65,12 @@ def fixed_space(rs: RootSystem, K) -> Subspace:
 
 def parabolics_table(g: CoxeterGroup, fmt: str = "csv") -> str:
     rows = []
-    for m in range(1 << g.rank):
-        K = frozenset(i for i in range(g.rank) if m >> i & 1)
-        pd = g.parabolic_data(K)
+    for pd in g.parabolic_table():
+        K = [i for i in range(g.rank) if pd.mask >> i & 1]
         fixed = fixed_space(g.root_system, K)
         rows.append(
             {
-                "K": " ".join(str(i + 1) for i in sorted(K)),
+                "K": " ".join(str(i + 1) for i in K),
                 "subgroup_order": pd.subgroup_order,
                 "fixed_dim": fixed.dim,
                 "fixed_basis": ";".join(
@@ -101,25 +100,26 @@ def lattice_table(g: CoxeterGroup, fmt: str = "csv") -> str:
 
 
 def measure_table(g: CoxeterGroup, xs, method: str, fmt: str = "csv") -> str:
-    """One row per descent set; one value column pair per requested x."""
+    """One row per descent set, by size and then by its sorted members; one
+    value column pair per requested x."""
     if not isinstance(xs, (list, tuple)):
         xs = [xs]
-    measures = [h_measure(g, x, method) for x in xs]
+    tables = [h_measure(g, x, method).descent_table() for x in xs]
     g.conjugacy_classes()
-    rep_of_descent: Dict[frozenset, int] = {}
+    rep_of_descent: Dict[int, int] = {}
     for i in g.by_length:
-        rep_of_descent.setdefault(g.descent_set(i), i)
+        rep_of_descent.setdefault(g.descent_mask[i], i)
     single = len(xs) == 1
     val_cols = []
     for x in xs:
         tag = "" if single else f"_x{x}"
         val_cols.extend([f"value_num{tag}", f"value_den{tag}"])
     rows = []
-    by_descent = [m.by_descent() for m in measures]
-    for D in sorted(by_descent[0], key=lambda s: (len(s), sorted(s))):
+    members = [[i for i in range(g.rank) if D >> i & 1] for D in range(1 << g.rank)]
+    for D in sorted(range(1 << g.rank), key=lambda D: (len(members[D]), members[D])):
         rep = rep_of_descent[D]
-        row = {"descent_set": " ".join(str(d + 1) for d in sorted(D))}
-        for x, values in zip(xs, by_descent):
+        row = {"descent_set": " ".join(str(d + 1) for d in members[D])}
+        for x, values in zip(xs, tables):
             tag = "" if single else f"_x{x}"
             v = values[D]
             row[f"value_num{tag}"] = v.numerator

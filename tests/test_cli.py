@@ -56,6 +56,9 @@ def test_measure_rejects_zero_x(capsys):
 @pytest.mark.parametrize("argv", [
     ("measure", "--type", "A3", "--x", "1/0"),
     ("verify", "walk_oracle", "--type", "A2", "--x", "1/0"),
+    ("measure", "--type", "A2", "--x", "abc"),
+    ("measure", "--type", "A2", "--x", "1,,2"),
+    ("verify", "longshort", "--x", "abc"),
 ])
 def test_zero_denominator_x_is_a_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -354,6 +357,20 @@ def test_q_not_prime_or_not_very_good_is_one_error_line(capsys, argv, needs):
      f"--x {2**32}: pile count must be below 2**32"),
     (("bijection", "refine", "--n", "2", "--p", "4", "--census"), "--p a prime, not 4"),
     (("bijection", "refine", "--n", "2", "--p", "1", "--poly", "1,1,1"), "--p a prime, not 1"),
+    (("measure", "--type", "A2", "--x", "abc"), "--x 'abc' is not a rational number"),
+    (("measure", "--type", "A2", "--x", "1,,2"), "--x '' is not a rational number"),
+    (("verify", "longshort", "--x", "abc"), "--x 'abc' is not a rational number"),
+    (("measure", "--type", "A3", "--x", "1/0"), "--x '1/0' has a zero denominator"),
+    (("measure", "--type", "A2", "--x", "0"), "--x '0' must be nonzero"),
+    (("verify", "longshort", "--x", "2", "--x", "0/3"), "--x '0/3' must be nonzero"),
+    (("bijection", "refine", "--n", "1", "--p", "3", "--poly", "0"),
+     "--poly '0': need a monic polynomial of degree >= 1 over F_3"),
+    (("bijection", "refine", "--n", "1", "--p", "3", "--poly", "2,2"), "--poly '2,2': need a monic"),
+    (("bijection", "refine", "--n", "2", "--p", "3", "--poly", "1,x"),
+     "--poly '1,x': 'x' is not an integer"),
+    (("bijection", "refine", "--n", "2", "--p", "3", "--poly", ""), "needs --poly coefficients"),
+    (("bijection", "gr", "--necklaces", "1a"), "--necklaces '1a': 'a' is not an integer"),
+    (("bijection", "gr", "--necklaces", "1,,2"), "--necklaces '1,,2': every necklace must be"),
 ])
 def test_pile_count_or_p_error_names_its_flag(capsys, argv, needs):
     code, out, err = run_cli(capsys, *argv)

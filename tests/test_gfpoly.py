@@ -108,6 +108,24 @@ def test_generator_and_dlog():
             assert ctx.dlog(ctx.pow(gen, k)) == k
 
 
+@pytest.mark.parametrize("p,e,k,k_inv", [(7, 1, 5, 5), (3, 2, 3, 3)])
+def test_dlog_table_holds_only_field_elements(p, e, k, k_inv):
+    # the base is kept apart from the lookup table, so no key but a nonzero
+    # field element has a logarithm, whichever base the table was built for
+    ctx = FqContext(p, e)  # a private context: its table starts empty
+    gen = ctx.generator()
+    other = ctx.pow(gen, k)  # k is prime to the group order: another generator
+    assert ctx.is_generator(other)
+    for _ in range(2):
+        assert ctx.dlog(gen) == 1
+        for bad in (("base",), ctx.zero):
+            with pytest.raises(ValueError):
+                ctx.dlog(bad)
+        assert ctx.dlog(gen, other) == k_inv
+        with pytest.raises(ValueError):
+            ctx.dlog(("base",), other)
+
+
 def test_custom_modulus_validation():
     # a user-supplied modulus must be monic, degree e, and irreducible
     ctx = FqContext(3, 2, modulus=(1, 0, 1))  # z^2 + 1 is irreducible mod 3

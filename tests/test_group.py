@@ -6,12 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from coxshuffle.group import all_subsets, cycle_type, get_group, signed_cycle_type
+from coxshuffle.group import cycle_type, get_group, signed_cycle_type
 from coxshuffle.rootdata import parse_type
 from coxshuffle.tables import fixed_space
 
 SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
              "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]
+
+
+def all_subsets(r):
+    """Every subset of range(r), in the order of its bitmask."""
+    for m in range(1 << r):
+        yield frozenset(i for i in range(r) if m >> i & 1)
 
 
 def inversions(perm):

@@ -14,7 +14,7 @@ import pytest
 
 import coxshuffle
 from coxshuffle.golden import GoldenRational
-from coxshuffle.group import CoxeterGroup, all_subsets, get_group
+from coxshuffle.group import CoxeterGroup, get_group
 from coxshuffle.lattice import (
     build_lattice,
     coexponents,
@@ -26,6 +26,7 @@ from coxshuffle.lattice import (
 from coxshuffle.linalg import canonicalize
 from coxshuffle.measures import get_lattice, h_measure
 from coxshuffle.rootdata import RootSystem, parse_type
+from test_group import all_subsets
 
 SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
              "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]

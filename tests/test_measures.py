@@ -6,7 +6,7 @@ from math import factorial, lcm
 
 import pytest
 
-from coxshuffle.group import all_subsets, get_group
+from coxshuffle.group import get_group
 from coxshuffle.measures import (
     ClassMeasure,
     FaceWeights,
@@ -83,9 +83,9 @@ def test_normalization_worpitzky():
 def test_descent_class_constancy():
     g = get_group("B3")
     m = h_measure(g, 3, "definition")
-    by_descent = m.by_descent()
+    by_descent = m.descent_table()
     for i in range(g.size):
-        assert m.value(i) == by_descent[g.descent_set(i)]
+        assert m.value(i) == by_descent[g.descent_mask[i]]
 
 
 def test_measure_sum_guard():
@@ -96,10 +96,10 @@ def test_measure_sum_guard():
         WMeasure(g, None, "element", [Fraction(1)])
     with pytest.raises(ValueError, match="unknown measure key kind"):
         WMeasure(g, None, "coset", [Fraction(1, 2), Fraction(1, 2)])
-    values = dict(h_measure(g, 2).by_descent())
-    values[frozenset()] += 1
+    values = h_measure(g, 2).descent_table()
+    values[0] += 1
     with pytest.raises(ValueError, match="sum to 2"):
-        WMeasure.from_descent_values(g, None, values)
+        WMeasure(g, None, "descent", values)
 
 
 def test_longshort_examples():
@@ -154,8 +154,8 @@ def test_sommers_hypothesis_gate():
 
 def full_type_weights(g):
     """All weight on the one face of full type K = S, the whole group."""
-    weights = {K: Fraction(0) for K in map(frozenset, _subsets(g.rank))}
-    weights[frozenset(range(g.rank))] = Fraction(1)
+    weights = [Fraction(0)] * (1 << g.rank)
+    weights[(1 << g.rank) - 1] = Fraction(1)
     return FaceWeights(g, Fraction(0), weights, "manual")
 
 
@@ -169,7 +169,7 @@ def dense_bhr_step(g, fw):
     """Oracle: the walk step one element at a time, v_K added to every
     minimum of a coset of W_K."""
     dense = [Fraction(0)] * g.size
-    for K, v in fw.weights.items():
+    for K, v in zip(_subsets(g.rank), fw.weights):
         reps = g.coset_minreps(K)
         for i in range(g.size):
             if reps[i] == i:
@@ -234,16 +234,14 @@ def test_measure_equality_matches_dense_comparison(t):
     walk2, walk3 = bhr_step(g, face_weights(g, 2)), bhr_step(g, face_weights(g, 3))
     walk_uniform = bhr_step(g, uniform_chamber_weights(g))
     walk_identity = bhr_step(g, full_type_weights(g))
-    identity = WMeasure.from_descent_values(
-        g, None, {D: Fraction(int(not D)) for D in all_subsets(g.rank)}
-    )
+    identity = WMeasure(g, None, "descent", [Fraction(int(not D)) for D in range(1 << g.rank)])
     dense2 = WMeasure(g, Fraction(2), "element", h2.dense())
     dense3 = WMeasure(g, Fraction(3), "element", h3.dense())
     # the identity and the longest element are alone in their descent classes
-    values = dict(h2.by_descent())
-    values[frozenset()] += 1
-    values[frozenset(range(g.rank))] -= 1
-    moved = WMeasure.from_descent_values(g, Fraction(2), values)
+    values = h2.descent_table()
+    values[0] += 1
+    values[(1 << g.rank) - 1] -= 1
+    moved = WMeasure(g, Fraction(2), "descent", values)
     ms = [h2, h_measure(g, 2, "os_sign"), h3, walk2, walk3, walk_uniform, walk_identity,
           identity, dense2, dense3, moved]
     for a in ms:
@@ -295,8 +293,8 @@ def test_bhr_uniform_chamber_weights():
 def test_bhr_rejects_unnormalized_weights():
     g = get_group("A2")
     fw = face_weights(g, 2, "definition")
-    fw.weights = dict(fw.weights)
-    fw.weights[frozenset()] = Fraction(1)
+    fw.weights = list(fw.weights)
+    fw.weights[0] = Fraction(1)
     with pytest.raises(ValueError):
         bhr_step(g, fw)
 
@@ -313,12 +311,72 @@ def _subsets(r):
         yield [i for i in range(r) if m >> i & 1]
 
 
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_subset_tables_are_indexed_by_mask(t):
+    # bit i of a mask is simple reflection i: each face weight is the one
+    # rebuilt from the data of the subset K that the mask lists, and each
+    # element's descent mask reads its value from the descent table
+    g = get_group(t)
+    lat = g.lattice()
+    x = Fraction(7, 3)
+    xr = x**g.rank
+    weights = {method: face_weights(g, x, method).weights for method in ("definition", "os_sign")}
+    for mask, K in enumerate(_subsets(g.rank)):
+        pd = g.parabolic_data(K)
+        assert pd is g.parabolic_data(frozenset(K)) is g.parabolic_data(reversed(K))
+        assert pd.mask == mask and pd.subgroup_order == len(g.subgroup_elements(K))
+        chi = lat.char_poly(lat.mask_to_id[g.standard_parabolic_mask(K)])
+        assert weights["definition"][mask] == (
+            pd.subgroup_order * chi(x) / (xr * pd.normalizer_order * pd.lambda_count))
+        assert weights["os_sign"][mask] == (-1) ** (g.rank - len(K)) * chi(x) / (xr * chi(-1))
+    h = h_measure(g, x)
+    walk = bhr_step(g, face_weights(g, x))
+    table = h.descent_table()
+    for i in range(g.size):
+        assert g.descent_mask[i] == sum(1 << d for d in g.descent_set(i))
+        assert table[g.descent_mask[i]] == h.value(i) == walk.value(i)
+
+
+def test_measure_calls_make_no_frozensets(monkeypatch):
+    import coxshuffle.group as group
+    import coxshuffle.measures as measures
+
+    g = get_group("H4")
+    fw = face_weights(g, 2)
+    bhr_step(g, fw)  # builds the group's tables
+
+    def no_frozenset(*args):
+        raise AssertionError("a frozenset was made")
+
+    for module in (group, measures):
+        monkeypatch.setattr(module, "frozenset", no_frozenset, raising=False)
+    for method in ("definition", "os_sign", "closed_form"):
+        assert h_measure(g, Fraction(7, 3), method) == bhr_step(g, face_weights(g, Fraction(7, 3)))
+    assert face_weights(g, 2, "os_sign").weights == fw.weights
+
+
+@pytest.mark.parametrize("t", ["B3", "H3"])
+def test_os_sign_and_closed_form_read_no_parabolic_data(t, monkeypatch):
+    from coxshuffle.group import CoxeterGroup
+
+    g = CoxeterGroup(parse_type(t))  # a private group: no parabolic data is built yet
+
+    def no_parabolics(*args):
+        raise AssertionError("parabolic data was read")
+
+    monkeypatch.setattr(g, "parabolic_table", no_parabolics)
+    monkeypatch.setattr(g, "parabolic_data", no_parabolics)
+    assert h_measure(g, 3, "os_sign") == h_measure(g, 3, "closed_form")
+    with pytest.raises(AssertionError, match="parabolic data was read"):
+        h_measure(g, 3, "definition")
+
+
 def brute_transition_row(g, x, u):
     """Oracle: one walk row by direct minimization over every coset face."""
     dense = h_measure(g, x, "definition")  # only for the face weights below
     fw = face_weights(g, x, "definition")
     row = [Fraction(0)] * g.size
-    for K, v in fw.weights.items():
+    for K, v in zip(_subsets(g.rank), fw.weights):
         sub = g.subgroup_elements(K)
         seen = set()
         for c in range(g.size):
@@ -475,7 +533,7 @@ def test_convolution_fails_for_d4():
     g = get_group("D4")
     prod = convolve(h_measure(g, 2), h_measure(g, 3))
     assert prod != h_measure(g, 6)
-    prod.by_descent()  # still descent-class constant
+    prod.descent_table()  # still descent-class constant
 
 
 def test_face_weights_methods_agree_per_type():

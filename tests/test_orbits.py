@@ -6,13 +6,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import coxshuffle
 from coxshuffle import gfpoly
-from coxshuffle.gfpoly import FqContext, FqPoly, check_layers, degree_layers, factor
+from coxshuffle.gfpoly import (FqContext, FqPoly, check_layers, degree_layers, factor,
+                               monic_polys)
 from coxshuffle.group import get_group
 from coxshuffle.measures import h_measure, pushforward_classes
 from coxshuffle.orbits import (
@@ -146,6 +148,17 @@ def test_translation_invariance():
     assert translation_invariance_check(3, 5).fibers_identical
     r = translation_invariance_check(3, 3)
     assert not r.hypothesis_ok  # p divides n: the check is gated off
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 5), (4, 3)])
+def test_translation_invariance_distribution_against_factor(n, q):
+    # the reported distribution is the factorization types of the fiber with
+    # z^(n-1) coefficient 0, counted here by full factorization
+    ctx = FqContext.get(q)
+    expect = Counter(factor(f).degree_partition() for f in monic_polys(ctx, n)
+                     if f.coeffs[n - 1] == 0)
+    r = translation_invariance_check(n, q)
+    assert r.fibers_identical and r.distribution == dict(expect)
 
 
 # -- the class map from distinct-degree layers, against factor() ------------------
