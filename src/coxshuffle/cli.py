@@ -109,6 +109,20 @@ def _parse_x(s: str) -> Fraction:
     return x
 
 
+def _check_type(name: str) -> str:
+    """A --type value that names a supported group; any other is a usage
+    error that names the flag.  The group goes into the registry with its
+    rank-level data only, so the command's own lookup finds it there."""
+    from .group import get_group
+    from .rootdata import UnsupportedTypeError
+
+    try:
+        get_group(name)
+    except UnsupportedTypeError as exc:
+        raise ValueError(f"--type {name!r}: {exc}") from None
+    return name
+
+
 def _parse_ints(parts, flag: str, given: str) -> List[int]:
     """The integers of a flag value's parts; any other part is a usage error
     that names the flag."""
@@ -124,7 +138,7 @@ def _parse_ints(parts, flag: str, given: str) -> List[int]:
 def cmd_coxeter(args) -> int:
     from .tables import emit_table
 
-    text = emit_table(args.what, {"type": args.type}, args.format)
+    text = emit_table(args.what, {"type": _check_type(args.type)}, args.format)
     _write_out(text, args.out)
     return 0
 
@@ -132,7 +146,7 @@ def cmd_coxeter(args) -> int:
 def cmd_lattice(args) -> int:
     from .tables import emit_table
 
-    text = emit_table("lattice", {"type": args.type}, args.format)
+    text = emit_table("lattice", {"type": _check_type(args.type)}, args.format)
     _write_out(text, args.emit)
     return 0
 
@@ -143,7 +157,8 @@ def cmd_measure(args) -> int:
     xs = [_parse_x(part) for part in args.x.split(",")]
     text = emit_table(
         "measure",
-        {"type": args.type, "x": xs if len(xs) > 1 else xs[0], "method": args.method},
+        {"type": _check_type(args.type), "x": xs if len(xs) > 1 else xs[0],
+         "method": args.method},
         args.format,
     )
     _write_out(text, args.out)
@@ -248,27 +263,23 @@ def cmd_verify(args) -> int:
     name = args.suite
     if name == "problem1":  # dispatch on --family
         if args.family not in ("A", "B"):
-            print("verify problem1 needs --family A or --family B", file=sys.stderr)
-            return 2
+            raise ValueError("verify problem1 needs --family A or --family B")
         name = f"problem1_{args.family}"
     elif args.family is not None:
-        print(f"verify {name} does not read --family; only problem1 does", file=sys.stderr)
-        return 2
+        raise ValueError(f"verify {name} does not read --family; only problem1 does")
     if name not in SUITES:
-        print(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     reads = SUITE_FLAGS[name]
     given = {"--type": args.type, "--n": args.n, "--q": args.q, "--x": args.x,
              "--seed": args.seed}
     for flag, value in given.items():
         if value is not None and flag not in reads:
             known = ", ".join(reads) or "none; it runs only its default grid"
-            print(f"verify {name} does not read {flag} (flags it reads: {known})",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"verify {name} does not read {flag} (flags it reads: {known})")
     if (args.n is None) != (args.q is None):
-        print("--n and --q must be given together", file=sys.stderr)
-        return 2
+        raise ValueError(f"verify {name}: --n and --q must be given together")
+    for t in args.type or ():
+        _check_type(t)
     if args.n is not None:
         _check_n(args.n, *SUITE_N_RANGE[name], f"verify {name}")
         _check_q(args.q, SUITE_Q_FAMILY[name], args.n, f"verify {name}")
@@ -284,8 +295,7 @@ def cmd_verify(args) -> int:
         if reads["--x"] == "xs":
             overrides["xs"] = xs
         elif len(xs) > 1:
-            print(f"verify {name} reads one --x, not {len(xs)}", file=sys.stderr)
-            return 2
+            raise ValueError(f"verify {name} reads one --x, not {len(xs)}")
         else:
             overrides["x"] = xs[0]
     if args.seed is not None:

@@ -1,5 +1,24 @@
-"""Full enumeration of the supported reflection groups.
+"""Finite Coxeter groups over their root systems, in two parts.
 
+The rank-level part is set up with the group and never lists an element:
+the root system, the order |W|, the number N of positive roots and the
+index |W| - 1 of the longest element (the last in length order), and what
+is derived from them on first use, each built once.  ``poincare`` holds
+the length generating function W_K(t) of every standard parabolic W_K, by
+Solomon's formula, with N_K counted from the supports of the positive
+roots.  From it come the orders |W_K| = W_K(1), the exponents (by factoring
+W(t)), and the descent-class sizes of the measure tables
+(``measure_counts``, by Moebius inversion of #{w : D(w) in A} =
+|W| / |W_{S-A}|).  The intersection lattice of the group's arrangement is
+kept here too.  Standard parabolic masks and the orbit part of the
+parabolic data are read from the lattice's W-orbits of flats: the
+normalizer of W_K is the stabilizer of its flat, of order |W| / |orbit|,
+and the subsets equivalent to K are those whose standard flat lies in the
+same orbit.  A word's descent set, and a reduced word of the longest
+element of any W_K, are composed from ``RootSystem.simple_action`` alone.
+
+The element part (``ELEMENT_TABLES``) is built by ``_build`` the first
+time any of its tables is read; ``enumerate_group`` builds it at once.
 Elements act faithfully on the signed roots, so each element is keyed by
 its root permutation packed into bytes; composition is then a single
 ``bytes.translate`` call.  Breadth-first closure from the simple
@@ -12,28 +31,18 @@ byte key composed or inverted.  Descent sets come from testing which
 simple roots an element sends negative.  Reflection-representation
 matrices are exact and computed on demand (for H4, materializing all
 14400 4x4 golden matrices up front would cost tens of MB; the byte keys
-cost 3.5 MB).
-
-Conjugacy classes, standard-parabolic data (subgroup and normalizer
-orders, equivalent subsets), the per-element coset-minimum masks, the
+cost 3.5 MB).  Conjugacy classes, the per-element coset-minimum masks, the
 descent counts of each class, the structure constants of the descent
-algebra, the per-element keys of each kind of measure value table with
-their counts (``measure_keys``), and the exponents (extracted from the
-length generating function) all live here, each built once on first use;
-the elements and the coset minima of one W_K are computed on each call,
-since only the orders and the masks are kept.  The intersection lattice of the group's arrangement is
-built on first use and kept with the group.  Standard parabolic masks and
-the orbit part of the parabolic data are read from the lattice's W-orbits
-of flats: the normalizer of W_K is the stabilizer of its flat, of order
-|W| / |orbit|, and the subsets equivalent to K are those whose standard
-flat lies in the same orbit.  The generators' byte keys come from
-``RootSystem.simple_action``.
+algebra and the per-element keys of each kind of measure value table
+(``measure_keys``) are built from the elements, each once, on first use;
+the coset minima of one W_K are computed on each call.
 
 A subset K of the simple reflections, and so a descent set, is a bitmask:
 bit i stands for simple reflection i.  Every per-subset table (the
-parabolic data, the lattice's standard masks) is a list of 2^r entries
-indexed by that mask.  The methods that take K from a caller accept any
-iterable of indices and turn it into a mask in one place (``_mask``).
+Poincare polynomials, the parabolic data, the lattice's standard masks) is
+a list of 2^r entries indexed by that mask.  The methods that take K from
+a caller accept any iterable of indices and turn it into a mask in one
+place (``_mask``).
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import mul, or_
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .labels import ClassLabel
@@ -65,38 +74,57 @@ class ParabolicData:
     conjugacy_rep: tuple
 
 
+# the element part: the tables ``_build`` makes, all at the first read of any one
+ELEMENT_TABLES = ("keys", "tables", "index", "parent", "gen_of", "length", "rmult", "lmult",
+                  "inverse", "descent_mask", "by_length", "one_line")
+
+
 class CoxeterGroup:
-    """Fully enumerated finite Coxeter group over its root system."""
+    """Finite Coxeter group over its root system: rank-level data at once,
+    the enumerated elements on first use."""
 
     def __init__(self, rs: RootSystem):
         self.root_system = rs
-        self._build()
+        self.size = rs.group_order
+        self.n_pos = rs.n_positive
+        self.longest_index = self.size - 1  # the last element in length order
+        # the signed root index of each simple root, and each generator's key
+        self._simple = tuple(rs.root_index[a] for a in rs.simple_roots)
+        n_pos = self.n_pos
+        self._gen_keys = [
+            bytes(row) + bytes(s + n_pos if s < n_pos else s - n_pos for s in row)
+            for row in rs.simple_action
+        ]
+        self._pad = bytes(range(2 * n_pos, 256))
         self._matrices: Dict[int, tuple] = {}
         self._classes: Optional[List[ConjugacyClass]] = None
         self._class_of: Optional[List[int]] = None
+        self._poincare: Optional[List[List[int]]] = None
         self._parabolics: Optional[List[ParabolicData]] = None
-        self._minrep_masks: Optional[Tuple[List[int], Counter]] = None
+        self._minrep_masks: Optional[List[int]] = None
         self._class_descents: Optional[List[Counter]] = None
         self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
-        self._measure_keys: Dict[Tuple[str, ...], Tuple[Sequence, Counter]] = {}
+        self._measure_counts: Dict[Tuple[str, ...], Counter] = {}
         self._exponents: Optional[Tuple[int, ...]] = None
         self._lattice: Optional[IntersectionLattice] = None
 
-    # -- construction ------------------------------------------------------
+    def __getattr__(self, name):
+        # reached only for attributes not yet set: an element table is built
+        # with all the others on its first read
+        if name not in ELEMENT_TABLES:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build()
+        return self.__dict__[name]
+
+    # -- the element part ----------------------------------------------------
 
     def _build(self):
         rs = self.root_system
         r = rs.rank
-        n_pos = rs.n_positive
-        m = 2 * n_pos
-        pad = bytes(range(m, 256))
+        n_pos = self.n_pos
+        gen_keys, pad, simple = self._gen_keys, self._pad, self._simple
 
-        gen_keys = [
-            bytes(row) + bytes(s + n_pos if s < n_pos else s - n_pos for s in row)
-            for row in rs.simple_action
-        ]
-
-        ident = bytes(range(m))
+        ident = bytes(range(2 * n_pos))
         keys = [ident]
         tables = [ident + pad]
         index = {ident: 0}
@@ -128,9 +156,9 @@ class CoxeterGroup:
                 rmult[g][i] = j
 
         size = len(keys)
-        if size != rs.group_order:
+        if size != self.size:
             raise RuntimeError(
-                f"{rs.type_name()}: enumerated {size} elements, expected {rs.group_order}"
+                f"{rs.type_name()}: enumerated {size} elements, expected {self.size}"
             )
 
         # element j is parent[j] * s_{gen_of[j]}, and parents come first, so
@@ -150,12 +178,16 @@ class CoxeterGroup:
             k = keys[i]
             dm = 0
             for g in range(r):
-                if k[g] >= n_pos:  # simple root g is sent to a negative root
+                if k[simple[g]] >= n_pos:  # simple root g is sent to a negative root
                     dm |= 1 << g
             descent_mask[i] = dm
 
-        self.size = size
-        self.n_pos = n_pos
+        longest = self.longest_index
+        if length[longest] != n_pos or descent_mask[longest] != (1 << r) - 1:
+            raise RuntimeError("longest element is inconsistent")
+        if descent_mask.count(0) != 1:
+            raise RuntimeError("identity descent set is not unique")
+
         self.keys = keys
         self.tables = tables
         self.index = index
@@ -170,13 +202,6 @@ class CoxeterGroup:
         # indices coset_minreps stores are these int objects, not fresh ones
         self.by_length = list(range(size))
         self.one_line = self._build_one_line()
-
-        longest = size - 1
-        if length[longest] != n_pos or descent_mask[longest] != (1 << rs.rank) - 1:
-            raise RuntimeError("longest element is inconsistent")
-        if descent_mask.count(0) != 1:
-            raise RuntimeError("identity descent set is not unique")
-        self.longest_index = longest
 
     def _build_one_line(self):
         rs = self.root_system
@@ -299,19 +324,6 @@ class CoxeterGroup:
 
     # -- parabolic data --------------------------------------------------------
 
-    def subgroup_elements(self, K: Iterable[int]) -> tuple:
-        gens = [self.rmult[g] for g in _bits(_mask(K))]
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for rg in gens:
-                j = rg[i]
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return tuple(sorted(seen))
-
     def standard_parabolic_mask(self, K: Iterable[int]) -> int:
         """Bitmask of positive roots in the span of the simple roots in K."""
         return self.lattice().standard_masks[_mask(K)]
@@ -321,7 +333,8 @@ class CoxeterGroup:
 
     def parabolic_table(self) -> List[ParabolicData]:
         """The parabolic data of every standard parabolic W_K, indexed by the
-        mask of K, built once."""
+        mask of K, built once: the order of W_K is W_K(1) (``poincare``), and
+        the rest is read from the lattice's W-orbits of flats."""
         if self._parabolics is None:
             # the stabilizer of the standard flat is the normalizer of W_K, so
             # its order is |W| / |orbit|; the subsets equivalent to K share the
@@ -329,9 +342,9 @@ class CoxeterGroup:
             lat = self.lattice()
             reps = [min(tuple(_bits(J)) for J in subsets) for subsets in lat.orbit_subsets]
             table = []
-            for K, std in enumerate(lat.standard_masks):
+            for K, (std, poly) in enumerate(zip(lat.standard_masks, self.poincare())):
                 o = lat.orbit_ids[lat.mask_to_id[std]]
-                table.append(ParabolicData(K, len(self.subgroup_elements(_bits(K))),
+                table.append(ParabolicData(K, sum(poly),  # |W_K| = W_K(1)
                                            self.size // lat.orbit_sizes[o],
                                            len(lat.orbit_subsets[o]), reps[o]))
             self._parabolics = table
@@ -360,17 +373,16 @@ class CoxeterGroup:
                         stack.append(j)
         return reps
 
-    def minrep_masks(self) -> Tuple[List[int], Counter]:
+    def minrep_masks(self) -> List[int]:
         """Per element, the set of the subsets K (bit K for the subset of mask
-        K) for which the element is its own ``coset_minreps(K)`` entry, and
-        the number of elements per such set."""
+        K) for which the element is its own ``coset_minreps(K)`` entry."""
         if self._minrep_masks is None:
             masks = [0] * self.size
             for K in range(1 << self.rank):
                 bit = 1 << K
                 for i in set(self.coset_minreps(_bits(K))):  # the minima are the fixed points
                     masks[i] |= bit
-            self._minrep_masks = (masks, Counter(masks))
+            self._minrep_masks = masks
         return self._minrep_masks
 
     def class_descent_counts(self) -> List[Counter]:
@@ -406,27 +418,42 @@ class CoxeterGroup:
             self._descent_structure = out
         return self._descent_structure
 
-    def measure_keys(self, *kinds: str) -> Tuple[Sequence, Counter]:
-        """The per-element keys of a measure-table kind and the number of
-        elements per key: element i's key is its descent mask for "descent",
-        its ``minrep_masks`` mask for "minrep" and i for "element".  Given
-        several kinds, the keys are their key sequences and the counts are
-        keyed by the tuples of one element's keys, so two measures agree at
-        every element iff they agree on each tuple that occurs."""
-        cached = self._measure_keys.get(kinds)
+    def measure_keys(self, kind: str) -> Sequence[int]:
+        """Per element, its key in a measure table of this kind: its descent
+        mask for "descent", its ``minrep_masks`` mask for "minrep" and its
+        index for "element"."""
+        if kind == "descent":
+            return self.descent_mask
+        if kind == "minrep":
+            return self.minrep_masks()
+        if kind == "element":
+            return range(self.size)
+        raise ValueError(f"unknown measure key kind {kind!r}")
+
+    def measure_counts(self, *kinds: str) -> Counter:
+        """The number of elements per key of a measure-table kind.  Given
+        several kinds, the counts are keyed by the tuples of one element's
+        keys, so two measures agree at every element iff they agree on each
+        tuple that occurs.  Descent kinds alone are counted at the rank
+        level, without the elements: an element is the minimum of its coset
+        w W_K iff its descents avoid K, so #{w : D(w) in A} = |W| / |W_{S-A}|,
+        and the class sizes follow by Moebius inversion over the subsets."""
+        cached = self._measure_counts.get(kinds)
         if cached is None:
-            if len(kinds) > 1:
-                keys = tuple(self.measure_keys(kind)[0] for kind in kinds)
-                cached = (keys, Counter(zip(*keys)))
-            elif kinds == ("descent",):
-                cached = (self.descent_mask, Counter(self.descent_mask))
-            elif kinds == ("minrep",):
-                cached = self.minrep_masks()
-            elif kinds == ("element",):
-                cached = (range(self.size), Counter(range(self.size)))
+            if set(kinds) == {"descent"}:
+                full = (1 << self.rank) - 1
+                sizes = [self.size // sum(self.poincare()[full ^ A]) for A in range(full + 1)]
+                for i in range(self.rank):
+                    for A in range(full + 1):
+                        if A >> i & 1:
+                            sizes[A] -= sizes[A ^ 1 << i]
+                cached = Counter({(d if len(kinds) == 1 else (d,) * len(kinds)): n
+                                  for d, n in enumerate(sizes)})
+            elif len(kinds) == 1:
+                cached = Counter(self.measure_keys(kinds[0]))
             else:
-                raise ValueError(f"unknown measure key kind {kinds!r}")
-            self._measure_keys[kinds] = cached
+                cached = Counter(zip(*map(self.measure_keys, kinds)))
+            self._measure_counts[kinds] = cached
         return cached
 
     # -- intersection lattice ----------------------------------------------------
@@ -437,27 +464,61 @@ class CoxeterGroup:
             self._lattice = build_lattice(self.root_system)
         return self._lattice
 
-    # -- exponents ---------------------------------------------------------------
+    # -- Poincare polynomials and exponents --------------------------------------
 
-    def length_generating_coeffs(self) -> List[int]:
-        coeffs = [0] * (self.n_pos + 1)
-        for l in self.length:
-            coeffs[l] += 1
-        return coeffs
+    def poincare(self) -> List[List[int]]:
+        """The length generating function W_K(t) of every standard parabolic
+        W_K, as integer coefficients from t^0 up, indexed by the mask of K,
+        built once without the elements.  By Solomon's formula (L. Solomon,
+        J. Algebra 3, 1966), sum over J in K of (-1)^|J| W_K(t) / W_J(t) =
+        t^N_K, where N_K counts the positive roots supported in K.  So W_K =
+        (t^N_K - (-1)^|K|) / S_K with S_K the sum over J strictly in K of
+        (-1)^|J| / W_J, a power series with S_K(0) = -(-1)^|K|; every W_J(0)
+        is 1, so each division stays in the integers."""
+        if self._poincare is None:
+            top = self.n_pos + 1  # series are kept to degree N
+            supports = [_mask(i for i, c in enumerate(root) if c)
+                        for root in self.root_system.positive_roots]
+            polys: List[List[int]] = []
+            inverses: List[List[int]] = []  # 1 / W_J, to degree N
+            for K in range(1 << self.rank):
+                n_k = sum(1 for s in supports if not s & ~K)
+                series = [0] * (n_k + 1)
+                for J in range(K):
+                    if not J & ~K:
+                        sign = (-1) ** J.bit_count()
+                        series = [a + sign * b for a, b in zip(series, inverses[J])]
+                # S_K W_K = t^N_K - (-1)^|K|, where S_K(0) = -(-1)^|K| is its
+                # own inverse, and W_K(0) = 1
+                sign = -((-1) ** K.bit_count())
+                poly = [1]
+                for n in range(1, n_k + 1):
+                    poly.append(sign * ((n == n_k) - sum(map(mul, series[1:n + 1], reversed(poly)))))
+                inv = [1]
+                for n in range(1, top):
+                    k = min(n, n_k)
+                    inv.append(-sum(map(mul, poly[1:k + 1], reversed(inv[n - k:]))))
+                polys.append(poly)
+                inverses.append(inv)
+            if sum(polys[-1]) != self.size:
+                raise RuntimeError(f"{self.root_system.type_name()}: W(1) is "
+                                   f"{sum(polys[-1])}, not the group order {self.size}")
+            self._poincare = polys
+        return self._poincare
 
     def exponents(self) -> Tuple[int, ...]:
-        """Exponents, from factoring the length generating function as a
+        """Exponents, from factoring the Poincare polynomial W(t) as a
         product of truncated geometric series (iterated exact division)."""
         if self._exponents is not None:
             return self._exponents
-        q = self.length_generating_coeffs()
+        q = list(self.poincare()[-1])
         for _ in range(self.rank):  # multiply by (1-t)^rank
             q = [a - b for a, b in zip(q + [0], [0] + q)]
         degrees = []
         for _ in range(self.rank):
             d = next((i for i in range(1, len(q)) if q[i] != 0), None)
             if d is None:
-                raise RuntimeError("length generating function does not factor")
+                raise RuntimeError("Poincare polynomial does not factor")
             out = q[:]
             for i in range(d, len(q)):  # exact division by (1 - t^d)
                 out[i] = q[i] + out[i - d]
@@ -466,7 +527,7 @@ class CoxeterGroup:
                 q.pop()
             degrees.append(d)
         if q != [1]:
-            raise RuntimeError("length generating function does not factor")
+            raise RuntimeError("Poincare polynomial does not factor")
         exps = tuple(sorted(d - 1 for d in degrees))
         order = 1
         for e in exps:
@@ -475,6 +536,36 @@ class CoxeterGroup:
             raise RuntimeError("exponent product check failed")
         self._exponents = exps
         return exps
+
+    # -- words, by the signed root action ------------------------------------------
+
+    def _word_key(self, word: Iterable[int]) -> bytes:
+        """The root-permutation key of the product of the simple reflections
+        in ``word``, composed from the generators' keys alone."""
+        key = bytes(range(2 * self.n_pos))
+        for g in word:
+            key = self._gen_keys[g].translate(key + self._pad)  # key * s_g
+        return key
+
+    def word_descent_mask(self, word: Iterable[int]) -> int:
+        """The descent mask of the product of the simple reflections in
+        ``word``: the simple roots that it sends to negative roots."""
+        key = self._word_key(word)
+        return _mask(g for g, j in enumerate(self._simple) if key[j] >= self.n_pos)
+
+    def longest_word(self, K: Iterable[int]) -> Tuple[int, ...]:
+        """A reduced word of the longest element of W_K, without the
+        elements: right-multiply by a generator of K that is not yet a
+        descent, which adds one to the length, until every generator of K
+        is one."""
+        gens = tuple(_bits(_mask(K)))
+        key, word = bytes(range(2 * self.n_pos)), []
+        while True:
+            g = next((g for g in gens if key[self._simple[g]] < self.n_pos), None)
+            if g is None:
+                return tuple(word)
+            key = self._gen_keys[g].translate(key + self._pad)
+            word.append(g)
 
 
 def _mask(K: Iterable[int]) -> int:
@@ -530,15 +621,19 @@ def signed_cycle_type(one_line: Sequence[int]) -> tuple:
 
 
 def enumerate_group(rs: RootSystem) -> CoxeterGroup:
-    """Breadth-first closure of the simple reflections."""
-    return CoxeterGroup(rs)
+    """The group with its elements enumerated at once, by breadth-first
+    closure of the simple reflections."""
+    g = CoxeterGroup(rs)
+    g._build()
+    return g
 
 
 _GROUPS: Dict[str, CoxeterGroup] = {}
 
 
 def get_group(type_name: str) -> CoxeterGroup:
-    """Process-wide registry of enumerated groups (built once, shared)."""
+    """Process-wide registry of groups (built once, shared); each enumerates
+    its elements on first use."""
     key = type_name.strip().upper().replace(" ", "")
     g = _GROUPS.get(key)
     if g is None:

@@ -108,26 +108,6 @@ def canonicalize(vectors: Iterable[Sequence], ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, rref(vectors))
 
 
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces (Zassenhaus block-matrix algorithm)."""
-    if s1.ambient_dim != s2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    n = s1.ambient_dim
-    zero = _zero_of(s1, s2)
-    blocks = [list(r) + list(r) for r in s1.basis]
-    blocks += [list(r) + [zero] * n for r in s2.basis]
-    reduced = rref(blocks)
-    inter = [row[n:] for row in reduced if all(_is_zero(x) for x in row[:n])]
-    return canonicalize(inter, n)
-
-
-def _zero_of(*spaces):
-    for s in spaces:
-        for row in s.basis:
-            return row[0] * 0
-    return Fraction(0)
-
-
 def nullspace(rows: Sequence[Sequence], ambient_dim: int, one=None) -> Subspace:
     """Solution space of the homogeneous system rows . v = 0.
 
@@ -152,10 +132,3 @@ def nullspace(rows: Sequence[Sequence], ambient_dim: int, one=None) -> Subspace:
             v[pc] = -row[j]
         basis.append(tuple(v))
     return canonicalize(basis, ambient_dim)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )

@@ -33,8 +33,10 @@ Brown, Ann. Probab. 28, 2000), so its spectrum identity
 prod over i = 0..r of (M - x^-i I) = 0 is checked as
 prod (H - x^-i delta_e) = 0 in the same algebra, on every supported type.
 The integer tables are built once per group
-(``CoxeterGroup.descent_structure``, ``measure_keys``,
-``class_descent_counts``).
+(``CoxeterGroup.descent_structure``, ``measure_counts``,
+``class_descent_counts``).  A descent table, and the face weights it is
+summed from, need only the group's rank-level data, so they never
+enumerate the elements.
 """
 
 from __future__ import annotations
@@ -69,12 +71,14 @@ def binom(x: Union[int, Fraction], n: int) -> Fraction:
 
 class WMeasure:
     """Signed measure on the group, coefficients summing to one exactly, as
-    one value table: the value at element i is ``table[keys[i]]`` for
-    ``keys, counts = group.measure_keys(kind)``, where the kind is
-    "descent", "minrep" or "element"."""
+    one value table: the value at element i is ``table[group.measure_keys(
+    kind)[i]]``, where the kind is "descent", "minrep" or "element".  Only
+    the values at given elements (``value``, ``dense``) read per-element
+    keys; the rest reads the key counts (``group.measure_counts``), which
+    for a descent table are rank-level."""
 
     def __init__(self, group: CoxeterGroup, x_param: Optional[Fraction], kind: str, table):
-        counts = group.measure_keys(kind)[1]
+        counts = group.measure_counts(kind)
         if len(table) != len(counts):
             raise ValueError("wrong number of values")
         total = sum(n * table[k] for k, n in counts.items())
@@ -86,17 +90,17 @@ class WMeasure:
         self.table = dict(table) if isinstance(table, dict) else tuple(table)
 
     def value(self, i: int) -> Fraction:
-        return self.table[self.group.measure_keys(self.kind)[0][i]]
+        return self.table[self.group.measure_keys(self.kind)[i]]
 
     def dense(self) -> Tuple[Fraction, ...]:
         """The value at every element, in element order."""
-        return tuple(map(self.table.__getitem__, self.group.measure_keys(self.kind)[0]))
+        return tuple(map(self.table.__getitem__, self.group.measure_keys(self.kind)))
 
     def descent_table(self) -> List[Fraction]:
         """The values indexed by descent mask; raises ValueError unless the
         measure is constant on descent classes."""
         by_mask: Dict[int, Fraction] = {}
-        for d, k in self.group.measure_keys("descent", self.kind)[1]:
+        for d, k in self.group.measure_counts("descent", self.kind):
             if by_mask.setdefault(d, self.table[k]) != self.table[k]:
                 raise ValueError("measure is not constant on descent classes")
         return [by_mask[d] for d in range(1 << self.group.rank)]
@@ -107,13 +111,16 @@ class WMeasure:
         # each measure is constant where its key is, so the two agree at every
         # element iff they agree on every pair of keys that occurs
         a, b = self.table, other.table
-        return all(a[i] == b[j] for i, j in self.group.measure_keys(self.kind, other.kind)[1])
+        return all(a[i] == b[j] for i, j in self.group.measure_counts(self.kind, other.kind))
 
     def __hash__(self):
-        return hash((id(self.group), self.value(0)))
+        # the identity's key in each kind: descent mask 0, the minrep mask of
+        # all 2^r subsets (it is the minimum of each of its cosets), index 0
+        key = (1 << (1 << self.group.rank)) - 1 if self.kind == "minrep" else 0
+        return hash((id(self.group), self.table[key]))
 
     def min_value(self) -> Fraction:
-        return min(map(self.table.__getitem__, self.group.measure_keys(self.kind)[1]))
+        return min(map(self.table.__getitem__, self.group.measure_counts(self.kind)))
 
 
 @dataclass
@@ -224,7 +231,8 @@ def longshort_values(
 ) -> Tuple[Fraction, Fraction]:
     """(value at the longest element, value at the identity): the exact
     products prod(x - m_i) and prod(x + m_i) over x^r |W|.  If a measure is
-    supplied, both values are asserted against it."""
+    supplied, both values are asserted against its values at descent masks
+    full and 0, where the two elements are alone."""
     x = Fraction(x)
     exps = g.exponents()
     denom = x**g.rank * g.size
@@ -236,9 +244,10 @@ def longshort_values(
     at_w0 /= denom
     at_id /= denom
     if measure is not None:
-        if measure.value(g.longest_index) != at_w0:
+        values = measure.descent_table()
+        if values[-1] != at_w0:
             raise AssertionError("longest-element value does not match the product formula")
-        if measure.value(0) != at_id:
+        if values[0] != at_id:
             raise AssertionError("identity value does not match the product formula")
     return at_w0, at_id
 
@@ -285,15 +294,16 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
     of minimal length; the walk lands on w with the total weight of the
     faces whose minimum is w, i.e. the sum of v_K over the K for which w is
     its own ``coset_minreps(K)`` entry.  That sum depends only on w's mask
-    of such K (``g.minrep_masks()``), so it is taken once per distinct mask.
-    Computed from coset minima alone, independently of the descent sets and
-    of h_measure, as a cross-check oracle."""
+    of such K (``g.minrep_masks()``), so it is taken once per distinct mask
+    (``g.measure_counts("minrep")``).  Computed from coset minima alone,
+    independently of the descent sets and of h_measure, as a cross-check
+    oracle."""
     total = fw.face_total()
     if total != 1:
         raise ValueError(f"face weights sum to {total}, not 1")
     table = {
         mask: sum((v for K, v in enumerate(fw.weights) if mask >> K & 1), Fraction(0))
-        for mask in g.minrep_masks()[1]
+        for mask in g.measure_counts("minrep")
     }
     return WMeasure(g, fw.x_param, "minrep", table)
 

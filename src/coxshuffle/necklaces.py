@@ -165,28 +165,6 @@ def s_vector_count(group, w_index: int, q: int) -> int:
     return int(val)
 
 
-def s_vector_count_brute(group, w_index: int, q: int) -> int:
-    """The same count by direct enumeration (cross-validation oracle)."""
-    n = group.rank
-    bound = (q - 1) // 2
-    strict = group.descent_set(w_index)  # descent at i: s_(i+1) > s_(i+2), s_(n+1) = 0
-
-    def count(pos: int, ceil: int) -> int:
-        if ceil < 0:
-            return 0
-        if pos == n:
-            return 1
-        total = 0
-        for v in range(ceil + 1):
-            if pos == n - 1:
-                total += 0 if (pos in strict and v == 0) else 1
-            else:
-                total += count(pos + 1, v - 1 if pos in strict else v)
-        return total
-
-    return count(0, bound)
-
-
 # -- the Gessel-Reutenauer bijection ---------------------------------------------
 
 

@@ -333,7 +333,7 @@ def parse_type(name: str) -> RootSystem:
     if s.upper() in ("G2", "H3", "H4"):
         fam = s.upper()
         return build_root_system(fam, int(fam[1]))
-    fam, num = s[0].upper(), s[1:]
+    fam, num = s[:1].upper(), s[1:]
     if not num.isdigit():
         raise UnsupportedTypeError(f"cannot parse type {name!r}")
     return build_root_system(fam, int(num))

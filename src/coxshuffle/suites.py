@@ -119,11 +119,13 @@ def _suite_longshort(p: dict) -> Report:
     for t in p["types"]:
         g = get_group(t)
         for x in p["xs"]:
-            m = h_measure(g, x, "definition")
+            # the longest element and the identity are alone in their descent
+            # classes, the full mask and 0
+            values = h_measure(g, x, "definition").descent_table()
             w0v, idv = longshort_values(g, x)
-            rep.add(f"{t} x={x}: measure at longest element", w0v,
-                    m.value(g.longest_index), "product-formula")
-            rep.add(f"{t} x={x}: measure at identity", idv, m.value(0), "product-formula")
+            rep.add(f"{t} x={x}: measure at longest element", w0v, values[-1],
+                    "product-formula")
+            rep.add(f"{t} x={x}: measure at identity", idv, values[0], "product-formula")
     return rep
 
 
@@ -156,15 +158,20 @@ def _suite_h4_counterexample(p: dict) -> Report:
     rep = Report("h4_counterexample", p)
     x = p["x"]
     g = get_group("H4")
-    special = frozenset({2, 3})
-    w = next(i for i in range(g.size) if g.descent_set(i) == special)
-    ww0 = g.multiply(w, g.longest_index)
+    # w is the longest element of W_{2,3}, the shortest element with descent
+    # set {2, 3}; both words are composed on the signed roots, and the
+    # measure is read by descent mask
+    special = 0b1100
+    w = g.longest_word([2, 3])
+    dw = g.word_descent_mask(w)
+    dww0 = g.word_descent_mask(w + g.longest_word(range(4)))
     rep.add(
         "descent set of w*w0 is complementary",
-        sorted(frozenset(range(4)) - special), sorted(g.descent_set(ww0)), "group-structure",
+        [i for i in range(4) if not special >> i & 1], [i for i in range(4) if dww0 >> i & 1],
+        "group-structure",
     )
-    m = h_measure(g, -x, "closed_form")
-    a, b = m.value(w), m.value(ww0)
+    values = h_measure(g, -x, "closed_form").descent_table()
+    a, b = values[dw], values[dww0]
     rep.add(
         f"H(-{x}) separates w (descents {{3,4}}) from w*w0",
         "different values", "different values" if a != b else f"both {exact_str(a)}",
@@ -185,7 +192,7 @@ def _suite_spectrum(p: dict) -> Report:
         # row holds H's values once each, and its polynomials are H's in the
         # descent algebra
         values = h.descent_table()
-        row_sum = sum(n * values[d] for d, n in g.measure_keys("descent")[1].items())
+        row_sum = sum(n * values[d] for d, n in g.measure_counts("descent").items())
         rep.add(f"{t} x={x}: rows sum to 1", "stochastic",
                 "stochastic" if row_sum == 1 else "defective", "identity")
         rep.add(f"{t} x={x}: product of (M - x^-i I) for i = 0..rank", "zero matrix",

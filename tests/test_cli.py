@@ -393,3 +393,40 @@ def test_default_grids_have_very_good_q():
         for n, q in DEFAULT_PARAMS[name]["grid"]:
             _check_n(n, *SUITE_N_RANGE[name], name)
             _check_q(q, family, n, name)
+
+
+@pytest.mark.parametrize("argv,value,reason", [
+    (("measure", "--type", "X9", "--x", "2"), "X9", "unsupported type X9"),
+    (("verify", "triple_agreement", "--type", "XYZ"), "XYZ", "cannot parse type 'XYZ'"),
+    (("coxeter", "dump", "--type", "A0", "--what", "elements"), "A0", "unsupported type A0"),
+    (("lattice", "--type", "B9"), "B9", "unsupported type B9"),
+    (("verify", "walk_oracle", "--type", "I2(7)"), "I2(7)", "needs scalars outside Q"),
+    (("verify", "longshort", "--type", "A2", "--type", "H5"), "H5", "unsupported type H5"),
+    (("measure", "--type", "", "--x", "2"), "", "cannot parse type ''"),
+])
+def test_type_error_names_its_flag(capsys, argv, value, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --type {value!r}: ") and len(err.splitlines()) == 1
+    assert reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("problem1",),
+    ("sommers", "--family", "A"),
+    ("nonsense",),
+    ("sommers", "--x", "3"),
+    ("h4_counterexample", "--type", "H4"),
+    ("problem1_A", "--q", "5"),
+    ("problem1", "--family", "B", "--n", "3"),
+    ("problem1", "--family", "A", "--n", "9", "--q", "5"),
+    ("reiner_counts", "--n", "2", "--q", "4"),
+    ("convolution", "--x", "2", "--x", "3"),
+    ("longshort", "--x", "1/0"),
+    ("spectrum", "--type", "Q3"),
+])
+def test_every_verify_usage_error_is_one_error_line(capsys, argv):
+    # each way cmd_verify refuses its arguments, past the parser's own checks
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

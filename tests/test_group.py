@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from coxshuffle.group import cycle_type, get_group, signed_cycle_type
+from coxshuffle.group import (ELEMENT_TABLES, CoxeterGroup, cycle_type, enumerate_group,
+                              get_group, signed_cycle_type)
 from coxshuffle.rootdata import parse_type
 from coxshuffle.tables import fixed_space
 
@@ -18,6 +19,37 @@ def all_subsets(r):
     """Every subset of range(r), in the order of its bitmask."""
     for m in range(1 << r):
         yield frozenset(i for i in range(r) if m >> i & 1)
+
+
+def subgroup_elements(g, K):
+    """Oracle: the elements of the standard parabolic W_K, by closure of the
+    identity under right multiplication by K's generators."""
+    gens = [g.rmult[i] for i in K]
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for rg in gens:
+            j = rg[i]
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return tuple(sorted(seen))
+
+
+def length_generating_coeffs(g, elements):
+    """Oracle: the number of the given elements of each length, from 0 up
+    to the greatest."""
+    lengths = Counter(g.length[i] for i in elements)
+    return [lengths[n] for n in range(max(lengths) + 1)]
+
+
+def mat_mul(a, b):
+    """Oracle: the product of two square matrices, as a tuple of rows."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+    )
 
 
 def inversions(perm):
@@ -161,7 +193,7 @@ def test_signed_cycle_type_examples():
 def brute_parabolic(g, K):
     """Oracle for normalizer order and equivalent-subset count, using only
     generic group operations (subgroup sets and conjugation)."""
-    sub = set(g.subgroup_elements(K))
+    sub = set(subgroup_elements(g, K))
     norm = sum(
         1
         for w in range(g.size)
@@ -170,7 +202,7 @@ def brute_parabolic(g, K):
     lam = 0
     for m in range(1 << g.rank):
         J = frozenset(i for i in range(g.rank) if m >> i & 1)
-        subJ = set(g.subgroup_elements(J))
+        subJ = set(subgroup_elements(g, J))
         if len(subJ) != len(sub):
             continue
         if any(
@@ -309,8 +341,6 @@ def test_descent_complement_when_longest_is_minus_identity():
 def test_matrices_multiply():
     import random
 
-    from coxshuffle.linalg import mat_mul
-
     rng = random.Random(11)
     for t in ("B2", "H3"):
         g = get_group(t)
@@ -336,7 +366,7 @@ def test_coset_minreps_definitions():
     g = get_group("B3")
     for K in (frozenset(), frozenset({0}), frozenset({0, 2}), frozenset({0, 1, 2})):
         reps = g.coset_minreps(K)
-        sub = g.subgroup_elements(K)
+        sub = subgroup_elements(g, K)
         for i in range(g.size):
             coset = {g.multiply(i, u) for u in sub}
             best = min(coset, key=lambda j: g.length[j])
@@ -347,11 +377,11 @@ def test_coset_minreps_definitions():
 def test_minrep_masks_are_descent_free_subsets(t):
     # w is the minimum of its coset w W_K exactly when K avoids its right descents
     g = get_group(t)
-    masks, counts = g.minrep_masks()
+    masks = g.minrep_masks()
     for i in range(g.size):
         dm = g.descent_mask[i]
         assert masks[i] == sum(1 << k for k in range(1 << g.rank) if not k & dm)
-    assert counts == Counter(masks)
+    assert g.measure_counts("minrep") == Counter(masks)
 
 
 def brute_structure_counts(g, w):
@@ -384,22 +414,93 @@ def test_descent_structure_against_brute_force(t):
 @pytest.mark.parametrize("t", SUPPORTED)
 def test_descent_class_sizes_and_pairs(t):
     g = get_group(t)
-    keys, sizes = g.measure_keys("descent")
+    keys, sizes = g.measure_keys("descent"), g.measure_counts("descent")
     assert keys is g.descent_mask and sizes == Counter(g.descent_mask)
     assert len(sizes) == 1 << g.rank  # no descent class is empty
-    assert g.measure_keys("minrep") == g.minrep_masks()
-    keys, pairs = g.measure_keys("descent", "minrep")
-    assert keys == (g.descent_mask, g.minrep_masks()[0])
-    assert pairs == Counter(zip(g.descent_mask, g.minrep_masks()[0]))
+    assert g.measure_counts("descent", "descent") == Counter(zip(keys, keys))
+    assert g.measure_keys("minrep") is g.minrep_masks()
+    assert g.measure_counts("minrep") == Counter(g.minrep_masks())
+    pairs = g.measure_counts("descent", "minrep")
+    assert pairs == Counter(zip(g.descent_mask, g.minrep_masks()))
     # w is the minimum of w W_K iff K avoids w's descents, so the minrep mask
     # is a function of the descent mask: one pair per descent class
     assert len(pairs) == 1 << g.rank
     if g.size <= 400:
-        keys, counts = g.measure_keys("element")
+        keys, counts = g.measure_keys("element"), g.measure_counts("element")
         assert list(keys) == list(range(g.size)) and set(counts.values()) == {1}
-    assert g.measure_keys("descent", "minrep") is g.measure_keys("descent", "minrep")
+        assert len(counts) == g.size
+    assert g.measure_counts("descent", "minrep") is g.measure_counts("descent", "minrep")
 
 
 def test_measure_keys_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown measure key kind"):
         get_group("A2").measure_keys("coset")
+    with pytest.raises(ValueError, match="unknown measure key kind"):
+        get_group("A2").measure_counts("descent", "coset")
+
+
+# -- rank-level data against the enumeration -------------------------------------
+
+
+def fresh_group(t):
+    """A private group, not yet enumerated, of a supported type or of B3
+    with its positive roots listed in another order."""
+    if t == "permuted B3":
+        from test_lattice import permuted_b3
+
+        return CoxeterGroup(permuted_b3())
+    return CoxeterGroup(parse_type(t))
+
+
+def geometric_product(exps):
+    """Oracle: the coefficients of the product of 1 + t + ... + t^m over the
+    exponents m."""
+    out = [1]
+    for m in exps:
+        out = [sum(out[max(0, n - m):n + 1]) for n in range(len(out) + m)]
+    return out
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_rank_level_data_against_enumeration(t):
+    g = fresh_group(t)
+    poincare, exps, sizes = g.poincare(), g.exponents(), g.measure_counts("descent")
+    assert not any(name in vars(g) for name in ELEMENT_TABLES)  # no element was read
+    assert len(poincare) == 1 << g.rank
+    for K in all_subsets(g.rank):
+        expect = length_generating_coeffs(g, subgroup_elements(g, sorted(K)))
+        assert poincare[sum(1 << i for i in K)] == expect, sorted(K)
+    assert poincare[-1] == length_generating_coeffs(g, range(g.size))
+    assert geometric_product(exps) == poincare[-1]
+    assert sizes == Counter(g.descent_mask)
+    assert g.size == len(g.keys) and g.n_pos == g.length[g.longest_index]
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_words_by_the_root_action_against_enumeration(t):
+    g = fresh_group(t)
+    full = range(g.rank)
+    words = {K: g.longest_word(K) for K in all_subsets(g.rank)}
+    assert not any(name in vars(g) for name in ELEMENT_TABLES)
+    for K, word in words.items():
+        # the element of the word is W_K's longest, the only one of its
+        # length there, and it is the shortest element whose descent set is K
+        i = g.index[g._word_key(word)]
+        members = subgroup_elements(g, sorted(K))
+        assert i in members and g.length[i] == len(word) == max(g.length[j] for j in members)
+        assert g.word_descent_mask(word) == g.descent_mask[i] == sum(1 << k for k in K)
+        assert i == min(j for j in range(g.size) if g.descent_mask[j] == g.descent_mask[i])
+        iw0 = g.multiply(i, g.longest_index)
+        assert g.word_descent_mask(word + g.longest_word(full)) == g.descent_mask[iw0]
+    assert g.index[g._word_key(g.longest_word(full))] == g.longest_index
+
+
+def test_enumerate_group_builds_the_elements_at_once():
+    rs = parse_type("A3")
+    assert all(name in vars(enumerate_group(rs)) for name in ELEMENT_TABLES)
+    lazy = CoxeterGroup(rs)
+    assert not any(name in vars(lazy) for name in ELEMENT_TABLES)
+    lazy.inverse  # one read builds every table
+    assert all(name in vars(lazy) for name in ELEMENT_TABLES)
+    with pytest.raises(AttributeError):
+        lazy.no_such_table

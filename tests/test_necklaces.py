@@ -23,7 +23,6 @@ from coxshuffle.necklaces import (
     primitive_necklaces,
     refine_phi_A,
     s_vector_count,
-    s_vector_count_brute,
 )
 from coxshuffle.orbits import enumerate_orbits, orbit_family, phi_map
 
@@ -96,6 +95,28 @@ def test_n1_q3_ornaments_by_hand():
     assert len(ornaments) == 3
     types = sorted(o.type_pair() for o in ornaments)
     assert types == [((), (1,)), ((1,), ()), ((1,), ())]
+
+
+def s_vector_count_brute(group, w_index: int, q: int) -> int:
+    """Oracle: the s-vector count by direct enumeration."""
+    n = group.rank
+    bound = (q - 1) // 2
+    strict = group.descent_set(w_index)  # descent at i: s_(i+1) > s_(i+2), s_(n+1) = 0
+
+    def count(pos: int, ceil: int) -> int:
+        if ceil < 0:
+            return 0
+        if pos == n:
+            return 1
+        total = 0
+        for v in range(ceil + 1):
+            if pos == n - 1:
+                total += 0 if (pos in strict and v == 0) else 1
+            else:
+                total += count(pos + 1, v - 1 if pos in strict else v)
+        return total
+
+    return count(0, bound)
 
 
 def test_s_vector_counts_match_brute_force():
