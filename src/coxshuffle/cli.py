@@ -221,13 +221,18 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    from .necklaces import cycles_string, gessel_reutenauer, refine_phi_A
+    from .necklaces import canonicalize_necklace, cycles_string, gessel_reutenauer, refine_phi_A
 
     if args.bijection_cmd == "gr":
-        necklaces = [tuple(_parse_ints(part, "--necklaces", args.necklaces))
-                     for part in args.necklaces.split(",")]
+        parts = args.necklaces.split(",")
+        necklaces = [tuple(_parse_ints(part, "--necklaces", args.necklaces)) for part in parts]
         if not all(necklaces):
             raise ValueError(f"--necklaces {args.necklaces!r}: every necklace must be nonempty")
+        # Gessel-Reutenauer is defined on multisets of primitive necklaces only
+        for part, w in zip(parts, necklaces):
+            if not canonicalize_necklace("plain", w)[1]:
+                raise ValueError(f"--necklaces {args.necklaces!r}: {part!r} is not primitive "
+                                 "(a power of a shorter word)")
         _, cycles = gessel_reutenauer(necklaces)
         _write_out(cycles_string(cycles), args.out)
         return 0

@@ -15,7 +15,12 @@ for the class map, without finding a single factor.  ``factor`` still
 gives the factors themselves, by trial division against a sieved table of
 all monic irreducibles of degree up to deg(f)/2 — after those are
 removed, any nontrivial remainder is itself irreducible — because the
-necklace encodings and the orbit tables need them.
+necklace encodings and the orbit tables need them, and the benchmark's
+layer timings read the sieve (``irreducibles``) and ``factor`` directly.
+
+Roots are not searched for: each extension context builds, once, a table
+from every minimal polynomial over GF(p) to its first root in element
+order (``FqContext.first_roots``), from one pass over its Frobenius orbits.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ class FqContext:
         self._dlog: Dict[object, int] = {}
         self._dlog_base = None
         self._generator = None
+        self._first_roots: Optional[Dict[Tuple[int, ...], object]] = None
 
     @classmethod
     def get(cls, p: int, e: int = 1) -> "FqContext":
@@ -211,6 +217,36 @@ class FqContext:
         if a not in self._dlog:
             raise ValueError("element is zero or base is not a generator")
         return self._dlog[a]
+
+    def first_roots(self) -> Dict[Tuple[int, ...], object]:
+        """Minimal polynomial over GF(p) -> its first root in ``elements()`` order.
+
+        Built on first call in one pass over ``elements()``: the first element
+        not yet seen opens a new Frobenius orbit a, a^p, a^(p^2), ..., whose
+        product of (z - a^(p^k)) is the minimal polynomial of a, keyed by its
+        coefficients as ints, low to high.  The table belongs to this context,
+        so a field built with another modulus gets its own roots."""
+        if self._first_roots is None:
+            p, one = self.p, self.one
+            table, seen = {}, set()
+            for a in self.elements():
+                if a in seen:
+                    continue
+                poly = [one]
+                cur = a
+                while True:
+                    seen.add(cur)
+                    poly = poly_mul(self, poly, [self.neg(cur), one])
+                    cur = self.pow(cur, p)
+                    if cur == a:
+                        break
+                if self.e > 1:
+                    if any(any(c[1:]) for c in poly):
+                        raise RuntimeError("a minimal polynomial left the prime field")
+                    poly = [c[0] for c in poly]
+                table[tuple(poly)] = a
+            self._first_roots = table
+        return self._first_roots
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -453,13 +489,6 @@ class FqPoly:
         out = ctx.zero
         for c in reversed(self.coeffs):
             out = ctx.add(ctx.mul(out, a), c)
-        return out
-
-    def eval_in(self, ext: FqContext, a):
-        """Evaluate a prime-field polynomial at a point of an extension field."""
-        out = ext.zero
-        for c in reversed(self.coeffs):
-            out = ext.add(ext.mul(out, a), ext.from_int(c))
         return out
 
     def substitute_negative(self) -> "FqPoly":

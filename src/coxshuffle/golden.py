@@ -155,14 +155,16 @@ class GoldenRational:
 PHI = GoldenRational(0, 1)
 
 
-def golden_sign(x: GoldenRational) -> int:
-    """Exact sign of a + b*(1+sqrt(5))/2 under the real embedding.
+def golden_sign(x) -> int:
+    """Exact sign of a + b*(1+sqrt(5))/2 under the real embedding, for x a
+    GoldenRational or a pair (a, b) of integers or rationals.
 
     Reduces to the sign of u + v*sqrt(5) with u = 2a+b, v = b, decided by
     comparing u^2 with 5 v^2; no floating point is involved.
     """
-    u = 2 * x.a + x.b
-    v = x.b
+    a, b = (x.a, x.b) if isinstance(x, GoldenRational) else x
+    u = 2 * a + b
+    v = b
     su, sv = rat_sign(u), rat_sign(v)
     if sv == 0:
         return su
@@ -181,20 +183,8 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 def format_scalar(x) -> str:
     """Serialize a scalar: rationals as "p/q", golden as "a/b+c/d*phi"."""
     if isinstance(x, GoldenRational):
         return f"{format_rational(x.a)}+{format_rational(x.b)}*phi"
     return format_rational(Fraction(x))
-
-
-def parse_scalar(s: str):
-    if s.endswith("*phi"):
-        ab, _, cd = s[: -len("*phi")].rpartition("+")
-        return GoldenRational(parse_rational(ab), parse_rational(cd))
-    return parse_rational(s)

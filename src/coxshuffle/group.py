@@ -96,7 +96,6 @@ class CoxeterGroup:
             for row in rs.simple_action
         ]
         self._pad = bytes(range(2 * n_pos, 256))
-        self._matrices: Dict[int, tuple] = {}
         self._classes: Optional[List[ConjugacyClass]] = None
         self._class_of: Optional[List[int]] = None
         self._poincare: Optional[List[List[int]]] = None
@@ -245,35 +244,6 @@ class CoxeterGroup:
             out.append(self.gen_of[i])
             i = self.parent[i]
         return tuple(reversed(out))
-
-    def element_matrix(self, i: int) -> tuple:
-        """Reflection-representation matrix (simple-root coordinates)."""
-        cached = self._matrices.get(i)
-        if cached is not None:
-            return cached
-        chain = []
-        j = i
-        while j not in self._matrices and j != 0:
-            chain.append(j)
-            j = self.parent[j]
-        if 0 not in self._matrices:
-            rs = self.root_system
-            one = rs.cartan_like_matrix[0][0] / rs.cartan_like_matrix[0][0]
-            zero = one * 0
-            ident = tuple(
-                tuple(one if a == b else zero for b in range(rs.rank)) for a in range(rs.rank)
-            )
-            self._matrices[0] = ident
-        C = self.root_system.cartan_like_matrix
-        for j in reversed(chain):
-            m = self._matrices[self.parent[j]]
-            g = self.gen_of[j]
-            # right-multiply by s_g: column update via row g of the Cartan-like matrix
-            self._matrices[j] = tuple(
-                tuple(m[a][b] - m[a][g] * C[g][b] for b in range(len(m)))
-                for a in range(len(m))
-            )
-        return self._matrices[i]
 
     # -- conjugacy classes ---------------------------------------------------
 

@@ -308,13 +308,6 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
     return WMeasure(g, fw.x_param, "minrep", table)
 
 
-def uniform_chamber_weights(g: CoxeterGroup) -> FaceWeights:
-    """All weight on the chambers (type-empty faces), uniformly."""
-    weights = [Fraction(0)] * (1 << g.rank)
-    weights[0] = Fraction(1, g.size)
-    return FaceWeights(g, Fraction(0), weights, "manual")
-
-
 # -- descent-algebra operations -------------------------------------------------
 
 
@@ -372,12 +365,6 @@ def _over_common_denominator(values) -> Tuple[List[int], int]:
     values = list(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def point_mass(g: CoxeterGroup, i: int) -> WMeasure:
-    dense = [Fraction(0)] * g.size
-    dense[i] = Fraction(1)
-    return WMeasure(g, None, "element", dense)
 
 
 def pushforward_classes(m: WMeasure) -> ClassMeasure:

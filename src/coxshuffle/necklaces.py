@@ -12,20 +12,19 @@ is the pair of partitions (blinking sizes, twisted sizes).
 The polynomial encodings: a root of an irreducible factor is written in a
 normal basis (conjugation becomes rotation of coordinates), or its discrete
 log is expanded in base p (Golomb's encoding).  Either way an irreducible
-of degree i becomes a primitive plain i-necklace, and even polynomials
-f(z) = f(-z) become signed ornaments through the conjugate-pair splitting.
+of degree i becomes a primitive plain i-necklace.  The root is the first
+one in the extension field's element order, read from the field's one
+table of minimal polynomials (``FqContext.first_roots``), not searched for.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .gfpoly import FqContext, FqPoly, factor, is_irreducible, is_prime
-from .measures import binom
-from .orbits import b_pair_type
 
 
 # -- canonical forms ------------------------------------------------------------
@@ -89,11 +88,6 @@ class SignedOrnament:
     def size(self) -> int:
         return sum(len(w) for w in self.twisted) + sum(len(w) for w in self.blinking)
 
-    def max_entry(self) -> int:
-        entries = [abs(a) for w in self.twisted for a in w]
-        entries += [abs(a) for w in self.blinking for a in w]
-        return max(entries, default=0)
-
     def type_pair(self) -> Tuple[tuple, tuple]:
         """(blinking-size partition, twisted-size partition)."""
         lam = tuple(sorted((len(w) for w in self.blinking), reverse=True))
@@ -156,13 +150,10 @@ def s_vector_count(group, w_index: int, q: int) -> int:
     """Number of weakly decreasing s in {0..(q-1)/2}^n strictly decreasing at
     the descents of w (sentinel s_(n+1) = 0): the binomial
     C((q-1)/2 + n - d(w), n)."""
-    if q % 2 == 0:
-        raise ValueError("q must be odd")
+    if q % 2 == 0 or q < 1:
+        raise ValueError("q must be odd and positive")
     n = group.rank
-    d = len(group.descent_set(w_index))
-    val = binom(Fraction(q - 1, 2) + n - d, n)
-    assert val.denominator == 1
-    return int(val)
+    return comb((q - 1) // 2 + n - group.descent_mask[w_index].bit_count(), n)
 
 
 # -- the Gessel-Reutenauer bijection ---------------------------------------------
@@ -285,11 +276,12 @@ def _normal_coordinates(ext: FqContext, q: int, m: int, beta) -> List[int]:
 
 
 def _first_root_in_extension(phi: FqPoly, ext: FqContext):
-    """The first root of phi in ``ext.elements()`` order."""
-    for a in ext.elements():
-        if ext.is_zero(phi.eval_in(ext, a)):
-            return a
-    raise RuntimeError(f"{phi} has no root in GF({ext.order})")
+    """The first root of the irreducible phi in ``ext.elements()`` order,
+    read from the extension's table of minimal polynomials."""
+    root = ext.first_roots().get(phi.monic().coeffs)
+    if root is None:
+        raise RuntimeError(f"{phi} has no root in GF({ext.order})")
+    return root
 
 
 def normal_basis_encode(phi: FqPoly) -> tuple:
@@ -336,67 +328,6 @@ def golomb_encode(phi: FqPoly, beta=None) -> tuple:
     if not primitive:
         raise RuntimeError("encoding produced an imprimitive necklace")
     return canon
-
-
-def _lift_symmetric(c: int, q: int) -> int:
-    return c if c <= (q - 1) // 2 else c - q
-
-
-def ornament_from_polynomial(f: FqPoly, q: int) -> SignedOrnament:
-    """Signed ornament of an even monic polynomial of degree 2n over F_q.
-
-    Conjugate pairs of irreducibles of degree m give blinking necklaces of
-    size m (normal-basis coordinates of a root; negation swaps the pair);
-    self-conjugate irreducibles of degree 2m give twisted necklaces of size
-    m (the second coordinate half is minus the first, which is asserted).
-    """
-    if q % 2 == 0 or not is_prime(q):
-        raise ValueError("q must be an odd prime")
-    if not f.is_even_function() or not f.is_monic:
-        raise ValueError("expected a monic polynomial with f(z) = f(-z)")
-    fac = factor(f)
-    twisted: List[tuple] = []
-    blinking: List[tuple] = []
-    done = set()
-    for phi, k in fac:
-        if phi in done:
-            continue
-        star = phi.conjugate_monic()
-        deg = phi.degree
-        if star != phi:
-            done.add(star)
-            rep = min(phi, star)
-            ext = FqContext.get(q, deg)
-            beta = _first_root_in_extension(rep, ext)
-            coords = _normal_coordinates(ext, q, deg, beta)
-            word = tuple(_lift_symmetric(c, q) for c in coords)
-            canon, primitive = canonicalize_necklace("blinking", word)
-            assert primitive
-            blinking.extend([canon] * k)
-        elif deg == 1:  # phi = z, even multiplicity
-            blinking.extend([(0,)] * (k // 2))
-        else:
-            r, s = divmod(k, 2)
-            m = deg // 2
-            ext = FqContext.get(q, deg)
-            beta = _first_root_in_extension(phi, ext)
-            coords = _normal_coordinates(ext, q, deg, beta)
-            if any((coords[j] + coords[j + m]) % q for j in range(m)):
-                raise RuntimeError("second half of a self-conjugate root is not negated")
-            if r:
-                word = tuple(_lift_symmetric(c, q) for c in coords)
-                canon, primitive = canonicalize_necklace("blinking", word)
-                assert primitive
-                blinking.extend([canon] * r)
-            if s:
-                word = tuple(_lift_symmetric(c, q) for c in coords[:m])
-                canon, primitive = canonicalize_necklace("twisted", word)
-                assert primitive
-                twisted.append(canon)
-    ornament = make_ornament(twisted, blinking)
-    if ornament.type_pair() != b_pair_type(fac):
-        raise RuntimeError("ornament type disagrees with the factorization type")
-    return ornament
 
 
 # -- the refinement pipeline for type A --------------------------------------------

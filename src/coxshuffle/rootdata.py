@@ -11,6 +11,10 @@ The remaining dihedral orders m <= 12 (7, 8, 9, 11, 12) would need exact
 coordinates outside Q and Q(phi) (degree of 2*cos(pi/m) exceeds 2), so they
 are rejected with an explicit unsupported-type error.
 
+Every Cartan entry lies in Z or Z[phi], so the roots are found by a closure
+on integer pairs (a, b) = a + b*phi; the roots are converted to Fraction or
+GoldenRational coordinates once, at the end.
+
 Also houses the affine data used by the positive-solution counting identity:
 highest root, marks, index of connection, and the counter p_count.
 """
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .golden import GoldenRational, golden_sign
 
@@ -55,12 +59,6 @@ def _factorial(n: int) -> int:
 
 class UnsupportedTypeError(ValueError):
     """Raised for (family, rank) pairs outside the supported set."""
-
-
-def _scalar_sign(x) -> int:
-    if isinstance(x, GoldenRational):
-        return golden_sign(x)
-    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -105,16 +103,6 @@ class RootSystem:
         w = list(v)
         w[i] = v[i] - coeff
         return tuple(w)
-
-    def root_sign(self, v: Sequence) -> int:
-        """+1 for a positive root, -1 for a negative root."""
-        signs = {_scalar_sign(x) for x in v}
-        signs.discard(0)
-        if signs == {1}:
-            return 1
-        if signs == {-1}:
-            return -1
-        raise ValueError(f"not a root: {v}")
 
     def signed_index(self, v: Sequence) -> int:
         """Index of v among signed roots: j for positive, j + n_pos for -roots."""
@@ -218,6 +206,71 @@ def _cartan_and_gram(family: str, rank: int, m: Optional[int]):
     raise UnsupportedTypeError(f"unsupported type {family}{rank}")
 
 
+def _golden_int_pair(x) -> Tuple[int, int]:
+    """The scalar x = a + b*phi as the integer pair (a, b)."""
+    a, b = (x.a, x.b) if isinstance(x, GoldenRational) else (Fraction(x), Fraction(0))
+    if a.denominator != 1 or b.denominator != 1:
+        raise ValueError(f"Cartan entry {x} is not in Z[phi]")
+    return int(a), int(b)
+
+
+def _root_closure(C: Sequence[Sequence]) -> Tuple[List[tuple], tuple]:
+    """Positive roots of the Cartan matrix C and the signed root action.
+
+    The closure of the simple roots under the simple reflections runs on
+    integer pairs (a, b) = a + b*phi, one pair per coordinate, so every
+    entry of C must lie in Z[phi].  The positive roots pass through the
+    frontier once each, in index order, so row i of the action lists
+    s_i of every positive root in order, as a signed index (j, or j + N
+    for the negative of root j).  Raises ValueError when an image has
+    coordinates of both signs, which no root has.
+    """
+    rank = len(C)
+    # the nonzero entries of each row, as (column, a, b)
+    rows = [[(j, *_golden_int_pair(c)) for j, c in enumerate(row) if c] for row in C]
+    simple = [tuple((1, 0) if j == i else (0, 0) for j in range(rank)) for i in range(rank)]
+    positives: List[tuple] = list(simple)
+    index = {v: i for i, v in enumerate(positives)}
+    images: List[List[tuple]] = [[] for _ in range(rank)]
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(rank):
+                # s_i(v) = v - <v, a_i^vee> a_i changes coordinate i alone
+                sa = sb = 0
+                for j, ca, cb in rows[i]:
+                    va, vb = v[j]
+                    sa += ca * va + cb * vb
+                    sb += ca * vb + cb * va + cb * vb  # phi^2 = phi + 1
+                va, vb = v[i]
+                w = (*v[:i], (va - sa, vb - sb), *v[i + 1:])
+                j = index.get(w)
+                if j is not None:
+                    images[i].append((j, False))
+                    continue
+                neg = tuple((-a, -b) for a, b in w)
+                j = index.get(neg)
+                if j is not None:
+                    images[i].append((j, True))
+                    continue
+                signs = {golden_sign(x) for x in w}
+                signs.discard(0)
+                if len(signs) != 1:
+                    raise ValueError(f"not a root: {w}")
+                negated = signs == {-1}
+                if negated:
+                    w = neg
+                index[w] = len(positives)
+                images[i].append((len(positives), negated))
+                positives.append(w)
+                new.append(w)
+        frontier = new
+    n = len(positives)
+    action = tuple(tuple(j + n if negated else j for j, negated in row) for row in images)
+    return positives, action
+
+
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system; for I2 the rank argument carries m."""
     family = family.upper() if family.lower() != "i2" else "I2"
@@ -252,73 +305,28 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
     C, G = _cartan_and_gram(family, rank, m)
     golden = isinstance(C[0][0], GoldenRational)
-    one = C[0][0] / C[0][0]
-    zero = one * 0
-    simple = [tuple(one if j == i else zero for j in range(rank)) for i in range(rank)]
+    pairs, images = _root_closure(C)
+    n_expected = m if family == "I2" else _N_POSITIVE[family](rank)
+    if len(pairs) != n_expected:
+        raise RuntimeError(
+            f"{family}{rank}: found {len(pairs)} positive roots, expected {n_expected}"
+        )
+    scalar = (lambda a, b: GoldenRational(a, b)) if golden else (lambda a, b: Fraction(a))
+    positives = tuple(tuple(scalar(a, b) for a, b in v) for v in pairs)
 
-    rs_stub = RootSystem(
+    rs = RootSystem(
         family=family,
         rank=rank,
         m_param=m,
         scalar_field="golden" if golden else "rational",
         cartan_like_matrix=tuple(tuple(r) for r in C),
         gram=tuple(tuple(r) for r in G),
-        simple_roots=tuple(simple),
-        positive_roots=(),
-    )
-
-    # closure of the simple roots under all simple reflections; the positive
-    # roots pass through the frontier once each, in index order, so row i of
-    # images lists s_i of every positive root in order, as (index, negated)
-    positives: List[tuple] = list(simple)
-    index = {v: i for i, v in enumerate(positives)}
-    images: List[List[tuple]] = [[] for _ in range(rank)]
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(rank):
-                w = rs_stub.apply_simple(i, v)
-                j = index.get(w)
-                if j is not None:
-                    images[i].append((j, False))
-                    continue
-                neg = tuple(-x for x in w)
-                j = index.get(neg)
-                if j is not None:
-                    images[i].append((j, True))
-                    continue
-                negated = rs_stub.root_sign(w) < 0
-                if negated:
-                    w = neg
-                index[w] = len(positives)
-                images[i].append((len(positives), negated))
-                positives.append(w)
-                new.append(w)
-        frontier = new
-
-    n_expected = m if family == "I2" else _N_POSITIVE[family](rank)
-    if len(positives) != n_expected:
-        raise RuntimeError(
-            f"{family}{rank}: found {len(positives)} positive roots, expected {n_expected}"
-        )
-
-    rs = RootSystem(
-        family=family,
-        rank=rank,
-        m_param=m,
-        scalar_field=rs_stub.scalar_field,
-        cartan_like_matrix=rs_stub.cartan_like_matrix,
-        gram=rs_stub.gram,
-        simple_roots=rs_stub.simple_roots,
-        positive_roots=tuple(positives),
-        root_index=index,
+        simple_roots=positives[:rank],
+        positive_roots=positives,
+        root_index={v: i for i, v in enumerate(positives)},
     )
     # the cached property's slot; a dataclasses.replace copy derives its own
-    n = len(positives)
-    rs.__dict__["simple_action"] = tuple(
-        tuple(j + n if negated else j for j, negated in row) for row in images
-    )
+    rs.__dict__["simple_action"] = images
     return rs
 
 
@@ -366,7 +374,7 @@ def affine_data(rs: RootSystem) -> AffineData:
             best = v
     # the highest root dominates every positive root coordinatewise
     for v in rs.positive_roots:
-        if any(_scalar_sign(b - x) < 0 for b, x in zip(best, v)):
+        if any(b < x for b, x in zip(best, v)):
             raise RuntimeError("root poset has no unique maximum")
     marks = tuple(int(Fraction(x)) for x in best) + (1,)
     f = abs(_int_det([[int(Fraction(x)) for x in row] for row in rs.cartan_like_matrix]))

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 from typing import Callable, Dict, Optional
 
 from .gfpoly import FqContext, monic_polys
 from .group import get_group
 from .measures import (
     bhr_step,
-    binom,
     convolve,
     face_weights,
     h_measure,
@@ -293,7 +293,7 @@ def _suite_gr_census(p: dict) -> Report:
             counts[w] = counts.get(w, 0) + 1
         bad = []
         for w in itertools.permutations(range(1, n + 1)):
-            expect = binom(q + n - 1 - descent_count(w), n)
+            expect = comb(q + n - 1 - descent_count(w), n)
             if counts.get(tuple(w), 0) != expect:
                 bad.append(w)
         rep.add(f"p={q} n={n} {mode}: per-element counts C(p+n-1-d(w), n)",
@@ -312,7 +312,7 @@ def _suite_reiner_counts(p: dict) -> Report:
         g = get_group(f"B{n}") if n >= 2 else None
         if n == 1:
             # rank-1 hyperoctahedral group: two elements, d(id) = 0, d(s) = 1
-            total = int(binom((q - 1) // 2 + 1, 1) + binom((q - 1) // 2, 1))
+            total = comb((q - 1) // 2 + 1, 1) + comb((q - 1) // 2, 1)
         else:
             total = sum(s_vector_count(g, i, q) for i in range(g.size))
         rep.add(f"n={n} q={q}: sum over the group of s-vector counts", q**n, total,

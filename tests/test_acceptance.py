@@ -7,6 +7,8 @@ the criteria state them.  Run with ``pytest -s tests/test_acceptance.py``
 to see the per-criterion lines.
 """
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -14,9 +16,41 @@ import pytest
 
 from coxshuffle.suites import run_suite
 
+# SHA-256 of each suite's default-grid report, timing removed: a change that
+# is meant to give the same answers must leave these alone
+REPORT_DIGESTS = {
+    "triple_agreement": "70a47da5fbb4340ec6ade04643f2f899ebc022f5b1184287d674750ef91cecee",
+    "longshort": "cb1f319d786fa075376da4f19ef9169e651ecb83a2b49ee0b28d2572449aeeb0",
+    "sommers": "3fd90a62ee80c5e87dc8b13d1887665c77800724105225db285eda43051f2fa0",
+    "convolution": "bf1da67dc90e5217032eb1d10c7e4466892eb654dee502ac76734c2b60fe608b",
+    "h4_counterexample": "5ff73d7f9862ebc16a4acc55fd5798d5b99a73074f45de50748eb8c892704941",
+    "spectrum": "bf4e27ffe6d0d08b022a3cfaa880b4a36af65b8fa14bd620908708ae1455a89a",
+    "walk_oracle": "49ca05d2fe3b7303a456e701c742906566768d7d72f1654450cfa96616ccfab8",
+    "nonnegativity": "792702691a9b0f0a922689bdbae40cc77e2e3ff140e3053f2bdd39782ecabc23",
+    "problem1_A": "c119c9d8634fa15324aa049c0fbb8f071f7091d881109e18869cc2f9fc814a3f",
+    "problem1_B": "2cb5969638ac84dc4222200192e13a2da3b781af0a45047457df64ccad2fc258",
+    "sl35_counterexample": "323d91f743b19f7cc2d095fb31e071062a24cc4352b0f798c9c563cf58f90d6b",
+    "gr_census": "1646b4b7c64de6300f2f4824a848ab8f72ab11f816488c16099f3f65477f4333",
+    "reiner_counts": "4fdf6e173d19d84e106a560924dedb0d6d0054218e58b5f2bcee0c7da2560ef8",
+    "ornament_counts": "f821c386b79755843a6492f342eece332e47f377f4790ffc62035b8026b92c28",
+    "sampler_tv": "d4539ac51d1c58ec2f36166b590eb4ce57713690a7e17660ea68b0067f008c0d",
+}
+
+
+def report_digest(report) -> str:
+    d = report.to_dict()
+    del d["wall_time_s"]
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+def _pin(reports):
+    for r in reports:
+        assert report_digest(r) == REPORT_DIGESTS[r.suite], f"{r.suite} report changed"
+
 
 def _gate(number: int, name: str, reports, extra_ok: bool = True, detail: str = ""):
     reports = reports if isinstance(reports, list) else [reports]
+    _pin(reports)
     passed = all(r.passed for r in reports) and extra_ok
     status = "PASS" if passed else "FAIL"
     checks = sum(len(r.checks) for r in reports)
@@ -69,6 +103,7 @@ def test_criterion_06_identity_class_counts():
         for c in r.checks
         if "identity-class" in c.description
     ]
+    _pin([repA, repB])
     ok = bool(checks) and all(c.passed for c in checks)
     print(f"ACCEPTANCE  6 identity-class orbit counts: {'PASS' if ok else 'FAIL'} "
           f"({len(checks)} checks)")

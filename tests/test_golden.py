@@ -13,9 +13,22 @@ from coxshuffle.golden import (
     format_rational,
     format_scalar,
     golden_sign,
-    parse_rational,
-    parse_scalar,
 )
+
+
+def parse_rational(s: str) -> Fraction:
+    """Inverse of ``format_rational``: "p/q" or "p"."""
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
+
+
+def parse_scalar(s: str):
+    """Inverse of ``format_scalar``: "p/q" or "a/b+c/d*phi"."""
+    if s.endswith("*phi"):
+        ab, _, cd = s[: -len("*phi")].rpartition("+")
+        return GoldenRational(parse_rational(ab), parse_rational(cd))
+    return parse_rational(s)
+
 
 def _sqrt5_bounds(min_den=10**25):
     # continued fraction of sqrt(5) is [2; 4, 4, 4, ...]; successive

@@ -17,11 +17,9 @@ from coxshuffle.measures import (
     face_weights,
     h_measure,
     longshort_values,
-    point_mass,
     pushforward_classes,
     sommers_identity_check,
     spectrum_product,
-    uniform_chamber_weights,
 )
 from coxshuffle.rootdata import parse_type
 from test_group import subgroup_elements
@@ -31,6 +29,20 @@ SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
                "I2(2)", "I2(5)", "I2(6)", "I2(10)", "D4"]
 SUPPORTED = SMALL_TYPES + ["I2(3)", "I2(4)", "H3", "H4"]
 ORACLE_XS = [2, Fraction(1, 2), -1, Fraction(7, 3)]
+
+
+def uniform_chamber_weights(g) -> FaceWeights:
+    """All weight on the chambers (type-empty faces), uniformly."""
+    weights = [Fraction(0)] * (1 << g.rank)
+    weights[0] = Fraction(1, g.size)
+    return FaceWeights(g, Fraction(0), weights, "manual")
+
+
+def point_mass(g, i: int) -> WMeasure:
+    """The measure with all its mass on element i."""
+    dense = [Fraction(0)] * g.size
+    dense[i] = Fraction(1)
+    return WMeasure(g, None, "element", dense)
 
 
 def test_a1_x2_against_shuffle_oracle():

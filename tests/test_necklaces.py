@@ -6,35 +6,63 @@ from math import factorial
 
 import pytest
 
-from coxshuffle.gfpoly import FqContext, FqPoly, irreducibles, monic_polys
+from coxshuffle.gfpoly import FqContext, FqPoly, factor, irreducibles, is_prime, monic_polys
 from coxshuffle.group import get_group
 from coxshuffle.necklaces import (
     _first_root_in_extension,
+    _normal_coordinates,
     canonicalize_necklace,
     count_signed_ornaments,
     cycles_string,
     descent_count,
     enumerate_signed_ornaments,
     gessel_reutenauer,
+    make_ornament,
     golomb_encode,
     normal_basis,
     normal_basis_encode,
-    ornament_from_polynomial,
     primitive_necklaces,
     refine_phi_A,
     s_vector_count,
 )
-from coxshuffle.orbits import enumerate_orbits, orbit_family, phi_map
+from coxshuffle.orbits import b_pair_type, enumerate_orbits, orbit_family, phi_map
 
 
-@pytest.mark.parametrize("p", [3, 5])
-@pytest.mark.parametrize("degree", [2, 3])
-def test_first_root_is_first_of_brute_force_roots(p, degree):
+def eval_in(phi: FqPoly, ext: FqContext, a):
+    """Oracle: a prime-field polynomial evaluated at a point of an extension field."""
+    out = ext.zero
+    for c in reversed(phi.coeffs):
+        out = ext.add(ext.mul(out, a), ext.from_int(c))
+    return out
+
+
+def brute_force_roots(phi: FqPoly, ext: FqContext) -> list:
+    return [a for a in ext.elements() if ext.is_zero(eval_in(phi, ext, a))]
+
+
+@pytest.mark.parametrize(
+    "degree,p",
+    [(2, 3), (2, 5), (3, 3), (3, 5), (2, 2), (3, 2), (4, 2), (4, 3), (2, 7)],
+)
+def test_first_root_is_first_of_brute_force_roots(degree, p):
     ext = FqContext.get(p, degree)
     for phi in irreducibles(FqContext.get(p), degree):
-        roots = [a for a in ext.elements() if ext.is_zero(phi.eval_in(ext, a))]
+        roots = brute_force_roots(phi, ext)
         assert len(roots) == degree, phi
         assert _first_root_in_extension(phi, ext) == roots[0], phi
+
+
+def test_first_roots_belong_to_the_context_not_to_its_order():
+    # GF(9) modulo z^2 + 2z + 2 instead of the canonical z^2 + 1: other roots
+    canonical = FqContext.get(3, 2)
+    other = FqContext(3, 2, modulus=(2, 2, 1))
+    assert other.modulus != canonical.modulus
+    differ = 0
+    for phi in irreducibles(FqContext.get(3), 2):
+        root = _first_root_in_extension(phi, other)
+        assert root == brute_force_roots(phi, other)[0], phi
+        differ += root != _first_root_in_extension(phi, canonical)
+    assert differ
 
 
 def test_first_root_raises_without_a_root():
@@ -85,7 +113,7 @@ def test_ornament_enumeration_duplicate_free():
         assert o not in seen
         seen.add(o)
         assert o.size == 3
-        assert o.max_entry() <= 1
+        assert max_entry(o) <= 1
 
 
 def test_n1_q3_ornaments_by_hand():
@@ -217,7 +245,7 @@ def test_golomb_root_choice_invariance():
     c3 = FqContext.get(3)
     f = FqPoly.from_ints(c3, [1, 0, 1])
     ext = FqContext.get(3, 2)
-    roots = [a for a in ext.elements() if ext.is_zero(f.eval_in(ext, a))]
+    roots = brute_force_roots(f, ext)
     assert len(roots) == 2
     logs = [ext.dlog(r) for r in roots]
     assert (logs[0] * 3) % 8 == logs[1] or (logs[1] * 3) % 8 == logs[0]
@@ -263,6 +291,73 @@ def test_normal_basis_encode_bijective_per_degree():
             assert canonicalize_necklace("plain", neck)[1]
 
 
+def max_entry(o) -> int:
+    """The largest absolute entry of an ornament's necklaces."""
+    return max((abs(a) for w in (*o.twisted, *o.blinking) for a in w), default=0)
+
+
+def _lift_symmetric(c: int, q: int) -> int:
+    return c if c <= (q - 1) // 2 else c - q
+
+
+def ornament_from_polynomial(f: FqPoly, q: int):
+    """Oracle: the signed ornament of an even monic polynomial of degree 2n
+    over F_q.
+
+    Conjugate pairs of irreducibles of degree m give blinking necklaces of
+    size m (normal-basis coordinates of a root; negation swaps the pair);
+    self-conjugate irreducibles of degree 2m give twisted necklaces of size
+    m (the second coordinate half is minus the first, which is asserted).
+    """
+    if q % 2 == 0 or not is_prime(q):
+        raise ValueError("q must be an odd prime")
+    if not f.is_even_function() or not f.is_monic:
+        raise ValueError("expected a monic polynomial with f(z) = f(-z)")
+    fac = factor(f)
+    twisted = []
+    blinking = []
+    done = set()
+    for phi, k in fac:
+        if phi in done:
+            continue
+        star = phi.conjugate_monic()
+        deg = phi.degree
+        if star != phi:
+            done.add(star)
+            rep = min(phi, star)
+            ext = FqContext.get(q, deg)
+            beta = _first_root_in_extension(rep, ext)
+            coords = _normal_coordinates(ext, q, deg, beta)
+            word = tuple(_lift_symmetric(c, q) for c in coords)
+            canon, primitive = canonicalize_necklace("blinking", word)
+            assert primitive
+            blinking.extend([canon] * k)
+        elif deg == 1:  # phi = z, even multiplicity
+            blinking.extend([(0,)] * (k // 2))
+        else:
+            r, s = divmod(k, 2)
+            m = deg // 2
+            ext = FqContext.get(q, deg)
+            beta = _first_root_in_extension(phi, ext)
+            coords = _normal_coordinates(ext, q, deg, beta)
+            if any((coords[j] + coords[j + m]) % q for j in range(m)):
+                raise RuntimeError("second half of a self-conjugate root is not negated")
+            if r:
+                word = tuple(_lift_symmetric(c, q) for c in coords)
+                canon, primitive = canonicalize_necklace("blinking", word)
+                assert primitive
+                blinking.extend([canon] * r)
+            if s:
+                word = tuple(_lift_symmetric(c, q) for c in coords[:m])
+                canon, primitive = canonicalize_necklace("twisted", word)
+                assert primitive
+                twisted.append(canon)
+    ornament = make_ornament(twisted, blinking)
+    if ornament.type_pair() != b_pair_type(fac):
+        raise RuntimeError("ornament type disagrees with the factorization type")
+    return ornament
+
+
 def test_ornament_from_polynomial_examples():
     c3 = FqContext.get(3)
     o = ornament_from_polynomial(FqPoly.from_ints(c3, [0, 0, 1]), 3)  # z^2
@@ -279,7 +374,7 @@ def test_ornament_bijection_exhaustive(n, q):
     for f in enumerate_orbits(fam):
         o = ornament_from_polynomial(f, q)
         assert o.size == n
-        assert o.max_entry() <= (q - 1) // 2
+        assert max_entry(o) <= (q - 1) // 2
         assert o.type_pair() == phi_map(fam, f).data
         seen.add(o)
     assert len(seen) == q**n  # injective onto all bounded ornaments

@@ -5,13 +5,61 @@ from fractions import Fraction
 
 import pytest
 
+from coxshuffle.golden import GoldenRational, golden_sign
 from coxshuffle.rootdata import (
+    RootSystem,
     UnsupportedTypeError,
+    _root_closure,
     affine_data,
     build_root_system,
     p_count,
     parse_type,
 )
+
+SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
+             "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]
+
+
+def root_sign(v) -> int:
+    """Oracle: +1 for a positive root, -1 for a negative root."""
+    signs = {golden_sign(x) if isinstance(x, GoldenRational) else (x > 0) - (x < 0) for x in v}
+    signs.discard(0)
+    if signs == {1}:
+        return 1
+    if signs == {-1}:
+        return -1
+    raise ValueError(f"not a root: {v}")
+
+
+def closure_oracle(rs: RootSystem):
+    """Oracle: the closure of the simple roots under the simple reflections,
+    in the root system's own Fraction or GoldenRational scalars, by
+    ``apply_simple``.  Returns (positive roots, root index, signed action)."""
+    positives = list(rs.simple_roots)
+    index = {v: i for i, v in enumerate(positives)}
+    images = [[] for _ in range(rs.rank)]
+    frontier = list(positives)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(rs.rank):
+                w = rs.apply_simple(i, v)
+                neg = tuple(-x for x in w)
+                if w in index:
+                    images[i].append((index[w], False))
+                elif neg in index:
+                    images[i].append((index[neg], True))
+                else:
+                    negated = root_sign(w) < 0
+                    w = neg if negated else w
+                    index[w] = len(positives)
+                    images[i].append((len(positives), negated))
+                    positives.append(w)
+                    new.append(w)
+        frontier = new
+    n = len(positives)
+    action = tuple(tuple(j + n if negated else j for j, negated in row) for row in images)
+    return tuple(positives), index, action
 
 
 @pytest.mark.parametrize(
@@ -56,7 +104,37 @@ def test_positive_roots_are_nonnegative_combinations():
     for t in ("A3", "B3", "G2", "H3", "I2(5)"):
         rs = parse_type(t)
         for root in rs.positive_roots:
-            assert rs.root_sign(root) == 1
+            assert root_sign(root) == 1
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_integer_closure_equals_the_scalar_closure(t):
+    # the root order fixes every byte key and the element order
+    rs = parse_type(t)
+    positives, index, action = closure_oracle(rs)
+    assert rs.positive_roots == positives
+    scalar = GoldenRational if rs.scalar_field == "golden" else Fraction
+    for got, want in zip(rs.positive_roots, positives):
+        assert [type(x) for x in got] == [type(x) for x in want] == [scalar] * rs.rank
+    assert rs.simple_roots == positives[:rs.rank]
+    assert rs.root_index == index
+    assert rs.simple_action == action
+
+
+def test_closure_rejects_entries_outside_golden_integers():
+    C = [[Fraction(2), Fraction(-1, 2)], [Fraction(-1), Fraction(2)]]
+    with pytest.raises(ValueError, match="not in Z\\[phi\\]"):
+        _root_closure(C)
+    half_phi = GoldenRational(0, Fraction(1, 2))
+    with pytest.raises(ValueError, match="not in Z\\[phi\\]"):
+        _root_closure([[GoldenRational(2), -half_phi], [-half_phi, GoldenRational(2)]])
+
+
+def test_closure_rejects_an_image_of_mixed_sign():
+    # s_0(a_1) = a_1 - a_0 under a positive off-diagonal entry: no root has it
+    C = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]
+    with pytest.raises(ValueError, match="not a root"):
+        _root_closure(C)
 
 
 def test_parse_type_round_trip():
