@@ -19,11 +19,13 @@ def test_gr_command_worked_example(capsys):
     assert out.strip() == "(1 3)(2 4)(5)(6 9)(7 11 8 12 10)"
 
 
-@pytest.mark.parametrize("words,bad", [("1212", "1212"), ("12,33,2", "33"), ("2,121212", "121212")])
+@pytest.mark.parametrize("words,bad", [("1212", "1212"), ("12,33,2", "33"),
+                                       ("2,121212", "121212")])
 def test_gr_command_rejects_imprimitive_necklaces(capsys, words, bad):
     code, out, err = run_cli(capsys, "bijection", "gr", "--necklaces", words)
     assert code == 2 and out == ""
-    assert err == f"error: --necklaces {words!r}: {bad!r} is not primitive (a power of a shorter word)\n"
+    assert err == (f"error: --necklaces {words!r}: {bad!r} is not primitive "
+                   "(a power of a shorter word)\n")
 
 
 def test_measure_csv(capsys):

@@ -17,8 +17,8 @@ from coxshuffle.necklaces import (
     descent_count,
     enumerate_signed_ornaments,
     gessel_reutenauer,
-    make_ornament,
     golomb_encode,
+    make_ornament,
     normal_basis,
     normal_basis_encode,
     primitive_necklaces,
