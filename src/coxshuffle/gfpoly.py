@@ -4,10 +4,19 @@ Prime fields represent elements as ints 0..p-1; extensions as coefficient
 tuples over the prime field modulo a monic irreducible (the first one in
 lexicographic order, so contexts are canonical).
 
-Polynomial arithmetic has one implementation: the list kernels
-(``poly_mul``, ``poly_divmod``, ``poly_gcd``, ``poly_powmod``) on trimmed
+Polynomial arithmetic has one implementation: the list kernels on trimmed
 coefficient lists, with the field operations taken from the context.
 ``FqPoly`` wraps them.
+
+- ``poly_axpy``: a + c*b.
+- ``poly_mul``: a*b, one dot product per coefficient.
+- ``poly_divmod``: quotient and remainder, by schoolbook division.
+- ``poly_monic`` and ``poly_gcd``: the monic associate and the monic gcd.
+- ``poly_powmod``: a^k mod m, by square and multiply.
+- ``poly_frobenius``: a^q mod m for q the field order, by substitution.
+  Every c in GF(q) has c^q = c, and the q-th power map is additive in
+  characteristic p, so (sum c_i z^i)^q = sum c_i z^(iq) = a(z^q): the
+  coefficients go to stride q and one division reduces them.
 
 ``degree_layers`` splits a monic polynomial into distinct-degree layers
 (Cantor–Zassenhaus): enough for the degree partition and, in ``orbits``,
@@ -54,6 +63,8 @@ class FqContext:
         self.p = p
         self.e = e
         self.order = p**e
+        self.zero = 0 if e == 1 else (0,) * e
+        self.one = 1 if e == 1 else (1,) + (0,) * (e - 1)
         if e == 1:
             self.modulus = None
         else:
@@ -80,14 +91,6 @@ class FqContext:
         return ctx
 
     # -- element arithmetic ------------------------------------------------
-
-    @property
-    def zero(self):
-        return 0 if self.e == 1 else (0,) * self.e
-
-    @property
-    def one(self):
-        return 1 if self.e == 1 else (1,) + (0,) * (self.e - 1)
 
     def from_int(self, k: int):
         """Base-p digits of k as an element (prime subfield for k < p)."""
@@ -354,6 +357,26 @@ def poly_powmod(ctx: FqContext, a: Sequence, k: int, m: Sequence) -> list:
         base = poly_divmod(ctx, poly_mul(ctx, base, base), m)[1]
 
 
+def poly_frobenius(ctx: FqContext, a: Sequence, m: Sequence) -> list:
+    """a^q mod m for q = ``ctx.order``; m has degree >= 1.
+
+    a^q = a(z^q), so the coefficients of a mod m are placed at stride q and
+    reduced by one division: about deg(a) * q * deg(m) field operations,
+    against about 3 * bit_length(q) * deg(m)^2 for ``poly_powmod``'s squares
+    and products.  The cheaper of the two is run; both give the one
+    remainder.
+    """
+    a = poly_divmod(ctx, a, m)[1]
+    if not a:
+        return a
+    q, da, dm = ctx.order, len(a) - 1, len(m) - 1
+    if da * q > 3 * q.bit_length() * dm:
+        return poly_powmod(ctx, a, q, m)
+    spread = [ctx.zero] * (da * q + 1)
+    spread[::q] = a
+    return poly_divmod(ctx, spread, m)[1]
+
+
 # -- distinct-degree layers ------------------------------------------------------
 
 
@@ -363,15 +386,15 @@ def degree_layers(ctx: FqContext, f: list) -> List[Tuple[int, int, list]]:
     The layer (d, j, g) is the product g of the irreducible factors of f of
     degree d and multiplicity at least j, so a factor of multiplicity k lies
     in the layers j = 1..k of its degree.  For d = 1, 2, ...: h = z^(q^d)
-    mod rem by repeated q-th powering, and g = gcd(rem, h - z) holds every
-    degree-d factor once, since all smaller degrees are gone; then "rem /= g;
-    g = gcd(rem, g)" peels one copy of each per pass until g = 1.  Once
-    deg rem < 2d, rem is irreducible and is the last layer.
+    mod rem is the q-th power of the previous h (``poly_frobenius``; the
+    previous h was reduced mod a multiple of rem), and g = gcd(rem, h - z)
+    holds every degree-d factor once, since all smaller degrees are gone;
+    then "rem /= g; g = gcd(rem, g)" peels one copy of each per pass until
+    g = 1.  Once deg rem < 2d, rem is irreducible and is the last layer.
     """
     one = ctx.one
     z = [ctx.zero, one]
     minus_one = ctx.neg(one)
-    q = ctx.order
     layers = []
     rem, h, d = f, z, 0
     while len(rem) > 1:
@@ -379,7 +402,7 @@ def degree_layers(ctx: FqContext, f: list) -> List[Tuple[int, int, list]]:
         if len(rem) - 1 < 2 * d:
             layers.append((len(rem) - 1, 1, rem))
             break
-        h = poly_powmod(ctx, h, q, rem)
+        h = poly_frobenius(ctx, h, rem)
         g = poly_gcd(ctx, rem, poly_axpy(ctx, h, minus_one, z))
         j = 1
         while len(g) > 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .gfpoly import FqContext, FqPoly, factor, is_irreducible, is_prime
+from .gfpoly import FqContext, FqPoly, factor, is_prime
 
 
 # -- canonical forms ------------------------------------------------------------
@@ -284,18 +284,27 @@ def _first_root_in_extension(phi: FqPoly, ext: FqContext):
     return root
 
 
+def _root_of_irreducible(phi: FqPoly) -> Tuple[FqContext, object]:
+    """(GF(p^i), the first root of phi there) for phi of degree i over GF(p).
+
+    The extension's table is keyed by the minimal polynomials of its
+    elements, and a monic polynomial of degree i is one of them exactly
+    when it is irreducible, so a lookup that misses rejects phi."""
+    i = phi.degree
+    ext = FqContext.get(phi.ctx.p, i) if i >= 1 else None
+    if ext is None or phi.monic().coeffs not in ext.first_roots():
+        raise ValueError("polynomial is not irreducible")
+    return ext, _first_root_in_extension(phi, ext)
+
+
 def normal_basis_encode(phi: FqPoly) -> tuple:
     """Primitive plain necklace of an irreducible: normal-basis coordinates
     of any root (root choice only rotates the word)."""
     p = phi.ctx.p
     if phi.ctx.e != 1:
         raise ValueError("prime base fields only")
-    i = phi.degree
-    if not is_irreducible(phi):
-        raise ValueError("polynomial is not irreducible")
-    ext = FqContext.get(p, i)
-    beta = _first_root_in_extension(phi, ext)
-    coords = _normal_coordinates(ext, p, i, beta)
+    ext, beta = _root_of_irreducible(phi)
+    coords = _normal_coordinates(ext, p, phi.degree, beta)
     canon, primitive = canonicalize_necklace("plain", tuple(coords))
     if not primitive:
         raise RuntimeError("encoding produced an imprimitive necklace")
@@ -311,14 +320,11 @@ def golomb_encode(phi: FqPoly, beta=None) -> tuple:
     i = phi.degree
     if phi.coeffs == (phi.ctx.zero, phi.ctx.one):
         raise ValueError("z has no discrete log; it is not encodable")
-    if not is_irreducible(phi):
-        raise ValueError("polynomial is not irreducible")
-    ext = FqContext.get(p, i)
+    ext, root = _root_of_irreducible(phi)
     if beta is None:
         beta = ext.generator()
     elif not ext.is_generator(beta):
         raise ValueError("beta does not generate the multiplicative group")
-    root = _first_root_in_extension(phi, ext)
     x = ext.dlog(root, beta)
     digits = []
     for _ in range(i):

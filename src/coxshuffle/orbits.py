@@ -31,7 +31,10 @@ from .gfpoly import (
     layer_partition,
     monic_polys,
     poly_axpy,
+    poly_divmod,
+    poly_frobenius,
     poly_gcd,
+    poly_mul,
     poly_powmod,
 )
 from .labels import ClassLabel, ClassMeasure
@@ -138,6 +141,11 @@ def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
     of degree-m factors, the squares are the roots of gcd(P, y^((q^m-1)/2)
     - 1); each pass adds them to lambda_m, and the t others add t to mu_m
     on odd passes and move t from mu_m to lambda_(2m) on even ones.
+
+    The exponent factors as (q^m - 1)/2 = ((q - 1)/2)(1 + q + ... +
+    q^(m-1)), so with u = y^((q-1)/2) mod P the power is the product of
+    the Frobenius images u * u^q * ... * u^(q^(m-1)) mod P, each image one
+    ``poly_frobenius`` of the one before.
     """
     one = ctx.one
     minus_one = ctx.neg(one)
@@ -151,7 +159,10 @@ def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
     if len(g) > 1:
         y = [ctx.zero, one]
         for m, j, layer in degree_layers(ctx, g):
-            power = poly_powmod(ctx, y, (ctx.order**m - 1) // 2, layer)
+            power = image = poly_powmod(ctx, y, (ctx.order - 1) // 2, layer)
+            for _ in range(m - 1):
+                image = poly_frobenius(ctx, image, layer)
+                power = poly_divmod(ctx, poly_mul(ctx, power, image), layer)[1]
             squares = poly_gcd(ctx, layer, poly_axpy(ctx, power, minus_one, [one]))
             s = (len(squares) - 1) // m
             t = (len(layer) - 1) // m - s

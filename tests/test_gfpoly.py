@@ -1,18 +1,26 @@
 """Finite fields and polynomial factorization."""
 
 import itertools
+import random
 
 import pytest
 
+from coxshuffle import gfpoly
 from coxshuffle.gfpoly import (
     FqContext,
     FqPoly,
+    degree_layers,
     factor,
     irreducibles,
     is_irreducible,
     is_prime,
     monic_polys,
     necklace_irreducible_count,
+    poly_axpy,
+    poly_divmod,
+    poly_frobenius,
+    poly_gcd,
+    poly_powmod,
 )
 
 
@@ -172,3 +180,83 @@ def test_is_irreducible_against_the_sieve(q, top):
                 g = FqPoly.make(ctx, [ctx.mul(ctx.from_int(c), a) for a in f.coeffs])
                 assert is_irreducible(g) == (f in sieve), g
     assert not is_irreducible(FqPoly.make(ctx, [ctx.one]))
+
+
+def _random_poly(ctx, rng, degree, monic):
+    lead = ctx.one if monic else ctx.from_int(rng.randrange(1, ctx.order))
+    return [ctx.from_int(rng.randrange(ctx.order)) for _ in range(degree)] + [lead]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_frobenius_matches_square_and_multiply(p, e):
+    ctx = FqContext.get(p, e)
+    q = ctx.order
+    rng = random.Random(q)
+    for dm in range(1, 5):
+        for monic in (True, False):
+            m = _random_poly(ctx, rng, dm, monic)
+            for lower in itertools.product(range(q), repeat=dm):
+                a = FqPoly.from_ints(ctx, lower).coeffs  # every a of degree < dm, [] too
+                assert poly_frobenius(ctx, a, m) == poly_powmod(ctx, a, q, m), (a, m)
+
+
+@pytest.mark.parametrize("q", [101, 997])
+def test_frobenius_matches_square_and_multiply_on_both_routes(q, monkeypatch):
+    ctx = FqContext.get(q)
+    rng = random.Random(q)
+    routes = []
+    powmod = gfpoly.poly_powmod
+
+    def spy(*args):
+        routes[-1] = "powmod"
+        return powmod(*args)
+
+    monkeypatch.setattr(gfpoly, "poly_powmod", spy)
+    # stride placement while deg(a) * q <= 3 * bit_length(q) * deg(m)
+    for dm in (1, 2, 4, 6, 40):
+        for monic in (True, False):
+            m = _random_poly(ctx, rng, dm, monic)
+            for da in sorted({-1, 0, 1, 2, dm - 1, dm + 3}):
+                a = [] if da < 0 else _random_poly(ctx, rng, da, False)
+                routes.append("stride")
+                assert poly_frobenius(ctx, a, m) == powmod(ctx, a, q, m), (a, m)
+    assert set(routes) == {"stride", "powmod"}
+
+
+def _layers_by_square_and_multiply(ctx, f):
+    """``degree_layers`` with each h = z^(q^d) mod rem by ``poly_powmod``."""
+    one = ctx.one
+    z = [ctx.zero, one]
+    layers = []
+    rem, h, d = f, z, 0
+    while len(rem) > 1:
+        d += 1
+        if len(rem) - 1 < 2 * d:
+            layers.append((len(rem) - 1, 1, rem))
+            break
+        h = poly_powmod(ctx, h, ctx.order, rem)
+        g = poly_gcd(ctx, rem, poly_axpy(ctx, h, ctx.neg(one), z))
+        j = 1
+        while len(g) > 1:
+            layers.append((d, j, g))
+            rem = poly_divmod(ctx, rem, g)[0]
+            g = poly_gcd(ctx, rem, g)
+            j += 1
+    return layers
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_degree_layers_against_square_and_multiply(p, e):
+    ctx = FqContext.get(p, e)
+    for d in range(1, 5):
+        for f in monic_polys(ctx, d):
+            f = list(f.coeffs)
+            assert degree_layers(ctx, f) == _layers_by_square_and_multiply(ctx, f), f
+
+
+def test_degree_layers_against_square_and_multiply_at_q101():
+    ctx = FqContext.get(101)
+    rng = random.Random(17)
+    for _ in range(300):
+        f = _random_poly(ctx, rng, rng.randrange(1, 9), True)
+        assert degree_layers(ctx, f) == _layers_by_square_and_multiply(ctx, f), f

@@ -259,6 +259,24 @@ def test_golomb_rejects_z_and_reducibles():
         golomb_encode(FqPoly.from_ints(c3, [0, 0, 1]))
 
 
+def test_normal_basis_encode_rejects_reducibles():
+    # every reducible monic of degree 2 and 3 over F_3, a non-monic multiple,
+    # and the constants, which have no root in any extension
+    c3 = FqContext.get(3)
+    for d in range(2, 4):
+        irreducible = set(irreducibles(c3, d))
+        for f in monic_polys(c3, d):
+            if f not in irreducible:
+                for phi in (f, FqPoly.make(c3, [2 * c % 3 for c in f.coeffs])):
+                    with pytest.raises(ValueError, match="not irreducible"):
+                        normal_basis_encode(phi)
+                    with pytest.raises(ValueError, match="not irreducible"):
+                        golomb_encode(phi)
+    for const in ([], [1], [2]):
+        with pytest.raises(ValueError, match="not irreducible"):
+            normal_basis_encode(FqPoly.make(c3, const))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_golomb_image_cardinality(p):
     ctx = FqContext.get(p)
