@@ -48,25 +48,22 @@ place (``_mask``).
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul, or_
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .labels import ClassLabel
 from .lattice import IntersectionLattice, build_lattice
 from .rootdata import RootSystem
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     label: ClassLabel
     members: tuple
     representative: int
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(NamedTuple):
     mask: int
     subgroup_order: int
     normalizer_order: int

@@ -27,20 +27,17 @@ read off by orbit id; from any other bottom it runs once per flat above it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rootdata import RootSystem
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     mask: int  # positive roots whose hyperplane contains the flat
     rank: int  # codimension of the flat
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Integer-coefficient characteristic polynomial, low to high degree."""
 
     coefficients: tuple

@@ -41,7 +41,6 @@ enumerate the elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import mul
@@ -123,15 +122,21 @@ class WMeasure:
         return min(map(self.table.__getitem__, self.group.measure_counts(self.kind)))
 
 
-@dataclass
 class FaceWeights:
     """Weight v_K shared by every face of type K (the cosets of W_K), as
     ``weights[K]`` for the mask K."""
 
-    group: CoxeterGroup
-    x_param: Fraction
-    weights: List[Fraction]
-    method: str
+    __slots__ = ("group", "x_param", "weights", "method")
+
+    def __init__(self, group: CoxeterGroup, x_param: Fraction, weights: List[Fraction],
+                 method: str):
+        self.group = group
+        self.x_param = x_param
+        self.weights = weights
+        self.method = method
+
+    def __repr__(self):
+        return "FaceWeights(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
 
     def face_total(self) -> Fraction:
         g = self.group
@@ -252,18 +257,26 @@ def longshort_values(
     return at_w0, at_id
 
 
-@dataclass
 class SommersReport:
     """Outcome of the positive-solution counting identity
     sum over proper subsets S of p(S, x) = f * prod(x + m_i) / |W|."""
 
-    type_name: str
-    x: int
-    marks: tuple
-    hypothesis_ok: bool
-    lhs: Optional[int] = None
-    rhs: Optional[Fraction] = None
-    passed: Optional[bool] = None
+    __slots__ = ("type_name", "x", "marks", "hypothesis_ok", "lhs", "rhs", "passed")
+
+    def __init__(self, type_name: str, x: int, marks: tuple, hypothesis_ok: bool,
+                 lhs: Optional[int] = None, rhs: Optional[Fraction] = None,
+                 passed: Optional[bool] = None):
+        self.type_name = type_name
+        self.x = x
+        self.marks = marks
+        self.hypothesis_ok = hypothesis_ok
+        self.lhs = lhs
+        self.rhs = rhs
+        self.passed = passed
+
+    def __repr__(self):
+        return ("SommersReport("
+                + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")")
 
 
 def sommers_identity_check(g: CoxeterGroup, x: int) -> SommersReport:

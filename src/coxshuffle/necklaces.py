@@ -20,9 +20,8 @@ table of minimal polynomials (``FqContext.first_roots``), not searched for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gfpoly import FqContext, FqPoly, factor, is_prime
 
@@ -77,8 +76,7 @@ def primitive_necklaces(kind: str, size: int, bound: int) -> List[tuple]:
 # -- signed ornaments -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedOrnament:
+class SignedOrnament(NamedTuple):
     """A set of primitive twisted necklaces and a multiset of blinking ones."""
 
     twisted: frozenset
@@ -200,6 +198,35 @@ def cycles_string(cycles: Sequence[Sequence[int]]) -> str:
 
 
 _NORMAL_BASIS: Dict[Tuple[int, int], object] = {}
+_NORMAL_INVERSE: Dict[Tuple[int, int], List[List[int]]] = {}  # same (q, m) keys
+
+
+def _frobenius_columns(ext: FqContext, q: int, m: int, alpha) -> List[List[int]]:
+    """The m x m matrix whose column j is alpha^(q^j) in the polynomial basis."""
+    cols = []
+    cur = alpha
+    for _ in range(m):
+        cols.append(list(cur) if m > 1 else [cur])
+        cur = ext.pow(cur, q)
+    return [[cols[j][i] for j in range(m)] for i in range(m)]
+
+
+def _inverse_mod_p(matrix: List[List[int]], p: int) -> Optional[List[List[int]]]:
+    """Inverse of a square matrix over GF(p) by Gauss-Jordan, or None if singular."""
+    m = len(matrix)
+    aug = [row + [int(i == k) for k in range(m)] for i, row in enumerate(matrix)]
+    for col in range(m):
+        piv = next((i for i in range(col, m) if aug[i][col] % p), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for i in range(m):
+            if i != col and aug[i][col] % p:
+                f = aug[i][col]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[col])]
+    return [row[m:] for row in aug]
 
 
 def normal_basis(q: int, m: int):
@@ -216,63 +243,23 @@ def normal_basis(q: int, m: int):
     for alpha in ext.elements():
         if ext.is_zero(alpha):
             continue
-        vectors = []
-        cur = alpha
-        for _ in range(m):
-            vectors.append(cur if m > 1 else (cur,))
-            cur = ext.pow(cur, q)
-        if _rank_mod_p([list(v) for v in vectors], q) == m:
+        if _inverse_mod_p(_frobenius_columns(ext, q, m, alpha), q) is not None:
             _NORMAL_BASIS[key] = alpha
             return alpha
     raise RuntimeError("no normal basis found")  # unreachable: existence is classical
 
 
-def _rank_mod_p(rows: List[List[int]], p: int) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _normal_coordinates(ext: FqContext, q: int, m: int, beta) -> List[int]:
-    """Coordinates of beta in the normal basis alpha^(q^j), j = 0..m-1."""
-    alpha = normal_basis(q, m)
-    cols = []
-    cur = alpha
-    for _ in range(m):
-        cols.append(list(cur) if m > 1 else [cur])
-        cur = ext.pow(cur, q)
+    """Coordinates of beta in the normal basis alpha^(q^j), j = 0..m-1: one
+    product with the inverse of the basis matrix, built once per (q, m)."""
+    inverse = _NORMAL_INVERSE.get((q, m))
+    if inverse is None:
+        inverse = _inverse_mod_p(_frobenius_columns(ext, q, m, normal_basis(q, m)), q)
+        if inverse is None:
+            raise RuntimeError("normal basis is singular")
+        _NORMAL_INVERSE[(q, m)] = inverse
     nvec = list(beta) if m > 1 else [beta]
-    # solve cols * c = beta over GF(q)
-    aug = [[cols[j][i] for j in range(m)] + [nvec[i]] for i in range(m)]
-    rank = 0
-    for col in range(m):
-        piv = next((i for i in range(rank, m) if aug[i][col] % q), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], -1, q)
-        aug[rank] = [x * inv % q for x in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col] % q:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[rank])]
-        rank += 1
-    if rank != m:
-        raise RuntimeError("normal basis is singular")
-    return [aug[i][m] % q for i in range(m)]
+    return [sum(a * b for a, b in zip(row, nvec)) % q for row in inverse]
 
 
 def _first_root_in_extension(phi: FqPoly, ext: FqContext):

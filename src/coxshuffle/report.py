@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
@@ -29,13 +28,20 @@ def exact_str(x) -> str:
     return str(x)
 
 
-@dataclass
 class Check:
-    description: str
-    expected: str
-    actual: str
-    passed: bool
-    provenance: str  # e.g. "closed-form-table", "exhaustive", "identity", "statistical"
+    __slots__ = ("description", "expected", "actual", "passed", "provenance")
+
+    def __init__(self, description: str, expected: str, actual: str, passed: bool,
+                 provenance: str):
+        self.description = description
+        self.expected = expected
+        self.actual = actual
+        self.passed = passed
+        # e.g. "closed-form-table", "exhaustive", "identity", "statistical"
+        self.provenance = provenance
+
+    def __repr__(self):
+        return "Check(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -47,13 +53,20 @@ class Check:
         }
 
 
-@dataclass
 class Report:
-    suite: str
-    params: Dict[str, Any]
-    checks: List[Check] = field(default_factory=list)
-    wall_time: float = 0.0
-    _t0: float = field(default_factory=time.monotonic, repr=False)
+    __slots__ = ("suite", "params", "checks", "wall_time", "_t0")
+
+    def __init__(self, suite: str, params: Dict[str, Any], checks: Optional[List[Check]] = None,
+                 wall_time: float = 0.0, _t0: Optional[float] = None):
+        self.suite = suite
+        self.params = params
+        self.checks: List[Check] = [] if checks is None else checks
+        self.wall_time = wall_time
+        self._t0 = time.monotonic() if _t0 is None else _t0
+
+    def __repr__(self):
+        return "Report(suite={!r}, params={!r}, checks={!r}, wall_time={!r})".format(
+            self.suite, self.params, self.checks, self.wall_time)
 
     def add(self, description: str, expected, actual, provenance: str, passed: Optional[bool] = None):
         e, a = exact_str(expected), exact_str(actual)

@@ -21,10 +21,9 @@ highest root, marks, index of connection, and the counter p_count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .golden import GoldenRational, golden_sign
 
@@ -61,19 +60,49 @@ class UnsupportedTypeError(ValueError):
     """Raised for (family, rank) pairs outside the supported set."""
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    """Base of simple roots plus the full set of positive roots."""
+    """Base of simple roots plus the full set of positive roots.
 
-    family: str
-    rank: int
-    m_param: Optional[int]  # dihedral order for I2, else None
-    scalar_field: str  # "rational" or "golden"
-    cartan_like_matrix: tuple  # C[i][j] = 2(a_i, a_j)/(a_i, a_i)
-    gram: tuple  # (a_i, a_j)
-    simple_roots: tuple  # unit coordinate vectors
-    positive_roots: tuple  # coordinates in the simple-root basis
-    root_index: dict = field(hash=False, compare=False, repr=False, default=None)
+    Immutable.  Equality, hashing and repr read the eight defining fields;
+    ``root_index`` (root -> index lookup) is derived data and takes no part."""
+
+    _FIELDS = ("family", "rank", "m_param", "scalar_field", "cartan_like_matrix", "gram",
+               "simple_roots", "positive_roots")
+
+    def __init__(self, family: str, rank: int, m_param: Optional[int], scalar_field: str,
+                 cartan_like_matrix: tuple, gram: tuple, simple_roots: tuple,
+                 positive_roots: tuple, root_index: Optional[dict] = None):
+        self.__dict__.update(
+            family=family,
+            rank=rank,
+            m_param=m_param,  # dihedral order for I2, else None
+            scalar_field=scalar_field,  # "rational" or "golden"
+            cartan_like_matrix=cartan_like_matrix,  # C[i][j] = 2(a_i, a_j)/(a_i, a_i)
+            gram=gram,  # (a_i, a_j)
+            simple_roots=simple_roots,  # unit coordinate vectors
+            positive_roots=positive_roots,  # coordinates in the simple-root basis
+            root_index=root_index,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootSystem is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RootSystem is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not RootSystem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "RootSystem(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS) + ")"
 
     @property
     def n_positive(self) -> int:
@@ -119,7 +148,7 @@ class RootSystem:
     def simple_action(self) -> tuple:
         """simple_action[g][j] is the signed index of s_g(positive root j).
         ``build_root_system`` stores it from the closure that finds the
-        roots; a copy made with ``dataclasses.replace`` derives it here."""
+        roots; a copy made with the ``RootSystem`` constructor derives it here."""
         return tuple(
             tuple(self.signed_index(self.apply_simple(g, root)) for root in self.positive_roots)
             for g in range(self.rank)
@@ -325,7 +354,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         positive_roots=positives,
         root_index={v: i for i, v in enumerate(positives)},
     )
-    # the cached property's slot; a dataclasses.replace copy derives its own
+    # the cached property's slot; a copy made with the constructor derives its own
     rs.__dict__["simple_action"] = images
     return rs
 
@@ -350,8 +379,7 @@ def parse_type(name: str) -> RootSystem:
 # -- affine data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineData:
+class AffineData(NamedTuple):
     """Highest root, marks on the extended base, and the index of connection."""
 
     root_system: RootSystem

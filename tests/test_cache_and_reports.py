@@ -44,6 +44,15 @@ def test_report_json_shape():
     assert not rep.passed
 
 
+def test_reports_never_share_a_checks_list():
+    first, second = Report("one", {}), Report("two", {})
+    assert first.checks is not second.checks
+    first.add("a check", 1, 1, "identity")
+    assert len(first.checks) == 1 and second.checks == []
+    assert "_t0" not in repr(first) and repr(second) == (
+        "Report(suite='two', params={}, checks=[], wall_time=0.0)")
+
+
 def test_every_registered_suite_has_defaults():
     for name in SUITES:
         assert name in DEFAULT_PARAMS

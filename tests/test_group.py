@@ -248,6 +248,16 @@ def test_parabolic_a2_singleton():
     assert (norm, lam) == (2, 2)
 
 
+def test_class_and_parabolic_records_are_immutable():
+    g = get_group("A2")
+    for record, name in ((g.conjugacy_classes()[0], "representative"),
+                         (g.parabolic_data({0}), "subgroup_order")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+
 @pytest.mark.parametrize("t", ["A3", "B2", "B3", "G2", "I2(5)"])
 def test_parabolic_data_against_brute_force(t):
     g = get_group(t)

@@ -1,6 +1,5 @@
 """Intersection lattices: flats, W-orbits, Moebius values, characteristic polynomials."""
 
-import dataclasses
 import itertools
 import json
 import os
@@ -38,8 +37,9 @@ def permuted_b3():
     rs.simple_action  # cached on the original; the copy must derive its own
     order = list(range(rs.n_positive))
     random.Random(5).shuffle(order)
-    return dataclasses.replace(
-        rs,
+    return RootSystem(
+        rs.family, rs.rank, rs.m_param, rs.scalar_field, rs.cartan_like_matrix, rs.gram,
+        rs.simple_roots,
         positive_roots=tuple(rs.positive_roots[i] for i in order),
         root_index={rs.positive_roots[i]: k for k, i in enumerate(order)},
     )
@@ -335,7 +335,9 @@ def test_integer_roots_helper():
 def test_build_rejects_oversized_arrangements():
     # 120 listed roots, but the reflections only reach the first 60
     rs = parse_type("H4")
-    fake = dataclasses.replace(rs, positive_roots=rs.positive_roots * 2)
+    fake = RootSystem(rs.family, rs.rank, rs.m_param, rs.scalar_field, rs.cartan_like_matrix,
+                      rs.gram, rs.simple_roots, positive_roots=rs.positive_roots * 2,
+                      root_index=rs.root_index)
     with pytest.raises(ValueError):
         build_lattice(fake)
 
@@ -345,6 +347,11 @@ def test_b3_lattice_and_char_poly():
     assert len(lat) == 24
     chi = lat.char_poly(lat.bottom_id())
     assert chi.coefficients == (-15, 23, -9, 1)  # (x-1)(x-3)(x-5)
+    for record, name in ((chi, "coefficients"), (lat.flats[0], "mask")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, ())
+        with pytest.raises(AttributeError):
+            record.extra = 0
 
 
 def test_lattice_lives_with_its_group():

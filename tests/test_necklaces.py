@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from coxshuffle.gfpoly import FqContext, FqPoly, factor, irreducibles, is_prime, monic_polys
+from coxshuffle import necklaces
 from coxshuffle.group import get_group
 from coxshuffle.necklaces import (
     _first_root_in_extension,
@@ -26,6 +27,7 @@ from coxshuffle.necklaces import (
     s_vector_count,
 )
 from coxshuffle.orbits import b_pair_type, enumerate_orbits, orbit_family, phi_map
+from coxshuffle.suites import DEFAULT_PARAMS
 
 
 def eval_in(phi: FqPoly, ext: FqContext, a):
@@ -123,6 +125,10 @@ def test_n1_q3_ornaments_by_hand():
     assert len(ornaments) == 3
     types = sorted(o.type_pair() for o in ornaments)
     assert types == [((), (1,)), ((1,), ()), ((1,), ())]
+    with pytest.raises(AttributeError):
+        ornaments[0].blinking = ()
+    with pytest.raises(AttributeError):
+        ornaments[0].extra = 0
 
 
 def s_vector_count_brute(group, w_index: int, q: int) -> int:
@@ -307,6 +313,58 @@ def test_normal_basis_encode_bijective_per_degree():
         assert len(image) == len(irreducibles(ctx, m))
         for neck in image:
             assert canonicalize_necklace("plain", neck)[1]
+
+
+def normal_coordinates_oracle(ext, q: int, m: int, beta) -> list:
+    """Oracle: beta's normal-basis coordinates by a fresh elimination of
+    [alpha^(q^j) columns | beta] over GF(q), one per element."""
+    alpha = normal_basis(q, m)
+    cols = []
+    cur = alpha
+    for _ in range(m):
+        cols.append(list(cur) if m > 1 else [cur])
+        cur = ext.pow(cur, q)
+    nvec = list(beta) if m > 1 else [beta]
+    aug = [[cols[j][i] for j in range(m)] + [nvec[i]] for i in range(m)]
+    rank = 0
+    for col in range(m):
+        piv = next((i for i in range(rank, m) if aug[i][col] % q), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = pow(aug[rank][col], -1, q)
+        aug[rank] = [x * inv % q for x in aug[rank]]
+        for i in range(m):
+            if i != rank and aug[i][col] % q:
+                f = aug[i][col]
+                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[rank])]
+        rank += 1
+    assert rank == m, "normal basis is singular"
+    return [aug[i][m] % q for i in range(m)]
+
+
+# every GF(q^m) the default gr_census grid reaches: a monic of degree n over
+# F_q has irreducible factors of degree 1..n
+GR_CENSUS_FIELDS = sorted({(q, m) for q, n, _ in DEFAULT_PARAMS["gr_census"]["grid"]
+                           for m in range(1, n + 1)})
+
+
+@pytest.mark.parametrize("q,m", GR_CENSUS_FIELDS)
+def test_normal_coordinates_against_elimination_oracle(q, m):
+    ext = FqContext.get(q, m)
+    nonzero = [beta for beta in ext.elements() if not ext.is_zero(beta)]
+    assert len(nonzero) == q**m - 1
+    for beta in nonzero:
+        assert _normal_coordinates(ext, q, m, beta) == normal_coordinates_oracle(ext, q, m, beta)
+
+
+def test_normal_inverse_rejects_a_singular_basis(monkeypatch):
+    # 1 lies in GF(3), so its conjugates in GF(9) are all equal: not a basis
+    ext = FqContext.get(3, 2)
+    monkeypatch.setattr(necklaces, "_NORMAL_INVERSE", {})
+    monkeypatch.setattr(necklaces, "normal_basis", lambda q, m: ext.one)
+    with pytest.raises(RuntimeError, match="normal basis is singular"):
+        _normal_coordinates(ext, 3, 2, ext.one)
 
 
 def max_entry(o) -> int:

@@ -273,3 +273,17 @@ def test_orbits_import_loads_no_group_lattice_or_dataclass_code():
                          text=True, check=True).stdout
     loaded, missing = json.loads(out)
     assert loaded == [] and missing == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # each `coxshuffle verify` is a fresh process, so the CLI import is paid per suite
+    src = str(Path(coxshuffle.__file__).resolve().parents[1])
+    code = (
+        "import json, sys\n"
+        "import coxshuffle.cli\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == []

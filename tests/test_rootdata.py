@@ -145,6 +145,29 @@ def test_parse_type_round_trip():
         parse_type("Z9")
 
 
+def test_root_index_takes_no_part_in_equality_hash_or_repr():
+    rs = parse_type("B3")
+    copy = RootSystem(rs.family, rs.rank, rs.m_param, rs.scalar_field, rs.cartan_like_matrix,
+                      rs.gram, rs.simple_roots, rs.positive_roots, root_index={})
+    assert copy == rs and hash(copy) == hash(rs)
+    assert copy != parse_type("B2") and copy != tuple(rs.positive_roots)
+    assert "root_index" not in repr(rs) and "root_index" not in repr(copy)
+    assert repr(rs).startswith("RootSystem(family='B', rank=3, m_param=None, "
+                               "scalar_field='rational', cartan_like_matrix=")
+
+
+def test_root_system_and_affine_data_are_immutable():
+    rs = parse_type("A2")
+    ad = affine_data(rs)
+    for record, name in ((rs, "rank"), (rs, "root_index"), (rs, "extra"), (ad, "marks"),
+                         (ad, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del rs.rank
+    assert rs.rank == 2 and ad.marks == (1, 1, 1)
+
+
 def test_affine_marks_a1():
     ad = affine_data(parse_type("A1"))
     assert ad.marks == (1, 1)
