@@ -3,8 +3,7 @@
 A flat is the intersection of some of the reflecting hyperplanes; it is
 identified by the bitmask of positive roots whose hyperplanes contain it
 (equivalently, the roots lying in the span of its defining normals).
-Containment of flats is then a subset test on masks, which keeps the
-Moebius recursion cheap even for the 60-hyperplane H4 arrangement.
+Containment of flats is then a subset test on masks.
 
 Every flat of a Coxeter arrangement is W-conjugate to the fixed space of a
 standard parabolic subgroup W_K (Orlik-Solomon, "Coxeter arrangements",
@@ -19,9 +18,14 @@ and the subsets whose standard flat lies in it; the group's parabolic data
 equivalent subsets) is read from these.  The module does no linear
 algebra: flats are masks, never subspaces.
 
-mu(V, Y) is W-invariant, so the Moebius recursion from the bottom flat V
-runs once per W-orbit of flats, at each orbit's standard flat, and is then
-read off by orbit id; from any other bottom it runs once per flat above it.
+mu(V, Y) and the restricted characteristic polynomial chi(A^Y, x) are
+W-invariant, so both are solved once per W-orbit of flats from one
+orbit-incidence count: how many flats of each orbit lie strictly below
+each orbit's standard flat.  mu(V, .) follows by the defining recursion in
+ascending rank.  chi follows in descending rank from the point count
+x^dim(X) = sum of chi(A^Y, x) over the flats Y >= X: every point of X lies
+in exactly one smallest flat Y, so X is the disjoint union of the
+complements of the restricted arrangements A^Y over the flats Y in X.
 """
 
 from __future__ import annotations
@@ -99,8 +103,7 @@ class IntersectionLattice:
 
     def __init__(self, rs: RootSystem):
         self.root_system = rs
-        self._moebius: Dict[int, Dict[int, int]] = {}
-        self._char_polys: Dict[int, CharPoly] = {}
+        self._values: Optional[Tuple[List[int], List[CharPoly]]] = None
         self._build()
 
     def _build(self):
@@ -154,79 +157,62 @@ class IntersectionLattice:
     def flat_dim(self, fid: int) -> int:
         return self.root_system.rank - self.flats[fid].rank
 
-    def leq(self, a: int, b: int) -> bool:
-        """a <= b in the reverse-inclusion order (V is the minimum)."""
-        ma, mb = self.masks[a], self.masks[b]
-        return ma & mb == ma
-
     def bottom_id(self) -> int:
         return self.mask_to_id[0]
 
-    def top_id(self) -> int:
-        return max(range(len(self.flats)), key=lambda i: self.ranks[i])
+    # -- Moebius values and characteristic polynomials, per W-orbit ---------
 
-    def moebius_from(self, bottom: int) -> Dict[int, int]:
-        """mu(bottom, Y) for every flat Y >= bottom: once per W-orbit of flats
-        from V, per flat from any other bottom."""
-        cached = self._moebius.get(bottom)
-        if cached is None:
-            if bottom == self.bottom_id():
-                cached = self._moebius_by_orbit()
-            else:
-                cached = self._moebius_by_flat(bottom)
-            self._moebius[bottom] = cached
-        return cached
-
-    def _moebius_by_flat(self, bottom: int) -> Dict[int, int]:
-        # flats are sorted by rank, so every flat below Y precedes it
-        bmask = self.masks[bottom]
-        out = {}
-        masks: List[int] = []
-        mus: List[int] = []
-        for i, mi in enumerate(self.masks):
-            if mi & bmask != bmask:
-                continue
-            mu = 1 if i == bottom else -sum(m for mz, m in zip(masks, mus) if mz & mi == mz)
-            masks.append(mi)
-            mus.append(mu)
-            out[i] = mu
-        return out
-
-    def _moebius_by_orbit(self) -> Dict[int, int]:
-        # one standard flat per orbit; flat ids ascend by rank, so taking the
-        # orbits by that flat's id sets each orbit's value before it is read
-        reps = [self.mask_to_id[self.standard_masks[subsets[0]]] for subsets in self.orbit_subsets]
-        orbit_mu = [0] * len(reps)
-        for u in sorted(range(len(reps)), key=reps.__getitem__):
-            rep = self.masks[reps[u]]
-            below = bisect_left(self.ranks, self.ranks[reps[u]])
-            orbit_mu[u] = 1 if rep == 0 else -sum(
-                orbit_mu[t]
-                for mz, t in zip(self.masks[:below], self.orbit_ids[:below])
-                if mz & rep == mz
-            )
-        return {i: orbit_mu[t] for i, t in enumerate(self.orbit_ids)}
-
-    def moebius(self, a: int, b: int) -> int:
-        if not self.leq(a, b):
-            return 0
-        return self.moebius_from(a).get(b, 0)
-
-    # -- characteristic polynomials -----------------------------------------
+    def moebius_from(self) -> Dict[int, int]:
+        """mu(V, Y) for every flat Y, read off by Y's orbit."""
+        mu = self._orbit_values()[0]
+        return {i: mu[t] for i, t in enumerate(self.orbit_ids)}
 
     def char_poly(self, fid: int) -> CharPoly:
-        """chi of the restricted poset of flats above flat fid (the bottom
-        flat V gives chi(L, x)), summed from the Moebius function once per flat."""
+        """chi(A^X, x) of the restricted arrangement on flat X = fid, whose
+        poset is the flats above X (V gives chi(L, x)).  Solved per W-orbit
+        from the orbit-incidence count and the point count
+        x^dim(X) = sum of chi(A^Y, x) over Y >= X; every flat of an orbit
+        returns its orbit's one CharPoly."""
         if not 0 <= fid < len(self.flats):
             raise ValueError("not a flat id")
-        cached = self._char_polys.get(fid)
-        if cached is None:
-            coeffs = [0] * (self.flat_dim(fid) + 1)
-            for y, m in self.moebius_from(fid).items():
-                coeffs[self.flat_dim(y)] += m
-            cached = CharPoly(tuple(coeffs))
-            self._char_polys[fid] = cached
-        return cached
+        return self._orbit_values()[1][self.orbit_ids[fid]]
+
+    def _orbit_values(self) -> Tuple[List[int], List[CharPoly]]:
+        """(mu(V, .), chi) per orbit, from one count: below[u][t] is the number
+        of flats of orbit t strictly below the standard flat X_u of orbit u."""
+        if self._values is not None:
+            return self._values
+        reps = [self.mask_to_id[self.standard_masks[subsets[0]]] for subsets in self.orbit_subsets]
+        n = len(reps)
+        below = []
+        for r in reps:
+            rep = self.masks[r]
+            row = [0] * n
+            lower = bisect_left(self.ranks, self.ranks[r])
+            for mz, t in zip(self.masks[:lower], self.orbit_ids):
+                if mz & rep == mz:
+                    row[t] += 1
+            below.append(row)
+        order = sorted(range(n), key=reps.__getitem__)  # flat ids ascend by rank
+        # mu(V, X_u) = -sum of mu(V, Z) over the flats Z < X_u
+        mu = [0] * n
+        for u in order:
+            mu[u] = -sum(c * mu[t] for t, c in enumerate(below[u])) if self.masks[reps[u]] else 1
+        # point count: x^dim(X_u) = sum of chi(A^Y, x) over the flats Y >= X_u.
+        # Orbit t has d(u, t) = below[t][u] |O_t| / |O_u| flats above X_u,
+        # counting the pairs X < Y in orbits (u, t) both ways.
+        chi: List[Optional[CharPoly]] = [None] * n
+        for u in reversed(order):
+            dim = self.flat_dim(reps[u])
+            coeffs = [0] * dim + [1]
+            for t in order:
+                if below[t][u]:
+                    d = below[t][u] * self.orbit_sizes[t] // self.orbit_sizes[u]
+                    for k, c in enumerate(chi[t].coefficients):
+                        coeffs[k] -= d * c
+            chi[u] = CharPoly(tuple(coeffs))
+        self._values = (mu, chi)
+        return self._values
 
 
 def build_lattice(rs: RootSystem) -> IntersectionLattice:

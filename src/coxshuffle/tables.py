@@ -91,7 +91,7 @@ def parabolics_table(g: CoxeterGroup, fmt: str = "csv") -> str:
 
 def lattice_table(g: CoxeterGroup, fmt: str = "csv") -> str:
     lat = get_lattice(g)
-    mu = lat.moebius_from(lat.bottom_id())
+    mu = lat.moebius_from()
     rows = [
         {"flat_id": i, "dim": lat.flat_dim(i), "moebius_from_V": mu[i]}
         for i in range(len(lat.flats))

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from coxshuffle.suites import run_suite
+from coxshuffle.tables import emit_table
 
 # SHA-256 of each suite's default-grid report, timing removed: a change that
 # is meant to give the same answers must leave these alone
@@ -37,10 +38,74 @@ REPORT_DIGESTS = {
 }
 
 
+# SHA-256 of CLI table bytes (what ``--emit``/``--out`` writes): the lattice
+# table, csv and json, on every supported type, and the measure table at
+# ``--x 2,7/3,-1`` by two methods; key (table, type, format or method)
+TABLE_DIGESTS = {
+    ("lattice", "A1", "csv"): "ec8e26283e74c4fda13866eb16d74b28aa7f414bb6a71eac94c14faa80869491",
+    ("lattice", "A1", "json"): "2df9c089b495e8896018bac5f662cae7d1bdb7017ee7893a2bf7dd0bc01e0ae5",
+    ("lattice", "A2", "csv"): "445c1eed410f96b52d4188c0437122868a79ec108d7922cbb36221a189a64751",
+    ("lattice", "A2", "json"): "da67eea7c33dc2a386c8b825d7e23dc9ae311ffa40410e987e01c24fb9d566db",
+    ("lattice", "A3", "csv"): "41c2655aa2e0e483f9288bcba57787c159720d0373e41d1982d143a229b7edd0",
+    ("lattice", "A3", "json"): "e42db5fa87b9e9cb74b5b1a0eaaae4b71349c58229ea951d0e8bfe1688313bc0",
+    ("lattice", "A4", "csv"): "cb37855559427433af1c1c946f2a212a5606846311909c7f694cec2ca00c825f",
+    ("lattice", "A4", "json"): "668a8cba2af648eb118c89fbd7d26dac73995871df4dac99f744b1d24a4929c1",
+    ("lattice", "A5", "csv"): "698a8e82de2926a4cfd9113d37a49e8eb2273dc38ffb64c1ed7c71d9b4bad175",
+    ("lattice", "A5", "json"): "ccd9448b9f246111165d360d7a375c3c179766c5f46f9a694ee6f5cfc4349cd2",
+    ("lattice", "B2", "csv"): "0d1085ad141b9f47316e9b1fc16721716a0aee569d483f0eef45da07abaf484a",
+    ("lattice", "B2", "json"): "147abe2caed2fc1ca19be0f364173be7b598efab99df2f5044e19889c5d5fba2",
+    ("lattice", "B3", "csv"): "5ae43f4e886027cd4dd4c915e735e6009dfda3b13b4f43aea021bbe94b9980e7",
+    ("lattice", "B3", "json"): "f541350eb997dcaaec878e8ed71f2dda5ab7a2b7e80c0aab5d210f8fe218d7ea",
+    ("lattice", "B4", "csv"): "39f4570898272bf3191084dbfdc2c41b2e5ba5c8cf4f5e2bee93651d01d725a1",
+    ("lattice", "B4", "json"): "a79e55e900ef56f7273f637078ed8141a4a3a8577fec4d1a28b47bb2968fe9e3",
+    ("lattice", "D4", "csv"): "619d7e1cc2ed27af90b23ba85a5f4ae1a189c06093da070fc658f82dbc59c843",
+    ("lattice", "D4", "json"): "d250da474ebef4208c5c39a4f4272da5f213ce6ff54336525f6cdb4ac1d6f645",
+    ("lattice", "G2", "csv"): "310229246a29d8f994355fc4bd2f37146e5818443e0b312746f584ad5d720142",
+    ("lattice", "G2", "json"): "91a0a53a569347ff4b9185716045c132e88f16cceb34efa7fdf2f3edb80f35e1",
+    ("lattice", "I2(2)", "csv"): "27a0820abf31553ac37573db6c5eee00feb4cdf31d395d61bbfcd139241d0553",
+    ("lattice", "I2(2)", "json"): "882aad7ac04437c79320e4fb43e5d293055545781f5476a722f55bee776f1bd5",
+    ("lattice", "I2(3)", "csv"): "445c1eed410f96b52d4188c0437122868a79ec108d7922cbb36221a189a64751",
+    ("lattice", "I2(3)", "json"): "da67eea7c33dc2a386c8b825d7e23dc9ae311ffa40410e987e01c24fb9d566db",
+    ("lattice", "I2(4)", "csv"): "0d1085ad141b9f47316e9b1fc16721716a0aee569d483f0eef45da07abaf484a",
+    ("lattice", "I2(4)", "json"): "147abe2caed2fc1ca19be0f364173be7b598efab99df2f5044e19889c5d5fba2",
+    ("lattice", "I2(5)", "csv"): "f39080338b7a8367e0133eb66b8439fdb3a3cbb71a9705cadff2571aae33edf8",
+    ("lattice", "I2(5)", "json"): "37f10857e8be766393a42ee3ce587378aa07675870d73d07de4f2d64e4061c4d",
+    ("lattice", "I2(6)", "csv"): "310229246a29d8f994355fc4bd2f37146e5818443e0b312746f584ad5d720142",
+    ("lattice", "I2(6)", "json"): "91a0a53a569347ff4b9185716045c132e88f16cceb34efa7fdf2f3edb80f35e1",
+    ("lattice", "I2(10)", "csv"): "9ec93ea9b541b6b5d2e1e8430fe81a52dd699e27d8dbf2929620d8a2cf1b93ff",
+    ("lattice", "I2(10)", "json"): "d22949150ca4a40052d0fc80d0623bf2835bffd519ae575698a6fc89de7db7c3",
+    ("lattice", "H3", "csv"): "7f1414229586f2b5010896b1f2e9e1e20ac8bad89ed0405f2acedbc7d5c4e5e3",
+    ("lattice", "H3", "json"): "8a81f1cc4ed1bfab0deb538d52a9ef332237a73c275b003ce7e735898b96f424",
+    ("lattice", "H4", "csv"): "559459e123b84645ef027b698dc7148a2fe46e268fb6cbad3fb3aaa887e856ae",
+    ("lattice", "H4", "json"): "d868b3f34f6e5eeb5b60bb13e266a619873852bcbac43b764a19842f8e932104",
+    ("measure", "B4", "definition"): "f322fd17eca75a584557763fde2d39c837cafa3cc56244f20c57ea32c26e70cb",
+    ("measure", "B4", "os_sign"): "f322fd17eca75a584557763fde2d39c837cafa3cc56244f20c57ea32c26e70cb",
+    ("measure", "D4", "definition"): "f2f9419e6c6709c04401f8d8d9ab8807c8b7f75173188065465cda0731c7f68b",
+    ("measure", "D4", "os_sign"): "f2f9419e6c6709c04401f8d8d9ab8807c8b7f75173188065465cda0731c7f68b",
+    ("measure", "H3", "definition"): "25ce0ddac3bb771dd4afa384eed663c45c93677dcc76348ec832b1fd8355b185",
+    ("measure", "H3", "os_sign"): "25ce0ddac3bb771dd4afa384eed663c45c93677dcc76348ec832b1fd8355b185",
+    ("measure", "H4", "definition"): "906b92fd7185eb6d3dc633f10e4c41592d8b4a9785c684303c95429678a08182",
+    ("measure", "H4", "os_sign"): "906b92fd7185eb6d3dc633f10e4c41592d8b4a9785c684303c95429678a08182",
+}
+TABLE_XS = [Fraction(2), Fraction(7, 3), Fraction(-1)]
+
+
 def report_digest(report) -> str:
     d = report.to_dict()
     del d["wall_time_s"]
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+def test_cli_table_bytes_pinned():
+    changed = []
+    for (what, t, tag), digest in TABLE_DIGESTS.items():
+        if what == "lattice":
+            text = emit_table("lattice", {"type": t}, tag)
+        else:
+            text = emit_table("measure", {"type": t, "x": TABLE_XS, "method": tag}, "csv")
+        if hashlib.sha256(text.encode()).hexdigest() != digest:
+            changed.append((what, t, tag))
+    assert not changed, f"table bytes changed: {changed}"
 
 
 def _pin(reports):

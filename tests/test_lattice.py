@@ -120,6 +120,17 @@ def arrangement(t):
     return permuted_b3() if t == "permuted B3" else parse_type(t)
 
 
+def leq(lat, a, b):
+    """a <= b in the reverse-inclusion order (V is the minimum)."""
+    ma, mb = lat.masks[a], lat.masks[b]
+    return ma & mb == ma
+
+
+def top_id(lat):
+    """The flat of highest rank, the origin of an essential arrangement."""
+    return max(range(len(lat)), key=lambda i: lat.ranks[i])
+
+
 @pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
 def test_orbit_flats_equal_span_flats(t):
     rs = arrangement(t)
@@ -196,20 +207,23 @@ def test_char_poly_examples():
     assert cp.coefficients == (2, -3, 1)  # (x-1)(x-2)
     latb = build_lattice(parse_type("B2"))
     assert latb.char_poly(latb.bottom_id()).coefficients == (3, -4, 1)  # (x-1)(x-3)
-    top = latb.top_id()
+    top = top_id(latb)
     assert latb.char_poly(top).coefficients == (1,)
 
 
 def verify_moebius(lat, bottoms=None):
-    """Oracle: re-verify the defining recursion of mu(a, .) by summation
-    over every interval [a, b]."""
+    """Oracle: re-verify the recursion of ``per_flat_moebius`` from each
+    bottom a by summation over every interval [a, b]; from V the package's
+    values must equal it."""
     if bottoms is None:
         bottoms = range(len(lat))
     for a in bottoms:
-        mu = lat.moebius_from(a)
+        mu = per_flat_moebius(lat, a)
+        if a == lat.bottom_id() and lat.moebius_from() != mu:
+            return False
         above = sorted(mu, key=lambda i: lat.ranks[i])
         for b in above:
-            total = sum(mu[z] for z in above if lat.leq(z, b))
+            total = sum(mu[z] for z in above if leq(lat, z, b))
             if total != (1 if b == a else 0):
                 return False
     return True
@@ -233,12 +247,19 @@ def test_moebius_from_v_by_orbit_equals_per_flat_oracle(t):
     lat = build_lattice(arrangement(t))
     v = lat.bottom_id()
     oracle = per_flat_moebius(lat, v)
-    mu = lat.moebius_from(v)
+    mu = lat.moebius_from()
     assert list(mu.items()) == list(oracle.items())
-    coeffs = [0] * (lat.flat_dim(v) + 1)
-    for y, m in oracle.items():
-        coeffs[lat.flat_dim(y)] += m
-    assert lat.char_poly(v).coefficients == tuple(coeffs)
+    # chi at every orbit's standard flat, summed from the oracle's mu(X, .)
+    reps = {lat.orbit_ids[lat.mask_to_id[m]]: lat.mask_to_id[m] for m in lat.standard_masks}
+    assert sorted(reps) == list(range(len(lat.orbit_sizes)))
+    for x in reps.values():
+        coeffs = [0] * (lat.flat_dim(x) + 1)
+        for y, m in per_flat_moebius(lat, x).items():
+            coeffs[lat.flat_dim(y)] += m
+        assert lat.char_poly(x).coefficients == tuple(coeffs), x
+    # one shared CharPoly per orbit
+    for fid, o in enumerate(lat.orbit_ids):
+        assert lat.char_poly(fid) is lat.char_poly(reps[o])
 
 
 def test_moebius_recursion_reverified():
@@ -250,10 +271,10 @@ def test_moebius_recursion_reverified():
 def fresh_char_poly(lat, fid):
     """Oracle: mu(fid, Y) by the defining recursion over ``leq`` alone, then
     chi as the sum of mu(fid, Y) x^dim(Y)."""
-    above = sorted((y for y in range(len(lat)) if lat.leq(fid, y)), key=lambda y: lat.ranks[y])
+    above = sorted((y for y in range(len(lat)) if leq(lat, fid, y)), key=lambda y: lat.ranks[y])
     mu = {}
     for y in above:
-        mu[y] = 1 if y == fid else -sum(m for z, m in mu.items() if lat.leq(z, y))
+        mu[y] = 1 if y == fid else -sum(m for z, m in mu.items() if leq(lat, z, y))
     coeffs = [0] * (lat.flat_dim(fid) + 1)
     for y, m in mu.items():
         coeffs[lat.flat_dim(y)] += m
@@ -272,7 +293,7 @@ def test_cached_char_poly_against_fresh_moebius_sum(t):
 def test_moebius_h4_sampled_bottoms():
     g = get_group("H4")
     lat = get_lattice(g)
-    bottoms = [lat.bottom_id(), 1, len(lat) // 2, lat.top_id()]
+    bottoms = [lat.bottom_id(), 1, len(lat) // 2, top_id(lat)]
     assert verify_moebius(lat, bottoms)
 
 
@@ -284,7 +305,7 @@ def test_zaslavsky_chamber_count():
         chi = lat.char_poly(lat.bottom_id())
         assert (-1) ** g.rank * chi(-1) == g.size
         # the arrangement is central and essential: the origin is a flat
-        assert lat.flat_dim(lat.top_id()) == 0
+        assert lat.flat_dim(top_id(lat)) == 0
 
 
 def test_lattice_independent_of_hyperplane_order():
