@@ -321,27 +321,28 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxshuffle",
+        allow_abbrev=False,
         description="Exact shuffling measures on finite Coxeter groups, orbit models "
         "over finite fields, and exhaustive verification suites.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("coxeter", help="group tables")
+    p = sub.add_parser("coxeter", help="group tables", allow_abbrev=False)
     csub = p.add_subparsers(dest="coxeter_cmd", required=True)
-    pd = csub.add_parser("dump", help="dump element/class/parabolic tables")
+    pd = csub.add_parser("dump", help="dump element/class/parabolic tables", allow_abbrev=False)
     pd.add_argument("--type", required=True, help="A3, B2, D4, G2, I2(5), H3, H4")
     pd.add_argument("--what", choices=["elements", "classes", "parabolics"], required=True)
     pd.add_argument("--format", choices=["csv", "json"], default="csv")
     pd.add_argument("--out")
     pd.set_defaults(func=cmd_coxeter)
 
-    p = sub.add_parser("lattice", help="arrangement flats")
+    p = sub.add_parser("lattice", help="arrangement flats", allow_abbrev=False)
     p.add_argument("--type", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--emit", help="output file (default stdout)")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("measure", help="shuffling measure table")
+    p = sub.add_parser("measure", help="shuffling measure table", allow_abbrev=False)
     p.add_argument("--type", required=True)
     p.add_argument("--x", required=True, help="nonzero rational, e.g. 2 or 1/2")
     p.add_argument("--method", choices=["definition", "os_sign", "closed_form"],
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("sample", help="physical shuffle sampler")
+    p = sub.add_parser("sample", help="physical shuffle sampler", allow_abbrev=False)
     p.add_argument("--model", choices=["gsr_a", "typeB_flip"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
@@ -360,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("orbits", help="orbit representatives")
+    p = sub.add_parser("orbits", help="orbit representatives", allow_abbrev=False)
     p.add_argument("--family", choices=["A", "B"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -368,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("bijection", help="necklace bijections")
+    p = sub.add_parser("bijection", help="necklace bijections", allow_abbrev=False)
     bsub = p.add_subparsers(dest="bijection_cmd", required=True)
-    pg = bsub.add_parser("gr", help="Gessel-Reutenauer on a necklace multiset")
+    pg = bsub.add_parser("gr", help="Gessel-Reutenauer on a necklace multiset", allow_abbrev=False)
     pg.add_argument("--necklaces", required=True, help='e.g. "12,12,2,23,23233"')
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_bijection)
-    pr = bsub.add_parser("refine", help="polynomial to permutation")
+    pr = bsub.add_parser("refine", help="polynomial to permutation", allow_abbrev=False)
     pr.add_argument("--family", choices=["A"], default="A")
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--p", type=int, required=True)
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out")
     pr.set_defaults(func=cmd_bijection)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     p.add_argument("suite", help=", ".join(sorted(SUITES)) + ", problem1")
     p.add_argument("--type", action="append", help="override the type grid (repeatable)")
     p.add_argument("--family", choices=["A", "B"], help="for the problem1 alias")

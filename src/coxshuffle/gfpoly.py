@@ -2,7 +2,9 @@
 
 Prime fields represent elements as ints 0..p-1; extensions as coefficient
 tuples over the prime field modulo a monic irreducible (the first one in
-lexicographic order, so contexts are canonical).
+lexicographic order, so contexts are canonical).  An extension multiplies
+by one lookup in exp/log tables of its smallest generator, built from the
+schoolbook product on first use.
 
 Polynomial arithmetic has one implementation: the list kernels on trimmed
 coefficient lists, with the field operations taken from the context.
@@ -10,7 +12,11 @@ coefficient lists, with the field operations taken from the context.
 
 - ``poly_axpy``: a + c*b.
 - ``poly_mul``: a*b, one dot product per coefficient.
-- ``poly_divmod``: quotient and remainder, by schoolbook division.
+- ``poly_divmod`` and ``poly_mod``: quotient and remainder, or the
+  remainder alone, by one schoolbook division in place on a copy of a.
+  Over a prime field it runs on plain ints: -b is formed once, each step
+  adds c*(-b) without reducing, and the remainder is reduced mod p once,
+  at the end.
 - ``poly_monic`` and ``poly_gcd``: the monic associate and the monic gcd.
 - ``poly_powmod``: a^k mod m, by square and multiply.
 - ``poly_frobenius``: a^q mod m for q the field order, by substitution.
@@ -81,6 +87,7 @@ class FqContext:
         self._dlog_base = None
         self._generator = None
         self._first_roots: Optional[Dict[Tuple[int, ...], object]] = None
+        self._exp_log: Optional[Tuple[list, dict]] = None
 
     @classmethod
     def get(cls, p: int, e: int = 1) -> "FqContext":
@@ -134,22 +141,43 @@ class FqContext:
     def mul(self, a, b):
         if self.e == 1:
             return a * b % self.p
-        prod = [0] * (2 * self.e - 1)
+        zero = self.zero
+        if a == zero or b == zero:
+            return zero
+        exp, log = self._exp_log or self._build_exp_log()
+        return exp[log[a] + log[b]]
+
+    def schoolbook_mul(self, a, b):
+        """The product in an extension, as a polynomial product reduced mod
+        the modulus: it builds the exp/log tables that ``mul`` reads."""
+        p, e, mod = self.p, self.e, self.modulus
+        coeffs = [0] * (2 * e - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self._reduce(prod)
-
-    def _reduce(self, coeffs: List[int]):
-        p, e, mod = self.p, self.e, self.modulus
+                    coeffs[i + j] += x * y
         for i in range(len(coeffs) - 1, e - 1, -1):
             c = coeffs[i] % p
             if c:
                 for j in range(e):
                     coeffs[i - e + j] -= c * mod[j]
-            coeffs[i] = 0
         return tuple(c % p for c in coeffs[:e])
+
+    def _build_exp_log(self):
+        """exp[k] = g^k for the smallest generator g, twice over so that
+        exp[log a + log b] needs no reduction, and log its inverse on the
+        nonzero elements; built on first use of an extension's ``mul``."""
+        one, q1 = self.one, self.order - 1
+        for g in itertools.islice(self.elements(), 1, None):
+            exp, cur = [one], g
+            while cur != one:
+                exp.append(cur)
+                cur = self.schoolbook_mul(cur, g)
+            if len(exp) == q1:
+                break
+        log = {x: k for k, x in enumerate(exp)}
+        self._exp_log = (exp + exp, log)
+        return self._exp_log
 
     def pow(self, a, k: int):
         out = self.one
@@ -166,7 +194,8 @@ class FqContext:
             raise ZeroDivisionError("finite-field division by zero")
         if self.e == 1:
             return pow(a, -1, self.p)
-        return self.pow(a, self.order - 2)
+        exp, log = self._exp_log or self._build_exp_log()
+        return exp[self.order - 1 - log[a]]
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -305,29 +334,61 @@ def poly_mul(ctx: FqContext, a: Sequence, b: Sequence) -> list:
     return out
 
 
-def poly_divmod(ctx: FqContext, a: Sequence, b: Sequence) -> Tuple[list, list]:
-    """(quotient, remainder) of a by b."""
+def _divide(ctx: FqContext, a: Sequence, b: Sequence) -> list:
+    """Schoolbook division of a copy of a by b, in place: the list returned
+    holds the remainder (reduced, not trimmed) in its first deg(b) places
+    and the quotient above them.
+
+    Each step turns the top coefficient t into the quotient coefficient
+    c = t / lead(b) and adds c times -b below it.  Over a prime field the
+    coefficients are plain ints: -b is formed once, the additions are not
+    reduced, and the remainder is reduced mod p once at the end.
+    """
     db = len(b) - 1
     if db < 0:
         raise ZeroDivisionError("polynomial division by zero")
-    if len(a) <= db:
-        return [], list(a)
-    zero = ctx.zero
-    lead_inv = None if b[-1] == ctx.one else ctx.inv(b[-1])
-    neg, mul, axpy = ctx.neg, ctx.mul, ctx.axpy
-    rem = list(a)
-    quot = [zero] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = rem[i]
-        if c == zero:
-            continue
-        if lead_inv is not None:
-            c = mul(c, lead_inv)
-        quot[i - db] = c
-        # rem[i] becomes zero and is dropped below
-        rem[i - db:i] = axpy(rem[i - db:i], neg(c), b)
-    del rem[db:]
-    return quot, _trim(ctx, rem)
+    work = list(a)
+    if len(work) <= db:
+        return work
+    steps = range(len(work) - 1, db - 1, -1)
+    span = range(db)
+    if ctx.e == 1:
+        p = ctx.p
+        lead_inv = pow(b[-1], -1, p)
+        nb = [p - y for y in b[:db]]
+        for i in steps:
+            c = work[i] = work[i] * lead_inv % p
+            if c:
+                lo = i - db
+                for j in span:
+                    work[lo + j] += c * nb[j]
+        for j in span:
+            work[j] %= p
+        return work
+    zero, add, mul = ctx.zero, ctx.add, ctx.mul
+    lead_inv = ctx.inv(b[-1])
+    nb = [ctx.neg(y) for y in b[:db]]
+    for i in steps:
+        if work[i] != zero:
+            c = work[i] = mul(work[i], lead_inv)
+            lo = i - db
+            for j in span:
+                work[lo + j] = add(work[lo + j], mul(c, nb[j]))
+    return work
+
+
+def poly_divmod(ctx: FqContext, a: Sequence, b: Sequence) -> Tuple[list, list]:
+    """(quotient, remainder) of a by b."""
+    work = _divide(ctx, a, b)
+    db = len(b) - 1
+    return work[db:], _trim(ctx, work[:db])
+
+
+def poly_mod(ctx: FqContext, a: Sequence, b: Sequence) -> list:
+    """The remainder of a by b, for callers that need no quotient."""
+    work = _divide(ctx, a, b)
+    del work[len(b) - 1:]
+    return _trim(ctx, work)
 
 
 def poly_monic(ctx: FqContext, a: Sequence) -> list:
@@ -340,41 +401,42 @@ def poly_monic(ctx: FqContext, a: Sequence) -> list:
 def poly_gcd(ctx: FqContext, a: Sequence, b: Sequence) -> list:
     """Monic gcd of a and b ([] when both are zero)."""
     while b:
-        a, b = b, poly_divmod(ctx, a, b)[1]
+        a, b = b, poly_mod(ctx, a, b)
     return poly_monic(ctx, a)
 
 
 def poly_powmod(ctx: FqContext, a: Sequence, k: int, m: Sequence) -> list:
     """a^k mod m, by square and multiply; m has degree >= 1."""
-    base = poly_divmod(ctx, a, m)[1]
+    base = poly_mod(ctx, a, m)
     out = None  # the power 1
     while True:
         if k & 1:
-            out = base if out is None else poly_divmod(ctx, poly_mul(ctx, out, base), m)[1]
+            out = base if out is None else poly_mod(ctx, poly_mul(ctx, out, base), m)
         k >>= 1
         if not k:
             return [ctx.one] if out is None else out
-        base = poly_divmod(ctx, poly_mul(ctx, base, base), m)[1]
+        base = poly_mod(ctx, poly_mul(ctx, base, base), m)
 
 
 def poly_frobenius(ctx: FqContext, a: Sequence, m: Sequence) -> list:
     """a^q mod m for q = ``ctx.order``; m has degree >= 1.
 
     a^q = a(z^q), so the coefficients of a mod m are placed at stride q and
-    reduced by one division: about deg(a) * q * deg(m) field operations,
-    against about 3 * bit_length(q) * deg(m)^2 for ``poly_powmod``'s squares
-    and products.  The cheaper of the two is run; both give the one
+    reduced by one division: about deg(a) * q * deg(m) inner steps, against
+    about bit_length(q) * deg(m)^2 for ``poly_powmod``'s squares and
+    products.  Stride placement runs while deg(a) * q <= 5 * bit_length(q) *
+    deg(m), the crossover timed on prime fields; both routes give the one
     remainder.
     """
-    a = poly_divmod(ctx, a, m)[1]
+    a = poly_mod(ctx, a, m)
     if not a:
         return a
     q, da, dm = ctx.order, len(a) - 1, len(m) - 1
-    if da * q > 3 * q.bit_length() * dm:
+    if da * q > 5 * q.bit_length() * dm:
         return poly_powmod(ctx, a, q, m)
     spread = [ctx.zero] * (da * q + 1)
     spread[::q] = a
-    return poly_divmod(ctx, spread, m)[1]
+    return poly_mod(ctx, spread, m)
 
 
 # -- distinct-degree layers ------------------------------------------------------
@@ -502,7 +564,7 @@ class FqPoly:
         return FqPoly(self.ctx, tuple(quot)), FqPoly(self.ctx, tuple(rem))
 
     def mod(self, other: "FqPoly") -> "FqPoly":
-        return FqPoly(self.ctx, tuple(poly_divmod(self.ctx, self.coeffs, other.coeffs)[1]))
+        return FqPoly(self.ctx, tuple(poly_mod(self.ctx, self.coeffs, other.coeffs)))
 
     def divides(self, other: "FqPoly") -> bool:
         return other.divmod(self)[1].is_zero
@@ -648,28 +710,29 @@ def factor(f: FqPoly) -> FactorMultiset:
     """Complete factorization of a monic polynomial of degree >= 1."""
     if not f.is_monic or f.degree < 1:
         raise ValueError("factor() expects a monic polynomial of degree >= 1")
+    ctx = f.ctx
     pairs = []
-    rem = f
+    rem = f.coeffs
     for d in range(1, f.degree // 2 + 1):
-        if rem.degree < 2 * d:
+        if len(rem) - 1 < 2 * d:
             break
-        for g in irreducibles(f.ctx, d):
-            if rem.degree < d:
+        for g in irreducibles(ctx, d):
+            if len(rem) - 1 < d:
                 break
             k = 0
             while True:
-                q, r = rem.divmod(g)
-                if not r.is_zero:
+                quot, r = poly_divmod(ctx, rem, g.coeffs)
+                if r:
                     break
-                rem = q
+                rem = quot
                 k += 1
             if k:
                 pairs.append((g, k))
-    if rem.degree >= 1:
+    if len(rem) > 1:
         # anything left has no factor of degree <= deg(f)/2, hence irreducible
-        pairs.append((rem, 1))
+        pairs.append((FqPoly(ctx, tuple(rem)), 1))
     fm = FactorMultiset(pairs)
-    if fm.product(f.ctx) != f:
+    if fm.product(ctx) != f:
         raise RuntimeError("factorization failed to recombine")
     return fm
 

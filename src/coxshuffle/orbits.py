@@ -31,9 +31,9 @@ from .gfpoly import (
     layer_partition,
     monic_polys,
     poly_axpy,
-    poly_divmod,
     poly_frobenius,
     poly_gcd,
+    poly_mod,
     poly_mul,
     poly_powmod,
 )
@@ -162,7 +162,7 @@ def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
             power = image = poly_powmod(ctx, y, (ctx.order - 1) // 2, layer)
             for _ in range(m - 1):
                 image = poly_frobenius(ctx, image, layer)
-                power = poly_divmod(ctx, poly_mul(ctx, power, image), layer)[1]
+                power = poly_mod(ctx, poly_mul(ctx, power, image), layer)
             squares = poly_gcd(ctx, layer, poly_axpy(ctx, power, minus_one, [one]))
             s = (len(squares) - 1) // m
             t = (len(layer) - 1) // m - s

@@ -1,9 +1,13 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coxshuffle
 from coxshuffle.cli import main
 
 
@@ -175,6 +179,22 @@ def test_verify_jobs_is_a_usage_error(capsys):
     assert err.startswith("usage:")
     assert "unrecognized arguments: --jobs 3" in err
     assert "Traceback" not in err
+
+
+def test_abbreviated_option_is_a_usage_error(tmp_path):
+    # "--e" is a prefix of "--emit" only; it must not name the output file
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxshuffle.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "coxshuffle.cli", "orbits", "--family", "A", "--n", "3",
+         "--q", "5", "--e", "0"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert [line for line in run.stderr.splitlines() if "error:" in line] == [
+        "coxshuffle: error: unrecognized arguments: --e 0"]
+    assert "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_convolution_reports_known_counterexamples(capsys):

@@ -20,6 +20,8 @@ from coxshuffle.gfpoly import (
     poly_divmod,
     poly_frobenius,
     poly_gcd,
+    poly_mod,
+    poly_mul,
     poly_powmod,
 )
 
@@ -212,7 +214,7 @@ def test_frobenius_matches_square_and_multiply_on_both_routes(q, monkeypatch):
         return powmod(*args)
 
     monkeypatch.setattr(gfpoly, "poly_powmod", spy)
-    # stride placement while deg(a) * q <= 3 * bit_length(q) * deg(m)
+    # stride placement while deg(a) * q <= 5 * bit_length(q) * deg(m)
     for dm in (1, 2, 4, 6, 40):
         for monic in (True, False):
             m = _random_poly(ctx, rng, dm, monic)
@@ -260,3 +262,114 @@ def test_degree_layers_against_square_and_multiply_at_q101():
     for _ in range(300):
         f = _random_poly(ctx, rng, rng.randrange(1, 9), True)
         assert degree_layers(ctx, f) == _layers_by_square_and_multiply(ctx, f), f
+
+
+def _schoolbook_divmod(ctx, a, b):
+    """(quotient, remainder) of a by b by slices of the remainder, one
+    ``ctx.axpy`` and one ``ctx.neg`` a step: the oracle for the in-place
+    division of ``poly_divmod`` and ``poly_mod``."""
+    db = len(b) - 1
+    if db < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(a) <= db:
+        return [], list(a)
+    zero = ctx.zero
+    lead_inv = None if b[-1] == ctx.one else ctx.inv(b[-1])
+    rem = list(a)
+    quot = [zero] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c == zero:
+            continue
+        if lead_inv is not None:
+            c = ctx.mul(c, lead_inv)
+        quot[i - db] = c
+        rem[i - db:i] = ctx.axpy(rem[i - db:i], ctx.neg(c), b)
+    del rem[db:]
+    while rem and rem[-1] == zero:
+        rem.pop()
+    return quot, rem
+
+
+def _check_division(ctx, a, b):
+    """Both kernels against the oracle and a = q*b + r with deg r < deg b,
+    with neither argument changed."""
+    a_before, b_before = list(a), list(b)
+    quot, rem = poly_divmod(ctx, a, b)
+    assert (quot, rem) == _schoolbook_divmod(ctx, a, b), (a, b)
+    assert poly_mod(ctx, a, b) == rem, (a, b)
+    assert len(rem) < len(b)
+    assert poly_axpy(ctx, poly_mul(ctx, quot, b), ctx.one, rem) == list(a), (a, b)
+    assert (a, b) == (a_before, b_before)
+
+
+def _divisors(ctx, rng, degree):
+    """Every b of this degree over GF(2); otherwise a seeded monic b and
+    2b, whose leading coefficient is 2."""
+    if ctx.order == 2:
+        return [FqPoly.from_ints(ctx, lower + (1,)).coeffs
+                for lower in itertools.product(range(2), repeat=degree)]
+    b = _random_poly(ctx, rng, degree, True)
+    return [b, [ctx.mul(ctx.from_int(2), c) for c in b]]
+
+
+@pytest.mark.parametrize("p,e,top", [(2, 1, 5), (3, 1, 5), (5, 1, 5), (3, 2, 3)])
+def test_division_kernels_against_schoolbook_oracle(p, e, top):
+    # every dividend of degree <= top ([] and deg a < deg b among them); over
+    # GF(9) top is 3, since its 9^6 dividends of degree <= 5 take minutes
+    ctx = FqContext.get(p, e)
+    rng = random.Random(ctx.order)
+    dividends = [FqPoly.from_ints(ctx, ks).coeffs
+                 for ks in itertools.product(range(ctx.order), repeat=top + 1)]
+    for db in range(1, 4):
+        for b in _divisors(ctx, rng, db):
+            for a in dividends:
+                _check_division(ctx, list(a), list(b))
+    if e > 1:  # seeded dividends of degree 4 and 5 over GF(9)
+        for _ in range(300):
+            b = _random_poly(ctx, rng, rng.randrange(1, 4), rng.random() < 0.5)
+            _check_division(ctx, _random_poly(ctx, rng, rng.randrange(4, 6), False), b)
+
+
+@pytest.mark.parametrize("q", [101, 997])
+def test_division_kernels_on_frobenius_stride_dividends(q):
+    # the dividends poly_frobenius divides: deg(a) * q + 1 coefficients, a's
+    # at stride q with zeros between, and dense ones of the same length
+    ctx = FqContext.get(q)
+    rng = random.Random(q)
+    for dm in (1, 2, 5):
+        for monic in (True, False):
+            m = _random_poly(ctx, rng, dm, monic)
+            for da in sorted({1, dm}):
+                spread = [0] * (da * q + 1)
+                spread[::q] = _random_poly(ctx, rng, da, False)
+                _check_division(ctx, spread, m)
+                _check_division(ctx, _random_poly(ctx, rng, da * q, False), m)
+
+
+def test_division_kernels_edge_cases():
+    for ctx in (FqContext.get(5), FqContext.get(3, 2)):
+        one = ctx.one
+        b = [ctx.from_int(2), ctx.zero, one]
+        for kernel in (poly_divmod, poly_mod):
+            with pytest.raises(ZeroDivisionError):
+                kernel(ctx, [one, one], [])
+            with pytest.raises(ZeroDivisionError):
+                kernel(ctx, [], [])
+        assert poly_divmod(ctx, [], b) == ([], []) and poly_mod(ctx, [], b) == []
+        assert poly_divmod(ctx, [one, one], b) == ([], [one, one])
+        assert poly_mod(ctx, [one, one], b) == [one, one]
+        assert poly_divmod(ctx, b, [ctx.from_int(3)]) == (
+            [ctx.mul(c, ctx.inv(ctx.from_int(3))) for c in b], [])
+
+
+@pytest.mark.parametrize("p,e,modulus", [(2, 2, None), (2, 3, None), (3, 2, None),
+                                         (5, 2, None), (3, 2, (1, 0, 1))])
+def test_table_product_equals_schoolbook_product(p, e, modulus):
+    ctx = FqContext(p, e, modulus)  # a private context: its tables start unbuilt
+    els = list(ctx.elements())
+    for a in els:
+        for b in els:
+            assert ctx.mul(a, b) == ctx.schoolbook_mul(a, b), (a, b)
+        if a != ctx.zero:
+            assert ctx.schoolbook_mul(a, ctx.inv(a)) == ctx.one, a
