@@ -1,10 +1,11 @@
 """Finite fields GF(p^e) and exact polynomial arithmetic over them.
 
-Prime fields represent elements as ints 0..p-1; extensions as coefficient
-tuples over the prime field modulo a monic irreducible (the first one in
-lexicographic order, so contexts are canonical).  An extension multiplies
-by one lookup in exp/log tables of its smallest generator, built from the
-schoolbook product on first use.
+An element of GF(p^e) is an int 0 <= a < p^e whose base-p digits, low to
+high, are its coefficients over GF(p) modulo a monic irreducible of degree
+e (the first one in lexicographic order, so contexts are canonical).  A
+prime field adds and multiplies mod p; an extension adds, negates,
+multiplies and inverts by lookups in one exp/log/Zech table set of its
+smallest generator, built from the schoolbook product on first use.
 
 Polynomial arithmetic has one implementation: the list kernels on trimmed
 coefficient lists, with the field operations taken from the context.
@@ -41,6 +42,7 @@ order (``FqContext.first_roots``), from one pass over its Frobenius orbits.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from operator import mul as _int_mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,8 +59,18 @@ def is_prime(n: int) -> bool:
 
 
 class FqContext:
-    """GF(p) for prime p, or GF(p^e) modulo a monic irreducible of degree e."""
+    """GF(p) for prime p, or GF(p^e) modulo a monic irreducible of degree e.
 
+    Elements are the ints 0 <= a < q in base-p digit order, so 0 and 1 are
+    zero and one and ``elements()`` is range(q).  The tables of the smallest
+    generator g are exp (g^k, doubled), log and zech[k] = log(1 + g^k): an
+    extension's a*b is exp[log a + log b], a + b = a(1 + b/a) is
+    exp[log a + zech[log b - log a]], and -a is exp[log a + (q-1)/2].  A
+    prime field builds them only for ``generator`` and ``dlog``.
+    """
+
+    zero = 0
+    one = 1
     _cache: Dict[Tuple[int, int], "FqContext"] = {}
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Tuple[int, ...]] = None):
@@ -69,8 +81,6 @@ class FqContext:
         self.p = p
         self.e = e
         self.order = p**e
-        self.zero = 0 if e == 1 else (0,) * e
-        self.one = 1 if e == 1 else (1,) + (0,) * (e - 1)
         if e == 1:
             self.modulus = None
         else:
@@ -83,11 +93,9 @@ class FqContext:
             if not is_irreducible(FqPoly.make(base, modulus)):
                 raise ValueError("modulus must be irreducible")
             self.modulus = modulus
-        self._dlog: Dict[object, int] = {}
-        self._dlog_base = None
-        self._generator = None
-        self._first_roots: Optional[Dict[Tuple[int, ...], object]] = None
-        self._exp_log: Optional[Tuple[list, dict]] = None
+        self._tables: Optional[Tuple[list, list, list]] = None
+        self._first_roots: Optional[Dict[Tuple[int, ...], int]] = None
+        self._irreducibles: Dict[int, List[FqPoly]] = {}
 
     @classmethod
     def get(cls, p: int, e: int = 1) -> "FqContext":
@@ -99,88 +107,84 @@ class FqContext:
 
     # -- element arithmetic ------------------------------------------------
 
-    def from_int(self, k: int):
-        """Base-p digits of k as an element (prime subfield for k < p)."""
-        if self.e == 1:
-            return k % self.p
-        digits = []
-        k %= self.order
-        for _ in range(self.e):
-            digits.append(k % self.p)
-            k //= self.p
-        return tuple(digits)
-
-    def to_int(self, a) -> int:
-        if self.e == 1:
-            return a
-        out = 0
-        for d in reversed(a):
-            out = out * self.p + d
-        return out
-
-    def elements(self) -> Iterator:
+    def elements(self) -> range:
         """All elements, in the deterministic base-p order."""
-        for k in range(self.order):
-            yield self.from_int(k)
+        return range(self.order)
 
-    def add(self, a, b):
+    def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        exp, log, zech = self._tables or self._build_tables()
+        la = log[a]
+        k = zech[log[b] - la]  # a negative index wraps mod q - 1, as the exponent does
+        return 0 if k is None else exp[la + k]
 
-    def sub(self, a, b):
-        if self.e == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
-    def neg(self, a):
+    def neg(self, a: int) -> int:
         if self.e == 1:
             return -a % self.p
-        return tuple(-x % self.p for x in a)
+        if not a or self.p == 2:
+            return a
+        exp, log, _ = self._tables or self._build_tables()
+        return exp[log[a] + (self.order - 1) // 2]
 
-    def mul(self, a, b):
+    def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
-        zero = self.zero
-        if a == zero or b == zero:
-            return zero
-        exp, log = self._exp_log or self._build_exp_log()
+        if not a or not b:
+            return 0
+        exp, log, _ = self._tables or self._build_tables()
         return exp[log[a] + log[b]]
 
-    def schoolbook_mul(self, a, b):
-        """The product in an extension, as a polynomial product reduced mod
-        the modulus: it builds the exp/log tables that ``mul`` reads."""
+    def _schoolbook_mul(self, a: int, b: int) -> int:
+        """The product of the digit polynomials of a and b mod the modulus:
+        the one product the tables are built from."""
         p, e, mod = self.p, self.e, self.modulus
         coeffs = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
+        ys = base_p_digits(b, p, e)
+        for i, x in enumerate(base_p_digits(a, p, e)):
             if x:
-                for j, y in enumerate(b):
+                for j, y in enumerate(ys):
                     coeffs[i + j] += x * y
         for i in range(len(coeffs) - 1, e - 1, -1):
             c = coeffs[i] % p
             if c:
                 for j in range(e):
                     coeffs[i - e + j] -= c * mod[j]
-        return tuple(c % p for c in coeffs[:e])
+        out = 0
+        for c in reversed(coeffs[:e]):
+            out = out * p + c % p
+        return out
 
-    def _build_exp_log(self):
-        """exp[k] = g^k for the smallest generator g, twice over so that
-        exp[log a + log b] needs no reduction, and log its inverse on the
-        nonzero elements; built on first use of an extension's ``mul``."""
-        one, q1 = self.one, self.order - 1
-        for g in itertools.islice(self.elements(), 1, None):
-            exp, cur = [one], g
-            while cur != one:
+    def _build_tables(self) -> Tuple[list, list, list]:
+        """(exp, log, zech) for the smallest generator g.  exp[k] = g^k for
+        0 <= k < 2(q - 1), so that exp[i + j] needs no reduction; log[a] is
+        the inverse on a != 0 (log[0] is None); zech[k] = log(1 + g^k), None
+        where 1 + g^k = 0."""
+        p, q1 = self.p, self.order - 1
+        for g in range(1, self.order):
+            exp, cur = [1], g
+            while cur != 1:
                 exp.append(cur)
-                cur = self.schoolbook_mul(cur, g)
+                cur = self._schoolbook_mul(cur, g)
             if len(exp) == q1:
                 break
-        log = {x: k for k, x in enumerate(exp)}
-        self._exp_log = (exp + exp, log)
-        return self._exp_log
+        log = [None] * self.order
+        for k, x in enumerate(exp):
+            log[x] = k
+        # adding 1 changes only the digit of z^0
+        zech = [log[x - x % p + (x + 1) % p] for x in exp]
+        self._tables = (exp + exp, log, zech)
+        return self._tables
 
-    def pow(self, a, k: int):
-        out = self.one
+    def pow(self, a: int, k: int) -> int:
+        out = 1
         base = a
         while k:
             if k & 1:
@@ -189,30 +193,30 @@ class FqContext:
             k >>= 1
         return out
 
-    def inv(self, a):
-        if a == self.zero:
+    def inv(self, a: int) -> int:
+        if not a:
             raise ZeroDivisionError("finite-field division by zero")
         if self.e == 1:
             return pow(a, -1, self.p)
-        exp, log = self._exp_log or self._build_exp_log()
+        exp, log, _ = self._tables or self._build_tables()
         return exp[self.order - 1 - log[a]]
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
+    def is_zero(self, a: int) -> bool:
+        return not a
 
     # -- vector operations (the inner loops of the polynomial kernels) -------
 
-    def dot(self, xs, ys):
+    def dot(self, xs, ys) -> int:
         """The sum of x*y over the pairs of xs and ys."""
         if self.e == 1:
             return sum(map(_int_mul, xs, ys)) % self.p
         add, mul = self.add, self.mul
-        out = self.zero
+        out = 0
         for x, y in zip(xs, ys):
             out = add(out, mul(x, y))
         return out
 
-    def axpy(self, xs, c, ys) -> list:
+    def axpy(self, xs, c: int, ys) -> list:
         """The vector xs + c*ys (ys at least as long as xs)."""
         if self.e == 1:
             p = self.p
@@ -222,66 +226,73 @@ class FqContext:
 
     # -- multiplicative structure --------------------------------------------
 
-    def generator(self):
+    def _log(self, a) -> int:
+        """The log of a to ``generator()``; ValueError unless a is an int with
+        0 < a < q, since a list index would answer a = -1 silently."""
+        if a.__class__ is not int or not 0 < a < self.order:
+            raise ValueError(f"{a!r} is not a nonzero element of {self!r}")
+        return (self._tables or self._build_tables())[1][a]
+
+    def generator(self) -> int:
         """Smallest generator of the multiplicative group (deterministic)."""
-        if self._generator is None:
-            self._generator = next(filter(self.is_generator, self.elements()))
-        return self._generator
+        return (self._tables or self._build_tables())[0][1]
 
     def is_generator(self, a) -> bool:
-        if self.is_zero(a):
-            return False
-        q1 = self.order - 1
-        return all(self.pow(a, q1 // r) != self.one for r in _prime_factors(q1))
+        return a != 0 and gcd(self._log(a), self.order - 1) == 1
 
     def dlog(self, a, base=None) -> int:
-        """Discrete log by table lookup (fields here have at most 10^5 elements)."""
+        """The k with base^k = a, for a generator base (``generator()`` by
+        default): log a * (log base)^-1 mod q - 1, read from the field's
+        table.  ValueError unless a and base are nonzero elements and base
+        generates."""
+        k = self._log(a)
         if base is None:
-            base = self.generator()
-        if self._dlog_base != base:
-            table = {}
-            cur = self.one
-            for k in range(self.order - 1):
-                table[cur] = k
-                cur = self.mul(cur, base)
-            self._dlog = table
-            self._dlog_base = base
-        if a not in self._dlog:
-            raise ValueError("element is zero or base is not a generator")
-        return self._dlog[a]
+            return k
+        q1, kb = self.order - 1, self._log(base)
+        if gcd(kb, q1) != 1:
+            raise ValueError(f"{base!r} does not generate the multiplicative group")
+        return k * pow(kb, -1, q1) % q1
 
-    def first_roots(self) -> Dict[Tuple[int, ...], object]:
+    def first_roots(self) -> Dict[Tuple[int, ...], int]:
         """Minimal polynomial over GF(p) -> its first root in ``elements()`` order.
 
         Built on first call in one pass over ``elements()``: the first element
         not yet seen opens a new Frobenius orbit a, a^p, a^(p^2), ..., whose
         product of (z - a^(p^k)) is the minimal polynomial of a, keyed by its
-        coefficients as ints, low to high.  The table belongs to this context,
-        so a field built with another modulus gets its own roots."""
+        coefficients, low to high.  The table belongs to this context, so a
+        field built with another modulus gets its own roots."""
         if self._first_roots is None:
-            p, one = self.p, self.one
+            p = self.p
             table, seen = {}, set()
             for a in self.elements():
                 if a in seen:
                     continue
-                poly = [one]
+                poly = [1]
                 cur = a
                 while True:
                     seen.add(cur)
-                    poly = poly_mul(self, poly, [self.neg(cur), one])
+                    poly = poly_mul(self, poly, [self.neg(cur), 1])
                     cur = self.pow(cur, p)
                     if cur == a:
                         break
-                if self.e > 1:
-                    if any(any(c[1:]) for c in poly):
-                        raise RuntimeError("a minimal polynomial left the prime field")
-                    poly = [c[0] for c in poly]
+                if any(c >= p for c in poly):
+                    raise RuntimeError("a minimal polynomial left the prime field")
                 table[tuple(poly)] = a
             self._first_roots = table
         return self._first_roots
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
+
+
+def base_p_digits(k: int, p: int, n: int) -> List[int]:
+    """The n base-p digits of k, low to high: for an element k of GF(p^n),
+    its coordinates in the polynomial basis 1, z, ..., z^(n-1)."""
+    out = []
+    for _ in range(n):
+        k, d = divmod(k, p)
+        out.append(d)
+    return out
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -522,7 +533,7 @@ class FqPoly:
 
     @staticmethod
     def from_ints(ctx: FqContext, ints: Sequence[int]) -> "FqPoly":
-        return FqPoly.make(ctx, [ctx.from_int(k) for k in ints])
+        return FqPoly.make(ctx, [k % ctx.order for k in ints])
 
     @property
     def degree(self) -> int:
@@ -545,8 +556,7 @@ class FqPoly:
         )
 
     def __lt__(self, other):
-        a = [self.ctx.to_int(c) for c in self.coeffs]
-        b = [self.ctx.to_int(c) for c in other.coeffs]
+        a, b = self.coeffs, other.coeffs
         return (len(a), a[::-1]) < (len(b), b[::-1])
 
     def add(self, other: "FqPoly") -> "FqPoly":
@@ -596,9 +606,9 @@ class FqPoly:
         terms = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
-            if self.ctx.is_zero(c):
+            if not c:
                 continue
-            cs = str(self.ctx.to_int(c))
+            cs = str(c)
             if i == 0:
                 terms.append(cs)
             elif i == 1:
@@ -611,34 +621,26 @@ class FqPoly:
 def monic_polys(ctx: FqContext, degree: int) -> Iterator[FqPoly]:
     """All monic polynomials of the given degree, in deterministic order."""
     for lower in itertools.product(range(ctx.order), repeat=degree):
-        coeffs = [ctx.from_int(k) for k in lower] + [ctx.one]
-        yield FqPoly.make(ctx, coeffs)
-
-
-_IRRED_CACHE: Dict[Tuple[int, int, int], List[FqPoly]] = {}
+        yield FqPoly(ctx, lower + (1,))
 
 
 def _monic_index(ctx: FqContext, f: FqPoly, degree: int) -> int:
     """Rank of a monic degree-d polynomial among all of them (by low coeffs)."""
     idx = 0
     for i in range(degree - 1, -1, -1):
-        c = f.coeffs[i] if i < len(f.coeffs) - 1 else ctx.zero
-        idx = idx * ctx.order + ctx.to_int(c)
+        idx = idx * ctx.order + (f.coeffs[i] if i < len(f.coeffs) - 1 else 0)
     return idx
 
 
 def irreducibles(ctx: FqContext, degree: int) -> List[FqPoly]:
     """All monic irreducibles of exactly this degree, by an Eratosthenes-style
     sieve: every product of an irreducible of smaller degree with a monic
-    cofactor is marked reducible; the unmarked monics remain."""
-    key = (ctx.p, ctx.e, degree)
-    cached = _IRRED_CACHE.get(key)
+    cofactor is marked reducible; the unmarked monics remain.  The lists
+    are kept on the context, so a field built with another modulus sieves
+    its own."""
+    cached = ctx._irreducibles.get(degree)
     if cached is not None:
         return cached
-    if degree == 1:
-        out = list(monic_polys(ctx, 1))
-        _IRRED_CACHE[key] = out
-        return out
     marked = bytearray(ctx.order**degree)
     for d in range(1, degree):
         if d > degree - d:
@@ -651,7 +653,7 @@ def irreducibles(ctx: FqContext, degree: int) -> List[FqPoly]:
         for f in monic_polys(ctx, degree)
         if not marked[_monic_index(ctx, f, degree)]
     ]
-    _IRRED_CACHE[key] = out
+    ctx._irreducibles[degree] = out
     return out
 
 

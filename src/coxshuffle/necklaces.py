@@ -23,7 +23,7 @@ import itertools
 from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gfpoly import FqContext, FqPoly, factor, is_prime
+from .gfpoly import FqContext, FqPoly, base_p_digits, factor, is_prime
 
 
 # -- canonical forms ------------------------------------------------------------
@@ -206,7 +206,7 @@ def _frobenius_columns(ext: FqContext, q: int, m: int, alpha) -> List[List[int]]
     cols = []
     cur = alpha
     for _ in range(m):
-        cols.append(list(cur) if m > 1 else [cur])
+        cols.append(base_p_digits(cur, q, m))
         cur = ext.pow(cur, q)
     return [[cols[j][i] for j in range(m)] for i in range(m)]
 
@@ -229,20 +229,22 @@ def _inverse_mod_p(matrix: List[List[int]], p: int) -> Optional[List[List[int]]]
     return [row[m:] for row in aug]
 
 
+def _check_normal_basis_size(q: int, m: int) -> None:
+    if q**m > 10**5:
+        raise ValueError("field too large for exhaustive normal-basis search")
+
+
 def normal_basis(q: int, m: int):
     """First field element whose Frobenius orbit is a basis of GF(q^m) over GF(q)."""
     if not is_prime(q):
         raise ValueError("prime base fields only")
-    if q**m > 10**5:
-        raise ValueError("field too large for exhaustive normal-basis search")
+    _check_normal_basis_size(q, m)
     key = (q, m)
     cached = _NORMAL_BASIS.get(key)
     if cached is not None:
         return cached
     ext = FqContext.get(q, m)
-    for alpha in ext.elements():
-        if ext.is_zero(alpha):
-            continue
+    for alpha in range(1, ext.order):
         if _inverse_mod_p(_frobenius_columns(ext, q, m, alpha), q) is not None:
             _NORMAL_BASIS[key] = alpha
             return alpha
@@ -258,7 +260,7 @@ def _normal_coordinates(ext: FqContext, q: int, m: int, beta) -> List[int]:
         if inverse is None:
             raise RuntimeError("normal basis is singular")
         _NORMAL_INVERSE[(q, m)] = inverse
-    nvec = list(beta) if m > 1 else [beta]
+    nvec = base_p_digits(beta, q, m)
     return [sum(a * b for a, b in zip(row, nvec)) % q for row in inverse]
 
 
@@ -290,6 +292,7 @@ def normal_basis_encode(phi: FqPoly) -> tuple:
     p = phi.ctx.p
     if phi.ctx.e != 1:
         raise ValueError("prime base fields only")
+    _check_normal_basis_size(p, phi.degree)  # before the root table is built
     ext, beta = _root_of_irreducible(phi)
     coords = _normal_coordinates(ext, p, phi.degree, beta)
     canon, primitive = canonicalize_necklace("plain", tuple(coords))
@@ -300,23 +303,15 @@ def normal_basis_encode(phi: FqPoly) -> tuple:
 
 def golomb_encode(phi: FqPoly, beta=None) -> tuple:
     """Primitive plain necklace of an irreducible (not z): base-p digits of
-    the discrete log of any root with respect to a generator beta."""
+    the discrete log of any root with respect to a generator beta (by
+    default the field's ``generator()``; ``dlog`` rejects any other beta)."""
     p = phi.ctx.p
     if phi.ctx.e != 1:
         raise ValueError("prime base fields only")
-    i = phi.degree
-    if phi.coeffs == (phi.ctx.zero, phi.ctx.one):
+    if phi.coeffs == (0, 1):
         raise ValueError("z has no discrete log; it is not encodable")
     ext, root = _root_of_irreducible(phi)
-    if beta is None:
-        beta = ext.generator()
-    elif not ext.is_generator(beta):
-        raise ValueError("beta does not generate the multiplicative group")
-    x = ext.dlog(root, beta)
-    digits = []
-    for _ in range(i):
-        digits.append(x % p)
-        x //= p
+    digits = base_p_digits(ext.dlog(root, beta), p, phi.degree)
     canon, primitive = canonicalize_necklace("plain", tuple(digits))
     if not primitive:
         raise RuntimeError("encoding produced an imprimitive necklace")

@@ -104,16 +104,13 @@ def enumerate_orbits(fam: OrbitFamily) -> Iterator[FqPoly]:
     if fam.tag == "A":
         n = fam.n
         for lower in itertools.product(range(fam.q), repeat=n - 1):
-            coeffs = [ctx.from_int(k) for k in lower] + [ctx.zero, ctx.one]
-            yield FqPoly.make(ctx, coeffs)
+            yield FqPoly(ctx, lower + (0, 1))
     else:
         n = fam.n
         for even in itertools.product(range(fam.q), repeat=n):
-            coeffs = []
-            for k in even:
-                coeffs.extend([ctx.from_int(k), ctx.zero])
-            coeffs.append(ctx.one)
-            yield FqPoly.make(ctx, coeffs)
+            coeffs = [0] * (2 * n + 1)
+            coeffs[::2] = [*even, 1]
+            yield FqPoly(ctx, tuple(coeffs))
 
 
 def phi_map(fam: OrbitFamily, f: FqPoly) -> ClassLabel:
@@ -308,7 +305,7 @@ def translation_invariance_check(n: int, q: int) -> TranslationReport:
         return TranslationReport(n, q, hypothesis_ok=False)
     fibers: Dict[int, Counter] = {b: Counter() for b in range(q)}
     for f in monic_polys(ctx, n):
-        b = ctx.to_int(f.coeffs[n - 1]) if f.degree >= 1 and len(f.coeffs) > n - 1 else 0
+        b = f.coeffs[n - 1] if f.degree >= 1 and len(f.coeffs) > n - 1 else 0
         fibers[b][layer_partition(degree_layers(ctx, f.coeffs))] += 1
     first = fibers[0]
     ok = all(fibers[b] == first for b in range(q))

@@ -14,6 +14,7 @@ from coxshuffle.gfpoly import (
     irreducibles,
     is_irreducible,
     is_prime,
+    layer_partition,
     monic_polys,
     necklace_irreducible_count,
     poly_axpy,
@@ -120,27 +121,35 @@ def test_generator_and_dlog():
 
 @pytest.mark.parametrize("p,e,k,k_inv", [(7, 1, 5, 5), (3, 2, 3, 3)])
 def test_dlog_table_holds_only_field_elements(p, e, k, k_inv):
-    # the base is kept apart from the lookup table, so no key but a nonzero
-    # field element has a logarithm, whichever base the table was built for
+    # only a nonzero field element has a logarithm and only a generator is a
+    # base: the log table is a list, whose index would answer -1 silently
     ctx = FqContext(p, e)  # a private context: its table starts empty
     gen = ctx.generator()
     other = ctx.pow(gen, k)  # k is prime to the group order: another generator
     assert ctx.is_generator(other)
+    assert not ctx.is_generator(ctx.zero)
     for _ in range(2):
         assert ctx.dlog(gen) == 1
-        for bad in (("base",), ctx.zero):
+        for bad in (("base",), ctx.zero, -1, ctx.order):
             with pytest.raises(ValueError):
                 ctx.dlog(bad)
+            with pytest.raises(ValueError):
+                ctx.dlog(bad, other)
+            with pytest.raises(ValueError):
+                ctx.dlog(gen, bad)
+            if bad != ctx.zero:
+                with pytest.raises(ValueError):
+                    ctx.is_generator(bad)
         assert ctx.dlog(gen, other) == k_inv
         with pytest.raises(ValueError):
-            ctx.dlog(("base",), other)
+            ctx.dlog(gen, ctx.pow(gen, 2))  # 2 divides the group order
 
 
 def test_custom_modulus_validation():
     # a user-supplied modulus must be monic, degree e, and irreducible
     ctx = FqContext(3, 2, modulus=(1, 0, 1))  # z^2 + 1 is irreducible mod 3
     assert ctx.order == 9
-    assert ctx.mul((0, 1), (0, 1)) == (2, 0)  # z^2 = -1
+    assert ctx.mul(3, 3) == 2  # z^2 = -1; the element 3 is z, the element 2 is -1
     with pytest.raises(ValueError):
         FqContext(3, 2, modulus=(2, 0, 1))  # z^2 + 2 = (z-1)(z+1)
     with pytest.raises(ValueError):
@@ -179,14 +188,14 @@ def test_is_irreducible_against_the_sieve(q, top):
         for f in monic_polys(ctx, d):
             assert is_irreducible(f) == (f in sieve), f
             for c in range(2, q):  # a nonzero multiple has the same answer
-                g = FqPoly.make(ctx, [ctx.mul(ctx.from_int(c), a) for a in f.coeffs])
+                g = FqPoly.make(ctx, [ctx.mul(c, a) for a in f.coeffs])
                 assert is_irreducible(g) == (f in sieve), g
     assert not is_irreducible(FqPoly.make(ctx, [ctx.one]))
 
 
 def _random_poly(ctx, rng, degree, monic):
-    lead = ctx.one if monic else ctx.from_int(rng.randrange(1, ctx.order))
-    return [ctx.from_int(rng.randrange(ctx.order)) for _ in range(degree)] + [lead]
+    lead = ctx.one if monic else rng.randrange(1, ctx.order)
+    return [rng.randrange(ctx.order) for _ in range(degree)] + [lead]
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
@@ -310,7 +319,7 @@ def _divisors(ctx, rng, degree):
         return [FqPoly.from_ints(ctx, lower + (1,)).coeffs
                 for lower in itertools.product(range(2), repeat=degree)]
     b = _random_poly(ctx, rng, degree, True)
-    return [b, [ctx.mul(ctx.from_int(2), c) for c in b]]
+    return [b, [ctx.mul(2, c) for c in b]]
 
 
 @pytest.mark.parametrize("p,e,top", [(2, 1, 5), (3, 1, 5), (5, 1, 5), (3, 2, 3)])
@@ -350,7 +359,7 @@ def test_division_kernels_on_frobenius_stride_dividends(q):
 def test_division_kernels_edge_cases():
     for ctx in (FqContext.get(5), FqContext.get(3, 2)):
         one = ctx.one
-        b = [ctx.from_int(2), ctx.zero, one]
+        b = [2, ctx.zero, one]
         for kernel in (poly_divmod, poly_mod):
             with pytest.raises(ZeroDivisionError):
                 kernel(ctx, [one, one], [])
@@ -359,17 +368,108 @@ def test_division_kernels_edge_cases():
         assert poly_divmod(ctx, [], b) == ([], []) and poly_mod(ctx, [], b) == []
         assert poly_divmod(ctx, [one, one], b) == ([], [one, one])
         assert poly_mod(ctx, [one, one], b) == [one, one]
-        assert poly_divmod(ctx, b, [ctx.from_int(3)]) == (
-            [ctx.mul(c, ctx.inv(ctx.from_int(3))) for c in b], [])
+        assert poly_divmod(ctx, b, [3]) == ([ctx.mul(c, ctx.inv(3)) for c in b], [])
+
+
+# -- the oracle: an element as the tuple of its base-p digits, low to high ------
+
+
+def digits(ctx, a) -> tuple:
+    """The base-p digits of the element a, low to high."""
+    out = []
+    for _ in range(ctx.e):
+        out.append(a % ctx.p)
+        a //= ctx.p
+    return tuple(out)
+
+
+def from_digits(ctx, ds) -> int:
+    out = 0
+    for d in reversed(ds):
+        out = out * ctx.p + d
+    return out
+
+
+def digit_add(ctx, a, b):
+    return from_digits(ctx, [(x + y) % ctx.p for x, y in zip(digits(ctx, a), digits(ctx, b))])
+
+
+def digit_sub(ctx, a, b):
+    return from_digits(ctx, [(x - y) % ctx.p for x, y in zip(digits(ctx, a), digits(ctx, b))])
+
+
+def digit_neg(ctx, a):
+    return from_digits(ctx, [-x % ctx.p for x in digits(ctx, a)])
+
+
+def schoolbook_mul(ctx, a, b):
+    """The product of the digit polynomials of a and b, reduced mod the modulus."""
+    p, e, mod = ctx.p, ctx.e, ctx.modulus
+    coeffs = [0] * (2 * e - 1)
+    for i, x in enumerate(digits(ctx, a)):
+        for j, y in enumerate(digits(ctx, b)):
+            coeffs[i + j] += x * y
+    for i in range(len(coeffs) - 1, e - 1, -1):
+        c = coeffs[i] % p
+        for j in range(e):
+            coeffs[i - e + j] -= c * mod[j]
+    return from_digits(ctx, [c % p for c in coeffs[:e]])
+
+
+def schoolbook_pow(ctx, a, k):
+    out = 1
+    while k:
+        if k & 1:
+            out = schoolbook_mul(ctx, out, a)
+        a = schoolbook_mul(ctx, a, a)
+        k >>= 1
+    return out
+
+
+def oracle_is_generator(ctx, a) -> bool:
+    """a^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    q1 = ctx.order - 1
+    primes = [r for r in range(2, q1 + 1) if q1 % r == 0 and is_prime(r)]
+    return a != 0 and all(schoolbook_pow(ctx, a, q1 // r) != 1 for r in primes)
 
 
 @pytest.mark.parametrize("p,e,modulus", [(2, 2, None), (2, 3, None), (3, 2, None),
-                                         (5, 2, None), (3, 2, (1, 0, 1))])
+                                         (5, 2, None), (3, 2, (1, 0, 1)), (2, 4, None),
+                                         (3, 3, None), (5, 3, None), (3, 2, (2, 2, 1))])
 def test_table_product_equals_schoolbook_product(p, e, modulus):
+    # every table lookup against the digit oracle, on every pair of elements
     ctx = FqContext(p, e, modulus)  # a private context: its tables start unbuilt
     els = list(ctx.elements())
+    assert els == list(range(ctx.order))
     for a in els:
+        assert ctx.neg(a) == digit_neg(ctx, a), a
         for b in els:
-            assert ctx.mul(a, b) == ctx.schoolbook_mul(a, b), (a, b)
+            assert ctx.add(a, b) == digit_add(ctx, a, b), (a, b)
+            assert ctx.sub(a, b) == digit_sub(ctx, a, b), (a, b)
+            assert ctx.mul(a, b) == schoolbook_mul(ctx, a, b), (a, b)
         if a != ctx.zero:
-            assert ctx.schoolbook_mul(a, ctx.inv(a)) == ctx.one, a
+            assert schoolbook_mul(ctx, a, ctx.inv(a)) == ctx.one, a
+    gens = [a for a in els if oracle_is_generator(ctx, a)]
+    assert [a for a in els if ctx.is_generator(a)] == gens
+    assert ctx.generator() == gens[0]
+    for base in gens:
+        cur = ctx.one
+        for k in range(ctx.order - 1):
+            assert ctx.dlog(cur, base) == k, (cur, base)
+            cur = schoolbook_mul(ctx, cur, base)
+        assert cur == ctx.one
+
+
+def test_irreducible_sieve_belongs_to_the_context_not_to_its_order():
+    # the canonical GF(9) is sieved first; GF(9) mod z^2 + 2z + 2 must sieve
+    # its own irreducibles, or factor() would trial-divide by the wrong ones
+    canonical = FqContext.get(3, 2)
+    for d in (1, 2):
+        irreducibles(canonical, d)
+    other = FqContext(3, 2, modulus=(2, 2, 1))
+    for d in (1, 2):
+        assert all(g.ctx is other for g in irreducibles(other, d))
+    for f in monic_polys(other, 4):
+        fac = factor(f)
+        assert fac.degree_partition() == layer_partition(degree_layers(other, f.coeffs)), f
+        assert all(g.ctx is other for g, _ in fac), f

@@ -28,13 +28,14 @@ from coxshuffle.necklaces import (
 )
 from coxshuffle.orbits import b_pair_type, enumerate_orbits, orbit_family, phi_map
 from coxshuffle.suites import DEFAULT_PARAMS
+from test_gfpoly import digits
 
 
 def eval_in(phi: FqPoly, ext: FqContext, a):
     """Oracle: a prime-field polynomial evaluated at a point of an extension field."""
     out = ext.zero
     for c in reversed(phi.coeffs):
-        out = ext.add(ext.mul(out, a), ext.from_int(c))
+        out = ext.add(ext.mul(out, a), c)
     return out
 
 
@@ -296,6 +297,18 @@ def test_golomb_image_cardinality(p):
             assert image == {(d,) for d in range(p - 1)}  # digit p-1 is left over
 
 
+def test_normal_basis_size_is_checked_before_the_root_table(monkeypatch):
+    # GF(47^3) has 103,823 elements: the encoder must refuse it before
+    # building the field's table of first roots
+    def no_table(ext):
+        raise AssertionError(f"first_roots of {ext!r} built")
+
+    monkeypatch.setattr(FqContext, "first_roots", no_table)
+    phi = FqPoly.from_ints(FqContext.get(47), [1, 0, 5, 1])
+    with pytest.raises(ValueError, match="field too large for exhaustive normal-basis search"):
+        normal_basis_encode(phi)
+
+
 def test_normal_basis_examples():
     alpha = normal_basis(2, 2)
     ext = FqContext.get(2, 2)
@@ -322,9 +335,9 @@ def normal_coordinates_oracle(ext, q: int, m: int, beta) -> list:
     cols = []
     cur = alpha
     for _ in range(m):
-        cols.append(list(cur) if m > 1 else [cur])
+        cols.append(digits(ext, cur))
         cur = ext.pow(cur, q)
-    nvec = list(beta) if m > 1 else [beta]
+    nvec = digits(ext, beta)
     aug = [[cols[j][i] for j in range(m)] + [nvec[i]] for i in range(m)]
     rank = 0
     for col in range(m):
