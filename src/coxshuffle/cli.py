@@ -19,52 +19,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .gfpoly import is_prime
 from .report import exact_str
 from .suites import SUITES, run_suite
-
-
-# The flags each verify suite reads, and the parameter each one overrides.
-# Any other flag is a usage error: the suite would run its default grid and
-# record the ignored value in its report.
-SUITE_FLAGS: Dict[str, Dict[str, str]] = {
-    "triple_agreement": {"--type": "types", "--x": "xs"},
-    "longshort": {"--type": "types", "--x": "xs"},
-    "sommers": {},
-    "convolution": {"--type": "types", "--x": "x"},
-    "h4_counterexample": {"--x": "x"},
-    "spectrum": {"--type": "types", "--x": "x"},
-    "walk_oracle": {"--type": "types", "--x": "xs"},
-    "nonnegativity": {},
-    "problem1_A": {"--n": "grid", "--q": "grid"},
-    "problem1_B": {"--n": "grid", "--q": "grid"},
-    "sl35_counterexample": {},
-    "gr_census": {},
-    "reiner_counts": {"--n": "grid", "--q": "grid"},
-    "ornament_counts": {"--n": "grid", "--q": "grid"},
-    "sampler_tv": {"--seed": "seed"},
-}
-
-# The --n each grid suite accepts, as (least, greatest); None is no bound.
-# The problem1 suites compare with the group A_{n-1} or B_n, and
-# reiner_counts with B_n (n = 1 by hand).
-SUITE_N_RANGE = {
-    "problem1_A": (2, 6),
-    "problem1_B": (2, 4),
-    "reiner_counts": (1, 4),
-    "ornament_counts": (1, None),
-}
-
-# The family whose group each grid suite's --q must be very good for, read
-# with --n: A_{n-1} (problem1_A) or B_n.
-SUITE_Q_FAMILY = {
-    "problem1_A": "A",
-    "problem1_B": "B",
-    "reiner_counts": "B",
-    "ornament_counts": "B",
-}
 
 
 def _write_out(text: str, out: Optional[str]):
@@ -168,9 +127,7 @@ def cmd_measure(args) -> int:
 def cmd_sample(args) -> int:
     import random
 
-    from .group import get_group
-    from .measures import h_measure
-    from .shuffling import _flip_even, empirical_law, sample_shuffle, tv_distance
+    from .shuffling import _flip_even, empirical_law, exact_law, sample_shuffle, tv_distance
 
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, not {args.count}")
@@ -183,10 +140,7 @@ def cmd_sample(args) -> int:
     _check_n(args.n, *n_range, f"sample --model {args.model}")
     if args.compare == "exact":
         emp = empirical_law(args.model, args.n, args.x, args.count, args.seed)
-        t = f"A{args.n - 1}" if args.model == "gsr_a" else f"B{args.n}"
-        g = get_group(t)
-        exact = {g.one_line[i]: v for i, v in enumerate(h_measure(g, args.x, "closed_form").dense())}
-        tv = tv_distance(emp, exact)
+        tv = tv_distance(emp, exact_law(args.model, args.n, args.x))
         out = {
             "model": args.model,
             "n": args.n,
@@ -221,7 +175,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    from .necklaces import canonicalize_necklace, cycles_string, gessel_reutenauer, refine_phi_A
+    from .necklaces import (canonicalize_necklace, cycles_string, gessel_reutenauer,
+                            refine_census, refine_phi_A)
 
     if args.bijection_cmd == "gr":
         parts = args.necklaces.split(",")
@@ -237,23 +192,24 @@ def cmd_bijection(args) -> int:
         _write_out(cycles_string(cycles), args.out)
         return 0
     # refine
-    from .gfpoly import FqContext, FqPoly, monic_polys
+    from .gfpoly import FqContext, FqPoly
 
     _check_n(args.n, 1, None, "bijection refine")
     if not is_prime(args.p):
         raise ValueError(f"bijection refine needs --p a prime, not {args.p}")
-    ctx = FqContext.get(args.p)
     if args.census:
+        # keyed by the permutation's digits; from n = 11 on two permutations
+        # can share a key, and their counts add
         counts = {}
-        for f in monic_polys(ctx, args.n):
-            w, _ = refine_phi_A(f, args.mode)
+        for w, c in refine_census(args.p, args.n, args.mode).items():
             key = "".join(map(str, w))
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + c
         _write_out(json.dumps(dict(sorted(counts.items())), indent=2), args.out)
         return 0
     if not args.poly:
         raise ValueError("bijection refine needs --poly coefficients or --census")
-    f = FqPoly.from_ints(ctx, _parse_ints(args.poly.split(","), "--poly", args.poly))
+    f = FqPoly.from_ints(FqContext.get(args.p),
+                         _parse_ints(args.poly.split(","), "--poly", args.poly))
     if not f.is_monic or f.degree < 1:
         raise ValueError(f"--poly {args.poly!r}: need a monic polynomial of degree >= 1 "
                          f"over F_{args.p}")
@@ -274,7 +230,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"verify {name} does not read --family; only problem1 does")
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    reads = SUITE_FLAGS[name]
+    _, defaults, reads, grid_rule = SUITES[name]
     given = {"--type": args.type, "--n": args.n, "--q": args.q, "--x": args.x,
              "--seed": args.seed}
     for flag, value in given.items():
@@ -286,8 +242,9 @@ def cmd_verify(args) -> int:
     for t in args.type or ():
         _check_type(t)
     if args.n is not None:
-        _check_n(args.n, *SUITE_N_RANGE[name], f"verify {name}")
-        _check_q(args.q, SUITE_Q_FAMILY[name], args.n, f"verify {name}")
+        family, least, greatest = grid_rule
+        _check_n(args.n, least, greatest, f"verify {name}")
+        _check_q(args.q, family, args.n, f"verify {name}")
     overrides = {}
     if args.type:
         overrides["types"] = args.type
@@ -297,7 +254,7 @@ def cmd_verify(args) -> int:
         # an integral x as an int, as the default grids hold it, so that
         # "--x 2" writes the default run's "2", not "2/1"
         xs = [x.numerator if x.denominator == 1 else x for x in map(_parse_x, args.x)]
-        if reads["--x"] == "xs":
+        if "xs" in defaults:
             overrides["xs"] = xs
         elif len(xs) > 1:
             raise ValueError(f"verify {name} reads one --x, not {len(xs)}")

@@ -168,13 +168,16 @@ class FqContext:
         the inverse on a != 0 (log[0] is None); zech[k] = log(1 + g^k), None
         where 1 + g^k = 0."""
         p, q1 = self.p, self.order - 1
-        for g in range(1, self.order):
-            exp, cur = [1], g
-            while cur != 1:
-                exp.append(cur)
-                cur = self._schoolbook_mul(cur, g)
-            if len(exp) == q1:
-                break
+        mul = self._schoolbook_mul
+        # g generates iff g^((q-1)/r) != 1 for each prime r | q - 1, so only
+        # the generator's power cycle is walked
+        rs = _prime_factors(q1)
+        g = next(g for g in range(1, self.order)
+                 if all(self.pow(g, q1 // r, mul) != 1 for r in rs))
+        exp, cur = [1], g
+        for _ in range(q1 - 1):
+            exp.append(cur)
+            cur = mul(cur, g)
         log = [None] * self.order
         for k, x in enumerate(exp):
             log[x] = k
@@ -183,13 +186,15 @@ class FqContext:
         self._tables = (exp + exp, log, zech)
         return self._tables
 
-    def pow(self, a: int, k: int) -> int:
+    def pow(self, a: int, k: int, mul=None) -> int:
+        """a^k by square and multiply, with the product mul (the field's own
+        by default)."""
+        mul = mul or self.mul
         out = 1
-        base = a
         while k:
             if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = mul(out, a)
+            a = mul(a, a)
             k >>= 1
         return out
 

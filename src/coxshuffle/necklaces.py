@@ -23,7 +23,7 @@ import itertools
 from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gfpoly import FqContext, FqPoly, base_p_digits, factor, is_prime
+from .gfpoly import FqContext, FqPoly, base_p_digits, factor, is_prime, monic_polys
 
 
 # -- canonical forms ------------------------------------------------------------
@@ -352,6 +352,16 @@ def refine_phi_A(f: FqPoly, mode: str = "normal_basis") -> Tuple[tuple, List[Lis
     if got != expected:
         raise RuntimeError("cycle type disagrees with the factorization type")
     return one_line, cycles
+
+
+def refine_census(p: int, n: int, mode: str) -> Dict[tuple, int]:
+    """How many monics of degree n over F_p ``refine_phi_A`` sends to each
+    permutation."""
+    counts: Dict[tuple, int] = {}
+    for f in monic_polys(FqContext.get(p), n):
+        w, _ = refine_phi_A(f, mode)
+        counts[w] = counts.get(w, 0) + 1
+    return counts
 
 
 def descent_count(one_line: Sequence[int]) -> int:

@@ -11,8 +11,9 @@ factors phi^s with s in {0,1}, giving a pair of partitions.
 ``phi_map`` reads both labels off the distinct-degree layers of
 ``gfpoly.degree_layers`` and never finds a single factor, and so does
 ``translation_invariance_check``.  ``b_pair_type`` reads the type-B
-label off a full ``factor()``; the necklace encodings use it, and the tests
-hold ``phi_map`` to it and to ``degree_partition``.
+label off a full ``factor()``; only the tests use it, to hold ``phi_map``
+and the signed-ornament types to it, and ``phi_map`` to
+``degree_partition``.
 """
 
 from __future__ import annotations

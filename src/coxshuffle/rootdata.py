@@ -11,9 +11,12 @@ The remaining dihedral orders m <= 12 (7, 8, 9, 11, 12) would need exact
 coordinates outside Q and Q(phi) (degree of 2*cos(pi/m) exceeds 2), so they
 are rejected with an explicit unsupported-type error.
 
-Every Cartan entry lies in Z or Z[phi], so the roots are found by a closure
-on integer pairs (a, b) = a + b*phi; the roots are converted to Fraction or
-GoldenRational coordinates once, at the end.
+Each family is one row of ``_FAMILIES``: its ranks, |W|, the number of
+positive roots, and the bonds of its Coxeter diagram.  The Cartan matrix is
+read from the bonds (2 on the diagonal, 0 off the bonds); no Gram matrix is
+kept.  Every Cartan entry lies in Z or Z[phi], so the roots are found by a
+closure on integer pairs (a, b) = a + b*phi; the roots are converted to
+Fraction or GoldenRational coordinates once, at the end.
 
 Also houses the affine data used by the positive-solution counting identity:
 highest root, marks, index of connection, and the counter p_count.
@@ -23,37 +26,40 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .golden import GoldenRational, golden_sign
 
-SUPPORTED_I2 = (2, 3, 4, 5, 6, 10)
+# Cartan entries as integer pairs (a, b) = a + b*phi
+_M1, _M2, _M3, _MPHI = (-1, 0), (-2, 0), (-3, 0), (0, -1)
 
-# order of the full group and number of positive roots, per family
-_GROUP_ORDER = {
-    "A": lambda r: _factorial(r + 1),
-    "B": lambda r: 2**r * _factorial(r),
-    "D": lambda r: 2 ** (r - 1) * _factorial(r),
-    "G2": lambda r: 12,
-    "H3": lambda r: 120,
-    "H4": lambda r: 14400,
-    "I2": None,  # filled per m
+# One row per family: for each supported rank (for I2, each m of I2(m)), |W|,
+# the number N of positive roots, and the bonds (i, j, C[i][j], C[j][i]) of
+# the Coxeter diagram, C[i][j] = 2(a_i, a_j)/(a_i, a_i); a bond's two entries
+# multiply to 4cos^2(pi/m_ij).
+_FAMILIES = {
+    "A": {r: (factorial(r + 1), r * (r + 1) // 2,
+              tuple((i, i + 1, _M1, _M1) for i in range(r - 1)))
+          for r in range(1, 6)},
+    # the last simple root is the short one
+    "B": {r: (2**r * factorial(r), r * r,
+              tuple((i, i + 1, _M1, _M2 if i == r - 2 else _M1) for i in range(r - 1)))
+          for r in range(2, 5)},
+    # three outer nodes 0, 2, 3 attached to the center node 1
+    "D": {4: (192, 12, ((0, 1, _M1, _M1), (1, 2, _M1, _M1), (1, 3, _M1, _M1)))},
+    "G2": {2: (12, 6, ((0, 1, _M1, _M3),))},
+    # the 5-labeled bond joins nodes 0 and 1
+    "H3": {3: (120, 15, ((0, 1, _MPHI, _MPHI), (1, 2, _M1, _M1)))},
+    "H4": {4: (14400, 60, ((0, 1, _MPHI, _MPHI), (1, 2, _M1, _M1), (2, 3, _M1, _M1)))},
+    # 4cos^2(pi/m) = 0, 1, 2, phi + 1, 3, phi + 2
+    "I2": {2: (4, 2, ()),
+           3: (6, 3, ((0, 1, _M1, _M1),)),
+           4: (8, 4, ((0, 1, _M1, _M2),)),
+           5: (10, 5, ((0, 1, _MPHI, _MPHI),)),
+           6: (12, 6, ((0, 1, _M1, _M3),)),
+           10: (20, 10, ((0, 1, _M1, (-2, -1)),))},
 }
-_N_POSITIVE = {
-    "A": lambda r: r * (r + 1) // 2,
-    "B": lambda r: r * r,
-    "D": lambda r: r * (r - 1),
-    "G2": lambda r: 6,
-    "H3": lambda r: 15,
-    "H4": lambda r: 60,
-}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 class UnsupportedTypeError(ValueError):
@@ -63,22 +69,21 @@ class UnsupportedTypeError(ValueError):
 class RootSystem:
     """Base of simple roots plus the full set of positive roots.
 
-    Immutable.  Equality, hashing and repr read the eight defining fields;
+    Immutable.  Equality, hashing and repr read the seven defining fields;
     ``root_index`` (root -> index lookup) is derived data and takes no part."""
 
-    _FIELDS = ("family", "rank", "m_param", "scalar_field", "cartan_like_matrix", "gram",
+    _FIELDS = ("family", "rank", "m_param", "scalar_field", "cartan_like_matrix",
                "simple_roots", "positive_roots")
 
     def __init__(self, family: str, rank: int, m_param: Optional[int], scalar_field: str,
-                 cartan_like_matrix: tuple, gram: tuple, simple_roots: tuple,
-                 positive_roots: tuple, root_index: Optional[dict] = None):
+                 cartan_like_matrix: tuple, simple_roots: tuple, positive_roots: tuple,
+                 root_index: Optional[dict] = None):
         self.__dict__.update(
             family=family,
             rank=rank,
             m_param=m_param,  # dihedral order for I2, else None
             scalar_field=scalar_field,  # "rational" or "golden"
             cartan_like_matrix=cartan_like_matrix,  # C[i][j] = 2(a_i, a_j)/(a_i, a_i)
-            gram=gram,  # (a_i, a_j)
             simple_roots=simple_roots,  # unit coordinate vectors
             positive_roots=positive_roots,  # coordinates in the simple-root basis
             root_index=root_index,
@@ -110,9 +115,7 @@ class RootSystem:
 
     @property
     def group_order(self) -> int:
-        if self.family == "I2":
-            return 2 * self.m_param
-        return _GROUP_ORDER[self.family](self.rank)
+        return _FAMILIES[self.family][self.m_param or self.rank][0]
 
     @property
     def crystallographic(self) -> bool:
@@ -153,86 +156,6 @@ class RootSystem:
             tuple(self.signed_index(self.apply_simple(g, root)) for root in self.positive_roots)
             for g in range(self.rank)
         )
-
-
-def _cartan_and_gram(family: str, rank: int, m: Optional[int]):
-    F = Fraction
-    phi = GoldenRational(0, 1)
-
-    def zeros(n, golden=False):
-        z = GoldenRational(0, 0) if golden else F(0)
-        return [[z] * n for _ in range(n)]
-
-    if family == "A":
-        C = zeros(rank)
-        for i in range(rank):
-            C[i][i] = F(2)
-            if i + 1 < rank:
-                C[i][i + 1] = C[i + 1][i] = F(-1)
-        return C, [row[:] for row in C]
-
-    if family == "B":
-        C = zeros(rank)
-        G = zeros(rank)
-        for i in range(rank):
-            C[i][i] = F(2)
-            G[i][i] = F(2) if i < rank - 1 else F(1)
-        for i in range(rank - 1):
-            G[i][i + 1] = G[i + 1][i] = F(-1)
-            C[i][i + 1] = F(-1)
-            C[i + 1][i] = F(-1) if i + 1 < rank - 1 else F(-2)
-        return C, G
-
-    if family == "D":
-        # three outer nodes 0, 2, 3 attached to the center node 1
-        C = zeros(rank)
-        edges = [(0, 1), (1, 2), (1, 3)]
-        for i in range(rank):
-            C[i][i] = F(2)
-        for i, j in edges:
-            C[i][j] = C[j][i] = F(-1)
-        return C, [row[:] for row in C]
-
-    if family == "G2" or (family == "I2" and m == 6):
-        C = [[F(2), F(-1)], [F(-3), F(2)]]
-        G = [[F(6), F(-3)], [F(-3), F(2)]]
-        return C, G
-
-    if family == "I2":
-        if m == 2:
-            C = [[F(2), F(0)], [F(0), F(2)]]
-            return C, [row[:] for row in C]
-        if m == 3:
-            return _cartan_and_gram("A", 2, None)
-        if m == 4:
-            return _cartan_and_gram("B", 2, None)
-        if m == 5:
-            two = GoldenRational(2, 0)
-            C = [[two, -phi], [-phi, two]]
-            return C, [row[:] for row in C]
-        if m == 10:
-            lam = GoldenRational(2, 1)  # 4*cos(pi/10)^2 = 2 + phi
-            C = [[GoldenRational(2, 0), GoldenRational(-1, 0)], [-lam, GoldenRational(2, 0)]]
-            G = [[2 * lam, -lam], [-lam, GoldenRational(2, 0)]]
-            return C, G
-        raise UnsupportedTypeError(
-            f"I2({m}) unsupported: 2*cos(pi/{m}) is not in Q or Q(phi); supported m: {SUPPORTED_I2}"
-        )
-
-    if family in ("H3", "H4"):
-        rank = 3 if family == "H3" else 4
-        two = GoldenRational(2, 0)
-        mone = GoldenRational(-1, 0)
-        zero = GoldenRational(0, 0)
-        C = [[zero] * rank for _ in range(rank)]
-        for i in range(rank):
-            C[i][i] = two
-        C[0][1] = C[1][0] = -phi  # the 5-labeled bond sits between nodes 1 and 2
-        for i in range(1, rank - 1):
-            C[i][i + 1] = C[i + 1][i] = mone
-        return C, [row[:] for row in C]
-
-    raise UnsupportedTypeError(f"unsupported type {family}{rank}")
 
 
 def _golden_int_pair(x) -> Tuple[int, int]:
@@ -303,44 +226,37 @@ def _root_closure(C: Sequence[Sequence]) -> Tuple[List[tuple], tuple]:
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system; for I2 the rank argument carries m."""
     family = family.upper() if family.lower() != "i2" else "I2"
+    if family not in _FAMILIES:
+        raise UnsupportedTypeError(f"unsupported type {family}{rank}")
+    row = _FAMILIES[family]
     m = None
     if family == "I2":
-        m = rank
-        rank = 2
-        if m not in SUPPORTED_I2:
+        m, rank = rank, 2
+        if m not in row:
             # distinguish "never buildable exactly" from nonsense input
             if 2 <= m <= 12:
                 raise UnsupportedTypeError(
                     f"I2({m}) unsupported: needs scalars outside Q and Q(phi)"
                 )
             raise UnsupportedTypeError(f"unsupported type I2({m})")
-    elif family == "A":
-        if not 1 <= rank <= 5:
-            raise UnsupportedTypeError(f"unsupported type A{rank} (rank 1..5)")
-    elif family == "B":
-        if not 2 <= rank <= 4:
-            raise UnsupportedTypeError(f"unsupported type B{rank} (rank 2..4)")
-    elif family == "D":
-        if rank != 4:
-            raise UnsupportedTypeError(f"unsupported type D{rank} (only D4)")
-    elif family == "G2":
-        rank = 2
-    elif family == "H3":
-        rank = 3
-    elif family == "H4":
-        rank = 4
-    else:
-        raise UnsupportedTypeError(f"unsupported type {family}{rank}")
+    elif family[-1].isdigit():  # G2, H3, H4 name their rank
+        rank = int(family[-1])
+    elif rank not in row:
+        least, greatest = min(row), max(row)
+        allowed = f"only {family}{least}" if least == greatest else f"rank {least}..{greatest}"
+        raise UnsupportedTypeError(f"unsupported type {family}{rank} ({allowed})")
 
-    C, G = _cartan_and_gram(family, rank, m)
-    golden = isinstance(C[0][0], GoldenRational)
+    _, n_expected, bonds = row[m or rank]
+    golden = any(b for _, _, *entries in bonds for _, b in entries)
+    scalar = (lambda a, b: GoldenRational(a, b)) if golden else (lambda a, b: Fraction(a))
+    C = [[scalar(2 if i == j else 0, 0) for j in range(rank)] for i in range(rank)]
+    for i, j, cij, cji in bonds:
+        C[i][j], C[j][i] = scalar(*cij), scalar(*cji)
     pairs, images = _root_closure(C)
-    n_expected = m if family == "I2" else _N_POSITIVE[family](rank)
     if len(pairs) != n_expected:
         raise RuntimeError(
             f"{family}{rank}: found {len(pairs)} positive roots, expected {n_expected}"
         )
-    scalar = (lambda a, b: GoldenRational(a, b)) if golden else (lambda a, b: Fraction(a))
     positives = tuple(tuple(scalar(a, b) for a, b in v) for v in pairs)
 
     rs = RootSystem(
@@ -349,7 +265,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         m_param=m,
         scalar_field="golden" if golden else "rational",
         cartan_like_matrix=tuple(tuple(r) for r in C),
-        gram=tuple(tuple(r) for r in G),
         simple_roots=positives[:rank],
         positive_roots=positives,
         root_index={v: i for i, v in enumerate(positives)},

@@ -1,4 +1,5 @@
-"""Physical card-shuffling samplers and their empirical laws.
+"""Physical card-shuffling samplers, their empirical laws and the exact law
+they follow.
 
 Both models first build the shuffled deck (the "forward" physical shuffle)
 and then return the inverse group element, whose law is the shuffling
@@ -128,6 +129,16 @@ def empirical_law(
         w = _invert_signed(_deal(word, flip))
         counts[w] = counts.get(w, 0) + c
     return {w: Fraction(c, count) for w, c in counts.items()}
+
+
+def exact_law(model: str, n: int, x: int) -> Dict[Tuple[int, ...], Fraction]:
+    """The law the model's samples follow: the closed-form H_x on A_{n-1}
+    (gsr_a) or B_n (typeB_flip), keyed by one-line form."""
+    from .group import get_group
+    from .measures import h_measure
+
+    g = get_group(f"A{n - 1}" if model == "gsr_a" else f"B{n}")
+    return {g.one_line[i]: v for i, v in enumerate(h_measure(g, x, "closed_form").dense())}
 
 
 def tv_distance(p: Dict, q: Dict) -> Fraction:

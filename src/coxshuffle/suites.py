@@ -1,10 +1,10 @@
 """Verification suites: every identity the library computes, re-checked
 end to end with exact arithmetic and machine-readable reports.
 
-The registry is data-driven: each suite reads its parameter grid from
-DEFAULT_PARAMS, and any grid entry can be overridden from the CLI without
-code changes (e.g. ``verify convolution --type D4`` explores a type the
-default grid leaves out).
+The registry is data-driven: each suite's one ``SUITES`` entry holds its
+runner, its default parameter grid and the CLI flags that override it, so a
+grid entry can be overridden without code changes (e.g. ``verify
+convolution --type D4`` explores a type the default grid leaves out).
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from .gfpoly import FqContext, monic_polys
 from .group import get_group
 from .measures import (
     bhr_step,
@@ -32,7 +31,7 @@ from .necklaces import (
     descent_count,
     enumerate_signed_ornaments,
     gessel_reutenauer,
-    refine_phi_A,
+    refine_census,
     s_vector_count,
 )
 from .orbits import (
@@ -43,58 +42,28 @@ from .orbits import (
     split_census_constant_one,
 )
 from .report import Report, exact_str
-from .shuffling import empirical_law, tv_distance
+from .shuffling import empirical_law, exact_law, tv_distance
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "I2(5)", "I2(6)", "H3", "H4"]
 
-DEFAULT_PARAMS: Dict[str, dict] = {
-    "triple_agreement": {"types": ALL_TYPES, "xs": [2, 3, 5, 7, -1, Fraction(1, 2)]},
-    "longshort": {"types": ALL_TYPES, "xs": [2, 3, 7, -1]},
-    "sommers": {
-        "grid": [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 5), ("A3", 2), ("A3", 5),
-                 ("B2", 3), ("B2", 5), ("B3", 3), ("B3", 5), ("G2", 5), ("G2", 7)]
-    },
-    "convolution": {
-        "types": ["A1", "A2", "A3", "A4", "B2", "B3", "I2(2)", "I2(3)", "I2(4)",
-                  "I2(5)", "I2(6)", "H3"],
-        "x": 2, "y": 3,
-    },
-    "h4_counterexample": {"x": 2},
-    "spectrum": {"types": ["A2", "B2", "G2"], "x": 2},
-    "walk_oracle": {"types": ALL_TYPES, "xs": [2, 3]},
-    "nonnegativity": {
-        "grid": [("A1", [2, 3, 5, 7]), ("A2", [2, 3, 5, 7]), ("A3", [2, 3, 5, 7]),
-                 ("A4", [2, 3, 5, 7]), ("B2", [3, 5, 7]), ("B3", [3, 5, 7]),
-                 ("G2", [5, 7])]
-    },
-    "problem1_A": {"grid": [(2, 5), (2, 7), (3, 5), (3, 7), (4, 5), (4, 7)]},
-    "problem1_B": {"grid": [(2, 3), (2, 5), (3, 3), (3, 5)]},
-    "sl35_counterexample": {"n": 3, "q": 5},
-    "gr_census": {"grid": [(5, 3, "normal_basis"), (3, 2, "normal_basis"),
-                           (3, 3, "normal_basis"), (3, 4, "normal_basis"),
-                           (5, 3, "golomb"), (3, 4, "golomb")]},
-    "reiner_counts": {"grid": [(n, q) for n in (1, 2, 3, 4) for q in (3, 5, 7)]},
-    "ornament_counts": {"grid": [(n, q) for n in (1, 2, 3, 4) for q in (3, 5, 7)]},
-    "sampler_tv": {"count": 100000, "seed": 7, "tolerance": Fraction(1, 50)},
-}
-
-
 def run_suite(name: str, params: Optional[dict] = None) -> Report:
-    """Run one suite with defaults merged under the given overrides."""
+    """Run one suite with its defaults merged under the given overrides."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    merged = dict(DEFAULT_PARAMS.get(name, {}))
+    runner, defaults, _, _ = SUITES[name]
+    merged = dict(defaults)
     for k, v in (params or {}).items():
         if v is not None:
             merged[k] = v
-    return SUITES[name](merged).finish()
+    rep = Report(name, merged)
+    runner(rep, merged)
+    return rep.finish()
 
 
 # -- measure suites ----------------------------------------------------------
 
 
-def _suite_triple_agreement(p: dict) -> Report:
-    rep = Report("triple_agreement", p)
+def _suite_triple_agreement(rep: Report, p: dict) -> None:
     for t in p["types"]:
         g = get_group(t)
         fam = g.root_system.family
@@ -111,11 +80,9 @@ def _suite_triple_agreement(p: dict) -> Report:
                     f"{t} x={exact_str(Fraction(x))}: definition vs closed form",
                     "equal", "equal" if md == mc else "different", "closed-form-table",
                 )
-    return rep
 
 
-def _suite_longshort(p: dict) -> Report:
-    rep = Report("longshort", p)
+def _suite_longshort(rep: Report, p: dict) -> None:
     for t in p["types"]:
         g = get_group(t)
         for x in p["xs"]:
@@ -126,11 +93,9 @@ def _suite_longshort(p: dict) -> Report:
             rep.add(f"{t} x={x}: measure at longest element", w0v, values[-1],
                     "product-formula")
             rep.add(f"{t} x={x}: measure at identity", idv, values[0], "product-formula")
-    return rep
 
 
-def _suite_sommers(p: dict) -> Report:
-    rep = Report("sommers", p)
+def _suite_sommers(rep: Report, p: dict) -> None:
     for t, x in p["grid"]:
         r = sommers_identity_check(get_group(t), x)
         if not r.hypothesis_ok:
@@ -139,11 +104,9 @@ def _suite_sommers(p: dict) -> Report:
             continue
         rep.add(f"{t} x={x}: sum of p(S,x) over proper subsets", r.rhs,
                 Fraction(r.lhs), "counting-identity")
-    return rep
 
 
-def _suite_convolution(p: dict) -> Report:
-    rep = Report("convolution", p)
+def _suite_convolution(rep: Report, p: dict) -> None:
     x, y = p["x"], p["y"]
     for t in p["types"]:
         g = get_group(t)
@@ -151,11 +114,9 @@ def _suite_convolution(p: dict) -> Report:
         target = h_measure(g, x * y, "definition")
         rep.add(f"{t}: H_{x} * H_{y} vs H_{x*y}", "equal",
                 "equal" if prod == target else "different", "group-algebra")
-    return rep
 
 
-def _suite_h4_counterexample(p: dict) -> Report:
-    rep = Report("h4_counterexample", p)
+def _suite_h4_counterexample(rep: Report, p: dict) -> None:
     x = p["x"]
     g = get_group("H4")
     # w is the longest element of W_{2,3}, the shortest element with descent
@@ -179,11 +140,9 @@ def _suite_h4_counterexample(p: dict) -> Report:
     )
     rep.add("value at w", exact_str(a), exact_str(a), "closed-form-table")
     rep.add("value at w*w0", exact_str(b), exact_str(b), "closed-form-table")
-    return rep
 
 
-def _suite_spectrum(p: dict) -> Report:
-    rep = Report("spectrum", p)
+def _suite_spectrum(rep: Report, p: dict) -> None:
     x = p["x"]
     for t in p["types"]:
         g = get_group(t)
@@ -198,11 +157,9 @@ def _suite_spectrum(p: dict) -> Report:
         rep.add(f"{t} x={x}: product of (M - x^-i I) for i = 0..rank", "zero matrix",
                 "zero matrix" if not any(spectrum_product(h)) else "nonzero",
                 "minimal-polynomial")
-    return rep
 
 
-def _suite_walk_oracle(p: dict) -> Report:
-    rep = Report("walk_oracle", p)
+def _suite_walk_oracle(rep: Report, p: dict) -> None:
     for t in p["types"]:
         g = get_group(t)
         for x in p["xs"]:
@@ -211,11 +168,9 @@ def _suite_walk_oracle(p: dict) -> Report:
             rep.add(f"{t} x={x}: one walk step vs measure", "equal",
                     "equal" if walked == h_measure(g, x, "definition") else "different",
                     "coset-minima")
-    return rep
 
 
-def _suite_nonnegativity(p: dict) -> Report:
-    rep = Report("nonnegativity", p)
+def _suite_nonnegativity(rep: Report, p: dict) -> None:
     for t, xs in p["grid"]:
         g = get_group(t)
         for x in xs:
@@ -225,14 +180,13 @@ def _suite_nonnegativity(p: dict) -> Report:
             rep.add(f"{t} x={x}: face weights and measure nonnegative",
                     "nonnegative", "nonnegative" if ok else "negative value found",
                     "good-prime-claim")
-    return rep
 
 
 # -- orbit suites ---------------------------------------------------------------
 
 
-def _suite_problem1(tag: str, p: dict) -> Report:
-    rep = Report(f"problem1_{tag}", p)
+def _suite_problem1(rep: Report, p: dict) -> None:
+    tag = rep.suite[-1]  # problem1_A or problem1_B
     spot_dist = None
     for n, q in p["grid"]:
         fam = orbit_family(tag, n, q)
@@ -263,34 +217,26 @@ def _suite_problem1(tag: str, p: dict) -> Report:
                 "{(1,1,1): 12/49, (2,1): 3/7, (3): 16/49}",
                 "{" + ", ".join(f"{k}: {v}" for k, v in sorted(spot.items())) + "}",
                 "exhaustive")
-    return rep
 
 
-def _suite_sl35(p: dict) -> Report:
-    rep = Report("sl35_counterexample", p)
+def _suite_sl35(rep: Report, p: dict) -> None:
     census, prediction = split_census_constant_one(p["n"], p["q"])
     rep.add("census of split monics with constant term 1", 5, census, "exhaustive")
     rep.add("orbit-side prediction", 7, int(prediction), "product-formula")
     rep.add("mismatch is expected", "census != prediction",
             "census != prediction" if census != prediction else "equal",
             "counterexample", passed=(census != prediction))
-    return rep
 
 
 # -- bijection suites -------------------------------------------------------------
 
 
-def _suite_gr_census(p: dict) -> Report:
-    rep = Report("gr_census", p)
+def _suite_gr_census(rep: Report, p: dict) -> None:
     one, cyc = gessel_reutenauer([(1, 2), (1, 2), (2,), (2, 3), (2, 3, 2, 3, 3)])
     rep.add("worked multiset example", "(1 3)(2 4)(5)(6 9)(7 11 8 12 10)",
             cycles_string(cyc), "worked-example")
     for q, n, mode in p["grid"]:
-        ctx = FqContext.get(q)
-        counts: Dict[tuple, int] = {}
-        for f in monic_polys(ctx, n):
-            w, _ = refine_phi_A(f, mode)
-            counts[w] = counts.get(w, 0) + 1
+        counts = refine_census(q, n, mode)
         bad = []
         for w in itertools.permutations(range(1, n + 1)):
             expect = comb(q + n - 1 - descent_count(w), n)
@@ -301,11 +247,9 @@ def _suite_gr_census(p: dict) -> Report:
                 "exhaustive")
         rep.add(f"p={q} n={n} {mode}: total count", q**n, sum(counts.values()),
                 "exhaustive")
-    return rep
 
 
-def _suite_reiner_counts(p: dict) -> Report:
-    rep = Report("reiner_counts", p)
+def _suite_reiner_counts(rep: Report, p: dict) -> None:
     for n, q in p["grid"]:
         if n < 1:
             raise ValueError(f"reiner_counts needs n >= 1, not n = {n}")
@@ -331,46 +275,78 @@ def _suite_reiner_counts(p: dict) -> Report:
             )
             rep.add(f"n={n} q={q}: per-type s-vector counts vs ornament counts",
                     "equal", "equal" if ok else "different", "bijection-type")
-    return rep
 
 
-def _suite_ornament_counts(p: dict) -> Report:
-    rep = Report("ornament_counts", p)
+def _suite_ornament_counts(rep: Report, p: dict) -> None:
     for n, q in p["grid"]:
         c = count_signed_ornaments(n, q)
         rep.add(f"n={n} q={q}: number of signed ornaments", q**n, c, "exhaustive")
-    return rep
 
 
-def _suite_sampler_tv(p: dict) -> Report:
-    rep = Report("sampler_tv", p)
+def _suite_sampler_tv(rep: Report, p: dict) -> None:
     count, seed, tol = p["count"], p["seed"], Fraction(p["tolerance"])
-    for model, n, x, t in [("gsr_a", 4, 2, "A3"), ("typeB_flip", 3, 3, "B3")]:
-        g = get_group(t)
-        exact = {g.one_line[i]: v for i, v in enumerate(h_measure(g, x, "closed_form").dense())}
-        emp = empirical_law(model, n, x, count, seed)
-        tv = tv_distance(emp, exact)
+    for model, n, x in [("gsr_a", 4, 2), ("typeB_flip", 3, 3)]:
+        tv = tv_distance(empirical_law(model, n, x, count, seed), exact_law(model, n, x))
         rep.add(
             f"{model} n={n} x={x}: TV(empirical {count} samples, exact law) <= {exact_str(tol)}",
             f"<= {exact_str(tol)}", exact_str(tv), "statistical", passed=(tv <= tol),
         )
-    return rep
 
 
-SUITES: Dict[str, Callable[[dict], Report]] = {
-    "triple_agreement": _suite_triple_agreement,
-    "longshort": _suite_longshort,
-    "sommers": _suite_sommers,
-    "convolution": _suite_convolution,
-    "h4_counterexample": _suite_h4_counterexample,
-    "spectrum": _suite_spectrum,
-    "walk_oracle": _suite_walk_oracle,
-    "nonnegativity": _suite_nonnegativity,
-    "problem1_A": lambda p: _suite_problem1("A", p),
-    "problem1_B": lambda p: _suite_problem1("B", p),
-    "sl35_counterexample": _suite_sl35,
-    "gr_census": _suite_gr_census,
-    "reiner_counts": _suite_reiner_counts,
-    "ornament_counts": _suite_ornament_counts,
-    "sampler_tv": _suite_sampler_tv,
+# One entry per suite: (runner, default parameters, verify flags, (n, q) rule).
+# ``run_suite`` makes the suite's Report under its name and the runner fills
+# it.  The flags are those that override the defaults: --type the types, --n
+# and --q the grid, --seed the seed, and --x the xs where the defaults have
+# them and the x otherwise.  Any other flag is a usage error, since the suite
+# would run its default grid and record the ignored value in its report.  A
+# suite whose grid holds (n, q) pairs has the rule (family, least n, greatest
+# n or None): --q must be very good for A_{n-1} or B_n, and n stays within
+# the supported ranks of the group the suite builds (reiner_counts counts
+# n = 1 by hand; ornament_counts builds none).
+SUITES: Dict[str, tuple] = {
+    "triple_agreement": (_suite_triple_agreement,
+                         {"types": ALL_TYPES, "xs": [2, 3, 5, 7, -1, Fraction(1, 2)]},
+                         ("--type", "--x"), None),
+    "longshort": (_suite_longshort, {"types": ALL_TYPES, "xs": [2, 3, 7, -1]},
+                  ("--type", "--x"), None),
+    "sommers": (_suite_sommers,
+                {"grid": [("A1", 2), ("A1", 3), ("A2", 2), ("A2", 5), ("A3", 2), ("A3", 5),
+                          ("B2", 3), ("B2", 5), ("B3", 3), ("B3", 5), ("G2", 5), ("G2", 7)]},
+                (), None),
+    "convolution": (_suite_convolution,
+                    {"types": ["A1", "A2", "A3", "A4", "B2", "B3", "I2(2)", "I2(3)", "I2(4)",
+                               "I2(5)", "I2(6)", "H3"],
+                     "x": 2, "y": 3},
+                    ("--type", "--x"), None),
+    "h4_counterexample": (_suite_h4_counterexample, {"x": 2}, ("--x",), None),
+    "spectrum": (_suite_spectrum, {"types": ["A2", "B2", "G2"], "x": 2},
+                 ("--type", "--x"), None),
+    "walk_oracle": (_suite_walk_oracle, {"types": ALL_TYPES, "xs": [2, 3]},
+                    ("--type", "--x"), None),
+    "nonnegativity": (_suite_nonnegativity,
+                      {"grid": [("A1", [2, 3, 5, 7]), ("A2", [2, 3, 5, 7]),
+                                ("A3", [2, 3, 5, 7]), ("A4", [2, 3, 5, 7]), ("B2", [3, 5, 7]),
+                                ("B3", [3, 5, 7]), ("G2", [5, 7])]},
+                      (), None),
+    "problem1_A": (_suite_problem1,
+                   {"grid": [(2, 5), (2, 7), (3, 5), (3, 7), (4, 5), (4, 7)]},
+                   ("--n", "--q"), ("A", 2, 6)),
+    "problem1_B": (_suite_problem1,
+                   {"grid": [(2, 3), (2, 5), (3, 3), (3, 5)]},
+                   ("--n", "--q"), ("B", 2, 4)),
+    "sl35_counterexample": (_suite_sl35, {"n": 3, "q": 5}, (), None),
+    "gr_census": (_suite_gr_census,
+                  {"grid": [(5, 3, "normal_basis"), (3, 2, "normal_basis"),
+                            (3, 3, "normal_basis"), (3, 4, "normal_basis"),
+                            (5, 3, "golomb"), (3, 4, "golomb")]},
+                  (), None),
+    "reiner_counts": (_suite_reiner_counts,
+                      {"grid": [(n, q) for n in (1, 2, 3, 4) for q in (3, 5, 7)]},
+                      ("--n", "--q"), ("B", 1, 4)),
+    "ornament_counts": (_suite_ornament_counts,
+                        {"grid": [(n, q) for n in (1, 2, 3, 4) for q in (3, 5, 7)]},
+                        ("--n", "--q"), ("B", 1, None)),
+    "sampler_tv": (_suite_sampler_tv,
+                   {"count": 100000, "seed": 7, "tolerance": Fraction(1, 50)},
+                   ("--seed",), None),
 }

@@ -9,7 +9,7 @@ import pytest
 from coxshuffle.golden import GoldenRational
 from coxshuffle.linalg import canonicalize
 from coxshuffle.report import Report, exact_str
-from coxshuffle.suites import DEFAULT_PARAMS, SUITES, run_suite
+from coxshuffle.suites import SUITES, run_suite
 
 
 def test_golden_and_subspace_pickle():
@@ -51,11 +51,6 @@ def test_reports_never_share_a_checks_list():
     assert len(first.checks) == 1 and second.checks == []
     assert "_t0" not in repr(first) and repr(second) == (
         "Report(suite='two', params={}, checks=[], wall_time=0.0)")
-
-
-def test_every_registered_suite_has_defaults():
-    for name in SUITES:
-        assert name in DEFAULT_PARAMS
 
 
 def test_run_suite_unknown():

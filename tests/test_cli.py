@@ -262,15 +262,16 @@ def test_verify_single_x_suite_rejects_repeated_x(capsys):
 
 
 def test_suite_flags_cover_every_suite_and_name_real_parameters():
-    from coxshuffle.cli import SUITE_FLAGS, SUITE_N_RANGE, SUITE_Q_FAMILY
-    from coxshuffle.suites import DEFAULT_PARAMS, SUITES
+    from coxshuffle.suites import SUITES
 
-    assert set(SUITE_FLAGS) == set(SUITES)
-    for name, reads in SUITE_FLAGS.items():
-        assert set(reads.values()) <= set(DEFAULT_PARAMS[name]), name
+    # the default parameters each verify flag may override
+    overrides = {"--type": {"types"}, "--x": {"xs", "x"}, "--n": {"grid"}, "--q": {"grid"},
+                 "--seed": {"seed"}}
+    for name, (_, defaults, reads, grid_rule) in SUITES.items():
+        for flag in reads:
+            assert overrides[flag] & set(defaults), (name, flag)
         assert ("--n" in reads) == ("--q" in reads), name
-        assert ("--n" in reads) == (name in SUITE_N_RANGE), name
-        assert ("--q" in reads) == (name in SUITE_Q_FAMILY), name
+        assert ("--n" in reads) == (grid_rule is not None), name
 
 
 def test_verify_override_a_suite_reads_is_applied(capsys):
@@ -415,13 +416,15 @@ def test_orbits_list_a_family_whose_q_is_not_very_good(capsys):
 
 
 def test_default_grids_have_very_good_q():
-    from coxshuffle.cli import SUITE_N_RANGE, SUITE_Q_FAMILY, _check_n, _check_q
-    from coxshuffle.suites import DEFAULT_PARAMS
+    from coxshuffle.cli import _check_n, _check_q
+    from coxshuffle.suites import SUITES
 
-    for name, family in SUITE_Q_FAMILY.items():
-        for n, q in DEFAULT_PARAMS[name]["grid"]:
-            _check_n(n, *SUITE_N_RANGE[name], name)
-            _check_q(q, family, n, name)
+    for name, (_, defaults, _, grid_rule) in SUITES.items():
+        if grid_rule is not None:
+            family, least, greatest = grid_rule
+            for n, q in defaults["grid"]:
+                _check_n(n, least, greatest, name)
+                _check_q(q, family, n, name)
 
 
 @pytest.mark.parametrize("argv,value,reason", [

@@ -460,6 +460,28 @@ def test_table_product_equals_schoolbook_product(p, e, modulus):
         assert cur == ctx.one
 
 
+@pytest.mark.parametrize("p,e,modulus,gen", [
+    (2, 2, None, 2), (2, 3, None, 2), (3, 2, None, 4), (5, 2, None, 7), (3, 2, (1, 0, 1), 4),
+    (2, 4, None, 2), (3, 3, None, 3), (5, 3, None, 7), (3, 2, (2, 2, 1), 3), (31, 3, None, 41),
+])
+def test_generator_search_walks_one_power_cycle(monkeypatch, p, e, modulus, gen):
+    # the smallest generator, found by an order test of each candidate and
+    # one walk of its power cycle; on GF(31^3) that walk is 29,790 products,
+    # where walking every failed candidate's cycle took 130,152
+    calls = []
+    schoolbook = FqContext._schoolbook_mul
+    monkeypatch.setattr(FqContext, "_schoolbook_mul",
+                        lambda ctx, a, b: calls.append(1) or schoolbook(ctx, a, b))
+    ctx = FqContext(p, e, modulus)
+    assert ctx.generator() == gen
+    if (p, e) == (31, 3):
+        assert len(calls) < 40000
+    cur = ctx.one
+    for _ in range(ctx.order - 2):
+        cur = ctx.mul(cur, gen)
+        assert cur != ctx.one
+
+
 def test_irreducible_sieve_belongs_to_the_context_not_to_its_order():
     # the canonical GF(9) is sieved first; GF(9) mod z^2 + 2z + 2 must sieve
     # its own irreducibles, or factor() would trial-divide by the wrong ones

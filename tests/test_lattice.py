@@ -38,8 +38,7 @@ def permuted_b3():
     order = list(range(rs.n_positive))
     random.Random(5).shuffle(order)
     return RootSystem(
-        rs.family, rs.rank, rs.m_param, rs.scalar_field, rs.cartan_like_matrix, rs.gram,
-        rs.simple_roots,
+        rs.family, rs.rank, rs.m_param, rs.scalar_field, rs.cartan_like_matrix, rs.simple_roots,
         positive_roots=tuple(rs.positive_roots[i] for i in order),
         root_index={rs.positive_roots[i]: k for k, i in enumerate(order)},
     )
@@ -357,7 +356,7 @@ def test_build_rejects_oversized_arrangements():
     # 120 listed roots, but the reflections only reach the first 60
     rs = parse_type("H4")
     fake = RootSystem(rs.family, rs.rank, rs.m_param, rs.scalar_field, rs.cartan_like_matrix,
-                      rs.gram, rs.simple_roots, positive_roots=rs.positive_roots * 2,
+                      rs.simple_roots, positive_roots=rs.positive_roots * 2,
                       root_index=rs.root_index)
     with pytest.raises(ValueError):
         build_lattice(fake)

@@ -27,7 +27,7 @@ from coxshuffle.necklaces import (
     s_vector_count,
 )
 from coxshuffle.orbits import b_pair_type, enumerate_orbits, orbit_family, phi_map
-from coxshuffle.suites import DEFAULT_PARAMS
+from coxshuffle.suites import SUITES
 from test_gfpoly import digits
 
 
@@ -358,7 +358,7 @@ def normal_coordinates_oracle(ext, q: int, m: int, beta) -> list:
 
 # every GF(q^m) the default gr_census grid reaches: a monic of degree n over
 # F_q has irreducible factors of degree 1..n
-GR_CENSUS_FIELDS = sorted({(q, m) for q, n, _ in DEFAULT_PARAMS["gr_census"]["grid"]
+GR_CENSUS_FIELDS = sorted({(q, m) for q, n, _ in SUITES["gr_census"][1]["grid"]
                            for m in range(1, n + 1)})
 
 

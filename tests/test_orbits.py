@@ -28,7 +28,7 @@ from coxshuffle.orbits import (
     split_census_constant_one,
     translation_invariance_check,
 )
-from coxshuffle.suites import DEFAULT_PARAMS
+from coxshuffle.suites import SUITES
 
 
 def test_enumerate_counts():
@@ -177,7 +177,7 @@ def assert_labels_match_factor(fam, polys):
 
 @pytest.mark.parametrize("tag", ["A", "B"])
 def test_layer_labels_match_factor_on_problem1_grids(tag):
-    for n, q in DEFAULT_PARAMS[f"problem1_{tag}"]["grid"]:
+    for n, q in SUITES[f"problem1_{tag}"][1]["grid"]:
         fam = orbit_family(tag, n, q)
         assert_labels_match_factor(fam, enumerate_orbits(fam))
 

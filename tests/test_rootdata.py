@@ -121,6 +121,50 @@ def test_integer_closure_equals_the_scalar_closure(t):
     assert rs.simple_action == action
 
 
+# C[i][j] = 2(a_i, a_j)/(a_i, a_i) of every supported type, written out from
+# its Coxeter diagram; a golden entry is the pair (a, b) = a + b*phi
+RATIONAL_CARTAN = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "A5": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0], [0, 0, -1, 2, -1],
+           [0, 0, 0, -1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "I2(2)": [[2, 0], [0, 2]],
+    "I2(3)": [[2, -1], [-1, 2]],
+    "I2(4)": [[2, -1], [-2, 2]],
+    "I2(6)": [[2, -1], [-3, 2]],
+}
+GOLDEN_CARTAN = {
+    "I2(5)": [[(2, 0), (0, -1)], [(0, -1), (2, 0)]],
+    "I2(10)": [[(2, 0), (-1, 0)], [(-2, -1), (2, 0)]],
+    "H3": [[(2, 0), (0, -1), (0, 0)], [(0, -1), (2, 0), (-1, 0)], [(0, 0), (-1, 0), (2, 0)]],
+    "H4": [[(2, 0), (0, -1), (0, 0), (0, 0)], [(0, -1), (2, 0), (-1, 0), (0, 0)],
+           [(0, 0), (-1, 0), (2, 0), (-1, 0)], [(0, 0), (0, 0), (-1, 0), (2, 0)]],
+}
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_cartan_matrix_against_the_written_out_table(t):
+    rs = parse_type(t)
+    C = rs.cartan_like_matrix
+    assert type(C) is tuple and all(type(row) is tuple for row in C)
+    if t in GOLDEN_CARTAN:
+        assert rs.scalar_field == "golden"
+        assert all(type(x) is GoldenRational for row in C for x in row)
+        assert [[(x.a, x.b) for x in row] for row in C] == GOLDEN_CARTAN[t]
+    else:
+        assert rs.scalar_field == "rational"
+        assert all(type(x) is Fraction for row in C for x in row)
+        assert [list(row) for row in C] == RATIONAL_CARTAN[t]
+    assert len(RATIONAL_CARTAN) + len(GOLDEN_CARTAN) == len(SUPPORTED)
+
+
 def test_closure_rejects_entries_outside_golden_integers():
     C = [[Fraction(2), Fraction(-1, 2)], [Fraction(-1), Fraction(2)]]
     with pytest.raises(ValueError, match="not in Z\\[phi\\]"):
@@ -148,7 +192,7 @@ def test_parse_type_round_trip():
 def test_root_index_takes_no_part_in_equality_hash_or_repr():
     rs = parse_type("B3")
     copy = RootSystem(rs.family, rs.rank, rs.m_param, rs.scalar_field, rs.cartan_like_matrix,
-                      rs.gram, rs.simple_roots, rs.positive_roots, root_index={})
+                      rs.simple_roots, rs.positive_roots, root_index={})
     assert copy == rs and hash(copy) == hash(rs)
     assert copy != parse_type("B2") and copy != tuple(rs.positive_roots)
     assert "root_index" not in repr(rs) and "root_index" not in repr(copy)
