@@ -127,6 +127,7 @@ def cmd_measure(args) -> int:
 def cmd_sample(args) -> int:
     import random
 
+    from .rootdata import card_range
     from .shuffling import _flip_even, empirical_law, exact_law, sample_shuffle, tv_distance
 
     if args.count < 1:
@@ -136,7 +137,7 @@ def cmd_sample(args) -> int:
     except ValueError as exc:
         raise ValueError(f"sample --model {args.model} --x {args.x}: {exc}") from None
     # an exact comparison needs the group A_{n-1} or B_n
-    n_range = {"gsr_a": (2, 6), "typeB_flip": (2, 4)}[args.model] if args.compare else (1, None)
+    n_range = card_range("A" if args.model == "gsr_a" else "B") if args.compare else (1, None)
     _check_n(args.n, *n_range, f"sample --model {args.model}")
     if args.compare == "exact":
         emp = empirical_law(args.model, args.n, args.x, args.count, args.seed)

@@ -342,14 +342,25 @@ class CoxeterGroup:
 
     def minrep_masks(self) -> List[int]:
         """Per element, the set of the subsets K (bit K for the subset of mask
-        K) for which the element is its own ``coset_minreps(K)`` entry."""
+        K) for which the element is its own ``coset_minreps(K)`` entry.
+
+        w is the minimum of w W_K iff no s in K gives l(ws) < l(w), so the
+        mask depends only on w's length-descent set L(w): it is read from a
+        table over the 2^r sets L, holding the K with K and L disjoint.  L(w)
+        comes from the Cayley graph (``rmult`` and ``length``), one pass over
+        W per generator, and never from ``descent_mask``, which the measure
+        reads off the root action: the walk and H agree because l(ws) < l(w)
+        iff w(alpha_s) < 0, not because they read one table."""
         if self._minrep_masks is None:
-            masks = [0] * self.size
-            for K in range(1 << self.rank):
-                bit = 1 << K
-                for i in set(self.coset_minreps(_bits(K))):  # the minima are the fixed points
-                    masks[i] |= bit
-            self._minrep_masks = masks
+            length = self.length
+            lower = [0] * self.size  # bit s set iff l(w s) < l(w)
+            for s, rs in enumerate(self.rmult):
+                bit = 1 << s
+                lower = [d | bit if length[j] < lw else d
+                         for d, j, lw in zip(lower, rs, length)]
+            full = 1 << self.rank
+            avoiding = [sum(1 << K for K in range(full) if not K & L) for L in range(full)]
+            self._minrep_masks = list(map(avoiding.__getitem__, lower))
         return self._minrep_masks
 
     def class_descent_counts(self) -> List[Counter]:

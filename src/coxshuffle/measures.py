@@ -310,7 +310,10 @@ def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
     of such K (``g.minrep_masks()``), so it is taken once per distinct mask
     (``g.measure_counts("minrep")``).  Computed from coset minima alone,
     independently of the descent sets and of h_measure, as a cross-check
-    oracle."""
+    oracle: the masks come from lengths in the Cayley graph (l(ws) < l(w)),
+    while H reads each element's descent mask off the root action
+    (w(alpha_s) < 0).  The two agree by the theorem l(ws) < l(w) iff
+    w(alpha_s) < 0, so an error in either table breaks the equality."""
     total = fw.face_total()
     if total != 1:
         raise ValueError(f"face weights sum to {total}, not 1")

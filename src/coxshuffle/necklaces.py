@@ -64,12 +64,24 @@ def canonicalize_necklace(kind: str, word: Sequence[int]) -> Tuple[tuple, bool]:
 
 
 def primitive_necklaces(kind: str, size: int, bound: int) -> List[tuple]:
-    """All primitive necklaces of the kind and size with entries in [-bound, bound]."""
+    """All primitive necklaces of the kind and size with entries in
+    [-bound, bound], as canonical words in lexicographic order.
+
+    A canonical word is the least of its orbit, so its first entry is the
+    least entry the orbit holds: min(word) for plain necklaces, and
+    -max|a_i| for twisted and blinking ones, whose orbits hold each entry
+    with both signs.  Only words with that first entry are tried."""
+    if kind == "plain":
+        firsts = [(c, range(c, bound + 1)) for c in range(-bound, bound + 1)]
+    else:  # an unknown kind is rejected by canonicalize_necklace
+        firsts = [(-m, range(-m, m + 1)) for m in range(bound, -1, -1)]
     out = []
-    for word in itertools.product(range(-bound, bound + 1), repeat=size):
-        canon, primitive = canonicalize_necklace(kind, word)
-        if primitive and canon == word:
-            out.append(word)
+    for c, rest in firsts:
+        for tail in itertools.product(rest, repeat=size - 1):
+            word = (c,) + tail
+            canon, primitive = canonicalize_necklace(kind, word)
+            if primitive and canon == word:
+                out.append(word)
     return out
 
 

@@ -291,6 +291,14 @@ def parse_type(name: str) -> RootSystem:
     return build_root_system(fam, int(num))
 
 
+def card_range(family: str) -> Tuple[int, int]:
+    """The least and greatest n for which the group on n cards is supported:
+    A_{n-1} for family "A", B_n for family "B"."""
+    ranks = _FAMILIES[family]
+    shift = 1 if family == "A" else 0
+    return min(ranks) + shift, max(ranks) + shift
+
+
 # -- affine data -------------------------------------------------------------
 
 

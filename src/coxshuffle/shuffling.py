@@ -27,9 +27,12 @@ of CPython's ``random.Random``:
   * ``getrandbits(32 * N)`` holds the next N outputs, the first in the
     lowest 32 bits.
 
-So every pile count below 2**32 takes one path: shift each output right
-by 32 - k and keep the values below p.  The tests check the equality
-against the per-sample loop on the running interpreter.
+So every pile count below 2**32 takes one path: each block of N outputs
+is one big int, and one shift right by 32 - k and one mask with k low ones
+in every 32-bit lane leave each output's top k bits in its lane (a shift
+and a mask carry nothing between lanes, so k = 32 needs no special case).
+The lanes are read as an array and the values below p are kept.  The tests
+check the equality against the per-sample loop on the running interpreter.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import rshift
 from typing import Dict, Iterator, Optional, Tuple
 
 # 32-bit outputs per block of the empirical law's draw (16 KB)
@@ -102,11 +104,15 @@ def sample_shuffle(
     return _invert_signed(_deal(word, flip))
 
 
-def _output_blocks(rng: random.Random) -> Iterator[array]:
-    """The generator's 32-bit outputs in order, _BLOCK at a time:
-    ``getrandbits(32 * N)`` holds the next N outputs, the first lowest."""
+def _top_bit_blocks(rng: random.Random, k: int) -> Iterator[array]:
+    """The top k bits of the generator's 32-bit outputs in order, _BLOCK at
+    a time: ``getrandbits(32 * N)`` holds the next N outputs, the first
+    lowest, and one shift and one mask of the whole block cut each lane."""
+    shift = 32 - k
+    lanes = int.from_bytes(((1 << k) - 1).to_bytes(4, "little") * _BLOCK, "little")
     while True:
-        block = array("I", rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little"))
+        bits = (rng.getrandbits(32 * _BLOCK) >> shift) & lanes
+        block = array("I", bits.to_bytes(4 * _BLOCK, "little"))
         if sys.byteorder == "big":
             block.byteswap()
         yield block
@@ -121,8 +127,8 @@ def empirical_law(
     if count < 1:
         raise ValueError(f"sample count must be >= 1, not {count}")
     # each rng.randrange(param) is the next output's top k bits that fall below param
-    outputs = chain.from_iterable(_output_blocks(random.Random(seed)))
-    draws = filter(param.__gt__, map(rshift, outputs, repeat(32 - param.bit_length())))
+    tops = chain.from_iterable(_top_bit_blocks(random.Random(seed), param.bit_length()))
+    draws = filter(param.__gt__, tops)
     words = Counter(islice(zip(*[draws] * n), count) if n > 0 else repeat((), count))
     counts: Dict[Tuple[int, ...], int] = {}
     for word, c in words.items():

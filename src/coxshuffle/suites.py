@@ -42,6 +42,7 @@ from .orbits import (
     split_census_constant_one,
 )
 from .report import Report, exact_str
+from .rootdata import card_range
 from .shuffling import empirical_law, exact_law, tv_distance
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "I2(5)", "I2(6)", "H3", "H4"]
@@ -301,8 +302,9 @@ def _suite_sampler_tv(rep: Report, p: dict) -> None:
 # would run its default grid and record the ignored value in its report.  A
 # suite whose grid holds (n, q) pairs has the rule (family, least n, greatest
 # n or None): --q must be very good for A_{n-1} or B_n, and n stays within
-# the supported ranks of the group the suite builds (reiner_counts counts
-# n = 1 by hand; ornament_counts builds none).
+# the supported ranks of the group the suite builds (``card_range``, read
+# from the family table; reiner_counts counts n = 1 by hand; ornament_counts
+# builds none).
 SUITES: Dict[str, tuple] = {
     "triple_agreement": (_suite_triple_agreement,
                          {"types": ALL_TYPES, "xs": [2, 3, 5, 7, -1, Fraction(1, 2)]},
@@ -330,10 +332,10 @@ SUITES: Dict[str, tuple] = {
                       (), None),
     "problem1_A": (_suite_problem1,
                    {"grid": [(2, 5), (2, 7), (3, 5), (3, 7), (4, 5), (4, 7)]},
-                   ("--n", "--q"), ("A", 2, 6)),
+                   ("--n", "--q"), ("A", *card_range("A"))),
     "problem1_B": (_suite_problem1,
                    {"grid": [(2, 3), (2, 5), (3, 3), (3, 5)]},
-                   ("--n", "--q"), ("B", 2, 4)),
+                   ("--n", "--q"), ("B", *card_range("B"))),
     "sl35_counterexample": (_suite_sl35, {"n": 3, "q": 5}, (), None),
     "gr_census": (_suite_gr_census,
                   {"grid": [(5, 3, "normal_basis"), (3, 2, "normal_basis"),
@@ -342,7 +344,7 @@ SUITES: Dict[str, tuple] = {
                   (), None),
     "reiner_counts": (_suite_reiner_counts,
                       {"grid": [(n, q) for n in (1, 2, 3, 4) for q in (3, 5, 7)]},
-                      ("--n", "--q"), ("B", 1, 4)),
+                      ("--n", "--q"), ("B", 1, card_range("B")[1])),
     "ornament_counts": (_suite_ornament_counts,
                         {"grid": [(n, q) for n in (1, 2, 3, 4) for q in (3, 5, 7)]},
                         ("--n", "--q"), ("B", 1, None)),

@@ -407,6 +407,27 @@ def test_minrep_masks_are_descent_free_subsets(t):
     assert g.measure_counts("minrep") == Counter(masks)
 
 
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_minrep_masks_against_the_coset_walk(t):
+    # the coset walk is the oracle: bit K of an element's mask is set iff
+    # the element is its own coset_minreps(K) entry
+    g = get_group(t)
+    masks = g.minrep_masks()
+    for K in range(1 << g.rank):
+        reps = g.coset_minreps([k for k in range(g.rank) if K >> k & 1])
+        assert [masks[i] >> K & 1 for i in range(g.size)] == [
+            int(reps[i] == i) for i in range(g.size)], K
+    assert masks is g.minrep_masks()
+
+
+def test_minrep_masks_read_no_descent_masks():
+    g = CoxeterGroup(parse_type("H3"))  # a private group: its descent table is removed
+    expected = list(get_group("H3").minrep_masks())
+    g.length  # builds the element tables
+    g.descent_mask = None
+    assert g.minrep_masks() == expected
+
+
 def brute_structure_counts(g, w):
     """Oracle: N(d1, d2; w), the number of u with descent mask d1 and u^-1 w
     descent mask d2, by one group multiplication per u."""

@@ -370,6 +370,50 @@ def test_walk_oracle_small(t, x):
     assert bhr_step(g, face_weights(g, x, "definition")) == h_measure(g, x, "definition")
 
 
+def _private_group(t):
+    from coxshuffle.group import CoxeterGroup
+
+    g = CoxeterGroup(parse_type(t))  # a private group, safe to corrupt
+    g.length  # builds the element tables
+    return g
+
+
+def _walk_agrees(g, x):
+    """The walk_oracle check on g at x; a walk whose masses do not sum to 1
+    fails in the measure's constructor, and the check with it."""
+    try:
+        return bhr_step(g, face_weights(g, x)) == h_measure(g, x)
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "H3"])
+def test_walk_check_fails_on_a_corrupted_length(t):
+    # the walk reads lengths: one wrong length moves some coset minimum, and
+    # the masks and the walk-vs-measure check both see it
+    x = Fraction(7, 3)
+    oracle = get_group(t).minrep_masks()
+    for i in range(get_group(t).size):
+        g = _private_group(t)
+        g.length = list(g.length)
+        g.length[i] += 2 if i != g.longest_index else -2
+        assert g.minrep_masks() != oracle, i
+        assert not _walk_agrees(g, x), i
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "H3"])
+def test_walk_check_fails_on_a_corrupted_descent_mask(t):
+    # the measure reads descent masks and the walk does not: one wrong
+    # descent mask breaks the equality, so the check ties the two together
+    x = Fraction(7, 3)
+    for i in range(get_group(t).size):
+        for s in range(get_group(t).rank):
+            g = _private_group(t)
+            g.descent_mask = list(g.descent_mask)
+            g.descent_mask[i] ^= 1 << s
+            assert bhr_step(g, face_weights(g, x)) != h_measure(g, x), (i, s)
+
+
 def _subsets(r):
     for m in range(1 << r):
         yield [i for i in range(r) if m >> i & 1]

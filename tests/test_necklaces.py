@@ -105,6 +105,30 @@ def test_twisted_orbit_canonical_invariance():
         assert canonicalize_necklace("twisted", cur)[0] == canon
 
 
+def primitive_necklaces_by_full_scan(kind, size, bound):
+    """Oracle: every word with entries in [-bound, bound], in lexicographic
+    order, kept when it is its orbit's canonical word and primitive."""
+    out = []
+    for word in itertools.product(range(-bound, bound + 1), repeat=size):
+        canon, primitive = canonicalize_necklace(kind, word)
+        if primitive and canon == word:
+            out.append(word)
+    return out
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+@pytest.mark.parametrize("kind", ["plain", "twisted", "blinking"])
+def test_primitive_necklaces_against_full_scan(kind, size):
+    for bound in range(5):
+        expected = primitive_necklaces_by_full_scan(kind, size, bound)
+        assert primitive_necklaces(kind, size, bound) == expected, bound  # order included
+
+
+def test_primitive_necklaces_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown necklace kind"):
+        primitive_necklaces("moebius", 2, 1)
+
+
 @pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (3, 5), (4, 3)])
 def test_ornament_count_is_q_to_n(n, q):
     assert count_signed_ornaments(n, q) == q**n

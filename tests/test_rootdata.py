@@ -12,6 +12,7 @@ from coxshuffle.rootdata import (
     _root_closure,
     affine_data,
     build_root_system,
+    card_range,
     p_count,
     parse_type,
 )
@@ -91,6 +92,18 @@ def test_dihedral_parameters():
 def test_unsupported_types(family, rank):
     with pytest.raises(UnsupportedTypeError):
         build_root_system(family, rank)
+
+
+@pytest.mark.parametrize("family,shift,expected", [("A", 1, (2, 6)), ("B", 0, (2, 4))])
+def test_card_range_is_read_from_the_family_table(family, shift, expected):
+    # n cards: the group is A_{n-1} or B_n, built at both ends of the range
+    # and rejected one past its top
+    least, greatest = card_range(family)
+    assert (least, greatest) == expected
+    for n in (least, greatest):
+        assert build_root_system(family, n - shift).rank == n - shift
+    with pytest.raises(UnsupportedTypeError):
+        build_root_system(family, greatest + 1 - shift)
 
 
 @pytest.mark.parametrize("m", [7, 8, 9, 11, 12, 13])

@@ -70,6 +70,10 @@ def test_exact_law_equals_measure(model, n, x, t):
     *(("gsr_a", 3, x) for x in (1, 5, 129, 300, 65537)),
     *(("typeB_flip", 3, x) for x in (5, 129, 65537)),
     ("gsr_a", 1, 5),
+    # the top of the range: k = 31, and k = 32, where the lane mask is all
+    # ones and the shift is 0
+    *(("gsr_a", 3, x) for x in (2**31 - 1, 2**31, 2**32 - 1)),
+    *(("typeB_flip", 2, x) for x in (2**31 - 1, 2**32 - 1)),
 ])
 @pytest.mark.parametrize("seed", range(5))
 def test_empirical_law_equals_per_sample_loop(model, n, x, seed):
