@@ -23,7 +23,6 @@ _SUBMODULE = {
     "coexponents": "lattice",
     "Subspace": "linalg",
     "canonicalize": "linalg",
-    "FaceWeights": "measures",
     "WMeasure": "measures",
     "bhr_step": "measures",
     "convolve": "measures",

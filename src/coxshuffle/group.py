@@ -28,14 +28,15 @@ the generators (``rmult``), and a tree: each element j is found as
 left products and the inverses are then one lookup per element along that
 tree, s_h w_j = (s_h w_parent) s_g and w_j^-1 = s_g w_parent^-1, with no
 byte key composed or inverted.  Descent sets come from testing which
-simple roots an element sends negative.  Reflection-representation
-matrices are exact and computed on demand (for H4, materializing all
-14400 4x4 golden matrices up front would cost tens of MB; the byte keys
-cost 3.5 MB).  Conjugacy classes, the per-element coset-minimum masks, the
-descent counts of each class, the structure constants of the descent
-algebra and the per-element keys of each kind of measure value table
-(``measure_keys``) are built from the elements, each once, on first use;
-the coset minima of one W_K are computed on each call.
+simple roots an element sends negative, one pass over W per generator.
+Reflection-representation matrices are exact and computed on demand (for
+H4, materializing all 14400 4x4 golden matrices up front would cost tens
+of MB; the byte keys cost 3.5 MB).  Conjugacy classes, the per-element
+length-descent sets {s : l(ws) < l(w)} (read from lengths, not from the
+root action), the descent counts of each class, the structure constants of
+the descent algebra and the per-element keys of each kind of measure value
+table (``measure_keys``) are built from the elements, each once, on first
+use; the coset minima of one W_K are computed on each call.
 
 A subset K of the simple reflections, and so a descent set, is a bitmask:
 bit i stands for simple reflection i.  Every per-subset table (the
@@ -97,7 +98,7 @@ class CoxeterGroup:
         self._class_of: Optional[List[int]] = None
         self._poincare: Optional[List[List[int]]] = None
         self._parabolics: Optional[List[ParabolicData]] = None
-        self._minrep_masks: Optional[List[int]] = None
+        self._length_descents: Optional[List[int]] = None
         self._class_descents: Optional[List[Counter]] = None
         self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
         self._measure_counts: Dict[Tuple[str, ...], Counter] = {}
@@ -169,14 +170,12 @@ class CoxeterGroup:
         for p, g in zip(parent[1:], gen_of[1:]):
             inverse.append(lmult[g][inverse[p]])
 
+        # one pass over W per generator: bit g is set iff the element sends
+        # simple root g to a negative root
         descent_mask = [0] * size
-        for i in range(size):
-            k = keys[i]
-            dm = 0
-            for g in range(r):
-                if k[simple[g]] >= n_pos:  # simple root g is sent to a negative root
-                    dm |= 1 << g
-            descent_mask[i] = dm
+        for g, j in enumerate(simple):
+            bit = 1 << g
+            descent_mask = [d | bit if k[j] >= n_pos else d for d, k in zip(descent_mask, keys)]
 
         longest = self.longest_index
         if length[longest] != n_pos or descent_mask[longest] != (1 << r) - 1:
@@ -340,28 +339,24 @@ class CoxeterGroup:
                         stack.append(j)
         return reps
 
-    def minrep_masks(self) -> List[int]:
-        """Per element, the set of the subsets K (bit K for the subset of mask
-        K) for which the element is its own ``coset_minreps(K)`` entry.
+    def length_descents(self) -> List[int]:
+        """Per element w, the mask of its length-descent set L(w) = {s :
+        l(ws) < l(w)}, built once.  w is the minimum of its coset w W_K iff
+        no s in K gives l(ws) < l(w), that is iff K and L(w) are disjoint.
 
-        w is the minimum of w W_K iff no s in K gives l(ws) < l(w), so the
-        mask depends only on w's length-descent set L(w): it is read from a
-        table over the 2^r sets L, holding the K with K and L disjoint.  L(w)
-        comes from the Cayley graph (``rmult`` and ``length``), one pass over
-        W per generator, and never from ``descent_mask``, which the measure
-        reads off the root action: the walk and H agree because l(ws) < l(w)
-        iff w(alpha_s) < 0, not because they read one table."""
-        if self._minrep_masks is None:
+        L(w) comes from the Cayley graph (``rmult`` and ``length``), one pass
+        over W per generator, and never from ``descent_mask``, which the
+        measure reads off the root action: the walk and H agree because
+        l(ws) < l(w) iff w(alpha_s) < 0, not because they read one table."""
+        if self._length_descents is None:
             length = self.length
             lower = [0] * self.size  # bit s set iff l(w s) < l(w)
             for s, rs in enumerate(self.rmult):
                 bit = 1 << s
                 lower = [d | bit if length[j] < lw else d
                          for d, j, lw in zip(lower, rs, length)]
-            full = 1 << self.rank
-            avoiding = [sum(1 << K for K in range(full) if not K & L) for L in range(full)]
-            self._minrep_masks = list(map(avoiding.__getitem__, lower))
-        return self._minrep_masks
+            self._length_descents = lower
+        return self._length_descents
 
     def class_descent_counts(self) -> List[Counter]:
         """Per conjugacy class, in ``conjugacy_classes()`` order, the number
@@ -398,12 +393,12 @@ class CoxeterGroup:
 
     def measure_keys(self, kind: str) -> Sequence[int]:
         """Per element, its key in a measure table of this kind: its descent
-        mask for "descent", its ``minrep_masks`` mask for "minrep" and its
-        index for "element"."""
+        mask for "descent", the mask of its ``length_descents`` set for
+        "length_descent" and its index for "element"."""
         if kind == "descent":
             return self.descent_mask
-        if kind == "minrep":
-            return self.minrep_masks()
+        if kind == "length_descent":
+            return self.length_descents()
         if kind == "element":
             return range(self.size)
         raise ValueError(f"unknown measure key kind {kind!r}")

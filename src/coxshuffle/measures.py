@@ -17,12 +17,12 @@ walk's spectrum identity.
 
 A subset K of the simple reflections, or a descent set D, is a bitmask
 with bit i for simple reflection i, as in ``group``; every per-subset
-table here (face weights, descent values) is a list of 2^r values indexed
-by that mask.
+table here (face weights, descent values, walk values) is a list of 2^r
+values indexed by that mask.
 
 A measure is one value table: H(W, x) is constant on right-descent classes
 and holds 2^r values, one per descent mask; the walk step is constant on
-the classes of coset-minimum masks and holds one face-weight sum per mask.
+length-descent classes and holds 2^r values, one per length-descent set.
 Dense values are built on demand and never stored.  The descent-class sums
 span Solomon's descent algebra, which is closed under products (L. Solomon,
 "A Mackey formula in the group ring of a Coxeter group", J. Algebra 41,
@@ -71,10 +71,10 @@ def binom(x: Union[int, Fraction], n: int) -> Fraction:
 class WMeasure:
     """Signed measure on the group, coefficients summing to one exactly, as
     one value table: the value at element i is ``table[group.measure_keys(
-    kind)[i]]``, where the kind is "descent", "minrep" or "element".  Only
-    the values at given elements (``value``, ``dense``) read per-element
-    keys; the rest reads the key counts (``group.measure_counts``), which
-    for a descent table are rank-level."""
+    kind)[i]]``, where the kind is "descent", "length_descent" or
+    "element".  Only the values at given elements (``value``, ``dense``)
+    read per-element keys; the rest reads the key counts
+    (``group.measure_counts``), which for a descent table are rank-level."""
 
     def __init__(self, group: CoxeterGroup, x_param: Optional[Fraction], kind: str, table):
         counts = group.measure_counts(kind)
@@ -86,7 +86,7 @@ class WMeasure:
         self.group = group
         self.x_param = x_param
         self.kind = kind
-        self.table = dict(table) if isinstance(table, dict) else tuple(table)
+        self.table = tuple(table)
 
     def value(self, i: int) -> Fraction:
         return self.table[self.group.measure_keys(self.kind)[i]]
@@ -113,44 +113,17 @@ class WMeasure:
         return all(a[i] == b[j] for i, j in self.group.measure_counts(self.kind, other.kind))
 
     def __hash__(self):
-        # the identity's key in each kind: descent mask 0, the minrep mask of
-        # all 2^r subsets (it is the minimum of each of its cosets), index 0
-        key = (1 << (1 << self.group.rank)) - 1 if self.kind == "minrep" else 0
-        return hash((id(self.group), self.table[key]))
+        # the identity's key is 0 in each kind: no descent, no length
+        # descent, index 0
+        return hash((id(self.group), self.table[0]))
 
     def min_value(self) -> Fraction:
         return min(map(self.table.__getitem__, self.group.measure_counts(self.kind)))
 
 
-class FaceWeights:
-    """Weight v_K shared by every face of type K (the cosets of W_K), as
-    ``weights[K]`` for the mask K."""
-
-    __slots__ = ("group", "x_param", "weights", "method")
-
-    def __init__(self, group: CoxeterGroup, x_param: Fraction, weights: List[Fraction],
-                 method: str):
-        self.group = group
-        self.x_param = x_param
-        self.weights = weights
-        self.method = method
-
-    def __repr__(self):
-        return "FaceWeights(" + ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
-
-    def face_total(self) -> Fraction:
-        g = self.group
-        return sum(
-            Fraction(g.size, pd.subgroup_order) * v
-            for pd, v in zip(g.parabolic_table(), self.weights)
-        )
-
-    def min_weight(self) -> Fraction:
-        return min(self.weights)
-
-
-def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
-    """The group-theoretic face weights of the one-step chamber walk."""
+def face_weights(g: CoxeterGroup, x, method: str = "definition") -> List[Fraction]:
+    """The weight v_K shared by every face of type K (the cosets of W_K) in
+    the one-step chamber walk, as a list indexed by the mask of K."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
@@ -171,7 +144,7 @@ def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
             weights.append((-1) ** (r - K.bit_count()) * chi(x) / (xr * chi_neg1))
         else:
             raise ValueError(f"unknown face-weight method {method!r}")
-    return FaceWeights(g, x, weights, method)
+    return weights
 
 
 def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
@@ -180,7 +153,7 @@ def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
     if x == 0:
         raise ValueError("x must be nonzero")
     if method in ("definition", "os_sign"):
-        weights = face_weights(g, x, method).weights
+        weights = face_weights(g, x, method)
         table = [
             sum((v for K, v in enumerate(weights) if not K & D), Fraction(0))
             for D in range(1 << g.rank)
@@ -300,28 +273,31 @@ def sommers_identity_check(g: CoxeterGroup, x: int) -> SommersReport:
 # -- the chamber walk ----------------------------------------------------------
 
 
-def bhr_step(g: CoxeterGroup, fw: FaceWeights) -> WMeasure:
-    """One step of the chamber walk started at the identity chamber.
+def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
+    """One step of the chamber walk started at the identity chamber, for
+    the face weights v_K (a list indexed by the mask of K).
 
-    For each face (a coset uW_K) the landing chamber is the coset element
-    of minimal length; the walk lands on w with the total weight of the
-    faces whose minimum is w, i.e. the sum of v_K over the K for which w is
-    its own ``coset_minreps(K)`` entry.  That sum depends only on w's mask
-    of such K (``g.minrep_masks()``), so it is taken once per distinct mask
-    (``g.measure_counts("minrep")``).  Computed from coset minima alone,
-    independently of the descent sets and of h_measure, as a cross-check
-    oracle: the masks come from lengths in the Cayley graph (l(ws) < l(w)),
-    while H reads each element's descent mask off the root action
-    (w(alpha_s) < 0).  The two agree by the theorem l(ws) < l(w) iff
+    The weights must satisfy sum over K of |W| / |W_K| v_K = 1, one weight
+    per face; this is checked from the rank-level parabolic data, before
+    any element table is read.  For each face (a coset uW_K) the landing
+    chamber is the coset element of minimal length, and w is the minimum
+    of w W_K iff K avoids its length-descent set L(w) = {s : l(ws) < l(w)}.
+    So the walk lands on w with the sum of v_K over the K with K and L(w)
+    disjoint, one value per mask of L (``g.length_descents()``).  Computed
+    from lengths alone, independently of the descent sets and of h_measure,
+    as a cross-check oracle: L(w) comes from lengths in the Cayley graph
+    (l(ws) < l(w)), while H reads each element's descent mask off the root
+    action (w(alpha_s) < 0).  The two agree by the theorem l(ws) < l(w) iff
     w(alpha_s) < 0, so an error in either table breaks the equality."""
-    total = fw.face_total()
+    total = sum(Fraction(g.size, pd.subgroup_order) * v
+                for pd, v in zip(g.parabolic_table(), weights))
     if total != 1:
         raise ValueError(f"face weights sum to {total}, not 1")
-    table = {
-        mask: sum((v for K, v in enumerate(fw.weights) if mask >> K & 1), Fraction(0))
-        for mask in g.measure_counts("minrep")
-    }
-    return WMeasure(g, fw.x_param, "minrep", table)
+    table = [
+        sum((v for K, v in enumerate(weights) if not K & L), Fraction(0))
+        for L in range(1 << g.rank)
+    ]
+    return WMeasure(g, None, "length_descent", table)
 
 
 # -- descent-algebra operations -------------------------------------------------

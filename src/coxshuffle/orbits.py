@@ -233,10 +233,11 @@ def identity_class_label(fam: OrbitFamily) -> ClassLabel:
     return ClassLabel("bipartition", ((1,) * fam.n, ()))
 
 
-def weyl_exponents(fam: OrbitFamily) -> List[int]:
-    if fam.tag == "A":
-        return list(range(1, fam.n))
-    return list(range(1, 2 * fam.n, 2))
+def weyl_exponents(tag: str, n: int) -> List[int]:
+    """The exponents of A_{n-1} (tag "A") or of B_n (tag "B")."""
+    if tag == "A":
+        return list(range(1, n))
+    return list(range(1, 2 * n, 2))
 
 
 def identity_class_count(fam: OrbitFamily) -> int:
@@ -247,17 +248,20 @@ def identity_class_count(fam: OrbitFamily) -> int:
 
 def identity_class_prediction(fam: OrbitFamily) -> Fraction:
     """prod (q + m_i) / (1 + m_i) over the exponents of the Weyl group."""
+    return _exponent_product(fam.q, weyl_exponents(fam.tag, fam.n))
+
+
+def _exponent_product(q: int, exponents: List[int]) -> Fraction:
     out = Fraction(1)
-    for m in weyl_exponents(fam):
-        out *= Fraction(fam.q + m, 1 + m)
+    for m in exponents:
+        out *= Fraction(q + m, 1 + m)
     return out
 
 
 def split_census_constant_one(n: int, q: int) -> Tuple[int, Fraction]:
     """Conjugacy-class-side counterexample census: monic degree-n polynomials
     over F_q splitting into linear factors with constant term 1, against the
-    orbit-side prediction prod (q + m_i)/(1 + m_i)."""
-    ctx = FqContext.get(q)
+    orbit-side prediction prod (q + m_i)/(1 + m_i) of type A_{n-1}."""
     census = 0
     for roots in itertools.combinations_with_replacement(range(q), n):
         prod = 1
@@ -265,10 +269,7 @@ def split_census_constant_one(n: int, q: int) -> Tuple[int, Fraction]:
             prod = prod * (-a) % q
         if prod % q == 1 % q:
             census += 1
-    prediction = Fraction(1)
-    for m in range(1, n):
-        prediction *= Fraction(q + m, 1 + m)
-    return census, prediction
+    return census, _exponent_product(q, weyl_exponents("A", n))
 
 
 class TranslationReport:

@@ -119,7 +119,8 @@ class RootSystem:
 
     @property
     def crystallographic(self) -> bool:
-        return self.family in ("A", "B", "D", "G2")
+        # rational roots, outside the dihedral family I2(m)
+        return self.family != "I2" and self.scalar_field == "rational"
 
     def type_name(self) -> str:
         if self.family == "I2":

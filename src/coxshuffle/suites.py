@@ -164,8 +164,7 @@ def _suite_walk_oracle(rep: Report, p: dict) -> None:
     for t in p["types"]:
         g = get_group(t)
         for x in p["xs"]:
-            fw = face_weights(g, x, "definition")
-            walked = bhr_step(g, fw)
+            walked = bhr_step(g, face_weights(g, x, "definition"))
             rep.add(f"{t} x={x}: one walk step vs measure", "equal",
                     "equal" if walked == h_measure(g, x, "definition") else "different",
                     "coset-minima")
@@ -177,7 +176,7 @@ def _suite_nonnegativity(rep: Report, p: dict) -> None:
         for x in xs:
             fw = face_weights(g, x, "definition")
             m = h_measure(g, x, "definition")
-            ok = fw.min_weight() >= 0 and m.min_value() >= 0
+            ok = min(fw) >= 0 and m.min_value() >= 0
             rep.add(f"{t} x={x}: face weights and measure nonnegative",
                     "nonnegative", "nonnegative" if ok else "negative value found",
                     "good-prime-claim")

@@ -396,36 +396,49 @@ def test_coset_minreps_definitions():
             assert reps[i] == best
 
 
+# An element's minrep mask, the subsets K for which it is the minimum of its
+# coset w W_K, is the K disjoint from its length-descent set: the three
+# tests below check those sets.
+
+
 @pytest.mark.parametrize("t", SUPPORTED)
 def test_minrep_masks_are_descent_free_subsets(t):
-    # w is the minimum of its coset w W_K exactly when K avoids its right descents
+    # the walk's key kind counts each element's length-descent set, and
+    # l(ws) < l(w) iff w(alpha_s) < 0, so the set is the descent set
     g = get_group(t)
-    masks = g.minrep_masks()
-    for i in range(g.size):
-        dm = g.descent_mask[i]
-        assert masks[i] == sum(1 << k for k in range(1 << g.rank) if not k & dm)
-    assert g.measure_counts("minrep") == Counter(masks)
+    lower = g.length_descents()
+    assert g.measure_counts("length_descent") == Counter(lower)
+    assert lower == g.descent_mask
 
 
 @pytest.mark.parametrize("t", SUPPORTED)
 def test_minrep_masks_against_the_coset_walk(t):
-    # the coset walk is the oracle: bit K of an element's mask is set iff
-    # the element is its own coset_minreps(K) entry
+    # the coset walk is the oracle: K and L(w) are disjoint iff w is its own
+    # coset_minreps(K) entry
     g = get_group(t)
-    masks = g.minrep_masks()
+    lower = g.length_descents()
     for K in range(1 << g.rank):
         reps = g.coset_minreps([k for k in range(g.rank) if K >> k & 1])
-        assert [masks[i] >> K & 1 for i in range(g.size)] == [
-            int(reps[i] == i) for i in range(g.size)], K
-    assert masks is g.minrep_masks()
+        assert [not K & lower[i] for i in range(g.size)] == [
+            reps[i] == i for i in range(g.size)], K
+    assert lower is g.length_descents()
 
 
 def test_minrep_masks_read_no_descent_masks():
-    g = CoxeterGroup(parse_type("H3"))  # a private group: its descent table is removed
-    expected = list(get_group("H3").minrep_masks())
-    g.length  # builds the element tables
-    g.descent_mask = None
-    assert g.minrep_masks() == expected
+    for t in SUPPORTED:
+        g = CoxeterGroup(parse_type(t))  # a private group: its descent table is removed
+        expected = list(get_group(t).length_descents())
+        g.length  # builds the element tables
+        g.descent_mask = None
+        assert g.length_descents() == expected, t
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_descent_masks_against_word_descent_masks(t):
+    # the element tables' descent masks against the ones composed from each
+    # element's word on the generators' keys alone
+    g = get_group(t)
+    assert g.descent_mask == [g.word_descent_mask(g.word(i)) for i in range(g.size)]
 
 
 def brute_structure_counts(g, w):
@@ -462,18 +475,19 @@ def test_descent_class_sizes_and_pairs(t):
     assert keys is g.descent_mask and sizes == Counter(g.descent_mask)
     assert len(sizes) == 1 << g.rank  # no descent class is empty
     assert g.measure_counts("descent", "descent") == Counter(zip(keys, keys))
-    assert g.measure_keys("minrep") is g.minrep_masks()
-    assert g.measure_counts("minrep") == Counter(g.minrep_masks())
-    pairs = g.measure_counts("descent", "minrep")
-    assert pairs == Counter(zip(g.descent_mask, g.minrep_masks()))
-    # w is the minimum of w W_K iff K avoids w's descents, so the minrep mask
-    # is a function of the descent mask: one pair per descent class
+    assert g.measure_keys("length_descent") is g.length_descents()
+    assert g.measure_counts("length_descent") == Counter(g.length_descents())
+    pairs = g.measure_counts("descent", "length_descent")
+    assert pairs == Counter(zip(g.descent_mask, g.length_descents()))
+    # l(ws) < l(w) iff w(alpha_s) < 0, so the two keys agree: one pair per
+    # descent class
     assert len(pairs) == 1 << g.rank
     if g.size <= 400:
         keys, counts = g.measure_keys("element"), g.measure_counts("element")
         assert list(keys) == list(range(g.size)) and set(counts.values()) == {1}
         assert len(counts) == g.size
-    assert g.measure_counts("descent", "minrep") is g.measure_counts("descent", "minrep")
+    assert g.measure_counts("descent", "length_descent") is g.measure_counts(
+        "descent", "length_descent")
 
 
 def test_measure_keys_rejects_unknown_kind():

@@ -9,7 +9,6 @@ import pytest
 from coxshuffle.group import get_group
 from coxshuffle.measures import (
     ClassMeasure,
-    FaceWeights,
     WMeasure,
     bhr_step,
     binom,
@@ -31,11 +30,17 @@ SUPPORTED = SMALL_TYPES + ["I2(3)", "I2(4)", "H3", "H4"]
 ORACLE_XS = [2, Fraction(1, 2), -1, Fraction(7, 3)]
 
 
-def uniform_chamber_weights(g) -> FaceWeights:
+def uniform_chamber_weights(g):
     """All weight on the chambers (type-empty faces), uniformly."""
     weights = [Fraction(0)] * (1 << g.rank)
     weights[0] = Fraction(1, g.size)
-    return FaceWeights(g, Fraction(0), weights, "manual")
+    return weights
+
+
+def face_total(g, weights):
+    """Oracle: sum over K of |W| / |W_K| v_K, one weight per face."""
+    return sum(Fraction(g.size, pd.subgroup_order) * v
+               for pd, v in zip(g.parabolic_table(), weights))
 
 
 def point_mass(g, i: int) -> WMeasure:
@@ -169,7 +174,7 @@ def full_type_weights(g):
     """All weight on the one face of full type K = S, the whole group."""
     weights = [Fraction(0)] * (1 << g.rank)
     weights[(1 << g.rank) - 1] = Fraction(1)
-    return FaceWeights(g, Fraction(0), weights, "manual")
+    return weights
 
 
 def test_bhr_point_mass_on_full_type():
@@ -178,11 +183,11 @@ def test_bhr_point_mass_on_full_type():
     assert m.value(0) == 1  # the chamber closest to the identity is the identity
 
 
-def dense_bhr_step(g, fw):
+def dense_bhr_step(g, weights):
     """Oracle: the walk step one element at a time, v_K added to every
     minimum of a coset of W_K."""
     dense = [Fraction(0)] * g.size
-    for K, v in zip(_subsets(g.rank), fw.weights):
+    for K, v in zip(_subsets(g.rank), weights):
         reps = g.coset_minreps(K)
         for i in range(g.size):
             if reps[i] == i:
@@ -198,9 +203,11 @@ def dense_pushforward(m):
 @pytest.mark.parametrize("t", SUPPORTED)
 def test_bhr_step_against_dense_oracle(t):
     g = get_group(t)
-    weights = [face_weights(g, x) for x in ORACLE_XS]
-    for fw in weights + [uniform_chamber_weights(g), full_type_weights(g)]:
-        assert bhr_step(g, fw).dense() == dense_bhr_step(g, fw), fw.x_param
+    weights = {x: face_weights(g, x) for x in ORACLE_XS}
+    weights["uniform"] = uniform_chamber_weights(g)
+    weights["full type"] = full_type_weights(g)
+    for label, fw in weights.items():
+        assert bhr_step(g, fw).dense() == dense_bhr_step(g, fw), label
 
 
 def test_bhr_step_reads_no_descent_sets_and_no_measure(monkeypatch):
@@ -285,7 +292,7 @@ def test_h4_measure_ops_read_no_dense_values(monkeypatch):
     ms = [h_measure(g, x, method) for method in ("definition", "os_sign", "closed_form")]
     assert all(m.kind == "descent" and len(m.table) == 16 for m in ms)
     walk = bhr_step(g, face_weights(g, x))
-    assert walk.kind == "minrep" and len(walk.table) < g.size
+    assert walk.kind == "length_descent" and len(walk.table) == 16 and walk.x_param is None
     assert ms[0] == ms[1] == ms[2] == walk and walk == ms[0]
     prod = convolve(ms[0], h_measure(g, 2))
     assert prod.kind == "descent" and prod != ms[0]
@@ -314,7 +321,10 @@ def test_h4_descent_measures_enumerate_no_element():
     assert len({hash(m) for m in ms}) == 1
     assert ms[0].min_value() < 0 and ms[0].descent_table() == list(ms[2].table)
     fw = face_weights(g, x)
-    assert fw.face_total() == face_weights(g, x, "os_sign").face_total() == 1
+    assert face_total(g, fw) == face_total(g, face_weights(g, x, "os_sign")) == 1
+    # the walk checks the face total before it reads any element table
+    with pytest.raises(ValueError, match="face weights sum to"):
+        bhr_step(g, [v * 2 for v in fw])
     w0v, idv = longshort_values(g, x, ms[1])
     assert unbuilt(g)
     # the same values, read at the enumerated elements
@@ -357,9 +367,8 @@ def test_bhr_uniform_chamber_weights():
 def test_bhr_rejects_unnormalized_weights():
     g = get_group("A2")
     fw = face_weights(g, 2, "definition")
-    fw.weights = list(fw.weights)
-    fw.weights[0] = Fraction(1)
-    with pytest.raises(ValueError):
+    fw[0] = Fraction(1)
+    with pytest.raises(ValueError, match="face weights sum to"):
         bhr_step(g, fw)
 
 
@@ -390,14 +399,14 @@ def _walk_agrees(g, x):
 @pytest.mark.parametrize("t", ["A3", "B3", "H3"])
 def test_walk_check_fails_on_a_corrupted_length(t):
     # the walk reads lengths: one wrong length moves some coset minimum, and
-    # the masks and the walk-vs-measure check both see it
+    # the length-descent sets and the walk-vs-measure check both see it
     x = Fraction(7, 3)
-    oracle = get_group(t).minrep_masks()
+    oracle = get_group(t).length_descents()
     for i in range(get_group(t).size):
         g = _private_group(t)
         g.length = list(g.length)
         g.length[i] += 2 if i != g.longest_index else -2
-        assert g.minrep_masks() != oracle, i
+        assert g.length_descents() != oracle, i
         assert not _walk_agrees(g, x), i
 
 
@@ -428,7 +437,7 @@ def test_subset_tables_are_indexed_by_mask(t):
     lat = g.lattice()
     x = Fraction(7, 3)
     xr = x**g.rank
-    weights = {method: face_weights(g, x, method).weights for method in ("definition", "os_sign")}
+    weights = {method: face_weights(g, x, method) for method in ("definition", "os_sign")}
     for mask, K in enumerate(_subsets(g.rank)):
         pd = g.parabolic_data(K)
         assert pd is g.parabolic_data(frozenset(K)) is g.parabolic_data(reversed(K))
@@ -460,7 +469,7 @@ def test_measure_calls_make_no_frozensets(monkeypatch):
         monkeypatch.setattr(module, "frozenset", no_frozenset, raising=False)
     for method in ("definition", "os_sign", "closed_form"):
         assert h_measure(g, Fraction(7, 3), method) == bhr_step(g, face_weights(g, Fraction(7, 3)))
-    assert face_weights(g, 2, "os_sign").weights == fw.weights
+    assert face_weights(g, 2, "os_sign") == fw
 
 
 @pytest.mark.parametrize("t", ["B3", "H3"])
@@ -484,7 +493,7 @@ def brute_transition_row(g, x, u):
     dense = h_measure(g, x, "definition")  # only for the face weights below
     fw = face_weights(g, x, "definition")
     row = [Fraction(0)] * g.size
-    for K, v in zip(_subsets(g.rank), fw.weights):
+    for K, v in zip(_subsets(g.rank), fw):
         sub = subgroup_elements(g, K)
         seen = set()
         for c in range(g.size):
@@ -649,8 +658,8 @@ def test_face_weights_methods_agree_per_type():
     for t in ("A3", "B3", "G2", "I2(5)", "H3"):
         g = get_group(t)
         for x in (2, Fraction(1, 2), -1):
-            fa = face_weights(g, x, "definition").weights
-            fb = face_weights(g, x, "os_sign").weights
+            fa = face_weights(g, x, "definition")
+            fb = face_weights(g, x, "os_sign")
             assert fa == fb, (t, x)
 
 
@@ -701,7 +710,7 @@ def test_nonnegativity_good_primes():
     for t, xs in grids:
         g = get_group(t)
         for x in xs:
-            assert face_weights(g, x, "definition").min_weight() >= 0, (t, x)
+            assert min(face_weights(g, x, "definition")) >= 0, (t, x)
             assert h_measure(g, x, "definition").min_value() >= 0, (t, x)
 
 
@@ -709,7 +718,7 @@ def test_face_weights_total_is_one():
     for t in ("A2", "B3", "H3"):
         g = get_group(t)
         for x in (2, Fraction(1, 2), -1):
-            assert face_weights(g, x, "definition").face_total() == 1
+            assert face_total(g, face_weights(g, x, "definition")) == 1
 
 
 def test_i26_and_g2_give_same_measure_values():

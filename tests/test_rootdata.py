@@ -258,6 +258,18 @@ def test_affine_rejects_noncrystallographic():
         affine_data(parse_type("I2(5)"))
 
 
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_crystallographic_flag_is_read_from_the_family_data(t):
+    # the written-out list of families with affine data is the oracle
+    rs = parse_type(t)
+    assert rs.crystallographic == (rs.family in ("A", "B", "D", "G2")), t
+    if rs.family in ("H3", "H4", "I2"):
+        with pytest.raises(ValueError, match="no affine data"):
+            affine_data(rs)
+    else:
+        assert affine_data(rs).root_system == rs
+
+
 def brute_p_count(marks, S, x):
     """Oracle: exhaustive loop over bounded positive integer vectors."""
     coeffs = [marks[i] for i in range(len(marks)) if i not in S]
