@@ -102,6 +102,9 @@ class CoxeterGroup:
         self._class_descents: Optional[List[Counter]] = None
         self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
         self._measure_counts: Dict[Tuple[str, ...], Counter] = {}
+        # the measures' integer polynomial tables, keyed by method name
+        # (``measures.polynomial_tables``)
+        self._measure_tables: Dict[str, tuple] = {}
         self._exponents: Optional[Tuple[int, ...]] = None
         self._lattice: Optional[IntersectionLattice] = None
 

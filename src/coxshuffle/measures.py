@@ -37,14 +37,27 @@ The integer tables are built once per group
 ``class_descent_counts``).  A descent table, and the face weights it is
 summed from, need only the group's rank-level data, so they never
 enumerate the elements.
+
+For every method, x^r H(D) is a polynomial of degree at most r in x for
+each descent mask D, and so is x^r v_K for each face weight.  Each method
+is therefore one integer polynomial table per group, built on first use
+and kept on the group (``polynomial_tables``): 2^r rows of r + 1 integer
+coefficients over one common denominator.  A face row is
+c_K chi_K, with c_K = |W_K| / (|N_K| lambda_K) for ``definition`` and
+(-1)^(r-|K|) / chi_K(-1) for ``os_sign``; the H rows are their sums over
+the K disjoint from D, one subset-sum transform of integer rows.  The
+closed forms are expanded to the same shape.  ``h_measure`` and
+``face_weights`` evaluate a table at x = a/b: row D is
+sum of c_k a^k b^(r-k) over den a^r, one integer dot product and one
+Fraction per mask.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
-from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import factorial, gcd, lcm
+from operator import add, mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .group import CoxeterGroup
 from .labels import ClassLabel, ClassMeasure
@@ -55,14 +68,6 @@ from .rootdata import affine_data, p_count
 def get_lattice(g: CoxeterGroup) -> IntersectionLattice:
     """The group's intersection lattice; it lives and dies with the group."""
     return g.lattice()
-
-
-def binom(x: Union[int, Fraction], n: int) -> Fraction:
-    """Generalized binomial coefficient: x(x-1)...(x-n+1)/n!."""
-    num = Fraction(1)
-    for j in range(n):
-        num *= Fraction(x) - j
-    return num / factorial(n)
 
 
 # -- measures -----------------------------------------------------------------
@@ -80,9 +85,10 @@ class WMeasure:
         counts = group.measure_counts(kind)
         if len(table) != len(counts):
             raise ValueError("wrong number of values")
-        total = sum(n * table[k] for k, n in counts.items())
-        if total != 1:
-            raise ValueError(f"measure coefficients sum to {total}, not 1")
+        nums, den = _over_common_denominator(table)
+        total = sum(n * nums[k] for k, n in counts.items())
+        if total != den:
+            raise ValueError(f"measure coefficients sum to {Fraction(total, den)}, not 1")
         self.group = group
         self.x_param = x_param
         self.kind = kind
@@ -121,48 +127,11 @@ class WMeasure:
         return min(map(self.table.__getitem__, self.group.measure_counts(self.kind)))
 
 
-def face_weights(g: CoxeterGroup, x, method: str = "definition") -> List[Fraction]:
-    """The weight v_K shared by every face of type K (the cosets of W_K) in
-    the one-step chamber walk, as a list indexed by the mask of K."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    lat = get_lattice(g)
-    r = g.rank
-    xr = x**r
-    weights: List[Fraction] = []
-    for K in range(1 << r):
-        chi = lat.char_poly(lat.mask_to_id[lat.standard_masks[K]])
-        if method == "definition":
-            pd = g.parabolic_table()[K]
-            weights.append(pd.subgroup_order * chi(x)
-                           / (xr * pd.normalizer_order * pd.lambda_count))
-        elif method == "os_sign":
-            chi_neg1 = chi(-1)
-            if chi_neg1 == 0:
-                raise RuntimeError("restricted characteristic polynomial vanishes at -1")
-            weights.append((-1) ** (r - K.bit_count()) * chi(x) / (xr * chi_neg1))
-        else:
-            raise ValueError(f"unknown face-weight method {method!r}")
-    return weights
+# -- the polynomial tables ------------------------------------------------------
 
-
-def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
-    """The shuffling measure, by one of the three independent methods."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("x must be nonzero")
-    if method in ("definition", "os_sign"):
-        weights = face_weights(g, x, method)
-        table = [
-            sum((v for K, v in enumerate(weights) if not K & D), Fraction(0))
-            for D in range(1 << g.rank)
-        ]
-        return WMeasure(g, x, "descent", table)
-    if method == "closed_form":
-        return _closed_form(g, x)
-    raise ValueError(f"unknown method {method!r}")
-
+# a table: rows of r + 1 integer coefficients, x^0 up, over one positive
+# common denominator; row i at x is sum of row[k] x^k over den x^r
+PolyTable = Tuple[Sequence[Sequence[int]], int]
 
 # piecewise closed forms for the two golden families, keyed by descent data;
 # numerators are products of (x + c) over the listed shifts
@@ -170,35 +139,136 @@ _H3_SHIFTS = {0: (9, 5, 1), 1: (5, 1, -1), 2: (1, -1, -5), 3: (-1, -5, -9)}
 _H4_SHIFTS_D = {0: (29, 19, 11, 1), 3: (1, -1, -11, -19), 4: (-1, -11, -19, -29)}
 
 
-def _closed_form(g: CoxeterGroup, x: Fraction) -> WMeasure:
+def polynomial_tables(g: CoxeterGroup, method: str) -> Tuple[Optional[PolyTable], PolyTable]:
+    """(face table, H table) of a method, built on first use and kept on the
+    group under the method's name.  Row K of the face table is x^r v_K, row
+    D of the H table is x^r H(D); ``closed_form`` has no face table.
+    Raises ValueError for an unknown method, and for ``closed_form`` on a
+    family without one."""
+    tables = g._measure_tables.get(method)
+    if tables is None:
+        if method == "closed_form":
+            tables = (None, _closed_form_rows(g))
+        elif method in ("definition", "os_sign"):
+            rows, den = _face_rows(g, method)
+            tables = ((rows, den), (_avoiding_sums(rows), den))
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        g._measure_tables[method] = tables
+    return tables
+
+
+def _face_rows(g: CoxeterGroup, method: str) -> Tuple[List[Tuple[int, ...]], int]:
+    """The coefficients of c_K chi_K per mask of K, over one common denominator."""
+    lat = g.lattice()
+    r = g.rank
+    chis = [lat.char_poly(lat.mask_to_id[std]).coefficients for std in lat.standard_masks]
+    if method == "definition":
+        scales = [Fraction(pd.subgroup_order, pd.normalizer_order * pd.lambda_count)
+                  for pd in g.parabolic_table()]
+    else:  # os_sign
+        scales = []
+        for K, chi in enumerate(chis):
+            chi_neg1 = sum(chi[::2]) - sum(chi[1::2])
+            if chi_neg1 == 0:
+                raise RuntimeError("restricted characteristic polynomial vanishes at -1")
+            scales.append(Fraction((-1) ** (r - K.bit_count()), chi_neg1))
+    nums, den = _over_common_denominator(scales)
+    return [tuple(n * c for c in chi) + (0,) * (r + 1 - len(chi))
+            for n, chi in zip(nums, chis)], den
+
+
+def _avoiding_sums(rows: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Row D of the result is the sum of the rows K with K and D disjoint:
+    the sums over the subsets of each mask (one pass per bit, r 2^(r-1) row
+    additions), read at the complement of D."""
+    sums = list(rows)
+    full = len(rows) - 1
+    bit = 1
+    while bit <= full:
+        for S in range(full + 1):
+            if S & bit:
+                sums[S] = tuple(map(add, sums[S], sums[S ^ bit]))
+        bit <<= 1
+    return [sums[full ^ D] for D in range(full + 1)]
+
+
+def _expand(shifts: Iterable[int]) -> List[int]:
+    """The coefficients, x^0 up, of the product of (x + c) over the shifts."""
+    out = [1]
+    for c in shifts:
+        out = [c * u + v for u, v in zip(out + [0], [0] + out)]
+    return out
+
+
+def _closed_form_rows(g: CoxeterGroup) -> Tuple[List[List[int]], int]:
+    """The numerators of x^r H(D) by the closed forms, per descent mask,
+    over their one denominator; each depends on D through d = |D| alone,
+    except for H4."""
     fam = g.root_system.family
     r = g.rank
     masks = range(1 << r)
     if fam == "A":
-        n = r + 1
-        values = [binom(x + n - 1 - D.bit_count(), n) / x**n for D in masks]
-    elif fam == "B":
-        denom = x**r * 2**r * factorial(r)
-        values = [prod(x + 2 * i - 1 - 2 * D.bit_count() for i in range(1, r + 1)) / denom
-                  for D in masks]
-    elif fam == "H3":
-        values = [prod(x + c for c in _H3_SHIFTS[D.bit_count()]) / (120 * x**3) for D in masks]
-    elif fam == "H4":
-        values = [_h4_numerator(x, D) / (14400 * x**4) for D in masks]
-    else:
-        raise ValueError(f"no closed form for type {g.root_system.type_name()}")
-    return WMeasure(g, x, "descent", values)
+        # binom(x + r - d, r + 1) / x^(r+1) is the product of x + c over
+        # c = -d..r-d, over (r+1)! x^(r+1); the factor with c = 0 cancels one x
+        return [_expand(c for c in range(-D.bit_count(), r + 1 - D.bit_count()) if c)
+                for D in masks], factorial(r + 1)
+    if fam == "B":
+        return [_expand(2 * i - 1 - 2 * D.bit_count() for i in range(1, r + 1))
+                for D in masks], 2**r * factorial(r)
+    if fam == "H3":
+        return [_expand(_H3_SHIFTS[D.bit_count()]) for D in masks], 120
+    if fam == "H4":
+        return [_h4_numerator(D) for D in masks], 14400
+    raise ValueError(f"no closed form for type {g.root_system.type_name()}")
 
 
-def _h4_numerator(x: Fraction, D: int) -> Fraction:
+def _h4_numerator(D: int) -> List[int]:
     d = D.bit_count()
     if d in _H4_SHIFTS_D:
-        return prod(x + c for c in _H4_SHIFTS_D[d])
+        return _expand(_H4_SHIFTS_D[d])
     if d == 1:  # D is {0} or {1} below 0b100, {2} or {3} above
-        return (x + 1) * (x - 1) * (x * x + 30 * x + (149 if D < 0b100 else 269))
+        # (x + 1)(x - 1)(x^2 + 30x + k)
+        k = 149 if D < 0b100 else 269
+        return [-k, -30, k - 1, 30, 1]
     if D == 0b1100:  # {2, 3}
-        return ((x + 1) * (x - 1)) ** 2
-    return (x + 11) * (x + 1) * (x - 1) * (x - 11)
+        return _expand((1, -1, 1, -1))
+    return _expand((11, 1, -1, -11))
+
+
+def _evaluate(table: PolyTable, x: Fraction) -> List[Fraction]:
+    """Every row of the table at x = a/b: sum of c_k a^k b^(r-k) over
+    den a^r, one integer dot product and one Fraction per row."""
+    rows, den = table
+    a, b = x.numerator, x.denominator
+    r = len(rows[0]) - 1
+    powers = [a**k * b ** (r - k) for k in range(r + 1)]
+    scale = den * a**r
+    return [Fraction(sum(map(mul, row, powers)), scale) for row in rows]
+
+
+def _nonzero(x) -> Fraction:
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("x must be nonzero")
+    return x
+
+
+def face_weights(g: CoxeterGroup, x, method: str = "definition") -> List[Fraction]:
+    """The weight v_K shared by every face of type K (the cosets of W_K) in
+    the one-step chamber walk, as a list indexed by the mask of K: the
+    method's face table at x."""
+    x = _nonzero(x)
+    if method not in ("definition", "os_sign"):
+        raise ValueError(f"unknown face-weight method {method!r}")
+    return _evaluate(polynomial_tables(g, method)[0], x)
+
+
+def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
+    """The shuffling measure, by one of the three independent methods: the
+    method's H table at x."""
+    x = _nonzero(x)
+    return WMeasure(g, x, "descent", _evaluate(polynomial_tables(g, method)[1], x))
 
 
 # -- identity / longest element ------------------------------------------------
@@ -283,18 +353,19 @@ def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
     chamber is the coset element of minimal length, and w is the minimum
     of w W_K iff K avoids its length-descent set L(w) = {s : l(ws) < l(w)}.
     So the walk lands on w with the sum of v_K over the K with K and L(w)
-    disjoint, one value per mask of L (``g.length_descents()``).  Computed
+    disjoint, one value per mask of L (``g.length_descents()``), summed on
+    integer numerators over the weights' common denominator.  Computed
     from lengths alone, independently of the descent sets and of h_measure,
     as a cross-check oracle: L(w) comes from lengths in the Cayley graph
     (l(ws) < l(w)), while H reads each element's descent mask off the root
     action (w(alpha_s) < 0).  The two agree by the theorem l(ws) < l(w) iff
     w(alpha_s) < 0, so an error in either table breaks the equality."""
-    total = sum(Fraction(g.size, pd.subgroup_order) * v
-                for pd, v in zip(g.parabolic_table(), weights))
-    if total != 1:
-        raise ValueError(f"face weights sum to {total}, not 1")
+    nums, den = _over_common_denominator(weights)
+    total = sum(g.size // pd.subgroup_order * n for pd, n in zip(g.parabolic_table(), nums))
+    if total != den:
+        raise ValueError(f"face weights sum to {Fraction(total, den)}, not 1")
     table = [
-        sum((v for K, v in enumerate(weights) if not K & L), Fraction(0))
+        Fraction(sum(n for K, n in enumerate(nums) if not K & L), den)
         for L in range(1 << g.rank)
     ]
     return WMeasure(g, None, "length_descent", table)

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 
 import pytest
 
@@ -11,11 +11,11 @@ from coxshuffle.measures import (
     ClassMeasure,
     WMeasure,
     bhr_step,
-    binom,
     convolve,
     face_weights,
     h_measure,
     longshort_values,
+    polynomial_tables,
     pushforward_classes,
     sommers_identity_check,
     spectrum_product,
@@ -27,7 +27,17 @@ from test_shuffling import exact_shuffle_law
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
                "I2(2)", "I2(5)", "I2(6)", "I2(10)", "D4"]
 SUPPORTED = SMALL_TYPES + ["I2(3)", "I2(4)", "H3", "H4"]
+CLOSED_FORM_TYPES = [t for t in SUPPORTED if t[0] in "AB" or t in ("H3", "H4")]
+METHODS = ("definition", "os_sign", "closed_form")
 ORACLE_XS = [2, Fraction(1, 2), -1, Fraction(7, 3)]
+
+
+def binom(x, n: int) -> Fraction:
+    """Generalized binomial coefficient: x(x-1)...(x-n+1)/n!."""
+    num = Fraction(1)
+    for j in range(n):
+        num *= Fraction(x) - j
+    return num / factorial(n)
 
 
 def uniform_chamber_weights(g):
@@ -41,6 +51,71 @@ def face_total(g, weights):
     """Oracle: sum over K of |W| / |W_K| v_K, one weight per face."""
     return sum(Fraction(g.size, pd.subgroup_order) * v
                for pd, v in zip(g.parabolic_table(), weights))
+
+
+# -- the per-x oracle: each chi_K evaluated at x, 3^r Fraction sums -----------
+
+
+def oracle_face_weights(g, x, method):
+    """Oracle: each face weight from chi_K evaluated at x by Horner
+    (``CharPoly.__call__``) and the method's scale."""
+    x = Fraction(x)
+    lat = g.lattice()
+    r = g.rank
+    weights = []
+    for K in range(1 << r):
+        chi = lat.char_poly(lat.mask_to_id[lat.standard_masks[K]])
+        if method == "definition":
+            pd = g.parabolic_table()[K]
+            weights.append(pd.subgroup_order * chi(x)
+                           / (x**r * pd.normalizer_order * pd.lambda_count))
+        else:
+            weights.append((-1) ** (r - K.bit_count()) * chi(x) / (x**r * chi(-1)))
+    return weights
+
+
+def oracle_h4_numerator(x, D):
+    d = D.bit_count()
+    shifts = {0: (29, 19, 11, 1), 3: (1, -1, -11, -19), 4: (-1, -11, -19, -29)}
+    if d in shifts:
+        return prod(x + c for c in shifts[d])
+    if d == 1:
+        return (x + 1) * (x - 1) * (x * x + 30 * x + (149 if D < 0b100 else 269))
+    if D == 0b1100:
+        return ((x + 1) * (x - 1)) ** 2
+    return (x + 11) * (x + 1) * (x - 1) * (x - 11)
+
+
+def oracle_closed_form(g, x):
+    """Oracle: the closed forms at x, by descent mask."""
+    x = Fraction(x)
+    r = g.rank
+    masks = range(1 << r)
+    fam = g.root_system.family
+    if fam == "A":
+        return [binom(x + r - D.bit_count(), r + 1) / x ** (r + 1) for D in masks]
+    if fam == "B":
+        denom = x**r * 2**r * factorial(r)
+        return [prod(x + 2 * i - 1 - 2 * D.bit_count() for i in range(1, r + 1)) / denom
+                for D in masks]
+    if fam == "H3":
+        shifts = {0: (9, 5, 1), 1: (5, 1, -1), 2: (1, -1, -5), 3: (-1, -5, -9)}
+        return [prod(x + c for c in shifts[D.bit_count()]) / (120 * x**3) for D in masks]
+    return [oracle_h4_numerator(x, D) / (14400 * x**4) for D in masks]
+
+
+def oracle_h_values(g, x, method):
+    """Oracle: H(D) per descent mask, as the sum of the face weights of the K
+    disjoint from D, or by the closed form."""
+    if method == "closed_form":
+        return oracle_closed_form(g, x)
+    weights = oracle_face_weights(g, x, method)
+    return [sum((v for K, v in enumerate(weights) if not K & D), Fraction(0))
+            for D in range(1 << g.rank)]
+
+
+def methods_of(t):
+    return METHODS if t in CLOSED_FORM_TYPES else METHODS[:2]
 
 
 def point_mass(g, i: int) -> WMeasure:
@@ -734,3 +809,107 @@ def test_h3_closed_form_shifts():
     m = h_measure(g, x, "closed_form")
     assert m.value(0) == (x + 9) * (x + 5) * (x + 1) / (120 * x**3)
     assert m.value(g.longest_index) == (x - 1) * (x - 5) * (x - 9) / (120 * x**3)
+
+
+# -- the polynomial tables ------------------------------------------------------
+
+TABLE_XS = list(dict.fromkeys(ORACLE_XS + [Fraction(-5, 2), Fraction(1, 2), Fraction(10007, 3)]))
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_tables_against_per_x_oracle(t):
+    g = get_group(t)
+    for x in TABLE_XS:
+        for method in methods_of(t):
+            assert list(h_measure(g, x, method).table) == oracle_h_values(g, x, method), (method, x)
+            if method != "closed_form":
+                assert face_weights(g, x, method) == oracle_face_weights(g, x, method), (method, x)
+
+
+def lowest_terms(table):
+    """The table's rows and denominator divided by their common factor."""
+    rows, den = table
+    c = gcd(den, *itertools.chain.from_iterable(rows))
+    return [[v // c for v in row] for row in rows], den // c
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_method_tables_are_equal_polynomials(t):
+    # equal tables give equal measures and face weights at every x != 0,
+    # not only on a grid of x
+    g = get_group(t)
+    face, h = polynomial_tables(g, "definition")
+    rows, den = h
+    assert len(rows) == 1 << g.rank and all(len(row) == g.rank + 1 for row in rows) and den > 0
+    assert lowest_terms(polynomial_tables(g, "os_sign")[0]) == lowest_terms(face)
+    assert lowest_terms(polynomial_tables(g, "os_sign")[1]) == lowest_terms(h)
+    if t in CLOSED_FORM_TYPES:
+        assert polynomial_tables(g, "closed_form")[0] is None
+        assert lowest_terms(polynomial_tables(g, "closed_form")[1]) == lowest_terms(h)
+    # the measure sums to one at every x: sum over D of |class D| x^r H(D) = x^r
+    counts = g.measure_counts("descent")
+    total = [sum(counts[D] * row[k] for D, row in enumerate(rows)) for k in range(g.rank + 1)]
+    assert total == [0] * g.rank + [den]
+
+
+def agrees_with_oracle(g, x, method):
+    """The oracle comparison on g at x; a table whose measure does not sum
+    to 1 fails in the measure's constructor, and the comparison with it."""
+    try:
+        if list(h_measure(g, x, method).table) != oracle_h_values(g, x, method):
+            return False
+    except ValueError:
+        return False
+    return method == "closed_form" or (
+        face_weights(g, x, method) == oracle_face_weights(g, x, method))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_oracle_comparison_fails_on_a_coefficient_off_by_one(method):
+    from coxshuffle.group import CoxeterGroup
+
+    g = CoxeterGroup(parse_type("B3"))  # a private group, safe to corrupt
+    x = Fraction(7, 3)
+    tables = polynomial_tables(g, method)
+    assert agrees_with_oracle(g, x, method)
+    for which, table in enumerate(tables):
+        if table is None:
+            continue
+        rows, den = table
+        for i, row in enumerate(rows):
+            for k in range(len(row)):
+                bad = [list(r) for r in rows]
+                bad[i][k] += 1
+                corrupted = list(tables)
+                corrupted[which] = (tuple(map(tuple, bad)), den)
+                g._measure_tables[method] = tuple(corrupted)
+                assert not agrees_with_oracle(g, x, method), (which, i, k)
+    g._measure_tables[method] = tables
+    assert agrees_with_oracle(g, x, method)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_new_x_reads_only_the_table(method, monkeypatch):
+    g = get_group("H3")
+    h_measure(g, 2, method)
+    x = Fraction(-5, 2)
+    expected = oracle_h_values(g, x, method)
+    weights = oracle_face_weights(g, x, method) if method != "closed_form" else None
+
+    def no_rebuild(*args):
+        raise AssertionError("the table was rebuilt")
+
+    monkeypatch.setattr(g.lattice(), "char_poly", no_rebuild)
+    monkeypatch.setattr(g, "parabolic_table", no_rebuild)
+    assert list(h_measure(g, x, method).table) == expected
+    if weights is not None:
+        assert face_weights(g, x, method) == weights
+
+
+def test_unknown_methods_rejected():
+    g = get_group("A2")
+    with pytest.raises(ValueError, match="unknown method"):
+        h_measure(g, 2, "bogus")
+    with pytest.raises(ValueError, match="unknown face-weight method"):
+        face_weights(g, 2, "closed_form")
+    assert "bogus" not in g._measure_tables
