@@ -26,6 +26,10 @@ from .report import exact_str
 from .suites import SUITES, run_suite
 
 
+# the most entries `sample` prints, as for orbit representatives
+SAMPLE_ENTRIES_MAX = 10**6
+
+
 def _write_out(text: str, out: Optional[str]):
     if out:
         with open(out, "w") as fh:
@@ -139,6 +143,11 @@ def cmd_sample(args) -> int:
     # an exact comparison needs the group A_{n-1} or B_n
     n_range = card_range("A" if args.model == "gsr_a" else "B") if args.compare else (1, None)
     _check_n(args.n, *n_range, f"sample --model {args.model}")
+    # the printed list holds one entry per card per sample; bounded before any draw
+    if not args.compare and args.n * args.count > SAMPLE_ENTRIES_MAX:
+        raise ValueError(f"sample would print {args.n * args.count} entries "
+                         f"(--n {args.n} times --count {args.count}), "
+                         f"more than {SAMPLE_ENTRIES_MAX}")
     if args.compare == "exact":
         emp = empirical_law(args.model, args.n, args.x, args.count, args.seed)
         tv = tv_distance(emp, exact_law(args.model, args.n, args.x))

@@ -8,6 +8,7 @@ lattice or measure code.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict
 
 
@@ -56,7 +57,10 @@ class ClassMeasure:
     __slots__ = ("values",)
 
     def __init__(self, values: Dict[ClassLabel, Fraction]):
-        if sum(values.values()) != 1:
+        # the sum on integer numerators over the values' least common
+        # denominator, without a Fraction per addition
+        den = lcm(*(v.denominator for v in values.values()))
+        if sum(v.numerator * (den // v.denominator) for v in values.values()) != den:
             raise ValueError("class measure does not sum to 1")
         self.values = values
 

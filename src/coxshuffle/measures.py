@@ -23,7 +23,12 @@ values indexed by that mask.
 A measure is one value table: H(W, x) is constant on right-descent classes
 and holds 2^r values, one per descent mask; the walk step is constant on
 length-descent classes and holds 2^r values, one per length-descent set.
-Dense values are built on demand and never stored.  The descent-class sums
+The table is kept as integer numerators over one positive denominator, as
+the builders compute it; the sum-to-one check, comparison, the class
+pushforward, the identity and longest-element values and the convolution
+all work on those integers and make one Fraction per output value.  The
+Fraction values (in lowest terms) and the dense values are built on demand;
+the dense values are never stored.  The descent-class sums
 span Solomon's descent algebra, which is closed under products (L. Solomon,
 "A Mackey formula in the group ring of a Coxeter group", J. Algebra 41,
 1976), so a convolution is one integer combination of the algebra's
@@ -48,14 +53,15 @@ c_K chi_K, with c_K = |W_K| / (|N_K| lambda_K) for ``definition`` and
 the K disjoint from D, one subset-sum transform of integer rows.  The
 closed forms are expanded to the same shape.  ``h_measure`` and
 ``face_weights`` evaluate a table at x = a/b: row D is
-sum of c_k a^k b^(r-k) over den a^r, one integer dot product and one
-Fraction per mask.
+sum of c_k a^k b^(r-k) over den a^r, one integer dot product per mask;
+``h_measure`` keeps the numerators over den a^r, and ``face_weights`` makes
+one Fraction per mask.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -77,54 +83,100 @@ class WMeasure:
     """Signed measure on the group, coefficients summing to one exactly, as
     one value table: the value at element i is ``table[group.measure_keys(
     kind)[i]]``, where the kind is "descent", "length_descent" or
-    "element".  Only the values at given elements (``value``, ``dense``)
-    read per-element keys; the rest reads the key counts
-    (``group.measure_counts``), which for a descent table are rank-level."""
+    "element".  The table is kept as integer numerators ``nums`` over one
+    positive denominator ``den``, not necessarily in lowest terms; ``table``
+    holds the values as Fractions in lowest terms, built on its first read.
+    Only the values at given elements (``value``, ``dense``) read
+    per-element keys; the rest reads the key counts
+    (``group.measure_counts``), which for a descent table are rank-level.
+
+    ``WMeasure(group, x, kind, table)`` takes the values; the builders here
+    pass numerators through ``_from_numerators``.  Both go through the one
+    check: the right number of values, summing to one."""
+
+    __slots__ = ("group", "x_param", "kind", "nums", "den", "_table")
 
     def __init__(self, group: CoxeterGroup, x_param: Optional[Fraction], kind: str, table):
+        self._set(group, x_param, kind, *_over_common_denominator(table))
+
+    @classmethod
+    def _from_numerators(cls, group: CoxeterGroup, x_param: Optional[Fraction], kind: str,
+                         nums: Sequence[int], den: int) -> "WMeasure":
+        """The measure with values nums[k] / den; den may be negative."""
+        m = cls.__new__(cls)
+        m._set(group, x_param, kind, nums, den)
+        return m
+
+    def _set(self, group, x_param, kind, nums, den):
         counts = group.measure_counts(kind)
-        if len(table) != len(counts):
+        if len(nums) != len(counts):
             raise ValueError("wrong number of values")
-        nums, den = _over_common_denominator(table)
-        total = sum(n * nums[k] for k, n in counts.items())
+        if den < 0:
+            nums, den = [-n for n in nums], -den
+        total = sum(map(mul, counts.values(), map(nums.__getitem__, counts)))
         if total != den:
             raise ValueError(f"measure coefficients sum to {Fraction(total, den)}, not 1")
         self.group = group
         self.x_param = x_param
         self.kind = kind
-        self.table = tuple(table)
+        self.nums = tuple(nums)
+        self.den = den
+        self._table = None
+
+    @property
+    def table(self) -> Tuple[Fraction, ...]:
+        if self._table is None:
+            den = self.den
+            self._table = tuple(Fraction(n, den) for n in self.nums)
+        return self._table
 
     def value(self, i: int) -> Fraction:
-        return self.table[self.group.measure_keys(self.kind)[i]]
+        return Fraction(self.nums[self.group.measure_keys(self.kind)[i]], self.den)
 
     def dense(self) -> Tuple[Fraction, ...]:
         """The value at every element, in element order."""
         return tuple(map(self.table.__getitem__, self.group.measure_keys(self.kind)))
 
+    def _descent_nums(self) -> Sequence[int]:
+        """The numerators over ``den`` indexed by descent mask; raises
+        ValueError unless the measure is constant on descent classes."""
+        if self.kind == "descent":
+            return self.nums
+        by_mask: Dict[int, int] = {}
+        nums = self.nums
+        for d, k in self.group.measure_counts("descent", self.kind):
+            if by_mask.setdefault(d, nums[k]) != nums[k]:
+                raise ValueError("measure is not constant on descent classes")
+        return [by_mask[d] for d in range(1 << self.group.rank)]
+
     def descent_table(self) -> List[Fraction]:
         """The values indexed by descent mask; raises ValueError unless the
         measure is constant on descent classes."""
-        by_mask: Dict[int, Fraction] = {}
-        for d, k in self.group.measure_counts("descent", self.kind):
-            if by_mask.setdefault(d, self.table[k]) != self.table[k]:
-                raise ValueError("measure is not constant on descent classes")
-        return [by_mask[d] for d in range(1 << self.group.rank)]
+        if self.kind == "descent":
+            return list(self.table)
+        den = self.den
+        return [Fraction(n, den) for n in self._descent_nums()]
 
     def __eq__(self, other):
         if not isinstance(other, WMeasure) or self.group is not other.group:
             return False
         # each measure is constant where its key is, so the two agree at every
-        # element iff they agree on every pair of keys that occurs
-        a, b = self.table, other.table
-        return all(a[i] == b[j] for i, j in self.group.measure_counts(self.kind, other.kind))
+        # element iff they agree on every pair of keys that occurs; a / da
+        # equals b / db iff a db equals b da
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        return all(a[i] * db == b[j] * da
+                   for i, j in self.group.measure_counts(self.kind, other.kind))
 
     def __hash__(self):
         # the identity's key is 0 in each kind: no descent, no length
-        # descent, index 0
-        return hash((id(self.group), self.table[0]))
+        # descent, index 0; the Fraction reduces the numerator, so equal
+        # measures hash equal
+        return hash((id(self.group), Fraction(self.nums[0], self.den)))
 
     def min_value(self) -> Fraction:
-        return min(map(self.table.__getitem__, self.group.measure_counts(self.kind)))
+        # den > 0, so the least numerator is the least value
+        return Fraction(min(map(self.nums.__getitem__, self.group.measure_counts(self.kind))),
+                        self.den)
 
 
 # -- the polynomial tables ------------------------------------------------------
@@ -236,15 +288,15 @@ def _h4_numerator(D: int) -> List[int]:
     return _expand((11, 1, -1, -11))
 
 
-def _evaluate(table: PolyTable, x: Fraction) -> List[Fraction]:
-    """Every row of the table at x = a/b: sum of c_k a^k b^(r-k) over
-    den a^r, one integer dot product and one Fraction per row."""
+def _evaluate(table: PolyTable, x: Fraction) -> Tuple[List[int], int]:
+    """Every row of the table at x = a/b, as numerators over one
+    denominator: sum of c_k a^k b^(r-k) over den a^r, one integer dot
+    product per row.  The denominator is negative when a^r is."""
     rows, den = table
     a, b = x.numerator, x.denominator
     r = len(rows[0]) - 1
     powers = [a**k * b ** (r - k) for k in range(r + 1)]
-    scale = den * a**r
-    return [Fraction(sum(map(mul, row, powers)), scale) for row in rows]
+    return [sum(map(mul, row, powers)) for row in rows], den * a**r
 
 
 def _nonzero(x) -> Fraction:
@@ -261,14 +313,16 @@ def face_weights(g: CoxeterGroup, x, method: str = "definition") -> List[Fractio
     x = _nonzero(x)
     if method not in ("definition", "os_sign"):
         raise ValueError(f"unknown face-weight method {method!r}")
-    return _evaluate(polynomial_tables(g, method)[0], x)
+    nums, den = _evaluate(polynomial_tables(g, method)[0], x)
+    return [Fraction(n, den) for n in nums]
 
 
 def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
     """The shuffling measure, by one of the three independent methods: the
     method's H table at x."""
     x = _nonzero(x)
-    return WMeasure(g, x, "descent", _evaluate(polynomial_tables(g, method)[1], x))
+    nums, den = _evaluate(polynomial_tables(g, method)[1], x)
+    return WMeasure._from_numerators(g, x, "descent", nums, den)
 
 
 # -- identity / longest element ------------------------------------------------
@@ -278,24 +332,21 @@ def longshort_values(
     g: CoxeterGroup, x, measure: Optional[WMeasure] = None
 ) -> Tuple[Fraction, Fraction]:
     """(value at the longest element, value at the identity): the exact
-    products prod(x - m_i) and prod(x + m_i) over x^r |W|.  If a measure is
-    supplied, both values are asserted against its values at descent masks
-    full and 0, where the two elements are alone."""
+    products prod(x - m_i) and prod(x + m_i) over x^r |W|, for x = a/b the
+    integers prod(a - m_i b) and prod(a + m_i b) over a^r |W|.  If a measure
+    is supplied, both values are asserted against its values at descent
+    masks full and 0, where the two elements are alone."""
     x = Fraction(x)
+    a, b = x.numerator, x.denominator
     exps = g.exponents()
-    denom = x**g.rank * g.size
-    at_w0 = Fraction(1)
-    at_id = Fraction(1)
-    for m in exps:
-        at_w0 *= x - m
-        at_id *= x + m
-    at_w0 /= denom
-    at_id /= denom
+    denom = a**g.rank * g.size
+    at_w0 = Fraction(prod(a - m * b for m in exps), denom)
+    at_id = Fraction(prod(a + m * b for m in exps), denom)
     if measure is not None:
-        values = measure.descent_table()
-        if values[-1] != at_w0:
+        nums, den = measure._descent_nums(), measure.den
+        if Fraction(nums[-1], den) != at_w0:
             raise AssertionError("longest-element value does not match the product formula")
-        if values[0] != at_id:
+        if Fraction(nums[0], den) != at_id:
             raise AssertionError("identity value does not match the product formula")
     return at_w0, at_id
 
@@ -364,11 +415,18 @@ def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
     total = sum(g.size // pd.subgroup_order * n for pd, n in zip(g.parabolic_table(), nums))
     if total != den:
         raise ValueError(f"face weights sum to {Fraction(total, den)}, not 1")
-    table = [
-        Fraction(sum(n for K, n in enumerate(nums) if not K & L), den)
-        for L in range(1 << g.rank)
-    ]
-    return WMeasure(g, None, "length_descent", table)
+    full = (1 << g.rank) - 1
+    table = []
+    for L in range(full + 1):
+        # the K avoiding L are the submasks of its complement: 0, and each
+        # nonzero submask once, from the top down
+        M = K = full ^ L
+        landing = nums[0]
+        while K:
+            landing += nums[K]
+            K = (K - 1) & M
+        table.append(landing)
+    return WMeasure._from_numerators(g, None, "length_descent", table, den)
 
 
 # -- descent-algebra operations -------------------------------------------------
@@ -381,26 +439,33 @@ def descent_product(g: CoxeterGroup, a: Sequence[Fraction], b: Sequence[Fraction
     value per class, out[D] = sum of N a[D1] b[D2] over the group's cached
     structure constants (D1, D2, N) of D (``CoxeterGroup.descent_structure``).
     With each factor's values put as integer numerators over one common
-    denominator, A and B, every class value is one integer sum and one
-    Fraction over A B."""
+    denominator, A and B, every class value is one integer sum
+    (``_product_numerators``) and one Fraction over A B."""
     na, den_a = _over_common_denominator(a)
     nb, den_b = _over_common_denominator(b)
-    ab = [u * v for u in na for v in nb]  # indexed by D1 << rank | D2
     den = den_a * den_b
-    return [
-        Fraction(sum(map(mul, counts, map(ab.__getitem__, pairs))), den)
-        for pairs, counts in g.descent_structure()
-    ]
+    return [Fraction(n, den) for n in _product_numerators(g, na, nb)]
+
+
+def _product_numerators(g: CoxeterGroup, na: Sequence[int], nb: Sequence[int]) -> List[int]:
+    """The descent-algebra product on numerators by descent mask: per class
+    D, the sum of N na[D1] nb[D2] over the structure constants of D."""
+    ab = [u * v for u in na for v in nb]  # indexed by D1 << rank | D2
+    return [sum(map(mul, counts, map(ab.__getitem__, pairs)))
+            for pairs, counts in g.descent_structure()]
 
 
 def convolve(m1: WMeasure, m2: WMeasure) -> WMeasure:
-    """The product measure out(w) = sum over uv = w of m1(u) m2(v), by
-    ``descent_product``.  Both factors must be constant on descent classes
-    (``descent_table`` raises ValueError otherwise)."""
+    """The product measure out(w) = sum over uv = w of m1(u) m2(v), in the
+    descent algebra on the factors' numerators, over the product of their
+    denominators.  Both factors must be constant on descent classes
+    (ValueError otherwise)."""
     if m1.group is not m2.group:
         raise ValueError("measures live on different groups")
     g = m1.group
-    return WMeasure(g, None, "descent", descent_product(g, m1.descent_table(), m2.descent_table()))
+    return WMeasure._from_numerators(
+        g, None, "descent", _product_numerators(g, m1._descent_nums(), m2._descent_nums()),
+        m1.den * m2.den)
 
 
 def spectrum_product(h: WMeasure, factors: Optional[int] = None) -> List[Fraction]:
@@ -434,12 +499,12 @@ def pushforward_classes(m: WMeasure) -> ClassMeasure:
     """Total measure of each conjugacy class, as the sum over descent masks D
     of m[D] times the number of class members in descent class D
     (``g.class_descent_counts()``).  The measure must be constant on descent
-    classes (``descent_table`` raises ValueError otherwise)."""
+    classes (ValueError otherwise)."""
     g = m.group
-    # integer numerators, indexed by descent mask, over a common denominator:
-    # one Fraction per class
-    nums, den = _over_common_denominator(m.descent_table())
+    # the measure's numerators by descent mask: one Fraction per class
+    nums, den = m._descent_nums(), m.den
     out: Dict[ClassLabel, Fraction] = {}
     for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts()):
-        out[c.label] = Fraction(sum(n * nums[d] for d, n in counts.items()), den)
+        out[c.label] = Fraction(sum(map(mul, counts.values(), map(nums.__getitem__, counts))),
+                                den)
     return ClassMeasure(out)

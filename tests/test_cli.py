@@ -313,6 +313,39 @@ def test_sample_rejects_count_below_one(capsys, count, compare):
     assert err.startswith("error:") and "--count" in err
 
 
+def no_draw(*args, **kwargs):
+    raise AssertionError("a shuffle was drawn")
+
+
+@pytest.mark.parametrize("n,count", [(2147483648, 1), (1000, 1001), (2, 500001)])
+def test_sample_without_compare_is_bounded_before_any_draw(capsys, monkeypatch, n, count):
+    import tracemalloc
+
+    import coxshuffle.shuffling as shuffling
+
+    monkeypatch.setattr(shuffling, "sample_shuffle", no_draw)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "sample", "--model", "gsr_a", "--n", str(n),
+                                 "--x", "2", "--count", str(count))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert err == (f"error: sample would print {n * count} entries "
+                   f"(--n {n} times --count {count}), more than 1000000\n")
+    assert peak < 10**6
+
+
+def test_sample_prints_up_to_the_bound(capsys, monkeypatch):
+    import coxshuffle.shuffling as shuffling
+
+    monkeypatch.setattr(shuffling, "sample_shuffle", lambda model, n, x, rng: [0] * n)
+    code, out, _ = run_cli(capsys, "sample", "--model", "gsr_a", "--n", "1000",
+                           "--x", "2", "--count", "1000")
+    assert code == 0 and out == json.dumps([[0] * 1000] * 1000) + "\n"
+
+
 def test_verify_spectrum_runs_on_every_type(capsys):
     code, out, _ = run_cli(capsys, "verify", "spectrum", "--type", "H4", "--type", "D4")
     assert code == 0

@@ -317,6 +317,18 @@ def test_pushforward_of_a_product_against_dense_oracle(t):
     assert pushforward_classes(prod).values == dense_pushforward(prod)
 
 
+def test_class_measure_sum_check():
+    from coxshuffle.labels import ClassLabel
+
+    a, b = ClassLabel("opaque", (0,)), ClassLabel("opaque", (1,))
+    assert ClassMeasure({a: Fraction(1, 3), b: Fraction(2, 3)}).values[b] == Fraction(2, 3)
+    assert ClassMeasure({a: 1, b: Fraction(0)}).values[a] == 1
+    for values in ({a: Fraction(1, 3), b: Fraction(1, 2)},
+                   {a: Fraction(1, 3), b: Fraction(2, 3) + Fraction(1, 10**30)}, {}):
+        with pytest.raises(ValueError, match="class measure does not sum to 1"):
+            ClassMeasure(values)
+
+
 def test_pushforward_rejects_non_descent_constant_measure():
     with pytest.raises(ValueError, match="not constant on descent classes"):
         pushforward_classes(point_mass(get_group("B2"), 1))
@@ -416,6 +428,119 @@ def test_measure_hash_reads_the_identity_value():
     h = h_measure(g, x)
     for m in (h, bhr_step(g, face_weights(g, x)), WMeasure(g, x, "element", h.dense())):
         assert hash(m) == hash(h) == hash((id(g), m.value(0)))
+
+
+# -- the integer path against Fraction-only oracles ------------------------------
+
+INTEGER_PATH_XS = ORACLE_XS + [Fraction(-5, 2), Fraction(10007, 3)]
+
+
+def fraction_equal(a, b):
+    """Oracle: two measures agree, Fraction against Fraction, on every pair
+    of keys that occurs."""
+    return all(a.table[i] == b.table[j] for i, j in a.group.measure_counts(a.kind, b.kind))
+
+
+def fraction_pushforward(m):
+    """Oracle: each class mass as a Fraction sum of value times count over
+    the descent masks of its members."""
+    g = m.group
+    values = m.descent_table()
+    return {c.label: sum((values[d] * n for d, n in counts.items()), Fraction(0))
+            for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts())}
+
+
+def fraction_longshort(g, x):
+    """Oracle: prod(x - m_i) and prod(x + m_i) over x^r |W|, a Fraction
+    product per exponent."""
+    x = Fraction(x)
+    denom = x**g.rank * g.size
+    return (prod((x - m for m in g.exponents()), start=Fraction(1)) / denom,
+            prod((x + m for m in g.exponents()), start=Fraction(1)) / denom)
+
+
+def fraction_convolve(m1, m2):
+    """Oracle: per descent class D, the sum of N m1[D1] m2[D2] over the
+    structure constants of D, a Fraction per term."""
+    g = m1.group
+    r, full = g.rank, (1 << g.rank) - 1
+    a, b = m1.descent_table(), m2.descent_table()
+    return [sum((n * a[p >> r] * b[p & full] for p, n in zip(pairs, counts)), Fraction(0))
+            for pairs, counts in g.descent_structure()]
+
+
+def unreduced(m, factor=2):
+    """The same measure from its numerators and denominator times factor."""
+    return WMeasure._from_numerators(m.group, m.x_param, m.kind,
+                                     [factor * n for n in m.nums], factor * m.den)
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_integer_path_against_fraction_oracles(t):
+    g = get_group(t)
+    h2 = h_measure(g, 2)
+    for x in INTEGER_PATH_XS:
+        ms = [h_measure(g, x, method) for method in methods_of(t)]
+        walk = bhr_step(g, face_weights(g, x))
+        # a negative factor also checks that the denominator is made positive
+        twins = [unreduced(ms[0]), unreduced(walk, -3)]
+        measures = ms + [walk, h2] + twins
+        for m in measures:
+            assert m.den > 0
+            assert pushforward_classes(m).values == fraction_pushforward(m), (x, m.kind)
+        for a in measures:
+            for b in measures:
+                assert (a == b) == fraction_equal(a, b), x
+        assert longshort_values(g, x, ms[-1]) == fraction_longshort(g, x), x
+        for a, b in ((ms[0], h2), (walk, ms[-1])):
+            assert convolve(a, b).descent_table() == fraction_convolve(a, b), x
+
+
+@pytest.mark.parametrize("t", ["A3", "B4", "H4"])
+def test_unreduced_numerators_equal_and_hash_like_the_reduced_twin(t):
+    g = get_group(t)
+    for x in INTEGER_PATH_XS:
+        for m in (h_measure(g, x), bhr_step(g, face_weights(g, x))):
+            twin = unreduced(m)
+            assert twin.nums == tuple(2 * n for n in m.nums) and twin.den == 2 * m.den
+            assert twin == m and m == twin and hash(twin) == hash(m), x
+            assert twin.table == m.table and twin.descent_table() == m.descent_table()
+            assert twin.min_value() == m.min_value() and twin.value(0) == m.value(0)
+
+
+@pytest.mark.parametrize("t", ["A2", "B3", "H4"])
+def test_a_numerator_off_by_one_fails_the_sum_check(t):
+    g = get_group(t)
+    for m in (h_measure(g, Fraction(7, 3)), bhr_step(g, face_weights(g, 3))):
+        for k in range(len(m.nums)):
+            nums = list(m.nums)
+            nums[k] += 1
+            with pytest.raises(ValueError, match=r"measure coefficients sum to \S+, not 1"):
+                WMeasure._from_numerators(g, m.x_param, m.kind, nums, m.den)
+
+
+def no_fraction_table(self):
+    raise AssertionError("a measure's Fraction table was built")
+
+
+@pytest.mark.parametrize("t", ["B4", "H4"])
+def test_warm_measure_ops_build_no_fraction_table(t, monkeypatch):
+    g = get_group(t)
+    x = Fraction(7, 3)
+    h2 = h_measure(g, 2)
+    # the op sequence of the benchmark's warm measure workload
+    monkeypatch.setattr(WMeasure, "table", property(no_fraction_table))
+    ms = [h_measure(g, x, method) for method in methods_of(t)]
+    agree = all(m == ms[0] for m in ms[1:])
+    ls = longshort_values(g, x)
+    push = pushforward_classes(ms[0])
+    walk_agrees = bhr_step(g, face_weights(g, x)) == ms[0]
+    conv = convolve(ms[0], h2)
+    monkeypatch.undo()
+    assert agree and walk_agrees
+    assert ls == fraction_longshort(g, x)
+    assert push.values == fraction_pushforward(ms[0])
+    assert conv.descent_table() == fraction_convolve(ms[0], h2)
 
 
 @pytest.mark.parametrize("name,params", [
