@@ -10,7 +10,13 @@ factors phi^s with s in {0,1}, giving a pair of partitions.
 
 ``phi_map`` reads both labels off the distinct-degree layers of
 ``gfpoly.degree_layers`` and never finds a single factor, and so does
-``translation_invariance_check``.  ``b_pair_type`` reads the type-B
+``translation_invariance_check``.  With f(z) = g(z^2), the type-B label
+asks of each factor psi of g whether its root beta is a square in
+F_(q^m), m = deg psi.  By Euler's criterion that holds exactly when the
+norm N(beta) = (-1)^m psi(0) is a square in F_q, since (q^m - 1)/2 =
+((q - 1)/2)(1 + q + ... + q^(m-1)): a layer with one factor needs one
+power in F_q, and a layer with several needs the norm of y modulo the
+layer, one power of it and one gcd.  ``b_pair_type`` reads the type-B
 label off a full ``factor()``; only the tests use it, to hold ``phi_map``
 and the signed-ornament types to it, and ``phi_map`` to
 ``degree_partition``.
@@ -135,18 +141,11 @@ def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
     degree m and multiplicity k, with root beta, gives psi(z^2) =
     phi(z)phi(-z), a conjugate pair of degree m, when beta is a square in
     F_(q^m): k to lambda_m.  Otherwise psi(z^2) is self-conjugate of degree
-    2m, and k = 2r + s sends r to lambda_(2m) and s to mu_m.  In a layer P
-    of degree-m factors, the squares are the roots of gcd(P, y^((q^m-1)/2)
-    - 1); each pass adds them to lambda_m, and the t others add t to mu_m
-    on odd passes and move t from mu_m to lambda_(2m) on even ones.
-
-    The exponent factors as (q^m - 1)/2 = ((q - 1)/2)(1 + q + ... +
-    q^(m-1)), so with u = y^((q-1)/2) mod P the power is the product of
-    the Frobenius images u * u^q * ... * u^(q^(m-1)) mod P, each image one
-    ``poly_frobenius`` of the one before.
+    2m, and k = 2r + s sends r to lambda_(2m) and s to mu_m.  In a layer of
+    degree-m factors, ``_square_count`` counts the squares s; each pass adds
+    them to lambda_m, and the t others add t to mu_m on odd passes and move
+    t from mu_m to lambda_(2m) on even ones.
     """
-    one = ctx.one
-    minus_one = ctx.neg(one)
     lam: Counter = Counter()
     mu: Counter = Counter()
     k = 0
@@ -155,14 +154,8 @@ def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
     lam[1] += k
     g = g[k:]
     if len(g) > 1:
-        y = [ctx.zero, one]
         for m, j, layer in degree_layers(ctx, g):
-            power = image = poly_powmod(ctx, y, (ctx.order - 1) // 2, layer)
-            for _ in range(m - 1):
-                image = poly_frobenius(ctx, image, layer)
-                power = poly_mod(ctx, poly_mul(ctx, power, image), layer)
-            squares = poly_gcd(ctx, layer, poly_axpy(ctx, power, minus_one, [one]))
-            s = (len(squares) - 1) // m
+            s = _square_count(ctx, m, layer)
             t = (len(layer) - 1) // m - s
             lam[m] += s
             if j % 2:
@@ -171,6 +164,34 @@ def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
                 lam[2 * m] += t
                 mu[m] -= t
     return _partition(lam), _partition(mu)
+
+
+def _square_count(ctx: FqContext, m: int, layer: list) -> int:
+    """The number of factors of a layer P of distinct degree-m irreducibles
+    (none of them y) whose roots are squares in F_(q^m), for odd q.
+
+    Euler's criterion through the norm: (q^m - 1)/2 = ((q - 1)/2)(1 + q +
+    ... + q^(m-1)), so beta^((q^m-1)/2) = N(beta)^((q-1)/2) with N(beta) =
+    beta * beta^q * ... * beta^(q^(m-1)) in F_q, and beta is a square
+    exactly when its norm is a square in F_q.  For one factor psi = P the
+    norm of its root is the signed constant term (-1)^m psi(0), and the
+    test is one power in F_q.  For t >= 2 factors the norm nu = y * y^q *
+    ... * y^(q^(m-1)) mod P (each image one ``poly_frobenius`` of the one
+    before) takes the value N(beta) mod each factor, so the squares are
+    the roots of gcd(P, nu^((q-1)/2) - 1).
+    """
+    one = ctx.one
+    half = (ctx.order - 1) // 2
+    if len(layer) - 1 == m:
+        c = layer[0] if m % 2 == 0 else ctx.neg(layer[0])
+        return int(ctx.pow(c, half) == one)
+    norm = image = [ctx.zero, one]
+    for _ in range(m - 1):
+        image = poly_frobenius(ctx, image, layer)
+        norm = poly_mod(ctx, poly_mul(ctx, norm, image), layer)
+    power = poly_powmod(ctx, norm, half, layer)
+    squares = poly_gcd(ctx, layer, poly_axpy(ctx, power, ctx.neg(one), [one]))
+    return (len(squares) - 1) // m
 
 
 def b_pair_type(fac: FactorMultiset) -> Tuple[tuple, tuple]:

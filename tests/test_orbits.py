@@ -14,7 +14,8 @@ import pytest
 import coxshuffle
 from coxshuffle import gfpoly
 from coxshuffle.gfpoly import (FqContext, FqPoly, check_layers, degree_layers, factor,
-                               monic_polys)
+                               monic_polys, poly_axpy, poly_frobenius, poly_gcd, poly_mod,
+                               poly_mul, poly_powmod)
 from coxshuffle.group import get_group
 from coxshuffle.measures import h_measure, pushforward_classes
 from coxshuffle.orbits import (
@@ -27,6 +28,7 @@ from coxshuffle.orbits import (
     phi_map,
     split_census_constant_one,
     translation_invariance_check,
+    _square_count,
 )
 from coxshuffle.suites import SUITES
 
@@ -187,6 +189,8 @@ def test_layer_labels_match_factor_on_problem1_grids(tag):
     ("A", 2, 2, 2),  # F_4, p | n
     ("A", 3, 3, 2),  # F_9, p | n
     ("B", 2, 3, 2),  # F_9
+    ("B", 2, 5, 2),  # F_25
+    ("B", 3, 3, 2),  # F_9
 ])
 def test_layer_labels_match_factor_in_char_2_and_prime_powers(tag, n, q, e):
     fam = orbit_family(tag, n, q, e)
@@ -199,6 +203,36 @@ def test_layer_labels_match_factor_on_benchmark_samples(tag, n, q):
     fam = orbit_family(tag, n, q)
     polys = list(enumerate_orbits(fam))
     assert_labels_match_factor(fam, random.Random(20261018).sample(polys, 300))
+
+
+def _square_count_by_powers(ctx, m, layer):
+    """The squares of a layer by the power route: u = y^((q-1)/2) mod P, then
+    y^((q^m-1)/2) = u * u^q * ... * u^(q^(m-1)) mod P from m - 1 Frobenius
+    images, and the roots of gcd(P, y^((q^m-1)/2) - 1)."""
+    one = ctx.one
+    power = image = poly_powmod(ctx, [ctx.zero, one], (ctx.order - 1) // 2, layer)
+    for _ in range(m - 1):
+        image = poly_frobenius(ctx, image, layer)
+        power = poly_mod(ctx, poly_mul(ctx, power, image), layer)
+    squares = poly_gcd(ctx, layer, poly_axpy(ctx, power, ctx.neg(one), [one]))
+    return (len(squares) - 1) // m
+
+
+@pytest.mark.parametrize("n,q,e", [(3, 11, 1), (4, 7, 1), (5, 3, 1), (4, 5, 1), (2, 3, 2),
+                                   (2, 5, 2), (3, 3, 2)])
+def test_square_count_against_the_power_route_on_every_layer(n, q, e):
+    fam = orbit_family("B", n, q, e)
+    ctx = fam.ctx
+    seen = Counter()
+    for f in enumerate_orbits(fam):
+        g = f.coeffs[::2]
+        k = next(i for i, c in enumerate(g) if c)
+        if len(g) - k > 1:
+            for m, _, layer in degree_layers(ctx, g[k:]):
+                s = _square_count(ctx, m, layer)
+                assert s == _square_count_by_powers(ctx, m, layer), (str(f), m, layer)
+                seen[(len(layer) - 1) // m > 1] += 1
+    assert seen[True] and seen[False]  # multi-factor and single-factor layers both ran
 
 
 def _power(ctx, f, k):
@@ -232,6 +266,18 @@ def test_layer_labels_edge_cases():
                     (_power(c3, quart, 3).mul(s1), ((4,), (2, 1)))]:
         fam = orbit_family("B", f.degree // 2, 3)
         assert phi_map(fam, f).data == want == factor_label(fam, f)
+    # odd m over F_7, where -1 is no square: the norm of the root of psi is
+    # (-1)^m psi(0), so the sign decides.  y - 1 has root 1, a square (z^2 - 1
+    # is a conjugate pair); y + 1 has root -1, no square (z^2 + 1 is
+    # self-conjugate).  For the irreducible cubics y^3 -+ 2 the norms are
+    # +-2, and 2 = 3^2 is a square while -2 is not.
+    c7 = FqContext.get(7)
+    for psi, want in [((6, 1), ((1,), ())), ((1, 1), ((), (1,))),
+                      ((5, 0, 0, 1), ((3,), ())), ((2, 0, 0, 1), ((), (3,)))]:
+        m = len(psi) - 1
+        f = FqPoly.from_ints(c7, [c for a in psi for c in (a, 0)][:-1])  # psi(z^2)
+        fam = orbit_family("B", m, 7)
+        assert phi_map(fam, f).data == want == factor_label(fam, f), str(f)
     c5 = FqContext.get(5)
     fam = orbit_family("A", 5, 5)
     f = FqPoly.from_ints(c5, [0] * 5 + [1])  # z^5: one layer per copy of z
