@@ -19,9 +19,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .gfpoly import is_prime
+from .gfpoly import _prime_factors, is_prime
 from .report import exact_str
 from .suites import SUITES, run_suite
 
@@ -47,16 +47,23 @@ def _check_n(n: int, least: int, greatest: Optional[int], cmd: str):
         raise ValueError(f"{cmd} needs --n {allowed}, not {n}")
 
 
-def _check_q(q: int, family: str, n: int, cmd: str, very_good: bool = True):
-    """--q is a prime (the CLI reaches no prime powers), odd for type B,
-    and with very_good, prime to n for A_{n-1}."""
-    if not is_prime(q):
-        raise ValueError(f"{cmd} needs --q a prime, not {q}")
-    if family == "B" and q == 2:
-        raise ValueError(f"{cmd} needs an odd --q: 2 is not very good for B{n}")
-    if very_good and family == "A" and n % q == 0:
-        raise ValueError(f"{cmd} needs --q prime to --n: {q} divides {n}, "
+def _check_q(q: int, family: str, n: int, cmd: str, very_good: bool = True,
+             prime_power: bool = False) -> Tuple[int, int]:
+    """(p, e) with q = p^e: --q is a prime, or with prime_power a power of a
+    prime; odd for type B; and with very_good, prime to n for A_{n-1},
+    which the characteristic p decides."""
+    primes = _prime_factors(q) if prime_power else [q] if is_prime(q) else []
+    if len(primes) != 1:
+        raise ValueError(f"{cmd} needs --q a prime{' power' if prime_power else ''}, not {q}")
+    p, e = primes[0], 1
+    while p**e < q:
+        e += 1
+    if family == "B" and p == 2:
+        raise ValueError(f"{cmd} needs an odd --q: {q} is not very good for B{n}")
+    if very_good and family == "A" and n % p == 0:
+        raise ValueError(f"{cmd} needs --q prime to --n: {p} divides {n}, "
                          f"so it is not very good for A{n - 1}")
+    return p, e
 
 
 def _parse_x(s: str) -> Fraction:
@@ -176,10 +183,8 @@ def cmd_orbits(args) -> int:
 
     _check_n(args.n, 1, None, "orbits")
     # the orbits of a family whose q is not very good are listed all the same
-    _check_q(args.q, args.family, args.n, "orbits", very_good=False)
-    text = emit_table(
-        "orbits", {"family": args.family, "n": args.n, "q": args.q}, args.format
-    )
+    p, e = _check_q(args.q, args.family, args.n, "orbits", very_good=False, prime_power=True)
+    text = emit_table("orbits", {"family": args.family, "n": args.n, "q": p, "e": e}, args.format)
     _write_out(text, args.emit)
     return 0
 

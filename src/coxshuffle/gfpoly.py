@@ -24,19 +24,27 @@ coefficient lists, with the field operations taken from the context.
   Every c in GF(q) has c^q = c, and the q-th power map is additive in
   characteristic p, so (sum c_i z^i)^q = sum c_i z^(iq) = a(z^q): the
   coefficients go to stride q and one division reduces them.
+- ``FqContext.power_rows``: [1, a, ..., a^k] for every element a, kept
+  on the context, so that evaluating f at a is one dot product.
 
 ``degree_layers`` splits a monic polynomial into distinct-degree layers
 (Cantor–Zassenhaus): enough for the degree partition and, in ``orbits``,
-for the class map, without finding a single factor.  ``factor`` still
-gives the factors themselves, by trial division against a sieved table of
-all monic irreducibles of degree up to deg(f)/2 — after those are
-removed, any nontrivial remainder is itself irreducible — because the
-necklace encodings and the orbit tables need them, and the benchmark's
-layer timings read the sieve (``irreducibles``) and ``factor`` directly.
+for the class map.  Roots first: over a small field (q <= 5 *
+bit_length(q) * deg f, ``poly_frobenius``' own rule) the degree-1 layers
+come from the roots of f, found by evaluating f at every element and
+removed by synthetic division, and the Frobenius-and-gcd loop runs only
+for degrees >= 2 on what is left; over a large field it runs from degree
+1.  No factor of degree >= 2 is found.  ``factor`` still gives the
+factors themselves, by trial division against a sieved table of all
+monic irreducibles of degree up to deg(f)/2 — after those are removed,
+any nontrivial remainder is itself irreducible — because the necklace
+encodings and the orbit tables need them, and the benchmark's layer
+timings read the sieve (``irreducibles``) and ``factor`` directly.
 
-Roots are not searched for: each extension context builds, once, a table
-from every minimal polynomial over GF(p) to its first root in element
-order (``FqContext.first_roots``), from one pass over its Frobenius orbits.
+The roots of an irreducible over GF(p) in an extension are not searched
+for: each extension context builds, once, a table from every minimal
+polynomial over GF(p) to its first root in element order
+(``FqContext.first_roots``), from one pass over its Frobenius orbits.
 """
 
 from __future__ import annotations
@@ -96,6 +104,7 @@ class FqContext:
         self._tables: Optional[Tuple[list, list, list]] = None
         self._first_roots: Optional[Dict[Tuple[int, ...], int]] = None
         self._irreducibles: Dict[int, List[FqPoly]] = {}
+        self._powers: List[list] = []
 
     @classmethod
     def get(cls, p: int, e: int = 1) -> "FqContext":
@@ -208,6 +217,22 @@ class FqContext:
 
     def is_zero(self, a: int) -> bool:
         return not a
+
+    def power_rows(self, degree: int) -> List[list]:
+        """Row a is [1, a, a^2, ..., a^k] for every element a, with k >= degree,
+        so a polynomial f of degree <= degree takes the value
+        ``dot(f, rows[a])`` at a.  The rows are kept on the context and are
+        rebuilt longer when a larger degree asks for them."""
+        rows = self._powers
+        if not rows or len(rows[0]) <= degree:
+            mul = self.mul
+            rows = self._powers = []
+            for a in self.elements():
+                row = [1]
+                for _ in range(degree):
+                    row.append(mul(row[-1], a))
+                rows.append(row)
+        return rows
 
     # -- vector operations (the inner loops of the polynomial kernels) -------
 
@@ -434,6 +459,14 @@ def poly_powmod(ctx: FqContext, a: Sequence, k: int, m: Sequence) -> list:
         base = poly_mod(ctx, poly_mul(ctx, base, base), m)
 
 
+def stride_pays(q: int, da: int, dm: int) -> bool:
+    """The route rule of ``poly_frobenius`` for deg a = da and deg m = dm:
+    deg(a) * q <= 5 * bit_length(q) * deg(m).  With da = 1 it also says
+    when q evaluations find the roots of a degree-dm polynomial sooner
+    than z^q mod it and a gcd do (``degree_layers``)."""
+    return da * q <= 5 * q.bit_length() * dm
+
+
 def poly_frobenius(ctx: FqContext, a: Sequence, m: Sequence) -> list:
     """a^q mod m for q = ``ctx.order``; m has degree >= 1.
 
@@ -448,7 +481,7 @@ def poly_frobenius(ctx: FqContext, a: Sequence, m: Sequence) -> list:
     if not a:
         return a
     q, da, dm = ctx.order, len(a) - 1, len(m) - 1
-    if da * q > 5 * q.bit_length() * dm:
+    if not stride_pays(q, da, dm):
         return poly_powmod(ctx, a, q, m)
     spread = [ctx.zero] * (da * q + 1)
     spread[::q] = a
@@ -463,18 +496,32 @@ def degree_layers(ctx: FqContext, f: list) -> List[Tuple[int, int, list]]:
 
     The layer (d, j, g) is the product g of the irreducible factors of f of
     degree d and multiplicity at least j, so a factor of multiplicity k lies
-    in the layers j = 1..k of its degree.  For d = 1, 2, ...: h = z^(q^d)
-    mod rem is the q-th power of the previous h (``poly_frobenius``; the
-    previous h was reduced mod a multiple of rem), and g = gcd(rem, h - z)
-    holds every degree-d factor once, since all smaller degrees are gone;
-    then "rem /= g; g = gcd(rem, g)" peels one copy of each per pass until
-    g = 1.  Once deg rem < 2d, rem is irreducible and is the last layer.
+    in the layers j = 1..k of its degree.
+
+    Roots first: when ``stride_pays(q, 1, deg f)``, the rule by which
+    ``poly_frobenius`` places z at stride, the d = 1 layers come from the
+    roots of f in F_q (``_root_layers``: q evaluations, then synthetic
+    division), and the loop below starts at d = 2 from f with its roots
+    removed.  Otherwise the loop starts at d = 1.
+
+    For each d: h = z^(q^d) mod rem is the q-th power of the previous h
+    (``poly_frobenius``; the previous h was reduced mod a multiple of rem),
+    and g = gcd(rem, h - z) holds every degree-d factor once, since all
+    smaller degrees are gone; then "rem /= g; g = gcd(rem, g)" peels one
+    copy of each per pass until g = 1.  Once deg rem < 2d, rem is
+    irreducible and is the last layer.
     """
     one = ctx.one
     z = [ctx.zero, one]
     minus_one = ctx.neg(one)
     layers = []
     rem, h, d = f, z, 0
+    n = len(f) - 1
+    if n > 1 and stride_pays(ctx.order, 1, n):
+        rem = _root_layers(ctx, f, layers)
+        d = 1
+        if len(rem) > 4:  # deg rem >= 4 = 2d at d = 2, so the loop needs z^q
+            h = poly_frobenius(ctx, z, rem)
     while len(rem) > 1:
         d += 1
         if len(rem) - 1 < 2 * d:
@@ -492,6 +539,67 @@ def degree_layers(ctx: FqContext, f: list) -> List[Tuple[int, int, list]]:
             j += 1
     check_layers(len(f) - 1, layers)
     return layers
+
+
+def _root_layers(ctx: FqContext, f: Sequence, layers: list) -> Sequence:
+    """Append the degree-1 layers of a monic f to layers and return f with
+    its roots removed (f itself when it has none).
+
+    The roots are the a with f(a) = 0, one dot product each with the rows
+    of ``ctx.power_rows``.  Synthetic division by z - a removes each root
+    until the remainder is nonzero, which gives its multiplicity, and the
+    layer (1, j, g) is the product g of z - a over the roots of
+    multiplicity at least j.  Over a prime field the evaluations
+    (``ctx.dot``), the division and the products run on plain ints.
+    """
+    dot = ctx.dot
+    roots = [a for a, row in enumerate(ctx.power_rows(len(f) - 1)) if not dot(f, row)]
+    if not roots:
+        return f
+    if ctx.e == 1:
+        p = ctx.p
+
+        def deflate(cs, a):  # (quotient, remainder) of cs by z - a
+            quot, acc = [], 0
+            for c in cs[:0:-1]:
+                acc = (acc * a + c) % p
+                quot.append(acc)
+            quot.reverse()
+            return quot, (acc * a + cs[0]) % p
+
+        def times_linear(g, a):  # g * (z - a): the z^i coefficient is g[i - 1] - a * g[i]
+            return [(lo - a * hi) % p for lo, hi in zip([0, *g], [*g, 0])]
+    else:
+        add, mul, neg = ctx.add, ctx.mul, ctx.neg
+
+        def deflate(cs, a):
+            quot, acc = [], 0
+            for c in cs[:0:-1]:
+                acc = add(mul(acc, a), c)
+                quot.append(acc)
+            quot.reverse()
+            return quot, add(mul(acc, a), cs[0])
+
+        def times_linear(g, a):
+            return poly_mul(ctx, g, [neg(a), 1])
+    rem = f
+    mults = []
+    for a in roots:
+        k = 0
+        while len(rem) > 1:
+            quot, r = deflate(rem, a)
+            if r:
+                break
+            rem = quot
+            k += 1
+        mults.append(k)
+    for j in range(1, max(mults) + 1):
+        g = [1]
+        for a, k in zip(roots, mults):
+            if k >= j:
+                g = times_linear(g, a)
+        layers.append((1, j, g))
+    return rem
 
 
 def check_layers(degree: int, layers: Sequence[Tuple[int, int, list]]) -> None:
@@ -671,10 +779,15 @@ def is_irreducible(f: FqPoly) -> bool:
 
 
 def _first_irreducible(p: int, e: int) -> Tuple[int, ...]:
+    """The first monic irreducible of degree e >= 2 over GF(p) in
+    ``monic_polys`` order.  That order runs through the constant term
+    slowest, and z divides every candidate whose constant term is 0, so
+    those p^(e-1) are skipped: the answer is the same."""
     ctx = FqContext(p, 1)
-    for f in monic_polys(ctx, e):
+    for lower in itertools.product(range(1, p), *[range(p)] * (e - 1)):
+        f = FqPoly(ctx, lower + (1,))
         if is_irreducible(f):
-            return tuple(f.coeffs) + (0,) * (e + 1 - len(f.coeffs))
+            return f.coeffs
     raise RuntimeError("no irreducible found")  # unreachable
 
 

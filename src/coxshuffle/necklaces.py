@@ -63,9 +63,25 @@ def canonicalize_necklace(kind: str, word: Sequence[int]) -> Tuple[tuple, bool]:
     raise ValueError(f"unknown necklace kind {kind!r}")
 
 
-def primitive_necklaces(kind: str, size: int, bound: int) -> List[tuple]:
+# primitive_necklaces' lists, by value: (kind, size, bound) -> tuple of words
+_PRIMITIVE_NECKLACES: Dict[Tuple[str, int, int], Tuple[tuple, ...]] = {}
+
+
+def primitive_necklaces(kind: str, size: int, bound: int) -> Tuple[tuple, ...]:
     """All primitive necklaces of the kind and size with entries in
     [-bound, bound], as canonical words in lexicographic order.
+
+    Each list is built once per (kind, size, bound) and kept as a tuple, so
+    no caller can change what the next one reads."""
+    key = (kind, size, bound)
+    out = _PRIMITIVE_NECKLACES.get(key)
+    if out is None:
+        out = _PRIMITIVE_NECKLACES[key] = _scan_primitive_necklaces(kind, size, bound)
+    return out
+
+
+def _scan_primitive_necklaces(kind: str, size: int, bound: int) -> Tuple[tuple, ...]:
+    """``primitive_necklaces`` by a scan of the words.
 
     A canonical word is the least of its orbit, so its first entry is the
     least entry the orbit holds: min(word) for plain necklaces, and
@@ -82,7 +98,7 @@ def primitive_necklaces(kind: str, size: int, bound: int) -> List[tuple]:
             canon, primitive = canonicalize_necklace(kind, word)
             if primitive and canon == word:
                 out.append(word)
-    return out
+    return tuple(out)
 
 
 # -- signed ornaments -------------------------------------------------------------

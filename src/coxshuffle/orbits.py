@@ -9,14 +9,17 @@ unique splitting into conjugate pairs [phi(z)phi(-z)]^r times self-conjugate
 factors phi^s with s in {0,1}, giving a pair of partitions.
 
 ``phi_map`` reads both labels off the distinct-degree layers of
-``gfpoly.degree_layers`` and never finds a single factor, and so does
-``translation_invariance_check``.  With f(z) = g(z^2), the type-B label
-asks of each factor psi of g whether its root beta is a square in
-F_(q^m), m = deg psi.  By Euler's criterion that holds exactly when the
-norm N(beta) = (-1)^m psi(0) is a square in F_q, since (q^m - 1)/2 =
-((q - 1)/2)(1 + q + ... + q^(m-1)): a layer with one factor needs one
-power in F_q, and a layer with several needs the norm of y modulo the
-layer, one power of it and one gcd.  ``b_pair_type`` reads the type-B
+``gfpoly.degree_layers``, and so does ``translation_invariance_check``:
+over a small field the layers start from the roots of f in F_q, found
+by evaluation, and no factor of degree >= 2 is ever found.  With f(z) =
+g(z^2), the type-B label asks of each factor psi of g whether its root
+beta is a square in F_(q^m), m = deg psi.  By Euler's criterion that
+holds exactly when the norm N(beta) = (-1)^m psi(0) is a square in F_q,
+since (q^m - 1)/2 = ((q - 1)/2)(1 + q + ... + q^(m-1)): a layer with one
+factor needs one power in F_q; a layer of several roots in F_q, over a
+small field, counts them among the squares by evaluation; any other
+layer needs the norm of y modulo the layer, one power of it and one
+gcd.  ``b_pair_type`` reads the type-B
 label off a full ``factor()``; only the tests use it, to hold ``phi_map``
 and the signed-ornament types to it, and ``phi_map`` to
 ``degree_partition``.
@@ -43,6 +46,7 @@ from .gfpoly import (
     poly_mod,
     poly_mul,
     poly_powmod,
+    stride_pays,
 )
 from .labels import ClassLabel, ClassMeasure
 
@@ -99,10 +103,14 @@ def orbit_family(tag: str, n: int, q: int, e: int = 1) -> OrbitFamily:
         raise ValueError("type B needs odd characteristic")
     if not is_prime(q):
         raise ValueError("base must be prime (use e for prime powers)")
-    fam = OrbitFamily(tag, n, q**e, FqContext.get(q, e))
-    if fam.orbit_count > 10**6:
-        raise ValueError(f"enumeration would need {fam.orbit_count} representatives")
-    return fam
+    # both bounds come before the field: an extension's exp/log/Zech tables
+    # hold one entry per element, built on its first product
+    count = (q**e) ** (n - 1 if tag == "A" else n)
+    if count > 10**6:
+        raise ValueError(f"enumeration would need {count} representatives")
+    if e > 1 and q**e > 10**6:
+        raise ValueError(f"GF({q}^{e}) would need tables of {q**e} elements")
+    return OrbitFamily(tag, n, q**e, FqContext.get(q, e))
 
 
 def enumerate_orbits(fam: OrbitFamily) -> Iterator[FqPoly]:
@@ -175,8 +183,11 @@ def _square_count(ctx: FqContext, m: int, layer: list) -> int:
     beta * beta^q * ... * beta^(q^(m-1)) in F_q, and beta is a square
     exactly when its norm is a square in F_q.  For one factor psi = P the
     norm of its root is the signed constant term (-1)^m psi(0), and the
-    test is one power in F_q.  For t >= 2 factors the norm nu = y * y^q *
-    ... * y^(q^(m-1)) mod P (each image one ``poly_frobenius`` of the one
+    test is one power in F_q.  For t >= 2 factors of degree 1, under
+    ``degree_layers``' rule ``stride_pays(q, 1, t)``, the roots of P are
+    counted among the nonzero squares of F_q, one dot product with
+    ``ctx.power_rows`` each.  Otherwise the norm nu = y * y^q * ... *
+    y^(q^(m-1)) mod P (each image one ``poly_frobenius`` of the one
     before) takes the value N(beta) mod each factor, so the squares are
     the roots of gcd(P, nu^((q-1)/2) - 1).
     """
@@ -185,6 +196,11 @@ def _square_count(ctx: FqContext, m: int, layer: list) -> int:
     if len(layer) - 1 == m:
         c = layer[0] if m % 2 == 0 else ctx.neg(layer[0])
         return int(ctx.pow(c, half) == one)
+    t = len(layer) - 1
+    if m == 1 and stride_pays(ctx.order, 1, t):
+        rows = ctx.power_rows(t)  # t >= 2, so row a holds a^2
+        dot = ctx.dot
+        return sum(1 for s in {row[2] for row in rows[1:]} if not dot(layer, rows[s]))
     norm = image = [ctx.zero, one]
     for _ in range(m - 1):
         image = poly_frobenius(ctx, image, layer)

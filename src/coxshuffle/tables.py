@@ -159,7 +159,8 @@ def emit_table(what: str, params: dict, fmt: str = "csv") -> str:
     if what == "orbits":
         from .orbits import orbit_family
 
-        fam = orbit_family(params["family"], params["n"], params["q"])
+        # q and e as orbit_family reads them: the field has q^e elements
+        fam = orbit_family(params["family"], params["n"], params["q"], params.get("e", 1))
         return orbits_table(fam, fmt)
     if what == "classes":
         return classes_table(get_group(params["type"]), fmt)

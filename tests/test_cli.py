@@ -399,8 +399,15 @@ def test_n_outside_its_range_is_one_error_line(capsys, argv, allowed):
     (("verify", "problem1", "--family", "B", "--n", "2", "--q", "1"), "--q a prime, not 1"),
     (("verify", "reiner_counts", "--n", "2", "--q", "9"), "--q a prime, not 9"),
     (("verify", "ornament_counts", "--n", "2", "--q", "2"), "an odd --q"),
-    (("orbits", "--family", "A", "--n", "3", "--q", "4"), "--q a prime, not 4"),
+    # verify stays prime-only; orbits reads prime powers (argv9 on)
+    (("verify", "problem1", "--family", "B", "--n", "2", "--q", "4"), "--q a prime, not 4"),
     (("orbits", "--family", "B", "--n", "2", "--q", "2"), "an odd --q"),
+    (("orbits", "--family", "B", "--n", "2", "--q", "6"), "orbits needs --q a prime power, not 6"),
+    (("orbits", "--family", "B", "--n", "2", "--q", "1"), "orbits needs --q a prime power, not 1"),
+    (("orbits", "--family", "A", "--n", "3", "--q", "0"), "orbits needs --q a prime power, not 0"),
+    (("orbits", "--family", "B", "--n", "2", "--q", "4"), "an odd --q: 4 is not very good for B2"),
+    (("orbits", "--family", "A", "--n", "1", "--q", str(3**20)),
+     "GF(3^20) would need tables of 3486784401 elements"),
 ])
 def test_q_not_prime_or_not_very_good_is_one_error_line(capsys, argv, needs):
     code, out, err = run_cli(capsys, *argv)
@@ -440,6 +447,19 @@ def test_pile_count_or_p_error_names_its_flag(capsys, argv, needs):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert needs in err
+
+
+@pytest.mark.parametrize("tag,n,p,e", [("B", 2, 3, 2), ("A", 3, 2, 2)])
+def test_orbits_of_a_prime_power_field(capsys, tag, n, p, e):
+    from coxshuffle.orbits import orbit_family
+    from coxshuffle.tables import orbits_table
+
+    fam = orbit_family(tag, n, p, e)
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, "orbits", "--family", tag, "--n", str(n),
+                               "--q", str(p**e), "--format", fmt)
+        assert code == 0
+        assert out == orbits_table(fam, fmt) + ("" if fmt == "csv" else "\n")
 
 
 def test_orbits_list_a_family_whose_q_is_not_very_good(capsys):

@@ -273,6 +273,107 @@ def test_degree_layers_against_square_and_multiply_at_q101():
         assert degree_layers(ctx, f) == _layers_by_square_and_multiply(ctx, f), f
 
 
+@pytest.fixture
+def root_calls(monkeypatch):
+    """A spy on ``_root_layers``: it counts the calls, so a test can tell
+    which d = 1 route a ``degree_layers`` call took."""
+    calls = []
+    root_layers = gfpoly._root_layers
+
+    def spy(*args):
+        calls.append(1)
+        return root_layers(*args)
+
+    monkeypatch.setattr(gfpoly, "_root_layers", spy)
+    return calls
+
+
+def _evaluates_roots(ctx, degree):
+    # the roots of f come from evaluation when poly_frobenius would place z at stride
+    q = ctx.order
+    return degree > 1 and q <= 5 * q.bit_length() * degree
+
+
+def _check_layers_and_route(ctx, f, root_calls, routes):
+    before = len(root_calls)
+    assert degree_layers(ctx, f) == _layers_by_square_and_multiply(ctx, f), f
+    evaluated = len(root_calls) > before
+    assert evaluated == _evaluates_roots(ctx, len(f) - 1), f
+    routes.add("evaluation" if evaluated else "gcd")
+
+
+# GF(9) to degree 4 is test_degree_layers_against_square_and_multiply[3-2]
+@pytest.mark.parametrize("p,e,top", [(5, 1, 6), (7, 1, 5), (5, 2, 3)])
+def test_degree_layers_by_roots_against_square_and_multiply(p, e, top, root_calls):
+    ctx = FqContext.get(p, e)
+    routes = set()
+    for d in range(1, top + 1):
+        for f in monic_polys(ctx, d):
+            _check_layers_and_route(ctx, list(f.coeffs), root_calls, routes)
+    assert routes == {"gcd", "evaluation"}  # degree 1 has no d = 1 step
+
+
+def _times_linear_powers(ctx, f, roots):
+    """f times (z - a) for each a in roots, repeats included."""
+    for a in roots:
+        f = poly_mul(ctx, f, [ctx.neg(a), ctx.one])
+    return f
+
+
+@pytest.mark.parametrize("q,expected", [(101, {"gcd", "evaluation"}), (997, {"gcd"})])
+def test_degree_layers_on_both_d1_routes_with_repeated_roots(q, expected, root_calls):
+    ctx = FqContext.get(q)
+    rng = random.Random(q + 28)
+    routes = set()
+    for i in range(300):
+        f = _random_poly(ctx, rng, rng.randrange(1, 9), True)
+        if i % 2:  # plant roots of multiplicity up to 3, one of them maybe 0
+            a, b = rng.randrange(q), rng.choice([0, rng.randrange(q)])
+            f = _times_linear_powers(ctx, f, [a] * rng.randrange(1, 4) + [b])
+        _check_layers_and_route(ctx, f, root_calls, routes)
+    assert routes == expected
+
+
+def test_root_layers_edge_cases():
+    ctx = FqContext.get(5)
+    # (z - 1)^3 (z - 4)^2 (z^2 + 2): every layer, and the square left over
+    f = _times_linear_powers(ctx, [2, 0, 1], [1, 1, 1, 4, 4])
+    layers = []
+    assert gfpoly._root_layers(ctx, f, layers) == [2, 0, 1]
+    assert layers == [(1, 1, [4, 0, 1]), (1, 2, [4, 0, 1]), (1, 3, [4, 1])]
+    # no root: f itself, no layer
+    f = (2, 0, 1)
+    assert gfpoly._root_layers(ctx, f, layers) is f and len(layers) == 3
+    # split completely, 0 a root: the remainder is 1
+    layers = []
+    assert gfpoly._root_layers(ctx, _times_linear_powers(ctx, [1], [0, 0, 3]), layers) == [1]
+    assert layers == [(1, 1, [0, 2, 1]), (1, 2, [0, 1])]
+    # over GF(9): z^2 - g^2 = (z - g)(z + g) for the generator g
+    ext = FqContext.get(3, 2)
+    g = ext.generator()
+    f = _times_linear_powers(ext, [ext.one], [g, ext.neg(g)])
+    layers = []
+    assert gfpoly._root_layers(ext, f, layers) == [ext.one]
+    assert layers == [(1, 1, f)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 5), (3, 2), (3, 4), (5, 3), (7, 2)])
+def test_first_irreducible_is_the_first_in_monic_order(p, e):
+    first = next(f for f in monic_polys(FqContext.get(p), e) if is_irreducible(f))
+    assert gfpoly._first_irreducible(p, e) == first.coeffs
+
+
+def test_power_rows_grow_with_the_degree():
+    ctx = FqContext(7)
+    rows = ctx.power_rows(2)
+    assert rows == [[1, a, a * a % 7] for a in range(7)]
+    assert ctx.power_rows(1) is rows  # long enough already
+    rows = ctx.power_rows(4)
+    assert rows == [[pow(a, k, 7) for k in range(5)] for a in range(7)]
+    ext = FqContext(3, 2)
+    assert ext.power_rows(3) == [[ext.pow(a, k) for k in range(4)] for a in ext.elements()]
+
+
 def _schoolbook_divmod(ctx, a, b):
     """(quotient, remainder) of a by b by slices of the remainder, one
     ``ctx.axpy`` and one ``ctx.neg`` a step: the oracle for the in-place

@@ -27,7 +27,7 @@ from coxshuffle.necklaces import (
     s_vector_count,
 )
 from coxshuffle.orbits import b_pair_type, enumerate_orbits, orbit_family, phi_map
-from coxshuffle.suites import SUITES
+from coxshuffle.suites import SUITES, run_suite
 from test_gfpoly import digits
 
 
@@ -113,7 +113,7 @@ def primitive_necklaces_by_full_scan(kind, size, bound):
         canon, primitive = canonicalize_necklace(kind, word)
         if primitive and canon == word:
             out.append(word)
-    return out
+    return tuple(out)
 
 
 @pytest.mark.parametrize("size", range(1, 6))
@@ -122,6 +122,25 @@ def test_primitive_necklaces_against_full_scan(kind, size):
     for bound in range(5):
         expected = primitive_necklaces_by_full_scan(kind, size, bound)
         assert primitive_necklaces(kind, size, bound) == expected, bound  # order included
+
+
+def test_primitive_necklace_lists_are_built_once_per_key(monkeypatch):
+    monkeypatch.setattr(necklaces, "_PRIMITIVE_NECKLACES", {})
+    builds = []
+    scan = necklaces._scan_primitive_necklaces
+
+    def spy(*key):
+        builds.append(key)
+        return scan(*key)
+
+    monkeypatch.setattr(necklaces, "_scan_primitive_necklaces", spy)
+    for name in ("ornament_counts", "reiner_counts"):
+        assert run_suite(name, {}).passed
+    assert builds and len(builds) == len(set(builds))  # each (kind, size, bound) once
+    built = len(builds)
+    out = primitive_necklaces(*builds[0])
+    assert isinstance(out, tuple) and primitive_necklaces(*builds[0]) is out
+    assert len(builds) == built  # read from the cache, not scanned again
 
 
 def test_primitive_necklaces_rejects_unknown_kind():

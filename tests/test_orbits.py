@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import coxshuffle
-from coxshuffle import gfpoly
+from coxshuffle import gfpoly, orbits
 from coxshuffle.gfpoly import (FqContext, FqPoly, check_layers, degree_layers, factor,
                                monic_polys, poly_axpy, poly_frobenius, poly_gcd, poly_mod,
                                poly_mul, poly_powmod)
@@ -220,19 +220,37 @@ def _square_count_by_powers(ctx, m, layer):
 
 @pytest.mark.parametrize("n,q,e", [(3, 11, 1), (4, 7, 1), (5, 3, 1), (4, 5, 1), (2, 3, 2),
                                    (2, 5, 2), (3, 3, 2)])
-def test_square_count_against_the_power_route_on_every_layer(n, q, e):
+def test_square_count_against_the_power_route_on_every_layer(n, q, e, monkeypatch):
     fam = orbit_family("B", n, q, e)
     ctx = fam.ctx
+    norms = []
+    powmod = orbits.poly_powmod
+
+    def spy(*args):  # only the norm route takes a polynomial power
+        norms.append(1)
+        return powmod(*args)
+
+    monkeypatch.setattr(orbits, "poly_powmod", spy)
     seen = Counter()
     for f in enumerate_orbits(fam):
         g = f.coeffs[::2]
         k = next(i for i, c in enumerate(g) if c)
         if len(g) - k > 1:
             for m, _, layer in degree_layers(ctx, g[k:]):
+                t = (len(layer) - 1) // m
+                before = len(norms)
                 s = _square_count(ctx, m, layer)
                 assert s == _square_count_by_powers(ctx, m, layer), (str(f), m, layer)
-                seen[(len(layer) - 1) // m > 1] += 1
-    assert seen[True] and seen[False]  # multi-factor and single-factor layers both ran
+                if t == 1:
+                    route = "one factor"
+                else:
+                    # degree-1 roots by evaluation under degree_layers' rule
+                    evaluated = m == 1 and q**e <= 5 * (q**e).bit_length() * t
+                    route = "evaluation" if evaluated else "norm"
+                assert (len(norms) > before) == (route == "norm"), (str(f), m, layer)
+                seen[route] += 1
+    # B(n, q) has a multi-factor layer of degree m >= 2 from n = 4 on
+    assert set(seen) == {"one factor", "evaluation"} | ({"norm"} if n >= 4 else set())
 
 
 def _power(ctx, f, k):
