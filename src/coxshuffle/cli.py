@@ -79,18 +79,17 @@ def _parse_x(s: str) -> Fraction:
     return x
 
 
-def _check_type(name: str) -> str:
-    """A --type value that names a supported group; any other is a usage
-    error that names the flag.  The group goes into the registry with its
-    rank-level data only, so the command's own lookup finds it there."""
+def _check_type(name: str):
+    """The registry group that a --type value names; any other value is a
+    usage error that names the flag.  The group holds its rank-level data
+    only; the command's table builds the rest on first use."""
     from .group import get_group
     from .rootdata import UnsupportedTypeError
 
     try:
-        get_group(name)
+        return get_group(name)
     except UnsupportedTypeError as exc:
         raise ValueError(f"--type {name!r}: {exc}") from None
-    return name
 
 
 def _parse_ints(parts, flag: str, given: str) -> List[int]:
@@ -106,32 +105,26 @@ def _parse_ints(parts, flag: str, given: str) -> List[int]:
 
 
 def cmd_coxeter(args) -> int:
-    from .tables import emit_table
+    from .tables import classes_table, elements_table, parabolics_table
 
-    text = emit_table(args.what, {"type": _check_type(args.type)}, args.format)
-    _write_out(text, args.out)
+    table = {"elements": elements_table, "classes": classes_table,
+             "parabolics": parabolics_table}[args.what]
+    _write_out(table(_check_type(args.type), args.format), args.out)
     return 0
 
 
 def cmd_lattice(args) -> int:
-    from .tables import emit_table
+    from .tables import lattice_table
 
-    text = emit_table("lattice", {"type": _check_type(args.type)}, args.format)
-    _write_out(text, args.emit)
+    _write_out(lattice_table(_check_type(args.type), args.format), args.emit)
     return 0
 
 
 def cmd_measure(args) -> int:
-    from .tables import emit_table
+    from .tables import measure_table
 
     xs = [_parse_x(part) for part in args.x.split(",")]
-    text = emit_table(
-        "measure",
-        {"type": _check_type(args.type), "x": xs if len(xs) > 1 else xs[0],
-         "method": args.method},
-        args.format,
-    )
-    _write_out(text, args.out)
+    _write_out(measure_table(_check_type(args.type), xs, args.method, args.format), args.out)
     return 0
 
 
@@ -179,13 +172,14 @@ def cmd_sample(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    from .tables import emit_table
+    from .orbits import orbit_family
+    from .tables import orbits_table
 
     _check_n(args.n, 1, None, "orbits")
     # the orbits of a family whose q is not very good are listed all the same
     p, e = _check_q(args.q, args.family, args.n, "orbits", very_good=False, prime_power=True)
-    text = emit_table("orbits", {"family": args.family, "n": args.n, "q": p, "e": e}, args.format)
-    _write_out(text, args.emit)
+    # the field has p^e elements, as orbit_family reads its q and e
+    _write_out(orbits_table(orbit_family(args.family, args.n, p, e), args.format), args.emit)
     return 0
 
 

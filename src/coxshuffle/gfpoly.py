@@ -672,25 +672,11 @@ class FqPoly:
         a, b = self.coeffs, other.coeffs
         return (len(a), a[::-1]) < (len(b), b[::-1])
 
-    def add(self, other: "FqPoly") -> "FqPoly":
-        ctx = self.ctx
-        return FqPoly(ctx, tuple(poly_axpy(ctx, self.coeffs, ctx.one, other.coeffs)))
-
     def mul(self, other: "FqPoly") -> "FqPoly":
         return FqPoly(self.ctx, tuple(poly_mul(self.ctx, self.coeffs, other.coeffs)))
 
     def monic(self) -> "FqPoly":
         return FqPoly(self.ctx, tuple(poly_monic(self.ctx, self.coeffs)))
-
-    def divmod(self, other: "FqPoly") -> Tuple["FqPoly", "FqPoly"]:
-        quot, rem = poly_divmod(self.ctx, self.coeffs, other.coeffs)
-        return FqPoly(self.ctx, tuple(quot)), FqPoly(self.ctx, tuple(rem))
-
-    def mod(self, other: "FqPoly") -> "FqPoly":
-        return FqPoly(self.ctx, tuple(poly_mod(self.ctx, self.coeffs, other.coeffs)))
-
-    def divides(self, other: "FqPoly") -> bool:
-        return other.divmod(self)[1].is_zero
 
     def eval(self, a):
         ctx = self.ctx

@@ -74,7 +74,7 @@ class ParabolicData(NamedTuple):
 
 # the element part: the tables ``_build`` makes, all at the first read of any one
 ELEMENT_TABLES = ("keys", "tables", "index", "parent", "gen_of", "length", "rmult", "lmult",
-                  "inverse", "descent_mask", "by_length", "one_line")
+                  "inverse", "descent_mask", "one_line")
 
 
 class CoxeterGroup:
@@ -196,9 +196,6 @@ class CoxeterGroup:
         self.lmult = lmult
         self.inverse = inverse
         self.descent_mask = descent_mask
-        # breadth-first discovery is in length order; a list, so that the
-        # indices coset_minreps stores are these int objects, not fresh ones
-        self.by_length = list(range(size))
         self.one_line = self._build_one_line()
 
     def _build_one_line(self):
@@ -322,11 +319,12 @@ class CoxeterGroup:
     def coset_minreps(self, K: Iterable[int]) -> list:
         """For each element, the minimal-length element of its coset w*W_K."""
         # each coset is the orbit of any member under right multiplication by
-        # K's generators; its first member in length order is the minimum
+        # K's generators; its first member in length order (index order, as
+        # breadth-first discovery is) is the minimum
         gens = [self.rmult[g] for g in _bits(_mask(K))]
         length = self.length
         reps = [-1] * self.size
-        for seed in self.by_length:
+        for seed in range(self.size):
             if reps[seed] >= 0:
                 continue
             reps[seed] = seed

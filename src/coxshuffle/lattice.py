@@ -36,11 +36,6 @@ from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .rootdata import RootSystem
 
 
-class Flat(NamedTuple):
-    mask: int  # positive roots whose hyperplane contains the flat
-    rank: int  # codimension of the flat
-
-
 class CharPoly(NamedTuple):
     """Integer-coefficient characteristic polynomial, low to high degree."""
 
@@ -136,26 +131,25 @@ class IntersectionLattice:
             orbit_sizes.append(len(queue))
             orbit_subsets.append([m])
 
-        # deterministic ordering: by rank, then mask
-        self.flats: List[Flat] = sorted(
-            (Flat(mask, orbit_ranks[orbit]) for mask, orbit in orbit_of.items()),
-            key=lambda f: (f.rank, f.mask),
-        )
-        self.mask_to_id: Dict[int, int] = {f.mask: i for i, f in enumerate(self.flats)}
-        self.ranks = [f.rank for f in self.flats]
-        self.masks = [f.mask for f in self.flats]
-        self.standard_masks: Tuple[int, ...] = tuple(std_masks)
+        # per flat id, sorted by (rank, mask): the mask of positive roots
+        # whose hyperplane contains the flat, its W-orbit and its rank
+        # (codimension)
+        self.masks: List[int] = sorted(orbit_of,
+                                       key=lambda mask: (orbit_ranks[orbit_of[mask]], mask))
         self.orbit_ids: List[int] = [orbit_of[mask] for mask in self.masks]
+        self.ranks: List[int] = [orbit_ranks[t] for t in self.orbit_ids]
+        self.mask_to_id: Dict[int, int] = {mask: i for i, mask in enumerate(self.masks)}
+        self.standard_masks: Tuple[int, ...] = tuple(std_masks)
         self.orbit_sizes: Tuple[int, ...] = tuple(orbit_sizes)
         self.orbit_subsets: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, orbit_subsets))
 
     # -- poset structure ---------------------------------------------------
 
     def __len__(self):
-        return len(self.flats)
+        return len(self.masks)
 
     def flat_dim(self, fid: int) -> int:
-        return self.root_system.rank - self.flats[fid].rank
+        return self.root_system.rank - self.ranks[fid]
 
     def bottom_id(self) -> int:
         return self.mask_to_id[0]
@@ -173,7 +167,7 @@ class IntersectionLattice:
         from the orbit-incidence count and the point count
         x^dim(X) = sum of chi(A^Y, x) over Y >= X; every flat of an orbit
         returns its orbit's one CharPoly."""
-        if not 0 <= fid < len(self.flats):
+        if not 0 <= fid < len(self):
             raise ValueError("not a flat id")
         return self._orbit_values()[1][self.orbit_ids[fid]]
 

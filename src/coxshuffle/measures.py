@@ -25,13 +25,13 @@ and holds 2^r values, one per descent mask; the walk step is constant on
 length-descent classes and holds 2^r values, one per length-descent set.
 The table is kept as integer numerators over one positive denominator, as
 the builders compute it; the sum-to-one check, comparison, the class
-pushforward, the identity and longest-element values and the convolution
-all work on those integers and make one Fraction per output value.  The
-Fraction values (in lowest terms) and the dense values are built on demand;
-the dense values are never stored.  The descent-class sums
-span Solomon's descent algebra, which is closed under products (L. Solomon,
-"A Mackey formula in the group ring of a Coxeter group", J. Algebra 41,
-1976), so a convolution is one integer combination of the algebra's
+pushforward, the identity and longest-element values, the convolution and
+the spectrum product all work on those integers and make one Fraction per
+output value.  The Fraction values (in lowest terms) and the dense values
+are built on demand; the dense values are never stored.  The
+descent-class sums span Solomon's descent algebra, which is closed under
+products (L. Solomon, "A Mackey formula in the group ring of a Coxeter
+group", J. Algebra 41, 1976), so a convolution is one integer combination of the algebra's
 structure constants per descent class.  The walk's transition matrix is
 right convolution by H (Bidigare-Hanlon-Rockmore, Duke Math. J. 99, 1999;
 Brown, Ann. Probab. 28, 2000), so its spectrum identity
@@ -432,21 +432,6 @@ def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
 # -- descent-algebra operations -------------------------------------------------
 
 
-def descent_product(g: CoxeterGroup, a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-    """Product in Solomon's descent algebra of two elements given by their
-    values per descent mask: the group-algebra product out(w) = sum over
-    uv = w of a(u) b(v), which is again constant on descent classes, by its
-    value per class, out[D] = sum of N a[D1] b[D2] over the group's cached
-    structure constants (D1, D2, N) of D (``CoxeterGroup.descent_structure``).
-    With each factor's values put as integer numerators over one common
-    denominator, A and B, every class value is one integer sum
-    (``_product_numerators``) and one Fraction over A B."""
-    na, den_a = _over_common_denominator(a)
-    nb, den_b = _over_common_denominator(b)
-    den = den_a * den_b
-    return [Fraction(n, den) for n in _product_numerators(g, na, nb)]
-
-
 def _product_numerators(g: CoxeterGroup, na: Sequence[int], nb: Sequence[int]) -> List[int]:
     """The descent-algebra product on numerators by descent mask: per class
     D, the sum of N na[D1] nb[D2] over the structure constants of D."""
@@ -474,18 +459,26 @@ def spectrum_product(h: WMeasure, factors: Optional[int] = None) -> List[Fractio
     at the identity, the one element with no descents.  The chamber walk's
     transition matrix M[u][w] = H(u^-1 w) is right convolution by H
     (Bidigare-Hanlon-Rockmore), so with all factors this vanishes iff
-    prod over i = 0..rank of (M - x^-i I) does."""
+    prod over i = 0..rank of (M - x^-i I) does.  With H's numerators over
+    den and x = a/b, factor i is H's numerators times a^i, less den b^i at
+    the identity, over den a^i; the factors multiply as ``convolve``'s do,
+    on numerators (``_product_numerators``), and each output value is one
+    Fraction over the product of the factors' denominators."""
     if h.x_param is None:
         raise ValueError("the measure carries no x")
     g = h.group
     x = Fraction(h.x_param)
-    values = h.descent_table()
-    prod = [Fraction(int(d == 0)) for d in range(1 << g.rank)]
+    a, b = x.numerator, x.denominator
+    nums, den = h._descent_nums(), h.den
+    prod = [int(d == 0) for d in range(1 << g.rank)]
+    prod_den = 1
     for i in range(g.rank + 1 if factors is None else factors):
-        c = x**-i
-        factor = [v - c if d == 0 else v for d, v in enumerate(values)]
-        prod = descent_product(g, prod, factor)
-    return prod
+        a_i = a**i
+        factor = [n * a_i for n in nums]
+        factor[0] -= den * b**i
+        prod = _product_numerators(g, prod, factor)
+        prod_den *= den * a_i
+    return [Fraction(n, prod_den) for n in prod]
 
 
 def _over_common_denominator(values) -> Tuple[List[int], int]:

@@ -56,13 +56,12 @@ class Check:
 class Report:
     __slots__ = ("suite", "params", "checks", "wall_time", "_t0")
 
-    def __init__(self, suite: str, params: Dict[str, Any], checks: Optional[List[Check]] = None,
-                 wall_time: float = 0.0, _t0: Optional[float] = None):
+    def __init__(self, suite: str, params: Dict[str, Any]):
         self.suite = suite
         self.params = params
-        self.checks: List[Check] = [] if checks is None else checks
-        self.wall_time = wall_time
-        self._t0 = time.monotonic() if _t0 is None else _t0
+        self.checks: List[Check] = []
+        self.wall_time = 0.0
+        self._t0 = time.monotonic()
 
     def __repr__(self):
         return "Report(suite={!r}, params={!r}, checks={!r}, wall_time={!r})".format(

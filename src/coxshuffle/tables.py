@@ -94,20 +94,18 @@ def lattice_table(g: CoxeterGroup, fmt: str = "csv") -> str:
     mu = lat.moebius_from()
     rows = [
         {"flat_id": i, "dim": lat.flat_dim(i), "moebius_from_V": mu[i]}
-        for i in range(len(lat.flats))
+        for i in range(len(lat))
     ]
     return _emit(rows, ["flat_id", "dim", "moebius_from_V"], fmt)
 
 
 def measure_table(g: CoxeterGroup, xs, method: str, fmt: str = "csv") -> str:
     """One row per descent set, by size and then by its sorted members; one
-    value column pair per requested x."""
-    if not isinstance(xs, (list, tuple)):
-        xs = [xs]
+    value column pair per x in the list xs."""
     tables = [h_measure(g, x, method).descent_table() for x in xs]
     g.conjugacy_classes()
     rep_of_descent: Dict[int, int] = {}
-    for i in g.by_length:
+    for i in range(g.size):  # length order
         rep_of_descent.setdefault(g.descent_mask[i], i)
     single = len(xs) == 1
     val_cols = []
@@ -146,26 +144,3 @@ def orbits_table(fam: OrbitFamily, fmt: str = "csv") -> str:
         rows.append(row)
     return _emit(rows, fields, fmt)
 
-
-def emit_table(what: str, params: dict, fmt: str = "csv") -> str:
-    """Dispatch for the table emitters; byte-stable given identical params."""
-    from .group import get_group
-
-    if what == "measure":
-        g = get_group(params["type"])
-        return measure_table(g, params["x"], params.get("method", "definition"), fmt)
-    if what == "lattice":
-        return lattice_table(get_group(params["type"]), fmt)
-    if what == "orbits":
-        from .orbits import orbit_family
-
-        # q and e as orbit_family reads them: the field has q^e elements
-        fam = orbit_family(params["family"], params["n"], params["q"], params.get("e", 1))
-        return orbits_table(fam, fmt)
-    if what == "classes":
-        return classes_table(get_group(params["type"]), fmt)
-    if what == "elements":
-        return elements_table(get_group(params["type"]), fmt)
-    if what == "parabolics":
-        return parabolics_table(get_group(params["type"]), fmt)
-    raise KeyError(f"unknown table {what!r}")

@@ -125,6 +125,22 @@ def test_coxeter_dump_parabolics_golden_round_trip(capsys):
             assert len(parsed) == 3
 
 
+@pytest.mark.parametrize("t", ["A3", "H3"])
+def test_coxeter_dump_prints_the_emitter_bytes(capsys, t):
+    from coxshuffle.group import get_group
+    from coxshuffle.tables import classes_table, elements_table, parabolics_table
+
+    tables = {"elements": elements_table, "classes": classes_table,
+              "parabolics": parabolics_table}
+    for what, table in tables.items():
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, "coxeter", "dump", "--type", t, "--what", what,
+                                     "--format", fmt)
+            assert code == 0 and err == ""
+            # a JSON table has no final newline; the CLI adds one
+            assert out == table(get_group(t), fmt) + ("" if fmt == "csv" else "\n"), (what, fmt)
+
+
 def test_orbits_table(capsys):
     code, out, _ = run_cli(capsys, "orbits", "--family", "B", "--n", "2", "--q", "3")
     assert code == 0
@@ -488,6 +504,7 @@ def test_default_grids_have_very_good_q():
     (("verify", "walk_oracle", "--type", "I2(7)"), "I2(7)", "needs scalars outside Q"),
     (("verify", "longshort", "--type", "A2", "--type", "H5"), "H5", "unsupported type H5"),
     (("measure", "--type", "", "--x", "2"), "", "cannot parse type ''"),
+    (("coxeter", "dump", "--type", "X9", "--what", "classes"), "X9", "unsupported type X9"),
 ])
 def test_type_error_names_its_flag(capsys, argv, value, reason):
     code, out, err = run_cli(capsys, *argv)

@@ -170,8 +170,7 @@ def test_tree_tables_against_byte_keys(t):
         s_h = g.rmult[h][0]
         assert g.word(s_h) == (h,)
         assert g.lmult[h] == [g.multiply(s_h, i) for i in range(g.size)]
-    assert isinstance(g.by_length, list)  # holds the indices coset_minreps stores
-    assert g.by_length == sorted(range(g.size), key=lambda i: (g.length[i], i))
+    assert g.length == sorted(g.length)  # index order is length order
     assert g.longest_index == max(range(g.size), key=g.length.__getitem__)
 
 

@@ -462,9 +462,12 @@ def fraction_longshort(g, x):
 def fraction_convolve(m1, m2):
     """Oracle: per descent class D, the sum of N m1[D1] m2[D2] over the
     structure constants of D, a Fraction per term."""
-    g = m1.group
+    return fraction_product(m1.group, m1.descent_table(), m2.descent_table())
+
+
+def fraction_product(g, a, b):
+    """``fraction_convolve`` on two lists of Fraction values by descent mask."""
     r, full = g.rank, (1 << g.rank) - 1
-    a, b = m1.descent_table(), m2.descent_table()
     return [sum((n * a[p >> r] * b[p & full] for p, n in zip(pairs, counts)), Fraction(0))
             for pairs, counts in g.descent_structure()]
 
@@ -776,6 +779,60 @@ def test_spectrum_product_against_matrix_oracle(t, x):
         assert P[0] == [prod[d] for d in g.descent_mask], factors
         assert (not any(prod)) == (not any(map(any, P)))
     assert not any(spectrum_product(h))
+
+
+def fraction_spectrum(h, factors):
+    """Oracle: the product of (H - x^-i delta_e) over i < factors, one
+    Fraction factor at a time through ``fraction_product``."""
+    g = h.group
+    prod = [Fraction(int(d == 0)) for d in range(1 << g.rank)]
+    for i in range(factors):
+        factor = h.descent_table()
+        factor[0] -= Fraction(h.x_param) ** -i
+        prod = fraction_product(g, prod, factor)
+    return prod
+
+
+@pytest.mark.parametrize("t", ["D4", "B4", "H3", "H4"])
+@pytest.mark.parametrize("x", [2, -1, Fraction(1, 2), Fraction(-7, 3)])
+def test_spectrum_product_against_fraction_oracle(t, x):
+    # beyond the matrix oracle's |W| <= 24: the integer route against a
+    # Fraction loop, with all factors and with the last one dropped
+    g = get_group(t)
+    h = h_measure(g, x)
+    for factors in (g.rank + 1, g.rank):
+        assert spectrum_product(h, factors) == fraction_spectrum(h, factors), factors
+    assert not any(spectrum_product(h))
+
+
+@pytest.mark.parametrize("t", ["D4", "H3"])
+def test_spectrum_oracle_catches_a_factor_off_by_one(t, monkeypatch):
+    import coxshuffle.measures as measures
+
+    g = get_group(t)
+    product = measures._product_numerators
+    # not x = -1: there H is the point mass at w0, the factors are H + 1 and
+    # H - 1, and the other factors annihilate any bump of one of them
+    for x in (2, Fraction(1, 2), Fraction(-7, 3)):
+        h = h_measure(g, x)
+        for factors in (g.rank + 1, g.rank):
+            expect = fraction_spectrum(h, factors)
+            for bumped in range(factors):
+                for k in (0, (1 << g.rank) - 1):
+                    calls = []
+
+                    def off_by_one(g, na, nb):
+                        # the factor of the bumped call has numerator k off by one
+                        if len(calls) == bumped:
+                            nb = list(nb)
+                            nb[k] += 1
+                        calls.append(True)
+                        return product(g, na, nb)
+
+                    monkeypatch.setattr(measures, "_product_numerators", off_by_one)
+                    assert spectrum_product(h, factors) != expect, (x, factors, bumped, k)
+                    monkeypatch.undo()
+            assert spectrum_product(h, factors) == expect
 
 
 def dense_convolve(m1, m2):
