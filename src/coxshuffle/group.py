@@ -34,9 +34,10 @@ H4, materializing all 14400 4x4 golden matrices up front would cost tens
 of MB; the byte keys cost 3.5 MB).  Conjugacy classes, the per-element
 length-descent sets {s : l(ws) < l(w)} (read from lengths, not from the
 root action), the descent counts of each class, the structure constants of
-the descent algebra and the per-element keys of each kind of measure value
-table (``measure_keys``) are built from the elements, each once, on first
-use; the coset minima of one W_K are computed on each call.
+the descent algebra in Solomon's basis x_K (by Mackey's formula, one pass
+over W) and the per-element keys of each kind of measure value table
+(``measure_keys``) are built from the elements, each once, on first use;
+the coset minima of one W_K are computed on each call.
 
 A subset K of the simple reflections, and so a descent set, is a bitmask:
 bit i stands for simple reflection i.  Every per-subset table (the
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from functools import reduce
+from itertools import compress
 from operator import mul, or_
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -100,7 +102,7 @@ class CoxeterGroup:
         self._parabolics: Optional[List[ParabolicData]] = None
         self._length_descents: Optional[List[int]] = None
         self._class_descents: Optional[List[Counter]] = None
-        self._descent_structure: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
+        self._mackey: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
         self._measure_counts: Dict[Tuple[str, ...], Counter] = {}
         # the measures' integer polynomial tables, keyed by method name
         # (``measures.polynomial_tables``)
@@ -369,28 +371,51 @@ class CoxeterGroup:
             ]
         return self._class_descents
 
-    def descent_structure(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-        """Structure constants of Solomon's descent algebra: per descent mask
-        d, the pairs (d1, d2) with N(d1, d2; d) > 0, each packed as
-        d1 << rank | d2, and the counts N in the same order.  N counts the u
-        with descent mask d1 and u^-1 w descent mask d2, for any one w of
-        mask d; it does not depend on which w (L. Solomon, J. Algebra 41,
-        1976)."""
-        if self._descent_structure is None:
-            dm, index, r = self.descent_mask, self.index, self.rank
-            # as t runs over W, u = t^-1 does too, and u^-1 w = t w
-            u_class = [dm[i] << r for i in self.inverse]
-            rep: Dict[int, int] = {}
-            for i, d in enumerate(dm):
-                rep.setdefault(d, i)
-            out = []
-            for d in range(1 << r):
-                tw = map(index.__getitem__, map(self.keys[rep[d]].translate, self.tables))
-                counts = Counter(map(or_, u_class, map(dm.__getitem__, tw)))
-                pairs, ns = zip(*sorted(counts.items()))
-                out.append((pairs, ns))
-            self._descent_structure = out
-        return self._descent_structure
+    def mackey_structure(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Structure constants of Solomon's descent algebra in the basis x_K
+        = sum of the w with D(w) and K disjoint: per mask L, the pairs (J, K)
+        with M(J, K; L) > 0, each packed as J << rank | K, and the counts M
+        in the same order, where M(J, K; L) is the x_L coefficient of x_J
+        x_K.  By Mackey's formula (L. Solomon, J. Algebra 41, 1976), x_J x_K
+        is the sum of x_L over the w with J and D(w^-1) disjoint and K and
+        D(w) disjoint (the least elements of the double cosets W_J w W_K),
+        with L = K & w^-1 J w = {s in K : w alpha_s = alpha_t, t in J}.
+
+        So M is counted in one pass over W: the elements are grouped by
+        (D(w^-1), D(w), the simple root each simple root goes to, if any),
+        and each group adds its size once per J in the complement of D(w^-1)
+        and K in the complement of D(w)."""
+        if self._mackey is None:
+            r = self.rank
+            full = (1 << r) - 1
+            target = [r] * (2 * self.n_pos)  # the simple root t of a root index, else r
+            for t, j in enumerate(self._simple):
+                target[j] = t
+            keys, dm = self.keys, self.descent_mask
+            images = [[target[k[j]] for k in keys] for j in self._simple]
+            groups = Counter(zip(map(dm.__getitem__, self.inverse), dm, *images))
+            submasks = [[K for K in range(full + 1) if not K & ~S] for S in range(full + 1)]
+            counts = [0] * (1 << 3 * r)  # indexed by J << 2r | K << r | L
+            for (left, right, *imgs), n in groups.items():
+                # (bit t, bit s) for w alpha_s = alpha_t; t is never in D(w^-1)
+                # and s never in D(w), as w^-1 alpha_t and w alpha_s are positive
+                to_simple = [(1 << t, 1 << s) for s, t in enumerate(imgs) if t < r]
+                Ks = submasks[full ^ right]
+                for J in submasks[full ^ left]:
+                    onto_J = 0  # the s that w sends into J
+                    for tb, sb in to_simple:
+                        if J & tb:
+                            onto_J |= sb
+                    base = J << 2 * r
+                    for K in Ks:
+                        counts[base | K << r | (onto_J & K)] += n
+            out: List[Tuple[List[int], List[int]]] = [([], []) for _ in range(full + 1)]
+            for key in compress(range(len(counts)), counts):
+                pairs, ns = out[key & full]
+                pairs.append(key >> r)
+                ns.append(counts[key])
+            self._mackey = [(tuple(pairs), tuple(ns)) for pairs, ns in out]
+        return self._mackey
 
     def measure_keys(self, kind: str) -> Sequence[int]:
         """Per element, its key in a measure table of this kind: its descent

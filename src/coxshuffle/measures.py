@@ -31,14 +31,21 @@ output value.  The Fraction values (in lowest terms) and the dense values
 are built on demand; the dense values are never stored.  The
 descent-class sums span Solomon's descent algebra, which is closed under
 products (L. Solomon, "A Mackey formula in the group ring of a Coxeter
-group", J. Algebra 41, 1976), so a convolution is one integer combination of the algebra's
-structure constants per descent class.  The walk's transition matrix is
-right convolution by H (Bidigare-Hanlon-Rockmore, Duke Math. J. 99, 1999;
-Brown, Ann. Probab. 28, 2000), so its spectrum identity
+group", J. Algebra 41, 1976).  Products are taken in Solomon's basis
+x_K = sum of the w with D(w) and K disjoint, where H's coordinates are its
+face weights: H(D) is the sum of v_K over the K disjoint from D.  A factor
+moves to x coordinates by the inverse of that subset-sum transform
+(``_avoiding_sums``), the coordinates multiply over the algebra's
+structure constants in that basis (``CoxeterGroup.mackey_structure``:
+592 on A4 and 745 on H4, against 1632 and 3116 in the descent-class
+basis), and the product comes back by the transform.  The walk's
+transition matrix is right convolution by H (Bidigare-Hanlon-Rockmore,
+Duke Math. J. 99, 1999; Brown, Ann. Probab. 28, 2000), so its spectrum
+identity
 prod over i = 0..r of (M - x^-i I) = 0 is checked as
 prod (H - x^-i delta_e) = 0 in the same algebra, on every supported type.
 The integer tables are built once per group
-(``CoxeterGroup.descent_structure``, ``measure_counts``,
+(``CoxeterGroup.mackey_structure``, ``measure_counts``,
 ``class_descent_counts``).  A descent table, and the face weights it is
 summed from, need only the group's rank-level data, so they never
 enumerate the elements.
@@ -50,7 +57,7 @@ and kept on the group (``polynomial_tables``): 2^r rows of r + 1 integer
 coefficients over one common denominator.  A face row is
 c_K chi_K, with c_K = |W_K| / (|N_K| lambda_K) for ``definition`` and
 (-1)^(r-|K|) / chi_K(-1) for ``os_sign``; the H rows are their sums over
-the K disjoint from D, one subset-sum transform of integer rows.  The
+the K disjoint from D, one subset-sum transform per coefficient.  The
 closed forms are expanded to the same shape.  ``h_measure`` and
 ``face_weights`` evaluate a table at x = a/b: row D is
 sum of c_k a^k b^(r-k) over den a^r, one integer dot product per mask;
@@ -61,8 +68,9 @@ one Fraction per mask.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .group import CoxeterGroup
@@ -203,7 +211,8 @@ def polynomial_tables(g: CoxeterGroup, method: str) -> Tuple[Optional[PolyTable]
             tables = (None, _closed_form_rows(g))
         elif method in ("definition", "os_sign"):
             rows, den = _face_rows(g, method)
-            tables = ((rows, den), (_avoiding_sums(rows), den))
+            h_rows = list(zip(*(_avoiding_sums(column) for column in zip(*rows))))
+            tables = ((rows, den), (h_rows, den))
         else:
             raise ValueError(f"unknown method {method!r}")
         g._measure_tables[method] = tables
@@ -230,19 +239,31 @@ def _face_rows(g: CoxeterGroup, method: str) -> Tuple[List[Tuple[int, ...]], int
             for n, chi in zip(nums, chis)], den
 
 
-def _avoiding_sums(rows: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Row D of the result is the sum of the rows K with K and D disjoint:
-    the sums over the subsets of each mask (one pass per bit, r 2^(r-1) row
-    additions), read at the complement of D."""
-    sums = list(rows)
-    full = len(rows) - 1
-    bit = 1
-    while bit <= full:
-        for S in range(full + 1):
-            if S & bit:
-                sums[S] = tuple(map(add, sums[S], sums[S ^ bit]))
-        bit <<= 1
-    return [sums[full ^ D] for D in range(full + 1)]
+def _avoiding_sums(values: Sequence[int], inverse: bool = False) -> List[int]:
+    """Entry D of the result is the sum of values[K] over the K disjoint
+    from D: the sums over the subsets of each mask (one pass per bit,
+    r 2^(r-1) additions), read at the complement of D, which is entry
+    full - D.  With ``inverse``, the values c whose transform is ``values``:
+    the same passes with differences, on the values read at the complements.
+    In the descent algebra, the transform takes coordinates in Solomon's
+    basis x_K to values by descent mask."""
+    if inverse:
+        out = list(values[::-1])
+        for S, T in _subset_steps(len(out)):
+            out[S] -= out[T]
+        return out
+    out = list(values)
+    for S, T in _subset_steps(len(out)):
+        out[S] += out[T]
+    return out[::-1]
+
+
+@lru_cache(maxsize=None)
+def _subset_steps(size: int) -> Tuple[Tuple[int, int], ...]:
+    """The steps (S, S without bit) of the subset-sum passes over the masks
+    below size, one pass per bit."""
+    return tuple((S, S ^ bit) for bit in map((1).__lshift__, range(size.bit_length() - 1))
+                 for S in range(size) if S & bit)
 
 
 def _expand(shifts: Iterable[int]) -> List[int]:
@@ -404,8 +425,9 @@ def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
     chamber is the coset element of minimal length, and w is the minimum
     of w W_K iff K avoids its length-descent set L(w) = {s : l(ws) < l(w)}.
     So the walk lands on w with the sum of v_K over the K with K and L(w)
-    disjoint, one value per mask of L (``g.length_descents()``), summed on
-    integer numerators over the weights' common denominator.  Computed
+    disjoint, one value per mask of L (``g.length_descents()``): the
+    subset-sum transform (``_avoiding_sums``) of the weights' integer
+    numerators over their common denominator.  Computed
     from lengths alone, independently of the descent sets and of h_measure,
     as a cross-check oracle: L(w) comes from lengths in the Cayley graph
     (l(ws) < l(w)), while H reads each element's descent mask off the root
@@ -415,36 +437,34 @@ def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
     total = sum(g.size // pd.subgroup_order * n for pd, n in zip(g.parabolic_table(), nums))
     if total != den:
         raise ValueError(f"face weights sum to {Fraction(total, den)}, not 1")
-    full = (1 << g.rank) - 1
-    table = []
-    for L in range(full + 1):
-        # the K avoiding L are the submasks of its complement: 0, and each
-        # nonzero submask once, from the top down
-        M = K = full ^ L
-        landing = nums[0]
-        while K:
-            landing += nums[K]
-            K = (K - 1) & M
-        table.append(landing)
-    return WMeasure._from_numerators(g, None, "length_descent", table, den)
+    return WMeasure._from_numerators(g, None, "length_descent", _avoiding_sums(nums), den)
 
 
 # -- descent-algebra operations -------------------------------------------------
 
 
-def _product_numerators(g: CoxeterGroup, na: Sequence[int], nb: Sequence[int]) -> List[int]:
-    """The descent-algebra product on numerators by descent mask: per class
-    D, the sum of N na[D1] nb[D2] over the structure constants of D."""
-    ab = [u * v for u in na for v in nb]  # indexed by D1 << rank | D2
+def _x_product(g: CoxeterGroup, ca: Sequence[int], cb: Sequence[int]) -> List[int]:
+    """The descent-algebra product on coordinates in Solomon's basis x_K:
+    per L, the sum of M(J, K; L) ca[J] cb[K] over the structure constants
+    of L (``g.mackey_structure()``)."""
+    ab = [u * v for u in ca for v in cb]  # indexed by J << rank | K
     return [sum(map(mul, counts, map(ab.__getitem__, pairs)))
-            for pairs, counts in g.descent_structure()]
+            for pairs, counts in g.mackey_structure()]
+
+
+def _product_numerators(g: CoxeterGroup, na: Sequence[int], nb: Sequence[int]) -> List[int]:
+    """The descent-algebra product on numerators by descent mask: both
+    factors to x coordinates, their product there, and back."""
+    return _avoiding_sums(_x_product(g, _avoiding_sums(na, inverse=True),
+                                     _avoiding_sums(nb, inverse=True)))
 
 
 def convolve(m1: WMeasure, m2: WMeasure) -> WMeasure:
     """The product measure out(w) = sum over uv = w of m1(u) m2(v), in the
-    descent algebra on the factors' numerators, over the product of their
-    denominators.  Both factors must be constant on descent classes
-    (ValueError otherwise)."""
+    descent algebra on the factors' numerators (``_product_numerators``, in
+    Solomon's x_K coordinates), over the product of their denominators.
+    Both factors must be constant on descent classes (ValueError
+    otherwise)."""
     if m1.group is not m2.group:
         raise ValueError("measures live on different groups")
     g = m1.group
@@ -459,26 +479,29 @@ def spectrum_product(h: WMeasure, factors: Optional[int] = None) -> List[Fractio
     at the identity, the one element with no descents.  The chamber walk's
     transition matrix M[u][w] = H(u^-1 w) is right convolution by H
     (Bidigare-Hanlon-Rockmore), so with all factors this vanishes iff
-    prod over i = 0..rank of (M - x^-i I) does.  With H's numerators over
-    den and x = a/b, factor i is H's numerators times a^i, less den b^i at
-    the identity, over den a^i; the factors multiply as ``convolve``'s do,
-    on numerators (``_product_numerators``), and each output value is one
-    Fraction over the product of the factors' denominators."""
+    prod over i = 0..rank of (M - x^-i I) does.  The product stays in
+    Solomon's x_K coordinates from the first factor to the last and comes
+    back to descent masks once.  H's coordinates, its face weights, are
+    c over den, and delta_e = x_S, the x of the full mask S; with
+    x = a/b, factor i is c times a^i, less den b^i at S, over den a^i.  The
+    factors multiply as ``convolve``'s do (``_x_product``), and each output
+    value is one Fraction over the product of the factors' denominators."""
     if h.x_param is None:
         raise ValueError("the measure carries no x")
     g = h.group
     x = Fraction(h.x_param)
     a, b = x.numerator, x.denominator
-    nums, den = h._descent_nums(), h.den
-    prod = [int(d == 0) for d in range(1 << g.rank)]
+    coords, den = _avoiding_sums(h._descent_nums(), inverse=True), h.den
+    full = (1 << g.rank) - 1
+    prod = [int(K == full) for K in range(full + 1)]  # delta_e
     prod_den = 1
     for i in range(g.rank + 1 if factors is None else factors):
         a_i = a**i
-        factor = [n * a_i for n in nums]
-        factor[0] -= den * b**i
-        prod = _product_numerators(g, prod, factor)
+        factor = [c * a_i for c in coords]
+        factor[full] -= den * b**i
+        prod = _x_product(g, prod, factor)
         prod_den *= den * a_i
-    return [Fraction(n, prod_den) for n in prod]
+    return [Fraction(n, prod_den) for n in _avoiding_sums(prod)]
 
 
 def _over_common_denominator(values) -> Tuple[List[int], int]:

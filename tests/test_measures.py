@@ -3,6 +3,7 @@
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
+from operator import add
 
 import pytest
 
@@ -21,7 +22,7 @@ from coxshuffle.measures import (
     spectrum_product,
 )
 from coxshuffle.rootdata import parse_type
-from test_group import subgroup_elements
+from test_group import descent_structure, subgroup_elements
 from test_shuffling import exact_shuffle_law
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
@@ -461,7 +462,8 @@ def fraction_longshort(g, x):
 
 def fraction_convolve(m1, m2):
     """Oracle: per descent class D, the sum of N m1[D1] m2[D2] over the
-    structure constants of D, a Fraction per term."""
+    structure constants of D in the descent-class basis
+    (``test_group.descent_structure``), a Fraction per term."""
     return fraction_product(m1.group, m1.descent_table(), m2.descent_table())
 
 
@@ -469,7 +471,7 @@ def fraction_product(g, a, b):
     """``fraction_convolve`` on two lists of Fraction values by descent mask."""
     r, full = g.rank, (1 << g.rank) - 1
     return [sum((n * a[p >> r] * b[p & full] for p, n in zip(pairs, counts)), Fraction(0))
-            for pairs, counts in g.descent_structure()]
+            for pairs, counts in descent_structure(g)]
 
 
 def unreduced(m, factor=2):
@@ -805,12 +807,21 @@ def test_spectrum_product_against_fraction_oracle(t, x):
     assert not any(spectrum_product(h))
 
 
+def unit_x_coordinates(g, k):
+    """Oracle: the x_K coordinates of the indicator of descent class k, by
+    Moebius inversion, one sign per K: (-1)^|K - S| for the K holding the
+    complement S of k, else 0."""
+    full = (1 << g.rank) - 1
+    S = full ^ k
+    return [(-1) ** (K ^ S).bit_count() if not S & ~K else 0 for K in range(full + 1)]
+
+
 @pytest.mark.parametrize("t", ["D4", "H3"])
 def test_spectrum_oracle_catches_a_factor_off_by_one(t, monkeypatch):
     import coxshuffle.measures as measures
 
     g = get_group(t)
-    product = measures._product_numerators
+    product = measures._x_product
     # not x = -1: there H is the point mass at w0, the factors are H + 1 and
     # H - 1, and the other factors annihilate any bump of one of them
     for x in (2, Fraction(1, 2), Fraction(-7, 3)):
@@ -820,17 +831,20 @@ def test_spectrum_oracle_catches_a_factor_off_by_one(t, monkeypatch):
             for bumped in range(factors):
                 for k in (0, (1 << g.rank) - 1):
                     calls = []
+                    bump = unit_x_coordinates(g, k)
 
-                    def off_by_one(g, na, nb):
-                        # the factor of the bumped call has numerator k off by one
+                    def off_by_one(g, ca, cb):
+                        # the factor of the bumped call has its numerator at
+                        # descent mask k off by one: in x coordinates, plus
+                        # the indicator of class k
                         if len(calls) == bumped:
-                            nb = list(nb)
-                            nb[k] += 1
+                            cb = list(map(add, cb, bump))
                         calls.append(True)
-                        return product(g, na, nb)
+                        return product(g, ca, cb)
 
-                    monkeypatch.setattr(measures, "_product_numerators", off_by_one)
+                    monkeypatch.setattr(measures, "_x_product", off_by_one)
                     assert spectrum_product(h, factors) != expect, (x, factors, bumped, k)
+                    assert len(calls) == factors
                     monkeypatch.undo()
             assert spectrum_product(h, factors) == expect
 
@@ -923,6 +937,108 @@ def test_face_weights_methods_agree_per_type():
 def test_convolution_group_mismatch():
     with pytest.raises(ValueError):
         convolve(h_measure(get_group("A1"), 2), h_measure(get_group("A2"), 2))
+
+
+def x_structure_oracle(g):
+    """Oracle: the structure constants in Solomon's basis x_K, keyed by
+    (J, K, L), from the descent-class constants (``descent_structure``).
+    x_J and x_K are the indicators of the descent classes disjoint from J
+    and from K, so x_J x_K at D is the sum of N(D1, D2; D) over D1 disjoint
+    from J and D2 disjoint from K: subset sums of N( . , . ; D) along each
+    axis, read at the complements of J and K.  Its x_L coefficients are
+    the sum over D of its value at D times ``unit_x_coordinates(g, D)``."""
+    r, full = g.rank, (1 << g.rank) - 1
+    grids = []
+    for pairs, counts in descent_structure(g):
+        grid = [[0] * (full + 1) for _ in range(full + 1)]
+        for p, n in zip(pairs, counts):
+            grid[p >> r][p & full] = n
+        for bit in (1 << i for i in range(r)):
+            for S in range(full + 1):
+                if S & bit:
+                    grid[S] = list(map(add, grid[S], grid[S ^ bit]))
+            for row in grid:
+                for S in range(full + 1):
+                    if S & bit:
+                        row[S] += row[S ^ bit]
+        grids.append(grid)
+    units = [[(L, c) for L, c in enumerate(unit_x_coordinates(g, D)) if c]
+             for D in range(full + 1)]
+    out = {}
+    for J in range(full + 1):
+        for K in range(full + 1):
+            coords = [0] * (full + 1)
+            for D, grid in enumerate(grids):
+                value = grid[full ^ J][full ^ K]
+                for L, c in units[D]:
+                    coords[L] += c * value
+            out.update(((J, K, L), m) for L, m in enumerate(coords) if m)
+    return out
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_mackey_structure_against_descent_structure(t):
+    g = get_group(t)
+    r, full = g.rank, (1 << g.rank) - 1
+    structure = g.mackey_structure()
+    assert len(structure) == 1 << r
+    found = {}
+    for L, (pairs, counts) in enumerate(structure):
+        assert len(set(pairs)) == len(pairs) == len(counts) and min(counts) > 0
+        found.update(((p >> r, p & full, L), n) for p, n in zip(pairs, counts))
+    assert found == x_structure_oracle(g)
+    assert len(found) <= sum(len(pairs) for pairs, _ in descent_structure(g))
+    assert structure is g.mackey_structure()
+
+
+def convolve_or_none(a, b):
+    """``convolve(a, b)``'s values by descent mask, or None where its sum
+    check refuses the product."""
+    try:
+        return convolve(a, b).descent_table()
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "D4", "H3"])
+def test_a_structure_constant_off_by_one_changes_convolve(t, monkeypatch):
+    import coxshuffle.measures as measures
+    from coxshuffle.group import CoxeterGroup
+
+    g = get_group(t)
+    x, y = Fraction(7, 3), Fraction(-5, 2)
+    # every face weight, so every x coordinate of both factors, is nonzero:
+    # each constant M(J, K; L) enters the product times a nonzero c_J c'_K
+    assert all(face_weights(g, x)) and all(face_weights(g, y))
+    a, b = h_measure(g, x), h_measure(g, y)
+    expect = fraction_convolve(a, b)
+    assert convolve_or_none(a, b) == expect
+    structure = g.mackey_structure()
+    for L, (pairs, counts) in enumerate(structure):
+        for i in range(len(counts)):
+            for delta in (1, -1):
+                bumped = list(structure)
+                bumped[L] = (pairs, counts[:i] + (counts[i] + delta,) + counts[i + 1:])
+                monkeypatch.setattr(CoxeterGroup, "mackey_structure", lambda self: bumped)
+                assert convolve_or_none(a, b) != expect, (L, pairs[i], delta)
+                # the numerator product itself, before convolve's sum check
+                nums = measures._product_numerators(g, a.nums, b.nums)
+                assert [Fraction(n, a.den * b.den) for n in nums] != expect
+                monkeypatch.undo()
+    assert convolve_or_none(a, b) == expect
+
+
+def test_h4_products_build_the_structure_once():
+    from coxshuffle.group import CoxeterGroup
+
+    g = CoxeterGroup(parse_type("H4"))  # a private group: nothing built yet
+    h = h_measure(g, 2)
+    assert unbuilt(g)  # the measure, and the declared slot, read no element
+    conv = convolve(h, h)
+    built = g.mackey_structure()
+    assert not any(spectrum_product(h))
+    assert convolve(h, h) == conv and spectrum_product(h, g.rank) == spectrum_product(h, g.rank)
+    assert g.mackey_structure() is built
 
 
 def s3_class_masses(x):
