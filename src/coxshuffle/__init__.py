@@ -20,7 +20,6 @@ _SUBMODULE = {
     "get_group": "group",
     "IntersectionLattice": "lattice",
     "build_lattice": "lattice",
-    "coexponents": "lattice",
     "Subspace": "linalg",
     "canonicalize": "linalg",
     "WMeasure": "measures",

@@ -1,8 +1,9 @@
 """Finite fields GF(p^e) and exact polynomial arithmetic over them.
 
 An element of GF(p^e) is an int 0 <= a < p^e whose base-p digits, low to
-high, are its coefficients over GF(p) modulo a monic irreducible of degree
-e (the first one in lexicographic order, so contexts are canonical).  A
+high, are its coefficients over GF(p) modulo the first monic irreducible of
+degree e in ``monic_polys`` order.  That is the only modulus, so two
+contexts of one order are the same field and build the same tables.  A
 prime field adds and multiplies mod p; an extension adds, negates,
 multiplies and inverts by lookups in one exp/log/Zech table set of its
 smallest generator, built from the schoolbook product on first use.
@@ -67,21 +68,22 @@ def is_prime(n: int) -> bool:
 
 
 class FqContext:
-    """GF(p) for prime p, or GF(p^e) modulo a monic irreducible of degree e.
+    """GF(p) for prime p, or GF(p^e) modulo the first monic irreducible of
+    degree e (``_first_irreducible``).
 
     Elements are the ints 0 <= a < q in base-p digit order, so 0 and 1 are
     zero and one and ``elements()`` is range(q).  The tables of the smallest
     generator g are exp (g^k, doubled), log and zech[k] = log(1 + g^k): an
     extension's a*b is exp[log a + log b], a + b = a(1 + b/a) is
     exp[log a + zech[log b - log a]], and -a is exp[log a + (q-1)/2].  A
-    prime field builds them only for ``generator`` and ``dlog``.
+    prime field builds them only for ``dlog``.
     """
 
     zero = 0
     one = 1
     _cache: Dict[Tuple[int, int], "FqContext"] = {}
 
-    def __init__(self, p: int, e: int = 1, modulus: Optional[Tuple[int, ...]] = None):
+    def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if e < 1:
@@ -89,18 +91,7 @@ class FqContext:
         self.p = p
         self.e = e
         self.order = p**e
-        if e == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = _first_irreducible(p, e)
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree e")
-            base = FqContext.get(p, 1)
-            if not is_irreducible(FqPoly.make(base, modulus)):
-                raise ValueError("modulus must be irreducible")
-            self.modulus = modulus
+        self.modulus = _first_irreducible(p, e) if e > 1 else None
         self._tables: Optional[Tuple[list, list, list]] = None
         self._first_roots: Optional[Dict[Tuple[int, ...], int]] = None
         self._irreducibles: Dict[int, List[FqPoly]] = {}
@@ -131,9 +122,6 @@ class FqContext:
         la = log[a]
         k = zech[log[b] - la]  # a negative index wraps mod q - 1, as the exponent does
         return 0 if k is None else exp[la + k]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.e == 1:
@@ -257,22 +245,15 @@ class FqContext:
     # -- multiplicative structure --------------------------------------------
 
     def _log(self, a) -> int:
-        """The log of a to ``generator()``; ValueError unless a is an int with
-        0 < a < q, since a list index would answer a = -1 silently."""
+        """The log of a to the smallest generator; ValueError unless a is an
+        int with 0 < a < q, since a list index would answer a = -1 silently."""
         if a.__class__ is not int or not 0 < a < self.order:
             raise ValueError(f"{a!r} is not a nonzero element of {self!r}")
         return (self._tables or self._build_tables())[1][a]
 
-    def generator(self) -> int:
-        """Smallest generator of the multiplicative group (deterministic)."""
-        return (self._tables or self._build_tables())[0][1]
-
-    def is_generator(self, a) -> bool:
-        return a != 0 and gcd(self._log(a), self.order - 1) == 1
-
     def dlog(self, a, base=None) -> int:
-        """The k with base^k = a, for a generator base (``generator()`` by
-        default): log a * (log base)^-1 mod q - 1, read from the field's
+        """The k with base^k = a, for a generator base (the smallest generator
+        by default): log a * (log base)^-1 mod q - 1, read from the field's
         table.  ValueError unless a and base are nonzero elements and base
         generates."""
         k = self._log(a)
@@ -289,8 +270,7 @@ class FqContext:
         Built on first call in one pass over ``elements()``: the first element
         not yet seen opens a new Frobenius orbit a, a^p, a^(p^2), ..., whose
         product of (z - a^(p^k)) is the minimal polynomial of a, keyed by its
-        coefficients, low to high.  The table belongs to this context, so a
-        field built with another modulus gets its own roots."""
+        coefficients, low to high."""
         if self._first_roots is None:
             p = self.p
             table, seen = {}, set()
@@ -313,6 +293,13 @@ class FqContext:
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
+
+
+def check_table_size(p: int, e: int) -> None:
+    """ValueError when GF(p^e) has more than 10^6 elements: a field's tables
+    (exp/log/Zech, first roots) hold one entry per element."""
+    if p**e > 10**6:
+        raise ValueError(f"GF({p}^{e}) would need tables of {p**e} elements")
 
 
 def base_p_digits(k: int, p: int, n: int) -> List[int]:
@@ -678,23 +665,12 @@ class FqPoly:
     def monic(self) -> "FqPoly":
         return FqPoly(self.ctx, tuple(poly_monic(self.ctx, self.coeffs)))
 
-    def eval(self, a):
-        ctx = self.ctx
-        out = ctx.zero
-        for c in reversed(self.coeffs):
-            out = ctx.add(ctx.mul(out, a), c)
-        return out
-
     def substitute_negative(self) -> "FqPoly":
         """The polynomial f(-z)."""
         ctx = self.ctx
         return FqPoly.make(
             ctx, [c if i % 2 == 0 else ctx.neg(c) for i, c in enumerate(self.coeffs)]
         )
-
-    def conjugate_monic(self) -> "FqPoly":
-        """Monic associate of f(-z)."""
-        return self.substitute_negative().monic()
 
     def is_even_function(self) -> bool:
         return self == self.substitute_negative()
@@ -735,8 +711,7 @@ def irreducibles(ctx: FqContext, degree: int) -> List[FqPoly]:
     """All monic irreducibles of exactly this degree, by an Eratosthenes-style
     sieve: every product of an irreducible of smaller degree with a monic
     cofactor is marked reducible; the unmarked monics remain.  The lists
-    are kept on the context, so a field built with another modulus sieves
-    its own."""
+    are kept on the context."""
     cached = ctx._irreducibles.get(degree)
     if cached is not None:
         return cached
@@ -788,12 +763,6 @@ class FactorMultiset:
 
     def __len__(self):
         return len(self.pairs)
-
-    def multiplicity(self, f: FqPoly) -> int:
-        for g, k in self.pairs:
-            if g == f:
-                return k
-        return 0
 
     def product(self, ctx: FqContext) -> FqPoly:
         out = FqPoly.make(ctx, [ctx.one])

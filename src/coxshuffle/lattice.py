@@ -212,40 +212,3 @@ class IntersectionLattice:
 def build_lattice(rs: RootSystem) -> IntersectionLattice:
     """Flats of the reflection arrangement, as W-orbits of standard parabolic masks."""
     return IntersectionLattice(rs)
-
-
-def integer_roots(coeffs: Sequence[int], bound: int) -> Optional[List[int]]:
-    """Roots (with multiplicity) of a monic integer polynomial, searched in
-    0..bound; None if the polynomial does not split over that range."""
-    poly = list(coeffs)
-    roots = []
-    for b in range(bound + 1):
-        while len(poly) > 1:
-            # synthetic division by (x - b)
-            quot = [0] * (len(poly) - 1)
-            carry = 0
-            for i in range(len(poly) - 1, 0, -1):
-                quot[i - 1] = poly[i] + carry
-                carry = quot[i - 1] * b
-            if poly[0] + carry != 0:
-                break
-            poly = quot
-            roots.append(b)
-    if len(poly) != 1 or poly[0] != 1:
-        return None
-    return sorted(roots)
-
-
-def coexponents(group, K) -> List[int]:
-    """Integer roots of the restricted characteristic polynomial above Fix(W_K)."""
-    lat = group.lattice()
-    mask = group.standard_parabolic_mask(K)
-    fid = lat.mask_to_id[mask]
-    cp = lat.char_poly(fid)
-    max_exp = max(group.exponents())
-    roots = integer_roots(cp.coefficients, max_exp)
-    if roots is None:
-        raise RuntimeError(
-            f"restricted characteristic polynomial {cp} does not split over the integers"
-        )
-    return roots

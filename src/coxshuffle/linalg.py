@@ -81,16 +81,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
-    def contains(self, vector: Sequence) -> bool:
-        """Membership by reduction against the echelon basis."""
-        v = list(vector)
-        for row in self.basis:
-            col = _pivot_col(row)
-            if not _is_zero(v[col]):
-                f = v[col]
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(_is_zero(x) for x in v)
-
 
 def _pivot_col(row) -> int:
     for j, x in enumerate(row):

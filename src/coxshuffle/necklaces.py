@@ -23,7 +23,8 @@ import itertools
 from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gfpoly import FqContext, FqPoly, base_p_digits, factor, is_prime, monic_polys
+from .gfpoly import (FqContext, FqPoly, base_p_digits, check_table_size, factor, is_prime,
+                     monic_polys)
 
 
 # -- canonical forms ------------------------------------------------------------
@@ -129,9 +130,12 @@ def make_ornament(twisted: Sequence[tuple], blinking: Sequence[tuple]) -> Signed
 
 
 def enumerate_signed_ornaments(n: int, q: int) -> Iterator[SignedOrnament]:
-    """All signed ornaments of size n with entries bounded by (q-1)/2."""
+    """All signed ornaments of size n with entries bounded by (q-1)/2: q^n of
+    them, so past 10^6 the walk is refused before its first necklace."""
     if q % 2 == 0 or not is_prime(q):
         raise ValueError("q must be an odd prime")
+    if q**n > 10**6:
+        raise ValueError(f"enumeration would need {q**n} ornaments")
     bound = (q - 1) // 2
     tw = {m: primitive_necklaces("twisted", m, bound) for m in range(1, n + 1)}
     bl = {m: primitive_necklaces("blinking", m, bound) for m in range(1, n + 1)}
@@ -292,26 +296,22 @@ def _normal_coordinates(ext: FqContext, q: int, m: int, beta) -> List[int]:
     return [sum(a * b for a, b in zip(row, nvec)) % q for row in inverse]
 
 
-def _first_root_in_extension(phi: FqPoly, ext: FqContext):
-    """The first root of the irreducible phi in ``ext.elements()`` order,
-    read from the extension's table of minimal polynomials."""
-    root = ext.first_roots().get(phi.monic().coeffs)
-    if root is None:
-        raise RuntimeError(f"{phi} has no root in GF({ext.order})")
-    return root
-
-
 def _root_of_irreducible(phi: FqPoly) -> Tuple[FqContext, object]:
-    """(GF(p^i), the first root of phi there) for phi of degree i over GF(p).
+    """(GF(p^i), the first root of phi there in ``elements()`` order) for phi
+    of degree i over GF(p).
 
     The extension's table is keyed by the minimal polynomials of its
     elements, and a monic polynomial of degree i is one of them exactly
-    when it is irreducible, so a lookup that misses rejects phi."""
-    i = phi.degree
-    ext = FqContext.get(phi.ctx.p, i) if i >= 1 else None
-    if ext is None or phi.monic().coeffs not in ext.first_roots():
-        raise ValueError("polynomial is not irreducible")
-    return ext, _first_root_in_extension(phi, ext)
+    when it is irreducible, so a lookup that misses rejects phi.  A field
+    past ``check_table_size``'s bound is refused before its table is built."""
+    p, i = phi.ctx.p, phi.degree
+    if i >= 1:
+        check_table_size(p, i)
+        ext = FqContext.get(p, i)
+        root = ext.first_roots().get(phi.monic().coeffs)
+        if root is not None:
+            return ext, root
+    raise ValueError("polynomial is not irreducible")
 
 
 def normal_basis_encode(phi: FqPoly) -> tuple:
@@ -332,7 +332,8 @@ def normal_basis_encode(phi: FqPoly) -> tuple:
 def golomb_encode(phi: FqPoly, beta=None) -> tuple:
     """Primitive plain necklace of an irreducible (not z): base-p digits of
     the discrete log of any root with respect to a generator beta (by
-    default the field's ``generator()``; ``dlog`` rejects any other beta)."""
+    default the field's smallest generator; ``dlog`` rejects any other
+    beta)."""
     p = phi.ctx.p
     if phi.ctx.e != 1:
         raise ValueError("prime base fields only")
@@ -384,7 +385,9 @@ def refine_phi_A(f: FqPoly, mode: str = "normal_basis") -> Tuple[tuple, List[Lis
 
 def refine_census(p: int, n: int, mode: str) -> Dict[tuple, int]:
     """How many monics of degree n over F_p ``refine_phi_A`` sends to each
-    permutation."""
+    permutation; past 10^6 monics the census is refused before the first."""
+    if p**n > 10**6:
+        raise ValueError(f"enumeration would need {p**n} polynomials")
     counts: Dict[tuple, int] = {}
     for f in monic_polys(FqContext.get(p), n):
         w, _ = refine_phi_A(f, mode)

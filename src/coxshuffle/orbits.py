@@ -9,20 +9,16 @@ unique splitting into conjugate pairs [phi(z)phi(-z)]^r times self-conjugate
 factors phi^s with s in {0,1}, giving a pair of partitions.
 
 ``phi_map`` reads both labels off the distinct-degree layers of
-``gfpoly.degree_layers``, and so does ``translation_invariance_check``:
-over a small field the layers start from the roots of f in F_q, found
-by evaluation, and no factor of degree >= 2 is ever found.  With f(z) =
-g(z^2), the type-B label asks of each factor psi of g whether its root
-beta is a square in F_(q^m), m = deg psi.  By Euler's criterion that
-holds exactly when the norm N(beta) = (-1)^m psi(0) is a square in F_q,
-since (q^m - 1)/2 = ((q - 1)/2)(1 + q + ... + q^(m-1)): a layer with one
-factor needs one power in F_q; a layer of several roots in F_q, over a
-small field, counts them among the squares by evaluation; any other
-layer needs the norm of y modulo the layer, one power of it and one
-gcd.  ``b_pair_type`` reads the type-B
-label off a full ``factor()``; only the tests use it, to hold ``phi_map``
-and the signed-ornament types to it, and ``phi_map`` to
-``degree_partition``.
+``gfpoly.degree_layers``: over a small field the layers start from the
+roots of f in F_q, found by evaluation, and no factor of degree >= 2 is
+ever found.  With f(z) = g(z^2), the type-B label asks of each factor psi
+of g whether its root beta is a square in F_(q^m), m = deg psi.  By
+Euler's criterion that holds exactly when the norm N(beta) = (-1)^m psi(0)
+is a square in F_q, since (q^m - 1)/2 = ((q - 1)/2)(1 + q + ... +
+q^(m-1)): a layer with one factor needs one power in F_q; a layer of
+several roots in F_q, over a small field, counts them among the squares by
+evaluation; any other layer needs the norm of y modulo the layer, one
+power of it and one gcd.
 """
 
 from __future__ import annotations
@@ -33,13 +29,12 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
 from .gfpoly import (
-    FactorMultiset,
     FqContext,
     FqPoly,
+    check_table_size,
     degree_layers,
     is_prime,
     layer_partition,
-    monic_polys,
     poly_axpy,
     poly_frobenius,
     poly_gcd,
@@ -85,12 +80,6 @@ class OrbitFamily:
         return self.n - 1 if self.tag == "A" else self.n
 
     @property
-    def very_good(self) -> bool:
-        if self.tag == "A":
-            return self.n % self.ctx.p != 0
-        return self.ctx.p != 2
-
-    @property
     def orbit_count(self) -> int:
         return self.q**self.rank
 
@@ -108,8 +97,8 @@ def orbit_family(tag: str, n: int, q: int, e: int = 1) -> OrbitFamily:
     count = (q**e) ** (n - 1 if tag == "A" else n)
     if count > 10**6:
         raise ValueError(f"enumeration would need {count} representatives")
-    if e > 1 and q**e > 10**6:
-        raise ValueError(f"GF({q}^{e}) would need tables of {q**e} elements")
+    if e > 1:
+        check_table_size(q, e)
     return OrbitFamily(tag, n, q**e, FqContext.get(q, e))
 
 
@@ -143,7 +132,8 @@ def phi_map(fam: OrbitFamily, f: FqPoly) -> ClassLabel:
 
 
 def _b_layer_type(ctx: FqContext, g: tuple) -> Tuple[tuple, tuple]:
-    """``b_pair_type`` of f(z) = g(z^2), from the distinct-degree layers of g.
+    """The type-B label (lambda, mu) of f(z) = g(z^2), from the
+    distinct-degree layers of g.
 
     y^k | g gives z^(2k) | f: k to lambda_1.  A factor psi != y of g of
     degree m and multiplicity k, with root beta, gives psi(z^2) =
@@ -210,40 +200,6 @@ def _square_count(ctx: FqContext, m: int, layer: list) -> int:
     return (len(squares) - 1) // m
 
 
-def b_pair_type(fac: FactorMultiset) -> Tuple[tuple, tuple]:
-    """Pair of partitions from the conjugate-pair splitting of an even monic.
-
-    Conjugate pairs {phi, phi*} of degree m contribute their multiplicity to
-    lambda_m.  Self-conjugate factors split as k = 2r + s with s in {0, 1}:
-    phi = z (whose even multiplicity pairs with itself) sends r to lambda_1;
-    an even-degree self-conjugate phi of degree 2e sends r to lambda_(2e)
-    and s to mu_e.
-    """
-    lam: Counter = Counter()
-    mu: Counter = Counter()
-    done = set()
-    for phi, k in fac:
-        if phi in done:
-            continue
-        star = phi.conjugate_monic()
-        if star != phi:
-            done.add(star)
-            if fac.multiplicity(star) != k:
-                raise ValueError("polynomial is not fixed by z -> -z")
-            lam[phi.degree] += k
-        elif phi.degree == 1:  # phi = z in odd characteristic
-            if k % 2:
-                raise ValueError("odd multiplicity of z in an even polynomial")
-            lam[1] += k // 2
-        else:
-            if phi.degree % 2:
-                raise ValueError("odd-degree self-conjugate factor other than z")
-            r, s = divmod(k, 2)
-            lam[phi.degree] += r
-            mu[phi.degree // 2] += s
-    return _partition(lam), _partition(mu)
-
-
 def _partition(counter: Counter) -> tuple:
     parts = []
     for size, count in counter.items():
@@ -277,12 +233,6 @@ def weyl_exponents(tag: str, n: int) -> List[int]:
     return list(range(1, 2 * n, 2))
 
 
-def identity_class_count(fam: OrbitFamily) -> int:
-    """Number of representatives mapping to the identity class (exhaustive)."""
-    target = identity_class_label(fam)
-    return sum(1 for f in enumerate_orbits(fam) if phi_map(fam, f) == target)
-
-
 def identity_class_prediction(fam: OrbitFamily) -> Fraction:
     """prod (q + m_i) / (1 + m_i) over the exponents of the Weyl group."""
     return _exponent_product(fam.q, weyl_exponents(fam.tag, fam.n))
@@ -307,45 +257,3 @@ def split_census_constant_one(n: int, q: int) -> Tuple[int, Fraction]:
         if prod % q == 1 % q:
             census += 1
     return census, _exponent_product(q, weyl_exponents("A", n))
-
-
-class TranslationReport:
-    __slots__ = ("n", "q", "hypothesis_ok", "fibers_identical", "distribution")
-
-    def __init__(self, n: int, q: int, hypothesis_ok: bool,
-                 fibers_identical: bool = None, distribution: dict = None):
-        self.n = n
-        self.q = q
-        self.hypothesis_ok = hypothesis_ok
-        self.fibers_identical = fibers_identical
-        self.distribution = distribution
-
-    def _fields(self) -> tuple:
-        return (self.n, self.q, self.hypothesis_ok, self.fibers_identical, self.distribution)
-
-    def __eq__(self, other):
-        if other.__class__ is not TranslationReport:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return ("TranslationReport(n={!r}, q={!r}, hypothesis_ok={!r}, fibers_identical={!r}, "
-                "distribution={!r})".format(*self._fields()))
-
-
-def translation_invariance_check(n: int, q: int) -> TranslationReport:
-    """Factorization-type distribution on every fiber of the z^(n-1) coefficient.
-
-    The change of variables z -> z + k moves the fiber without changing the
-    factorization type, so for p not dividing n all fibers must agree; checked
-    here exhaustively."""
-    ctx = FqContext.get(q)
-    if n % ctx.p == 0:
-        return TranslationReport(n, q, hypothesis_ok=False)
-    fibers: Dict[int, Counter] = {b: Counter() for b in range(q)}
-    for f in monic_polys(ctx, n):
-        b = f.coeffs[n - 1] if f.degree >= 1 and len(f.coeffs) > n - 1 else 0
-        fibers[b][layer_partition(degree_layers(ctx, f.coeffs))] += 1
-    first = fibers[0]
-    ok = all(fibers[b] == first for b in range(q))
-    return TranslationReport(n, q, True, ok, dict(first))

@@ -432,6 +432,31 @@ def test_q_not_prime_or_not_very_good_is_one_error_line(capsys, argv, needs):
     assert needs in err
 
 
+def _walk_started(*_):
+    raise AssertionError("the enumeration started")
+
+
+@pytest.mark.parametrize("argv,walk,needs", [
+    (("bijection", "refine", "--mode", "golomb", "--n", "2", "--p", "10007", "--poly", "1,0,1"),
+     "coxshuffle.gfpoly.FqContext.first_roots",
+     "GF(10007^2) would need tables of 100140049 elements"),
+    (("bijection", "refine", "--census", "--mode", "golomb", "--n", "12", "--p", "13"),
+     "coxshuffle.necklaces.refine_phi_A", f"enumeration would need {13**12} polynomials"),
+    (("verify", "ornament_counts", "--n", "40", "--q", "3"),
+     "coxshuffle.necklaces.primitive_necklaces", f"enumeration would need {3**40} ornaments"),
+    (("verify", "reiner_counts", "--n", "3", "--q", "10007"),
+     "coxshuffle.necklaces.primitive_necklaces",
+     f"enumeration would need {10007**3} ornaments"),
+])
+def test_enumeration_past_a_million_is_one_error_line(capsys, monkeypatch, argv, walk, needs):
+    # each is refused before its first item; a walk that starts raises at
+    # once, in place of running for hours
+    monkeypatch.setattr(walk, _walk_started)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {needs}\n"
+
+
 @pytest.mark.parametrize("argv,needs", [
     (("sample", "--model", "typeB_flip", "--n", "3", "--x", "2"),
      "--x 2: pile count must be odd and >= 1"),

@@ -16,8 +16,6 @@ from coxshuffle.golden import GoldenRational
 from coxshuffle.group import CoxeterGroup, get_group
 from coxshuffle.lattice import (
     build_lattice,
-    coexponents,
-    integer_roots,
     parabolic_mask,
     permute_mask,
     root_line_action,
@@ -315,6 +313,40 @@ def test_lattice_independent_of_hyperplane_order():
         b.flat_dim(i) for i in range(len(b))
     )
     assert a.char_poly(a.bottom_id()).coefficients == b.char_poly(b.bottom_id()).coefficients
+
+
+def integer_roots(coeffs, bound):
+    """Roots (with multiplicity) of a monic integer polynomial, searched in
+    0..bound; None if the polynomial does not split over that range."""
+    poly = list(coeffs)
+    roots = []
+    for b in range(bound + 1):
+        while len(poly) > 1:
+            # synthetic division by (x - b)
+            quot = [0] * (len(poly) - 1)
+            carry = 0
+            for i in range(len(poly) - 1, 0, -1):
+                quot[i - 1] = poly[i] + carry
+                carry = quot[i - 1] * b
+            if poly[0] + carry != 0:
+                break
+            poly = quot
+            roots.append(b)
+    if len(poly) != 1 or poly[0] != 1:
+        return None
+    return sorted(roots)
+
+
+def coexponents(group, K):
+    """Integer roots of the restricted characteristic polynomial above Fix(W_K)."""
+    lat = group.lattice()
+    cp = lat.char_poly(lat.mask_to_id[group.standard_parabolic_mask(K)])
+    roots = integer_roots(cp.coefficients, max(group.exponents()))
+    if roots is None:
+        raise RuntimeError(
+            f"restricted characteristic polynomial {cp} does not split over the integers"
+        )
+    return roots
 
 
 def test_restricted_char_polys_split_with_bounded_roots():

@@ -6,12 +6,13 @@ from math import factorial
 
 import pytest
 
-from coxshuffle.gfpoly import FqContext, FqPoly, factor, irreducibles, is_prime, monic_polys
+from coxshuffle.gfpoly import (FqContext, FqPoly, check_table_size, factor, irreducibles,
+                               is_prime, monic_polys)
 from coxshuffle import necklaces
 from coxshuffle.group import get_group
 from coxshuffle.necklaces import (
-    _first_root_in_extension,
     _normal_coordinates,
+    _root_of_irreducible,
     canonicalize_necklace,
     count_signed_ornaments,
     cycles_string,
@@ -26,9 +27,10 @@ from coxshuffle.necklaces import (
     refine_phi_A,
     s_vector_count,
 )
-from coxshuffle.orbits import b_pair_type, enumerate_orbits, orbit_family, phi_map
+from coxshuffle.orbits import enumerate_orbits, orbit_family, phi_map
 from coxshuffle.suites import SUITES, run_suite
-from test_gfpoly import digits
+from test_gfpoly import conjugate_monic, digits
+from test_orbits import b_pair_type
 
 
 def eval_in(phi: FqPoly, ext: FqContext, a):
@@ -52,26 +54,15 @@ def test_first_root_is_first_of_brute_force_roots(degree, p):
     for phi in irreducibles(FqContext.get(p), degree):
         roots = brute_force_roots(phi, ext)
         assert len(roots) == degree, phi
-        assert _first_root_in_extension(phi, ext) == roots[0], phi
-
-
-def test_first_roots_belong_to_the_context_not_to_its_order():
-    # GF(9) modulo z^2 + 2z + 2 instead of the canonical z^2 + 1: other roots
-    canonical = FqContext.get(3, 2)
-    other = FqContext(3, 2, modulus=(2, 2, 1))
-    assert other.modulus != canonical.modulus
-    differ = 0
-    for phi in irreducibles(FqContext.get(3), 2):
-        root = _first_root_in_extension(phi, other)
-        assert root == brute_force_roots(phi, other)[0], phi
-        differ += root != _first_root_in_extension(phi, canonical)
-    assert differ
+        assert _root_of_irreducible(phi) == (ext, roots[0]), phi
 
 
 def test_first_root_raises_without_a_root():
-    phi = irreducibles(FqContext.get(3), 3)[0]
-    with pytest.raises(RuntimeError, match="no root in GF\\(9\\)"):
-        _first_root_in_extension(phi, FqContext.get(3, 2))
+    # (z^2 + 1)^2 has roots in GF(9) but is no minimal polynomial of an
+    # element of GF(81), so the lookup there misses
+    phi = irreducibles(FqContext.get(3), 2)[0]
+    with pytest.raises(ValueError, match="not irreducible"):
+        _root_of_irreducible(phi.mul(phi))
 
 
 def test_plain_primitivity_examples():
@@ -281,9 +272,8 @@ def test_gr_injective_and_type_preserving(n, alphabet):
 def test_golomb_examples():
     c3 = FqContext.get(3)
     assert golomb_encode(FqPoly.from_ints(c3, [-1, 1])) == (0,)  # z - 1: log 1 = 0
-    ext = FqContext.get(3, 1)
-    # z - beta for a generator beta: log is 1, necklace (1)
-    beta = ext.generator()
+    # z - beta for the generator beta = 2 of F_3^*: log is 1, necklace (1)
+    beta = 2
     f = FqPoly.from_ints(c3, [-beta, 1])
     assert golomb_encode(f) == (1,)
     neck = golomb_encode(FqPoly.from_ints(c3, [1, 0, 1]))  # z^2 + 1 over F_3
@@ -350,6 +340,21 @@ def test_normal_basis_size_is_checked_before_the_root_table(monkeypatch):
     phi = FqPoly.from_ints(FqContext.get(47), [1, 0, 5, 1])
     with pytest.raises(ValueError, match="field too large for exhaustive normal-basis search"):
         normal_basis_encode(phi)
+
+
+def test_golomb_field_size_is_checked_before_the_root_table(monkeypatch):
+    # GF(10007^2) has 10^8 elements: the encoder must refuse it before
+    # building the field's table of first roots; the bound is 10^6
+    def no_table(ext):
+        raise AssertionError(f"first_roots of {ext!r} built")
+
+    monkeypatch.setattr(FqContext, "first_roots", no_table)
+    phi = FqPoly.from_ints(FqContext.get(10007), [1, 0, 1])
+    with pytest.raises(ValueError, match="GF\\(10007\\^2\\) would need tables of 100140049"):
+        golomb_encode(phi)
+    check_table_size(10, 6)
+    with pytest.raises(ValueError, match="GF\\(2\\^20\\) would need tables of 1048576"):
+        check_table_size(2, 20)
 
 
 def test_normal_basis_examples():
@@ -452,13 +457,11 @@ def ornament_from_polynomial(f: FqPoly, q: int):
     for phi, k in fac:
         if phi in done:
             continue
-        star = phi.conjugate_monic()
+        star = conjugate_monic(phi)
         deg = phi.degree
         if star != phi:
             done.add(star)
-            rep = min(phi, star)
-            ext = FqContext.get(q, deg)
-            beta = _first_root_in_extension(rep, ext)
+            ext, beta = _root_of_irreducible(min(phi, star))
             coords = _normal_coordinates(ext, q, deg, beta)
             word = tuple(_lift_symmetric(c, q) for c in coords)
             canon, primitive = canonicalize_necklace("blinking", word)
@@ -469,8 +472,7 @@ def ornament_from_polynomial(f: FqPoly, q: int):
         else:
             r, s = divmod(k, 2)
             m = deg // 2
-            ext = FqContext.get(q, deg)
-            beta = _first_root_in_extension(phi, ext)
+            ext, beta = _root_of_irreducible(phi)
             coords = _normal_coordinates(ext, q, deg, beta)
             if any((coords[j] + coords[j + m]) % q for j in range(m)):
                 raise RuntimeError("second half of a self-conjugate root is not negated")
@@ -527,7 +529,7 @@ def test_refine_phi_a_examples():
     one, cycles = refine_phi_A(f, "normal_basis")
     assert tuple(sorted((len(c) for c in cycles), reverse=True)) == factor(f).degree_partition() == (2, 1)
     g = FqPoly.from_ints(c5, [1, 1, 0, 1])  # z^3 + z + 1: no roots mod 5, irreducible
-    assert all(g.eval(a) != 0 for a in range(5))
+    assert all(eval_in(g, c5, a) != 0 for a in range(5))
     one, cycles = refine_phi_A(g, "normal_basis")
     assert tuple(len(c) for c in cycles) == (3,)
 

@@ -14,23 +14,22 @@ import pytest
 import coxshuffle
 from coxshuffle import gfpoly, orbits
 from coxshuffle.gfpoly import (FqContext, FqPoly, check_layers, degree_layers, factor,
-                               monic_polys, poly_axpy, poly_frobenius, poly_gcd, poly_mod,
-                               poly_mul, poly_powmod)
+                               layer_partition, monic_polys, poly_axpy, poly_frobenius,
+                               poly_gcd, poly_mod, poly_mul, poly_powmod)
 from coxshuffle.group import get_group
 from coxshuffle.measures import h_measure, pushforward_classes
 from coxshuffle.orbits import (
-    b_pair_type,
     enumerate_orbits,
-    identity_class_count,
+    identity_class_label,
     identity_class_prediction,
     orbit_class_distribution,
     orbit_family,
     phi_map,
     split_census_constant_one,
-    translation_invariance_check,
     _square_count,
 )
 from coxshuffle.suites import SUITES
+from test_gfpoly import conjugate_monic
 
 
 def test_enumerate_counts():
@@ -90,6 +89,42 @@ def test_b_type_sizes_sum_to_n():
             assert sum(lam) + sum(mu) == n
 
 
+def b_pair_type(fac):
+    """Oracle: the type-B label (lambda, mu) from the conjugate-pair
+    splitting of the full factorization of an even monic.
+
+    Conjugate pairs {phi, phi*} of degree m contribute their multiplicity to
+    lambda_m.  Self-conjugate factors split as k = 2r + s with s in {0, 1}:
+    phi = z (whose even multiplicity pairs with itself) sends r to lambda_1;
+    an even-degree self-conjugate phi of degree 2e sends r to lambda_(2e)
+    and s to mu_e.
+    """
+    lam, mu = Counter(), Counter()
+    mult = dict(fac)
+    done = set()
+    for phi, k in fac:
+        if phi in done:
+            continue
+        star = conjugate_monic(phi)
+        if star != phi:
+            done.add(star)
+            if mult.get(star, 0) != k:
+                raise ValueError("polynomial is not fixed by z -> -z")
+            lam[phi.degree] += k
+        elif phi.degree == 1:  # phi = z in odd characteristic
+            if k % 2:
+                raise ValueError("odd multiplicity of z in an even polynomial")
+            lam[1] += k // 2
+        else:
+            if phi.degree % 2:
+                raise ValueError("odd-degree self-conjugate factor other than z")
+            r, s = divmod(k, 2)
+            lam[phi.degree] += r
+            mu[phi.degree // 2] += s
+    return (tuple(sorted(lam.elements(), reverse=True)),
+            tuple(sorted(mu.elements(), reverse=True)))
+
+
 def test_b_pair_type_z_multiplicity():
     c3 = FqContext.get(3)
     f = FqPoly.from_ints(c3, [0, 0, 0, 0, 1])  # z^4: pair {z,z} twice
@@ -125,13 +160,18 @@ def test_identity_class_counts():
         fam = orbit_family(tag, n, q)
         pred = identity_class_prediction(fam)
         assert pred.denominator == 1
-        assert identity_class_count(fam) == int(pred)
+        target = identity_class_label(fam)
+        assert sum(1 for f in enumerate_orbits(fam) if phi_map(fam, f) == target) == int(pred)
 
 
 def test_very_good_flags():
-    assert orbit_family("A", 3, 7).very_good
-    assert not orbit_family("A", 3, 3).very_good
-    assert orbit_family("B", 2, 3).very_good
+    # very good: p prime to n for A_{n-1}, p odd for B_n, as --q is checked
+    from coxshuffle.cli import _check_q
+
+    assert _check_q(7, "A", 3, "orbits") == (7, 1)
+    with pytest.raises(ValueError, match="not very good for A2"):
+        _check_q(3, "A", 3, "orbits")
+    assert _check_q(3, "B", 2, "orbits") == (3, 1)
 
 
 def test_split_census_example():
@@ -145,11 +185,24 @@ def test_split_census_example():
     assert census2 == len(pairs)
 
 
+def translation_fibers(n, q):
+    """The factorization types, by distinct-degree layers, of the monic
+    degree-n polynomials over F_q on each fiber of the z^(n-1) coefficient."""
+    ctx = FqContext.get(q)
+    fibers = {b: Counter() for b in range(q)}
+    for f in monic_polys(ctx, n):
+        fibers[f.coeffs[n - 1]][layer_partition(degree_layers(ctx, f.coeffs))] += 1
+    return fibers
+
+
 def test_translation_invariance():
-    assert translation_invariance_check(2, 3).fibers_identical
-    assert translation_invariance_check(3, 5).fibers_identical
-    r = translation_invariance_check(3, 3)
-    assert not r.hypothesis_ok  # p divides n: the check is gated off
+    # z -> z + k moves fiber b to b + nk without changing the factorization
+    # type, so for p not dividing n all fibers agree
+    for n, q in [(2, 3), (3, 5)]:
+        fibers = translation_fibers(n, q)
+        assert all(fibers[b] == fibers[0] for b in range(q))
+    fibers = translation_fibers(3, 3)  # p divides n: no translation moves a fiber
+    assert fibers[1] != fibers[0]
 
 
 @pytest.mark.parametrize("n,q", [(1, 3), (2, 3), (3, 5), (4, 3)])
@@ -159,8 +212,8 @@ def test_translation_invariance_distribution_against_factor(n, q):
     ctx = FqContext.get(q)
     expect = Counter(factor(f).degree_partition() for f in monic_polys(ctx, n)
                      if f.coeffs[n - 1] == 0)
-    r = translation_invariance_check(n, q)
-    assert r.fibers_identical and r.distribution == dict(expect)
+    fibers = translation_fibers(n, q)
+    assert all(fibers[b] == fibers[0] for b in range(q)) and fibers[0] == expect
 
 
 # -- the class map from distinct-degree layers, against factor() ------------------
