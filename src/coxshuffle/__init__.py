@@ -22,6 +22,7 @@ _SUBMODULE = {
     "build_lattice": "lattice",
     "Subspace": "linalg",
     "canonicalize": "linalg",
+    "FaceWeights": "measures",
     "WMeasure": "measures",
     "bhr_step": "measures",
     "convolve": "measures",

@@ -101,7 +101,7 @@ class CoxeterGroup:
         self._poincare: Optional[List[List[int]]] = None
         self._parabolics: Optional[List[ParabolicData]] = None
         self._length_descents: Optional[List[int]] = None
-        self._class_descents: Optional[List[Counter]] = None
+        self._class_descents: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
         self._mackey: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]] = None
         self._measure_counts: Dict[Tuple[str, ...], Counter] = {}
         # the measures' integer polynomial tables, keyed by method name
@@ -361,14 +361,17 @@ class CoxeterGroup:
             self._length_descents = lower
         return self._length_descents
 
-    def class_descent_counts(self) -> List[Counter]:
-        """Per conjugacy class, in ``conjugacy_classes()`` order, the number
-        of its members with each descent mask."""
+    def class_descent_counts(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+        """Per conjugacy class, in ``conjugacy_classes()`` order, a pair of
+        tuples: the descent masks that occur among its members, and the
+        number of its members with each, in the same order.  Built once."""
         if self._class_descents is None:
             dm = self.descent_mask
-            self._class_descents = [
-                Counter(map(dm.__getitem__, c.members)) for c in self.conjugacy_classes()
-            ]
+            rows = []
+            for c in self.conjugacy_classes():
+                counts = Counter(map(dm.__getitem__, c.members))
+                rows.append((tuple(counts), tuple(counts.values())))
+            self._class_descents = rows
         return self._class_descents
 
     def mackey_structure(self) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:

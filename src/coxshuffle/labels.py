@@ -8,8 +8,9 @@ lattice or measure code.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from typing import Dict
+from typing import Dict, Sequence
 
 
 class ClassLabel:
@@ -52,7 +53,12 @@ class ClassLabel:
 
 
 class ClassMeasure:
-    """Probability (or signed) measure on conjugacy-class labels."""
+    """Probability (or signed) measure on conjugacy-class labels: ``values``
+    maps each label to its mass, a Fraction, and the masses sum to one.
+
+    ``ClassMeasure(values)`` takes the masses; the builders pass integer
+    numerators over one denominator through ``_from_numerators``.  Either
+    way the values are built with the measure, not on a later read."""
 
     __slots__ = ("values",)
 
@@ -63,6 +69,16 @@ class ClassMeasure:
         if sum(v.numerator * (den // v.denominator) for v in values.values()) != den:
             raise ValueError("class measure does not sum to 1")
         self.values = values
+
+    @classmethod
+    def _from_numerators(cls, labels: Sequence[ClassLabel], nums: Sequence[int],
+                         den: int) -> "ClassMeasure":
+        """The measure with mass nums[i] / den on labels[i]; den is nonzero."""
+        if sum(nums) != den:
+            raise ValueError("class measure does not sum to 1")
+        m = cls.__new__(cls)
+        m.values = dict(zip(labels, map(Fraction, nums, repeat(den))))
+        return m
 
     def __repr__(self):
         return f"ClassMeasure(values={self.values!r})"

@@ -60,18 +60,23 @@ c_K chi_K, with c_K = |W_K| / (|N_K| lambda_K) for ``definition`` and
 the K disjoint from D, one subset-sum transform per coefficient.  The
 closed forms are expanded to the same shape.  ``h_measure`` and
 ``face_weights`` evaluate a table at x = a/b: row D is
-sum of c_k a^k b^(r-k) over den a^r, one integer dot product per mask;
-``h_measure`` keeps the numerators over den a^r, and ``face_weights`` makes
-one Fraction per mask.
+sum of c_k a^k b^(r-k) over den a^r, one integer dot product per mask.
+Both keep the numerators over den a^r, ``h_measure`` as a ``WMeasure`` and
+``face_weights`` as a ``FaceWeights`` table, which the walk step reads as
+integers; neither makes a Fraction per mask.  The class pushforward sums
+the numerators per class against ``class_descent_counts`` and makes one
+Fraction per class, the class measure's values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
+from numbers import Rational
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .group import CoxeterGroup
 from .labels import ClassLabel, ClassMeasure
@@ -104,11 +109,11 @@ class WMeasure:
 
     __slots__ = ("group", "x_param", "kind", "nums", "den", "_table")
 
-    def __init__(self, group: CoxeterGroup, x_param: Optional[Fraction], kind: str, table):
+    def __init__(self, group: CoxeterGroup, x_param: Optional[Rational], kind: str, table):
         self._set(group, x_param, kind, *_over_common_denominator(table))
 
     @classmethod
-    def _from_numerators(cls, group: CoxeterGroup, x_param: Optional[Fraction], kind: str,
+    def _from_numerators(cls, group: CoxeterGroup, x_param: Optional[Rational], kind: str,
                          nums: Sequence[int], den: int) -> "WMeasure":
         """The measure with values nums[k] / den; den may be negative."""
         m = cls.__new__(cls)
@@ -185,6 +190,64 @@ class WMeasure:
         # den > 0, so the least numerator is the least value
         return Fraction(min(map(self.nums.__getitem__, self.group.measure_counts(self.kind))),
                         self.den)
+
+
+class FaceWeights(Sequence):
+    """The face weights v_K of the chamber walk, one per mask of K, as one
+    table: integer numerators ``nums`` over one positive denominator
+    ``den``, not necessarily in lowest terms.  It reads as a sequence of
+    Fractions in lowest terms, built on its first read; ``bhr_step`` and
+    ``min_value`` read the integers.
+
+    ``FaceWeights(values)`` takes the values; ``face_weights`` passes the
+    numerators of a face table at x through ``_from_numerators``."""
+
+    __slots__ = ("nums", "den", "_values")
+
+    def __init__(self, values):
+        self._set(*_over_common_denominator(values))
+
+    @classmethod
+    def _from_numerators(cls, nums: Sequence[int], den: int) -> "FaceWeights":
+        """The weights nums[K] / den; den may be negative, not zero."""
+        w = cls.__new__(cls)
+        w._set(nums, den)
+        return w
+
+    def _set(self, nums, den):
+        if den < 0:
+            nums, den = [-n for n in nums], -den
+        self.nums = tuple(nums)
+        self.den = den
+        self._values = None
+
+    def _fractions(self) -> Tuple[Fraction, ...]:
+        if self._values is None:
+            den = self.den
+            self._values = tuple(Fraction(n, den) for n in self.nums)
+        return self._values
+
+    def __len__(self):
+        return len(self.nums)
+
+    def __getitem__(self, K):
+        return self._fractions()[K]
+
+    def __iter__(self):
+        return iter(self._fractions())
+
+    def __eq__(self, other):
+        # value by value, as two lists of the same numbers compare
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._fractions() == tuple(other)
+
+    def __repr__(self):
+        return f"FaceWeights({list(self._fractions())!r})"
+
+    def min_value(self) -> Fraction:
+        # den > 0, so the least numerator is the least value
+        return Fraction(min(self.nums), self.den)
 
 
 # -- the polynomial tables ------------------------------------------------------
@@ -309,7 +372,7 @@ def _h4_numerator(D: int) -> List[int]:
     return _expand((11, 1, -1, -11))
 
 
-def _evaluate(table: PolyTable, x: Fraction) -> Tuple[List[int], int]:
+def _evaluate(table: PolyTable, x: Rational) -> Tuple[List[int], int]:
     """Every row of the table at x = a/b, as numerators over one
     denominator: sum of c_k a^k b^(r-k) over den a^r, one integer dot
     product per row.  The denominator is negative when a^r is."""
@@ -320,22 +383,24 @@ def _evaluate(table: PolyTable, x: Fraction) -> Tuple[List[int], int]:
     return [sum(map(mul, row, powers)) for row in rows], den * a**r
 
 
-def _nonzero(x) -> Fraction:
-    x = Fraction(x)
+def _nonzero(x) -> Rational:
+    """x as an exact rational: an int or a Fraction as it is, anything else
+    through Fraction; raises ValueError at 0."""
+    if not isinstance(x, Rational):
+        x = Fraction(x)
     if x == 0:
         raise ValueError("x must be nonzero")
     return x
 
 
-def face_weights(g: CoxeterGroup, x, method: str = "definition") -> List[Fraction]:
+def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
     """The weight v_K shared by every face of type K (the cosets of W_K) in
-    the one-step chamber walk, as a list indexed by the mask of K: the
-    method's face table at x."""
+    the one-step chamber walk, indexed by the mask of K: the method's face
+    table at x, kept as its integer numerators over one denominator."""
     x = _nonzero(x)
     if method not in ("definition", "os_sign"):
         raise ValueError(f"unknown face-weight method {method!r}")
-    nums, den = _evaluate(polynomial_tables(g, method)[0], x)
-    return [Fraction(n, den) for n in nums]
+    return FaceWeights._from_numerators(*_evaluate(polynomial_tables(g, method)[0], x))
 
 
 def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
@@ -415,9 +480,10 @@ def sommers_identity_check(g: CoxeterGroup, x: int) -> SommersReport:
 # -- the chamber walk ----------------------------------------------------------
 
 
-def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
+def bhr_step(g: CoxeterGroup, weights: FaceWeights) -> WMeasure:
     """One step of the chamber walk started at the identity chamber, for
-    the face weights v_K (a list indexed by the mask of K).
+    the face weights v_K (a ``FaceWeights`` table indexed by the mask of
+    K; ``FaceWeights(values)`` wraps a list of values).
 
     The weights must satisfy sum over K of |W| / |W_K| v_K = 1, one weight
     per face; this is checked from the rank-level parabolic data, before
@@ -426,14 +492,16 @@ def bhr_step(g: CoxeterGroup, weights: Sequence[Fraction]) -> WMeasure:
     of w W_K iff K avoids its length-descent set L(w) = {s : l(ws) < l(w)}.
     So the walk lands on w with the sum of v_K over the K with K and L(w)
     disjoint, one value per mask of L (``g.length_descents()``): the
-    subset-sum transform (``_avoiding_sums``) of the weights' integer
-    numerators over their common denominator.  Computed
+    subset-sum transform (``_avoiding_sums``) of the table's integer
+    numerators over its denominator, with no Fraction made.  Computed
     from lengths alone, independently of the descent sets and of h_measure,
     as a cross-check oracle: L(w) comes from lengths in the Cayley graph
     (l(ws) < l(w)), while H reads each element's descent mask off the root
     action (w(alpha_s) < 0).  The two agree by the theorem l(ws) < l(w) iff
     w(alpha_s) < 0, so an error in either table breaks the equality."""
-    nums, den = _over_common_denominator(weights)
+    if not isinstance(weights, FaceWeights):
+        raise TypeError("face weights must be a FaceWeights table")
+    nums, den = weights.nums, weights.den
     total = sum(g.size // pd.subgroup_order * n for pd, n in zip(g.parabolic_table(), nums))
     if total != den:
         raise ValueError(f"face weights sum to {Fraction(total, den)}, not 1")
@@ -484,18 +552,24 @@ def spectrum_product(h: WMeasure, factors: Optional[int] = None) -> List[Fractio
     back to descent masks once.  H's coordinates, its face weights, are
     c over den, and delta_e = x_S, the x of the full mask S; with
     x = a/b, factor i is c times a^i, less den b^i at S, over den a^i.  The
-    factors multiply as ``convolve``'s do (``_x_product``), and each output
-    value is one Fraction over the product of the factors' denominators."""
+    product starts from factor 0 and multiplies the others in as
+    ``convolve``'s factors do (``_x_product``), factors - 1 products in
+    all; each output value is one Fraction over the product of the
+    factors' denominators.  Raises ValueError for fewer than one factor."""
     if h.x_param is None:
         raise ValueError("the measure carries no x")
     g = h.group
+    count = g.rank + 1 if factors is None else factors
+    if count < 1:
+        raise ValueError("the product needs at least one factor")
     x = Fraction(h.x_param)
     a, b = x.numerator, x.denominator
     coords, den = _avoiding_sums(h._descent_nums(), inverse=True), h.den
     full = (1 << g.rank) - 1
-    prod = [int(K == full) for K in range(full + 1)]  # delta_e
-    prod_den = 1
-    for i in range(g.rank + 1 if factors is None else factors):
+    prod = list(coords)  # factor 0, H - delta_e
+    prod[full] -= den
+    prod_den = den
+    for i in range(1, count):
         a_i = a**i
         factor = [c * a_i for c in coords]
         factor[full] -= den * b**i
@@ -514,13 +588,13 @@ def _over_common_denominator(values) -> Tuple[List[int], int]:
 def pushforward_classes(m: WMeasure) -> ClassMeasure:
     """Total measure of each conjugacy class, as the sum over descent masks D
     of m[D] times the number of class members in descent class D
-    (``g.class_descent_counts()``).  The measure must be constant on descent
-    classes (ValueError otherwise)."""
+    (``g.class_descent_counts()``): one integer dot product per class on
+    the measure's numerators, over its denominator.  The measure must be
+    constant on descent classes (ValueError otherwise)."""
     g = m.group
-    # the measure's numerators by descent mask: one Fraction per class
-    nums, den = m._descent_nums(), m.den
-    out: Dict[ClassLabel, Fraction] = {}
-    for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts()):
-        out[c.label] = Fraction(sum(map(mul, counts.values(), map(nums.__getitem__, counts))),
-                                den)
-    return ClassMeasure(out)
+    nums = m._descent_nums()
+    return ClassMeasure._from_numerators(
+        [c.label for c in g.conjugacy_classes()],
+        [sum(map(mul, counts, map(nums.__getitem__, masks)))
+         for masks, counts in g.class_descent_counts()],
+        m.den)

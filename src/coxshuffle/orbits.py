@@ -217,7 +217,7 @@ def orbit_class_distribution(fam: OrbitFamily) -> ClassMeasure:
         total += 1
     if total != fam.orbit_count:
         raise RuntimeError("orbit enumeration produced the wrong count")
-    return ClassMeasure({k: Fraction(v, total) for k, v in counts.items()})
+    return ClassMeasure._from_numerators(list(counts), list(counts.values()), total)
 
 
 def identity_class_label(fam: OrbitFamily) -> ClassLabel:

@@ -176,7 +176,7 @@ def _suite_nonnegativity(rep: Report, p: dict) -> None:
         for x in xs:
             fw = face_weights(g, x, "definition")
             m = h_measure(g, x, "definition")
-            ok = min(fw) >= 0 and m.min_value() >= 0
+            ok = fw.min_value() >= 0 and m.min_value() >= 0
             rep.add(f"{t} x={x}: face weights and measure nonnegative",
                     "nonnegative", "nonnegative" if ok else "negative value found",
                     "good-prime-claim")

@@ -12,8 +12,6 @@ import json
 import time
 from fractions import Fraction
 
-import pytest
-
 from coxshuffle.group import get_group
 from coxshuffle.suites import run_suite
 from coxshuffle.tables import lattice_table, measure_table

@@ -9,7 +9,7 @@ import pytest
 from coxshuffle.golden import GoldenRational
 from coxshuffle.linalg import canonicalize
 from coxshuffle.report import Report, exact_str
-from coxshuffle.suites import SUITES, run_suite
+from coxshuffle.suites import run_suite
 
 
 def test_golden_and_subspace_pickle():

@@ -10,6 +10,7 @@ import pytest
 from coxshuffle.group import get_group
 from coxshuffle.measures import (
     ClassMeasure,
+    FaceWeights,
     WMeasure,
     bhr_step,
     convolve,
@@ -45,7 +46,7 @@ def uniform_chamber_weights(g):
     """All weight on the chambers (type-empty faces), uniformly."""
     weights = [Fraction(0)] * (1 << g.rank)
     weights[0] = Fraction(1, g.size)
-    return weights
+    return FaceWeights(weights)
 
 
 def face_total(g, weights):
@@ -250,7 +251,7 @@ def full_type_weights(g):
     """All weight on the one face of full type K = S, the whole group."""
     weights = [Fraction(0)] * (1 << g.rank)
     weights[(1 << g.rank) - 1] = Fraction(1)
-    return weights
+    return FaceWeights(weights)
 
 
 def test_bhr_point_mass_on_full_type():
@@ -303,6 +304,26 @@ def test_bhr_step_reads_no_descent_sets_and_no_measure(monkeypatch):
     assert bhr_step(g, fw).dense() == expected
 
 
+@pytest.mark.parametrize("t", ["A4", "B4", "D4", "H4"])
+def test_walk_step_builds_no_fraction(t, monkeypatch):
+    import coxshuffle.measures as measures
+
+    g = get_group(t)
+    xs = [2, Fraction(7, 3), Fraction(-5, 2)]
+    expected = [h_measure(g, x) for x in xs]
+    for method in ("definition", "os_sign"):
+        bhr_step(g, face_weights(g, 2, method))  # builds the group's tables
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(measures, "Fraction", no_fraction)
+    walks = [bhr_step(g, face_weights(g, x, method)) for x in xs
+             for method in ("definition", "os_sign")]
+    monkeypatch.undo()
+    assert walks == [m for m in expected for _ in range(2)]
+
+
 @pytest.mark.parametrize("t", SUPPORTED)
 def test_pushforward_against_dense_oracle(t):
     g = get_group(t)
@@ -328,6 +349,68 @@ def test_class_measure_sum_check():
                    {a: Fraction(1, 3), b: Fraction(2, 3) + Fraction(1, 10**30)}, {}):
         with pytest.raises(ValueError, match="class measure does not sum to 1"):
             ClassMeasure(values)
+
+
+def test_class_measure_from_numerators_checks_the_sum_exactly():
+    from coxshuffle.labels import ClassLabel
+
+    a, b = ClassLabel("opaque", (0,)), ClassLabel("opaque", (1,))
+    m = ClassMeasure._from_numerators([a, b], [2, 4], 6)
+    # the values are Fractions in lowest terms, built with the measure
+    assert m.values == {a: Fraction(1, 3), b: Fraction(2, 3)} == ClassMeasure(m.values).values
+    assert all(type(v) is Fraction for v in m.values.values())
+    for den in (5, 7):
+        with pytest.raises(ValueError, match="class measure does not sum to 1"):
+            ClassMeasure._from_numerators([a, b], [2, 4], den)
+    # the pushforward's own class numerators, with the denominator one off
+    g = get_group("B3")
+    h = h_measure(g, Fraction(7, 3))
+    labels = [c.label for c in g.conjugacy_classes()]
+    nums = [round(pushforward_classes(h).values[k] * h.den) for k in labels]
+    assert ClassMeasure._from_numerators(labels, nums, h.den) == pushforward_classes(h)
+    for den in (h.den - 1, h.den + 1):
+        with pytest.raises(ValueError, match="class measure does not sum to 1"):
+            ClassMeasure._from_numerators(labels, nums, den)
+
+
+def pushforward_or_none(m):
+    """``pushforward_classes(m)``'s values, or None where its sum check
+    refuses them."""
+    try:
+        return pushforward_classes(m).values
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "D4", "H3"])
+def test_a_class_count_off_by_one_changes_the_pushforward(t, monkeypatch):
+    from coxshuffle.group import CoxeterGroup
+
+    g = get_group(t)
+    m = h_measure(g, Fraction(7, 3))
+    # every numerator is nonzero, so every count enters the sums
+    assert all(m.nums)
+    expect = fraction_pushforward(m)
+    assert pushforward_or_none(m) == expect
+    rows = g.class_descent_counts()
+    for i, (masks, counts) in enumerate(rows):
+        for j, d in enumerate(masks):
+            # one count off by one; then, to keep the total, the same mask's
+            # count in another class off by one the other way
+            other = next((k for k, (ms, _) in enumerate(rows) if k != i and d in ms), None)
+            for moved in (False, True) if other is not None else (False,):
+                bumped = list(rows)
+                bumped[i] = (masks, counts[:j] + (counts[j] + 1,) + counts[j + 1:])
+                if moved:
+                    ms, cs = rows[other]
+                    at = ms.index(d)
+                    bumped[other] = (ms, cs[:at] + (cs[at] - 1,) + cs[at + 1:])
+                monkeypatch.setattr(CoxeterGroup, "class_descent_counts", lambda self: bumped)
+                got = pushforward_or_none(m)
+                monkeypatch.undo()
+                assert got != expect, (i, d, moved)
+                assert (got is None) != moved, (i, d, moved)
+    assert pushforward_or_none(m) == expect
 
 
 def test_pushforward_rejects_non_descent_constant_measure():
@@ -412,7 +495,7 @@ def test_h4_descent_measures_enumerate_no_element():
     assert face_total(g, fw) == face_total(g, face_weights(g, x, "os_sign")) == 1
     # the walk checks the face total before it reads any element table
     with pytest.raises(ValueError, match="face weights sum to"):
-        bhr_step(g, [v * 2 for v in fw])
+        bhr_step(g, FaceWeights([v * 2 for v in fw]))
     w0v, idv = longshort_values(g, x, ms[1])
     assert unbuilt(g)
     # the same values, read at the enumerated elements
@@ -447,8 +530,8 @@ def fraction_pushforward(m):
     the descent masks of its members."""
     g = m.group
     values = m.descent_table()
-    return {c.label: sum((values[d] * n for d, n in counts.items()), Fraction(0))
-            for c, counts in zip(g.conjugacy_classes(), g.class_descent_counts())}
+    return {c.label: sum((values[d] * n for d, n in zip(masks, counts)), Fraction(0))
+            for c, (masks, counts) in zip(g.conjugacy_classes(), g.class_descent_counts())}
 
 
 def fraction_longshort(g, x):
@@ -572,9 +655,23 @@ def test_bhr_uniform_chamber_weights():
 def test_bhr_rejects_unnormalized_weights():
     g = get_group("A2")
     fw = face_weights(g, 2, "definition")
-    fw[0] = Fraction(1)
-    with pytest.raises(ValueError, match="face weights sum to"):
-        bhr_step(g, fw)
+    assert bhr_step(g, fw) == bhr_step(g, FaceWeights(list(fw)))
+    values = list(fw)
+    values[0] = Fraction(1)
+    for k in range(len(fw.nums)):
+        nums = list(fw.nums)
+        nums[k] += 1
+        with pytest.raises(ValueError, match="face weights sum to"):
+            bhr_step(g, FaceWeights._from_numerators(nums, fw.den))
+    # hand-made lists wrapped by the values constructor, and a table
+    # evaluated at x with its numerators doubled
+    uniform_and_whole_group = list(uniform_chamber_weights(g))[:-1] + [Fraction(1)]
+    for bad in (FaceWeights(values), FaceWeights(uniform_and_whole_group),
+                FaceWeights._from_numerators([2 * n for n in fw.nums], fw.den)):
+        with pytest.raises(ValueError, match="face weights sum to"):
+            bhr_step(g, bad)
+    with pytest.raises(TypeError, match="FaceWeights table"):
+        bhr_step(g, list(fw))
 
 
 @pytest.mark.parametrize("t", ["A2", "B2", "G2", "H3"])
@@ -834,19 +931,32 @@ def test_spectrum_oracle_catches_a_factor_off_by_one(t, monkeypatch):
                     bump = unit_x_coordinates(g, k)
 
                     def off_by_one(g, ca, cb):
-                        # the factor of the bumped call has its numerator at
-                        # descent mask k off by one: in x coordinates, plus
-                        # the indicator of class k
-                        if len(calls) == bumped:
+                        # the bumped factor has its numerator at descent mask
+                        # k off by one: in x coordinates, plus the indicator
+                        # of class k.  The product starts from factor 0, the
+                        # first call's left operand; call j multiplies in
+                        # factor j + 1 as its right operand
+                        if bumped == 0 and not calls:
+                            ca = list(map(add, ca, bump))
+                        elif len(calls) == bumped - 1:
                             cb = list(map(add, cb, bump))
                         calls.append(True)
                         return product(g, ca, cb)
 
                     monkeypatch.setattr(measures, "_x_product", off_by_one)
                     assert spectrum_product(h, factors) != expect, (x, factors, bumped, k)
-                    assert len(calls) == factors
+                    assert len(calls) == factors - 1
                     monkeypatch.undo()
             assert spectrum_product(h, factors) == expect
+
+
+def test_spectrum_product_needs_a_factor():
+    g = get_group("A2")
+    h = h_measure(g, 2)
+    assert spectrum_product(h, 1) == fraction_spectrum(h, 1)
+    for factors in (0, -1):
+        with pytest.raises(ValueError, match="at least one factor"):
+            spectrum_product(h, factors)
 
 
 def dense_convolve(m1, m2):
@@ -1122,6 +1232,35 @@ def test_tables_against_per_x_oracle(t):
             assert list(h_measure(g, x, method).table) == oracle_h_values(g, x, method), (method, x)
             if method != "closed_form":
                 assert face_weights(g, x, method) == oracle_face_weights(g, x, method), (method, x)
+
+
+# the default x of the walk_oracle, nonnegativity and triple_agreement suites
+SUITE_XS = [2, 3, 5, 7, -1, Fraction(1, 2)]
+
+
+def fraction_face_weights(g, x, method):
+    """Oracle: each row of ``_face_rows`` at x in Fraction arithmetic,
+    sum of c_k x^k over den x^r."""
+    from coxshuffle.measures import _face_rows
+
+    rows, den = _face_rows(g, method)
+    x = Fraction(x)
+    return [sum((c * x**k for k, c in enumerate(row)), Fraction(0)) / (den * x**g.rank)
+            for row in rows]
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_face_weight_table_against_fraction_oracle(t):
+    g = get_group(t)
+    for x in SUITE_XS + [Fraction(-5, 2), Fraction(-7, 3)]:
+        for method in ("definition", "os_sign"):
+            fw = face_weights(g, x, method)
+            oracle = fraction_face_weights(g, x, method)
+            assert isinstance(fw, FaceWeights) and fw.den > 0, (method, x)
+            assert len(fw) == len(fw.nums) == 1 << g.rank
+            assert list(fw) == [fw[K] for K in range(len(fw))] == oracle, (method, x)
+            assert fw.min_value() == min(oracle), (method, x)
+            assert FaceWeights(oracle) == fw == oracle, (method, x)
 
 
 def lowest_terms(table):
