@@ -19,19 +19,26 @@ element of any W_K, are composed from ``RootSystem.simple_action`` alone.
 
 The element part (``ELEMENT_TABLES``) is built by ``_build`` the first
 time any of its tables is read; ``enumerate_group`` builds it at once.
-Elements act faithfully on the signed roots, so each element is keyed by
-its root permutation packed into bytes; composition is then a single
-``bytes.translate`` call.  Breadth-first closure from the simple
-reflections yields the elements in length order, the right products by
-the generators (``rmult``), and a tree: each element j is found as
-``parent[j] * s_{gen_of[j]}``, with its parent earlier in index order.  The
-left products and the inverses are then one lookup per element along that
-tree, s_h w_j = (s_h w_parent) s_g and w_j^-1 = s_g w_parent^-1, with no
-byte key composed or inverted.  Descent sets come from testing which
-simple roots an element sends negative, one pass over W per generator.
-Reflection-representation matrices are exact and computed on demand (for
-H4, materializing all 14400 4x4 golden matrices up front would cost tens
-of MB; the byte keys cost 3.5 MB).  Conjugacy classes, the per-element
+Elements act faithfully on the signed roots, so an element is fixed by
+the images of the r simple roots, and each element is keyed by those
+images packed into r bytes (``keys``; ``index`` maps a key to its
+element).  Breadth-first closure from the simple reflections yields the
+elements in length order, the right products by the generators
+(``rmult``), and a tree: each element j is found as ``parent[j] *
+s_{gen_of[j]}``, with its parent earlier in index order.  The child w s_g
+sends simple root i to w(s_g alpha_i): one ``bytes.translate`` of r bytes
+by w's whole signed root permutation, a 256-byte table that is made only
+when w is new and dropped when w leaves the queue.  The left products and
+the inverses are then one lookup per element along the tree, s_h w_j =
+(s_h w_parent) s_g and w_j^-1 = s_g w_parent^-1, and a product w_i w_j
+follows w_j's word through ``rmult``.  Descent sets come from testing
+which simple roots an element sends negative, one pass over W per
+generator.  On H4 the element tables retain 3.07 MiB under tracemalloc,
+about 220 bytes per element; keeping each element's 2N-byte root
+permutation and 256-byte translate table as well retained 8.75 MiB, about
+640 bytes per element.  Reflection-representation matrices are exact and
+computed on demand (for H4, materializing all 14400 4x4 golden matrices up
+front would cost tens of MB).  Conjugacy classes, the per-element
 length-descent sets {s : l(ws) < l(w)} (read from lengths, not from the
 root action), the descent counts of each class, the structure constants of
 the descent algebra in Solomon's basis x_K (by Mackey's formula, one pass
@@ -75,7 +82,7 @@ class ParabolicData(NamedTuple):
 
 
 # the element part: the tables ``_build`` makes, all at the first read of any one
-ELEMENT_TABLES = ("keys", "tables", "index", "parent", "gen_of", "length", "rmult", "lmult",
+ELEMENT_TABLES = ("keys", "index", "parent", "gen_of", "length", "rmult", "lmult",
                   "inverse", "descent_mask", "one_line")
 
 
@@ -88,14 +95,15 @@ class CoxeterGroup:
         self.size = rs.group_order
         self.n_pos = rs.n_positive
         self.longest_index = self.size - 1  # the last element in length order
-        # the signed root index of each simple root, and each generator's key
+        # the signed root index of each simple root, and each generator's
+        # signed root permutation as a translate table, the identity past 2N
         self._simple = tuple(rs.root_index[a] for a in rs.simple_roots)
         n_pos = self.n_pos
-        self._gen_keys = [
+        self._gen_tables = [
             bytes(row) + bytes(s + n_pos if s < n_pos else s - n_pos for s in row)
+            + bytes(range(2 * n_pos, 256))
             for row in rs.simple_action
         ]
-        self._pad = bytes(range(2 * n_pos, 256))
         self._classes: Optional[List[ConjugacyClass]] = None
         self._class_of: Optional[List[int]] = None
         self._poincare: Optional[List[List[int]]] = None
@@ -124,11 +132,12 @@ class CoxeterGroup:
         rs = self.root_system
         r = rs.rank
         n_pos = self.n_pos
-        gen_keys, pad, simple = self._gen_keys, self._pad, self._simple
+        simple, gen_tables = self._simple, self._gen_tables
+        # w s_g sends simple root i to w(s_g alpha_i)
+        gen_images = [bytes(t[j] for j in simple) for t in gen_tables]
 
-        ident = bytes(range(2 * n_pos))
+        ident = bytes(simple)
         keys = [ident]
-        tables = [ident + pad]
         index = {ident: 0}
         parent = [-1]
         gen_of = [-1]
@@ -137,24 +146,23 @@ class CoxeterGroup:
         for g in range(r):
             rmult[g].append(-1)
 
-        queue = deque([0])
+        # an element's whole root permutation lives only while it is queued
+        queue = deque([(0, bytes(range(256)))])
         while queue:
-            i = queue.popleft()
-            ti = tables[i]
+            i, ti = queue.popleft()
             for g in range(r):
-                child = gen_keys[g].translate(ti)  # w * s_g
+                child = gen_images[g].translate(ti)  # w * s_g
                 j = index.get(child)
                 if j is None:
                     j = len(keys)
                     index[child] = j
                     keys.append(child)
-                    tables.append(child + pad)
                     parent.append(i)
                     gen_of.append(g)
                     length.append(length[i] + 1)
                     for h in range(r):
                         rmult[h].append(-1)
-                    queue.append(j)
+                    queue.append((j, gen_tables[g].translate(ti)))
                 rmult[g][i] = j
 
         size = len(keys)
@@ -178,9 +186,9 @@ class CoxeterGroup:
         # one pass over W per generator: bit g is set iff the element sends
         # simple root g to a negative root
         descent_mask = [0] * size
-        for g, j in enumerate(simple):
+        for g in range(r):
             bit = 1 << g
-            descent_mask = [d | bit if k[j] >= n_pos else d for d, k in zip(descent_mask, keys)]
+            descent_mask = [d | bit if k[g] >= n_pos else d for d, k in zip(descent_mask, keys)]
 
         longest = self.longest_index
         if length[longest] != n_pos or descent_mask[longest] != (1 << r) - 1:
@@ -189,7 +197,6 @@ class CoxeterGroup:
             raise RuntimeError("identity descent set is not unique")
 
         self.keys = keys
-        self.tables = tables
         self.index = index
         self.parent = parent
         self.gen_of = gen_of
@@ -229,8 +236,12 @@ class CoxeterGroup:
         return self.root_system.rank
 
     def multiply(self, i: int, j: int) -> int:
-        """Index of the product w_i * w_j."""
-        return self.index[self.keys[j].translate(self.tables[i])]
+        """Index of the product w_i * w_j: w_i right-multiplied by the
+        generators of w_j's word in turn."""
+        rmult = self.rmult
+        for g in self.word(j):
+            i = rmult[g][i]
+        return i
 
     def descent_set(self, i: int) -> FrozenSet[int]:
         dm = self.descent_mask[i]
@@ -391,15 +402,15 @@ class CoxeterGroup:
         if self._mackey is None:
             r = self.rank
             full = (1 << r) - 1
-            target = [r] * (2 * self.n_pos)  # the simple root t of a root index, else r
+            target = bytearray([r] * 256)  # the simple root t of a root index, else r
             for t, j in enumerate(self._simple):
                 target[j] = t
-            keys, dm = self.keys, self.descent_mask
-            images = [[target[k[j]] for k in keys] for j in self._simple]
-            groups = Counter(zip(map(dm.__getitem__, self.inverse), dm, *images))
+            dm = self.descent_mask
+            images = (k.translate(target) for k in self.keys)
+            groups = Counter(zip(map(dm.__getitem__, self.inverse), dm, images))
             submasks = [[K for K in range(full + 1) if not K & ~S] for S in range(full + 1)]
             counts = [0] * (1 << 3 * r)  # indexed by J << 2r | K << r | L
-            for (left, right, *imgs), n in groups.items():
+            for (left, right, imgs), n in groups.items():
                 # (bit t, bit s) for w alpha_s = alpha_t; t is never in D(w^-1)
                 # and s never in D(w), as w^-1 alpha_t and w alpha_s are positive
                 to_simple = [(1 << t, 1 << s) for s, t in enumerate(imgs) if t < r]
@@ -542,12 +553,13 @@ class CoxeterGroup:
     # -- words, by the signed root action ------------------------------------------
 
     def _word_key(self, word: Iterable[int]) -> bytes:
-        """The root-permutation key of the product of the simple reflections
-        in ``word``, composed from the generators' keys alone."""
-        key = bytes(range(2 * self.n_pos))
+        """The signed root permutation of the product of the simple
+        reflections in ``word``, as 2N bytes, composed from the generators'
+        tables alone."""
+        table = bytes(range(256))
         for g in word:
-            key = self._gen_keys[g].translate(key + self._pad)  # key * s_g
-        return key
+            table = self._gen_tables[g].translate(table)  # table * s_g
+        return table[:2 * self.n_pos]
 
     def word_descent_mask(self, word: Iterable[int]) -> int:
         """The descent mask of the product of the simple reflections in
@@ -561,12 +573,12 @@ class CoxeterGroup:
         descent, which adds one to the length, until every generator of K
         is one."""
         gens = tuple(_bits(_mask(K)))
-        key, word = bytes(range(2 * self.n_pos)), []
+        table, word = bytes(range(256)), []
         while True:
-            g = next((g for g in gens if key[self._simple[g]] < self.n_pos), None)
+            g = next((g for g in gens if table[self._simple[g]] < self.n_pos), None)
             if g is None:
                 return tuple(word)
-            key = self._gen_keys[g].translate(key + self._pad)
+            table = self._gen_tables[g].translate(table)
             word.append(g)
 
 

@@ -14,7 +14,8 @@ normal basis (conjugation becomes rotation of coordinates), or its discrete
 log is expanded in base p (Golomb's encoding).  Either way an irreducible
 of degree i becomes a primitive plain i-necklace.  The root is the first
 one in the extension field's element order, read from the field's one
-table of minimal polynomials (``FqContext.first_roots``), not searched for.
+table of minimal polynomials (``FqContext.first_roots``), not searched for;
+a linear factor's one root is read off its constant term.
 """
 
 from __future__ import annotations
@@ -300,7 +301,8 @@ def _root_of_irreducible(phi: FqPoly) -> Tuple[FqContext, object]:
     """(GF(p^i), the first root of phi there in ``elements()`` order) for phi
     of degree i over GF(p).
 
-    The extension's table is keyed by the minimal polynomials of its
+    A linear phi, monic z + c_0, has the one root -c_0 in GF(p).  Otherwise
+    the extension's table is keyed by the minimal polynomials of its
     elements, and a monic polynomial of degree i is one of them exactly
     when it is irreducible, so a lookup that misses rejects phi.  A field
     past ``check_table_size``'s bound is refused before its table is built."""
@@ -308,6 +310,8 @@ def _root_of_irreducible(phi: FqPoly) -> Tuple[FqContext, object]:
     if i >= 1:
         check_table_size(p, i)
         ext = FqContext.get(p, i)
+        if i == 1:
+            return ext, -phi.monic().coeffs[0] % p
         root = ext.first_roots().get(phi.monic().coeffs)
         if root is not None:
             return ext, root

@@ -1,8 +1,11 @@
 """Group enumeration: lengths, descents, classes, parabolics, exponents."""
 
 import itertools
-from collections import Counter
+import tracemalloc
+import weakref
+from collections import Counter, deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -142,34 +145,183 @@ def test_one_line_composition_consistency():
             assert g.one_line[k] == composed
 
 
+# -- the element tables against a build on whole root permutations -----------
+
+
+_BYTE_KEY_BUILDS = weakref.WeakKeyDictionary()
+
+
+def byte_key_build(g):
+    """Oracle: the element tables of g by breadth-first closure on whole
+    signed root permutations, kept per group and never reading g's own
+    element tables.  Each element is keyed by its 2N-byte root permutation
+    (``keys``), composed by one ``bytes.translate`` with its 256-byte table
+    (``tables``), and found by a dict from permutation to index (``index``).
+    The left products, inverses and descent masks are read off the
+    permutations, and the one-line forms come from the build's own tree."""
+    old = _BYTE_KEY_BUILDS.get(g)
+    if old is None:
+        r, n_pos = g.rank, g.n_pos
+        pad = bytes(range(2 * n_pos, 256))
+        gen_keys = [g._word_key((h,)) for h in range(r)]
+        gen_tables = [k + pad for k in gen_keys]
+        ident = bytes(range(2 * n_pos))
+        keys, tables, index = [ident], [ident + pad], {ident: 0}
+        parent, gen_of, length = [-1], [-1], [0]
+        rmult = [[-1] for _ in range(r)]
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            for h in range(r):
+                child = gen_keys[h].translate(tables[i])  # w_i * s_h
+                j = index.get(child)
+                if j is None:
+                    j = index[child] = len(keys)
+                    keys.append(child)
+                    tables.append(child + pad)
+                    parent.append(i)
+                    gen_of.append(h)
+                    length.append(length[i] + 1)
+                    for row in rmult:
+                        row.append(-1)
+                    queue.append(j)
+                rmult[h][i] = j
+        old = SimpleNamespace(keys=keys, tables=tables, index=index, parent=parent,
+                              gen_of=gen_of, length=length, rmult=rmult)
+        old.lmult = [[index[k.translate(t)] for k in keys] for t in gen_tables]  # s_h * w
+        old.inverse = [inverted_key_index(old, i) for i in range(len(keys))]
+        old.descent_mask = [sum(1 << s for s, a in enumerate(g._simple) if k[a] >= n_pos)
+                            for k in keys]
+        old.one_line = CoxeterGroup._build_one_line(SimpleNamespace(
+            root_system=g.root_system, size=len(keys), parent=parent, gen_of=gen_of))
+        _BYTE_KEY_BUILDS[g] = old
+    return old
+
+
+def byte_key_product(g):
+    """Oracle: (i, j) -> the index of w_i * w_j, by one translate of whole
+    root permutations from ``byte_key_build``."""
+    old = byte_key_build(g)
+    keys, tables, index = old.keys, old.tables, old.index
+    return lambda i, j: index[keys[j].translate(tables[i])]
+
+
+def inverted_key_index(old, i):
+    """Oracle: the index of w_i^-1, from inverting w_i's root permutation in
+    a ``byte_key_build``: the translate table that sends w_i(a) back to a."""
+    key = old.keys[i]
+    return old.index[bytes.maketrans(key, bytes(range(len(key))))[:len(key)]]
+
+
+def simple_root_images(g, perm):
+    """The key of the element with signed root permutation perm: the images
+    of the simple roots."""
+    return bytes(perm[a] for a in g._simple)
+
+
+def element_key_failures(g):
+    """One line per way g's element keys fail: a key that is not the images
+    of the simple roots under the permutation composed along its element's
+    word (from the parent's, one generator at a time), keys that repeat, or
+    an index that does not invert the keys."""
+    pad = bytes(range(2 * g.n_pos, 256))
+    gen_keys = [g._word_key((h,)) for h in range(g.rank)]
+    perms = [g._word_key(())]
+    for p, h in zip(g.parent[1:], g.gen_of[1:]):
+        perms.append(gen_keys[h].translate(perms[p] + pad))  # w_p * s_h
+    out = [f"key of element {i} is not its word's simple-root images"
+           for i, (key, perm) in enumerate(zip(g.keys, perms))
+           if key != simple_root_images(g, perm)]
+    if len(set(g.keys)) != g.size:
+        out.append("keys repeat")
+    if g.index != {key: i for i, key in enumerate(g.keys)}:
+        out.append("index does not invert the keys")
+    return out
+
+
+@pytest.mark.parametrize("t", SUPPORTED + ["permuted B3"])
+def test_element_tables_against_the_byte_key_build(t):
+    g = get_group(t) if t in SUPPORTED else fresh_group(t)
+    old = byte_key_build(g)
+    for name in ("parent", "gen_of", "length", "rmult", "lmult", "inverse", "descent_mask",
+                 "one_line"):
+        assert getattr(g, name) == getattr(old, name), name
+    assert element_key_failures(g) == []
+    # products through the element's word against one translate
+    product = byte_key_product(g)
+    sample = range(0, g.size, max(1, g.size // 40))
+    assert all(g.multiply(i, j) == product(i, j) for i in sample for j in sample)
+
+
+@pytest.mark.parametrize("t", ["A3", "B3", "H3"])
+def test_element_key_check_fails_on_a_swapped_or_changed_key(t):
+    g = CoxeterGroup(parse_type(t))  # a private group: its keys are altered
+    good = list(g.keys)
+    g.keys[3], g.keys[7] = good[7], good[3]
+    assert element_key_failures(g)
+    g.keys[:] = good
+    assert element_key_failures(g) == []
+    for i in (1, g.size // 2, g.size - 1):
+        key = bytearray(good[i])
+        key[i % g.rank] ^= 1
+        g.keys[i] = bytes(key)
+        assert element_key_failures(g), i
+        g.keys[i] = good[i]
+
+
+def per_element_byte_tables(g):
+    """The attributes of g that hold, per element, a byte string of 2N bytes
+    or more: a whole root permutation or a translate table."""
+    long = 2 * g.n_pos
+    return sorted(
+        name for name, table in vars(g).items()
+        if isinstance(table, (list, tuple, dict)) and len(table) == g.size
+        and any(isinstance(e, (bytes, bytearray)) and len(e) >= long for e in (
+            itertools.chain(table, table.values()) if isinstance(table, dict) else table)))
+
+
+def test_h4_element_build_keeps_no_per_element_permutation():
+    # the elements are built in the measured window and retained after it: the
+    # r-byte keys and their index, the tree and the integer tables; a 256-byte
+    # translate table per element alone would retain 4.1 MB
+    g = CoxeterGroup(parse_type("H4"))
+    tracemalloc.start()
+    try:
+        g._build()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 4_000_000, retained
+    assert {len(key) for key in g.keys} == {len(key) for key in g.index} == {g.rank}
+    assert "tables" not in ELEMENT_TABLES and per_element_byte_tables(g) == []
+    g.tables = [key + bytes(256 - len(key)) for key in g.keys]
+    g.keys = [bytes(2 * g.n_pos)] * g.size
+    assert per_element_byte_tables(g) == ["keys", "tables"]
+
+
 def brute_conjugacy_classes(g):
-    """Oracle: orbit refinement using only multiply and inverse."""
+    """Oracle: orbit refinement using only products of whole root
+    permutations and inverse."""
+    product = byte_key_product(g)
     remaining = set(range(g.size))
     classes = []
     while remaining:
         seed = min(remaining)
-        orbit = {g.multiply(g.multiply(u, seed), g.inverse[u]) for u in range(g.size)}
+        orbit = {product(product(u, seed), g.inverse[u]) for u in range(g.size)}
         classes.append(frozenset(orbit))
         remaining -= orbit
     return sorted(classes, key=min)
 
 
-def inverted_key_index(g, i):
-    """Oracle: the index of w_i^-1, from inverting w_i's root permutation."""
-    inv = bytearray(len(g.keys[i]))
-    for a, b in enumerate(g.keys[i]):
-        inv[b] = a
-    return g.index[bytes(inv)]
-
-
 @pytest.mark.parametrize("t", SUPPORTED)
 def test_tree_tables_against_byte_keys(t):
     g = get_group(t)
-    assert g.inverse == [inverted_key_index(g, i) for i in range(g.size)]
+    old, product = byte_key_build(g), byte_key_product(g)
+    assert g.inverse == [inverted_key_index(old, i) for i in range(g.size)]
     for h in range(g.rank):
         s_h = g.rmult[h][0]
         assert g.word(s_h) == (h,)
-        assert g.lmult[h] == [g.multiply(s_h, i) for i in range(g.size)]
+        assert g.lmult[h] == [product(s_h, i) for i in range(g.size)]
     assert g.length == sorted(g.length)  # index order is length order
     assert g.longest_index == max(range(g.size), key=g.length.__getitem__)
 
@@ -204,12 +356,14 @@ def test_signed_cycle_type_examples():
 
 def brute_parabolic(g, K):
     """Oracle for normalizer order and equivalent-subset count, using only
-    generic group operations (subgroup sets and conjugation)."""
+    generic group operations (subgroup sets and conjugation, by products of
+    whole root permutations)."""
+    product = byte_key_product(g)
     sub = set(subgroup_elements(g, K))
     norm = sum(
         1
         for w in range(g.size)
-        if {g.multiply(g.multiply(w, h), g.inverse[w]) for h in sub} == sub
+        if {product(product(w, h), g.inverse[w]) for h in sub} == sub
     )
     lam = 0
     for m in range(1 << g.rank):
@@ -218,7 +372,7 @@ def brute_parabolic(g, K):
         if len(subJ) != len(sub):
             continue
         if any(
-            {g.multiply(g.multiply(w, h), g.inverse[w]) for h in sub} == subJ
+            {product(product(w, h), g.inverse[w]) for h in sub} == subJ
             for w in range(g.size)
         ):
             lam += 1
@@ -281,7 +435,8 @@ def line_image_parabolic(g, K):
 
     base = line_set(g.standard_parabolic_mask(K))
     roots = bytes(sorted(base))
-    images = [frozenset(roots.translate(g.tables[i]).translate(line)) for i in range(g.size)]
+    tables = byte_key_build(g).tables
+    images = [frozenset(roots.translate(tables[i]).translate(line)) for i in range(g.size)]
     orbit = set(images)
     equivalent = sorted(
         (tuple(sorted(J)) for J in all_subsets(g.rank)
@@ -355,9 +510,9 @@ def test_descent_complement_when_longest_is_minus_identity():
             mat[i][j] == (-1 if i == j else 0) for i in range(r) for j in range(r)
         )
         assert is_minus_id, t
-        full = frozenset(range(r))
+        full, product = frozenset(range(r)), byte_key_product(g)
         for i in range(g.size):
-            assert g.descent_set(g.multiply(i, w0)) == full - g.descent_set(i)
+            assert g.descent_set(product(i, w0)) == full - g.descent_set(i)
 
 
 def test_matrices_multiply():
@@ -452,7 +607,7 @@ def descent_structure(g):
     which w (L. Solomon, J. Algebra 41, 1976)."""
     out = _DESCENT_STRUCTURES.get(g)
     if out is None:
-        dm, index, r = g.descent_mask, g.index, g.rank
+        dm, old, r = g.descent_mask, byte_key_build(g), g.rank
         # as t runs over W, u = t^-1 does too, and u^-1 w = t w
         u_class = [dm[i] << r for i in g.inverse]
         rep = {}
@@ -460,7 +615,7 @@ def descent_structure(g):
             rep.setdefault(d, i)
         out = []
         for d in range(1 << r):
-            tw = map(index.__getitem__, map(g.keys[rep[d]].translate, g.tables))
+            tw = map(old.index.__getitem__, map(old.keys[rep[d]].translate, old.tables))
             counts = Counter(u | dm[j] for u, j in zip(u_class, tw))
             pairs, ns = zip(*sorted(counts.items()))
             out.append((pairs, ns))
@@ -470,9 +625,9 @@ def descent_structure(g):
 
 def brute_structure_counts(g, w):
     """Oracle: N(d1, d2; w), the number of u with descent mask d1 and u^-1 w
-    descent mask d2, by one group multiplication per u."""
-    dm = g.descent_mask
-    return Counter((dm[u], dm[g.multiply(g.inverse[u], w)]) for u in range(g.size))
+    descent mask d2, by one product of whole root permutations per u."""
+    dm, product = g.descent_mask, byte_key_product(g)
+    return Counter((dm[u], dm[product(g.inverse[u], w)]) for u in range(g.size))
 
 
 @pytest.mark.parametrize("t", SUPPORTED)
@@ -569,14 +724,14 @@ def test_words_by_the_root_action_against_enumeration(t):
     for K, word in words.items():
         # the element of the word is W_K's longest, the only one of its
         # length there, and it is the shortest element whose descent set is K
-        i = g.index[g._word_key(word)]
+        i = g.index[simple_root_images(g, g._word_key(word))]
         members = subgroup_elements(g, sorted(K))
         assert i in members and g.length[i] == len(word) == max(g.length[j] for j in members)
         assert g.word_descent_mask(word) == g.descent_mask[i] == sum(1 << k for k in K)
         assert i == min(j for j in range(g.size) if g.descent_mask[j] == g.descent_mask[i])
         iw0 = g.multiply(i, g.longest_index)
         assert g.word_descent_mask(word + g.longest_word(full)) == g.descent_mask[iw0]
-    assert g.index[g._word_key(g.longest_word(full))] == g.longest_index
+    assert g.index[simple_root_images(g, g._word_key(g.longest_word(full)))] == g.longest_index
 
 
 def test_enumerate_group_builds_the_elements_at_once():

@@ -23,7 +23,7 @@ from coxshuffle.measures import (
     spectrum_product,
 )
 from coxshuffle.rootdata import parse_type
-from test_group import descent_structure, subgroup_elements
+from test_group import byte_key_product, descent_structure, subgroup_elements
 from test_shuffling import exact_shuffle_law
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "G2",
@@ -794,6 +794,7 @@ def brute_transition_row(g, x, u):
     """Oracle: one walk row by direct minimization over every coset face."""
     dense = h_measure(g, x, "definition")  # only for the face weights below
     fw = face_weights(g, x, "definition")
+    product = byte_key_product(g)
     row = [Fraction(0)] * g.size
     for K, v in zip(_subsets(g.rank), fw):
         sub = subgroup_elements(g, K)
@@ -801,17 +802,17 @@ def brute_transition_row(g, x, u):
         for c in range(g.size):
             if c in seen:
                 continue
-            coset = [g.multiply(c, h) for h in sub]
+            coset = [product(c, h) for h in sub]
             seen.update(coset)
-            landing = min(coset, key=lambda j: g.length[g.multiply(g.inverse[u], j)])
+            landing = min(coset, key=lambda j: g.length[product(g.inverse[u], j)])
             row[landing] += v
     return row
 
 
 def transition_matrix(g, x):
     """Oracle: the walk's transition matrix M[u][w] = H(u^-1 w), row by row."""
-    dense = h_measure(g, x).dense()
-    return [[dense[g.multiply(g.inverse[u], w)] for w in range(g.size)] for u in range(g.size)]
+    dense, product = h_measure(g, x).dense(), byte_key_product(g)
+    return [[dense[product(g.inverse[u], w)] for w in range(g.size)] for u in range(g.size)]
 
 
 def mat_mul(A, B):
@@ -967,11 +968,11 @@ def dense_convolve(m1, m2):
     s2 = lcm(*(v.denominator for v in m2.dense()))
     a = [int(v * s1) for v in m1.dense()]
     b = [int(v * s2) for v in m2.dense()]
-    out = [0] * g.size
+    out, product = [0] * g.size, byte_key_product(g)
     for u in range(g.size):
         if a[u]:
             for v in range(g.size):
-                out[g.multiply(u, v)] += a[u] * b[v]
+                out[product(u, v)] += a[u] * b[v]
     return tuple(Fraction(n, s1 * s2) for n in out)
 
 

@@ -57,6 +57,22 @@ def test_first_root_is_first_of_brute_force_roots(degree, p):
         assert _root_of_irreducible(phi) == (ext, roots[0]), phi
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_linear_root_is_read_off_the_constant_term(p, monkeypatch):
+    # the table's only root of each linear phi, then the same root with the
+    # table's build forbidden
+    ctx = FqContext.get(p)
+    linear = [FqPoly.from_ints(ctx, [c0, c1]) for c1 in range(1, p) for c0 in range(p)]
+    expected = [(ctx, ctx.first_roots()[phi.monic().coeffs]) for phi in linear]
+    assert [brute_force_roots(phi, ctx) for phi in linear] == [[r] for _, r in expected]
+
+    def no_table(ext):
+        raise AssertionError(f"first_roots of {ext!r} built")
+
+    monkeypatch.setattr(FqContext, "first_roots", no_table)
+    assert [_root_of_irreducible(phi) for phi in linear] == expected
+
+
 def test_first_root_raises_without_a_root():
     # (z^2 + 1)^2 has roots in GF(9) but is no minimal polynomial of an
     # element of GF(81), so the lookup there misses

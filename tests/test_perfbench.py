@@ -69,7 +69,6 @@ UNREAD_ALLOWED = {
     "CoxeterGroup.standard_parabolic_mask": BENCHMARK_READS,
     "IntersectionLattice.bottom_id": BENCHMARK_READS,
     "CoxeterGroup.multiply": "element-level API of an exported class; tests use it as an oracle",
-    "CoxeterGroup.word": "element-level API of an exported class; tests use it as an oracle",
     "WMeasure.value": "element-level API of an exported class; tests use it as an oracle",
     "necklace_irreducible_count": "ROADMAP item 5 (orbit class distributions) reads it",
 }
