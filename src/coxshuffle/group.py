@@ -33,7 +33,7 @@ the inverses are then one lookup per element along the tree, s_h w_j =
 (s_h w_parent) s_g and w_j^-1 = s_g w_parent^-1, and a product w_i w_j
 follows w_j's word through ``rmult``.  Descent sets come from testing
 which simple roots an element sends negative, one pass over W per
-generator.  On H4 the element tables retain 3.07 MiB under tracemalloc,
+generator.  On H4 the element tables retain 3.08 MiB under tracemalloc,
 about 220 bytes per element; keeping each element's 2N-byte root
 permutation and 256-byte translate table as well retained 8.75 MiB, about
 640 bytes per element.  Reflection-representation matrices are exact and
