@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +160,20 @@ def test_sample_compare_json(capsys):
     assert data["count"] == 2000 and data["seed"] == 7
     assert "/" in data["tv_exact"]
     assert 0 <= data["tv_float"] < 0.2
+
+
+@pytest.mark.parametrize("model,n", [("gsr_a", 6), ("typeB_flip", 4)])
+@pytest.mark.parametrize("x", [3, 129, 65537, 2**32 - 1])
+def test_sample_compare_exact_against_per_sample_loop(capsys, model, n, x):
+    from test_shuffling import per_sample_law
+
+    from coxshuffle.shuffling import exact_law, tv_distance
+
+    code, out, _ = run_cli(capsys, "sample", "--model", model, "--n", str(n), "--x", str(x),
+                           "--count", "300", "--seed", "5", "--compare", "exact")
+    assert code == 0
+    tv = tv_distance(per_sample_law(model, n, x, 300, 5), exact_law(model, n, x))
+    assert Fraction(json.loads(out)["tv_exact"]) == tv
 
 
 def test_verify_pass_exit_code(capsys):
