@@ -149,8 +149,8 @@ def law_case(model, n, x, count=None):
     # odd thresholds t = p at k = 32, where the rejection test reads out & 1
     *(law_case(model, n, x) for model, n in (("gsr_a", 3), ("typeB_flip", 2))
       for x in (2**31 + 1, 3 * 2**30 + 1)),
-    # p**n = 255 | 256 | 257 and 65535 | 65536 pile words, and up to 2**64
-    # (p = 2**32 - 1 at n = 2 here, n = 3 above)
+    # p**n = 255 | 256 | 257 and 65535 | 65536 pile words, and just under
+    # 2**64 (p = 2**32 - 1 at n = 2; n = 3 above is over)
     *(law_case("gsr_a", n, x) for n, x in ((1, 255), (2, 16), (4, 4), (8, 2), (1, 257),
                                           (1, 65535), (2, 256), (4, 16), (1, 65537),
                                           (2, 2**32 - 1))),
@@ -179,7 +179,7 @@ def test_empirical_law_equals_per_sample_loop(model, n, x, count, seed):
 
 def test_empirical_law_memory_does_not_grow_with_count():
     # a million words of six one-byte draws: the digit stream alone is 6 MB,
-    # and most of the 7**6 keys occur
+    # and nearly all of the 7**6 words and all 720 permutations occur
     tracemalloc.start()
     try:
         empirical_law("gsr_a", 6, 7, 10**6, 0)
