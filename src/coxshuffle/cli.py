@@ -11,6 +11,13 @@ Subcommands:
 
 Exit codes: 0 pass, 1 fail, 2 usage error (a bad argument, a flag the
 chosen suite does not read, or an output file that cannot be written).
+
+Each ``coxshuffle verify`` is a fresh process, so start-up is paid per
+suite.  A run adds the arguments of its own command only, and each command
+imports the modules it runs when it runs: the import of this module loads
+no group, lattice, measure, orbit or F_q code, and ``verify`` loads just
+its suite's modules, inside the suite, so they count in the report's
+``wall_time_s``.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .gfpoly import _prime_factors, is_prime
 from .report import exact_str
 from .suites import SUITES, run_suite
 
@@ -52,6 +58,8 @@ def _check_q(q: int, family: str, n: int, cmd: str, very_good: bool = True,
     """(p, e) with q = p^e: --q is a prime, or with prime_power a power of a
     prime; odd for type B; and with very_good, prime to n for A_{n-1},
     which the characteristic p decides."""
+    from .gfpoly import _prime_factors, is_prime
+
     primes = _prime_factors(q) if prime_power else [q] if is_prime(q) else []
     if len(primes) != 1:
         raise ValueError(f"{cmd} needs --q a prime{' power' if prime_power else ''}, not {q}")
@@ -201,7 +209,7 @@ def cmd_bijection(args) -> int:
         _write_out(cycles_string(cycles), args.out)
         return 0
     # refine
-    from .gfpoly import FqContext, FqPoly
+    from .gfpoly import FqContext, FqPoly, is_prime
 
     _check_n(args.n, 1, None, "bijection refine")
     if not is_prime(args.p):
@@ -284,16 +292,7 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxshuffle",
-        allow_abbrev=False,
-        description="Exact shuffling measures on finite Coxeter groups, orbit models "
-        "over finite fields, and exhaustive verification suites.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("coxeter", help="group tables", allow_abbrev=False)
+def _add_coxeter(p: argparse.ArgumentParser) -> None:
     csub = p.add_subparsers(dest="coxeter_cmd", required=True)
     pd = csub.add_parser("dump", help="dump element/class/parabolic tables", allow_abbrev=False)
     pd.add_argument("--type", required=True, help="A3, B2, D4, G2, I2(5), H3, H4")
@@ -302,13 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--out")
     pd.set_defaults(func=cmd_coxeter)
 
-    p = sub.add_parser("lattice", help="arrangement flats", allow_abbrev=False)
+
+def _add_lattice(p: argparse.ArgumentParser) -> None:
     p.add_argument("--type", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--emit", help="output file (default stdout)")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("measure", help="shuffling measure table", allow_abbrev=False)
+
+def _add_measure(p: argparse.ArgumentParser) -> None:
     p.add_argument("--type", required=True)
     p.add_argument("--x", required=True, help="nonzero rational, e.g. 2 or 1/2")
     p.add_argument("--method", choices=["definition", "os_sign", "closed_form"],
@@ -317,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("sample", help="physical shuffle sampler", allow_abbrev=False)
+
+def _add_sample(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=["gsr_a", "typeB_flip"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--x", type=int, required=True)
@@ -327,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("orbits", help="orbit representatives", allow_abbrev=False)
+
+def _add_orbits(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", choices=["A", "B"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -335,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit")
     p.set_defaults(func=cmd_orbits)
 
-    p = sub.add_parser("bijection", help="necklace bijections", allow_abbrev=False)
+
+def _add_bijection(p: argparse.ArgumentParser) -> None:
     bsub = p.add_subparsers(dest="bijection_cmd", required=True)
     pg = bsub.add_parser("gr", help="Gessel-Reutenauer on a necklace multiset", allow_abbrev=False)
     pg.add_argument("--necklaces", required=True, help='e.g. "12,12,2,23,23233"')
@@ -351,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out")
     pr.set_defaults(func=cmd_bijection)
 
-    p = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
+
+def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", help=", ".join(sorted(SUITES)) + ", problem1")
     p.add_argument("--type", action="append", help="override the type grid (repeatable)")
     p.add_argument("--family", choices=["A", "B"], help="for the problem1 alias")
@@ -362,11 +367,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report to a file")
     p.set_defaults(func=cmd_verify)
 
+
+# subcommand -> (its help, the function that adds its arguments)
+_COMMANDS = {
+    "coxeter": ("group tables", _add_coxeter),
+    "lattice": ("arrangement flats", _add_lattice),
+    "measure": ("shuffling measure table", _add_measure),
+    "sample": ("physical shuffle sampler", _add_sample),
+    "orbits": ("orbit representatives", _add_orbits),
+    "bijection": ("necklace bijections", _add_bijection),
+    "verify": ("run a verification suite", _add_verify),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is listed with its help, but only
+    ``command``'s arguments are added, or every command's when it is None;
+    a run parses one command, so it need not build the other six."""
+    parser = argparse.ArgumentParser(
+        prog="coxshuffle",
+        allow_abbrev=False,
+        description="Exact shuffling measures on finite Coxeter groups, orbit models "
+        "over finite fields, and exhaustive verification suites.",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if command in (None, name):
+            add_arguments(p)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # argv[0] names the command whenever it is one: the top level reads no
+    # option but -h, so the first word is the subcommand's
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

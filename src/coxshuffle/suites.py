@@ -5,6 +5,12 @@ The registry is data-driven: each suite's one ``SUITES`` entry holds its
 runner, its default parameter grid and the CLI flags that override it, so a
 grid entry can be overridden without code changes (e.g. ``verify
 convolution --type D4`` explores a type the default grid leaves out).
+
+Each runner imports the names it calls at its top, so a ``coxshuffle
+verify`` process loads only the modules its suite runs: ``gr_census``
+never loads the group or measure code, and no suite but ``sampler_tv``
+loads the samplers.  Those imports run inside the suite, so a report's
+``wall_time_s`` includes them.
 """
 
 from __future__ import annotations
@@ -14,36 +20,8 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Optional
 
-from .group import get_group
-from .measures import (
-    bhr_step,
-    convolve,
-    face_weights,
-    h_measure,
-    longshort_values,
-    pushforward_classes,
-    sommers_identity_check,
-    spectrum_product,
-)
-from .necklaces import (
-    count_signed_ornaments,
-    cycles_string,
-    descent_count,
-    enumerate_signed_ornaments,
-    gessel_reutenauer,
-    refine_census,
-    s_vector_count,
-)
-from .orbits import (
-    identity_class_label,
-    identity_class_prediction,
-    orbit_class_distribution,
-    orbit_family,
-    split_census_constant_one,
-)
 from .report import Report, exact_str
 from .rootdata import card_range
-from .shuffling import empirical_law, exact_law, tv_distance
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "I2(5)", "I2(6)", "H3", "H4"]
 
@@ -65,6 +43,9 @@ def run_suite(name: str, params: Optional[dict] = None) -> Report:
 
 
 def _suite_triple_agreement(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import h_measure
+
     for t in p["types"]:
         g = get_group(t)
         fam = g.root_system.family
@@ -84,6 +65,9 @@ def _suite_triple_agreement(rep: Report, p: dict) -> None:
 
 
 def _suite_longshort(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import h_measure, longshort_values
+
     for t in p["types"]:
         g = get_group(t)
         for x in p["xs"]:
@@ -97,6 +81,9 @@ def _suite_longshort(rep: Report, p: dict) -> None:
 
 
 def _suite_sommers(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import sommers_identity_check
+
     for t, x in p["grid"]:
         r = sommers_identity_check(get_group(t), x)
         if not r.hypothesis_ok:
@@ -108,6 +95,9 @@ def _suite_sommers(rep: Report, p: dict) -> None:
 
 
 def _suite_convolution(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import convolve, h_measure
+
     x, y = p["x"], p["y"]
     for t in p["types"]:
         g = get_group(t)
@@ -118,6 +108,9 @@ def _suite_convolution(rep: Report, p: dict) -> None:
 
 
 def _suite_h4_counterexample(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import h_measure
+
     x = p["x"]
     g = get_group("H4")
     # w is the longest element of W_{2,3}, the shortest element with descent
@@ -144,6 +137,9 @@ def _suite_h4_counterexample(rep: Report, p: dict) -> None:
 
 
 def _suite_spectrum(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import h_measure, spectrum_product
+
     x = p["x"]
     for t in p["types"]:
         g = get_group(t)
@@ -161,6 +157,9 @@ def _suite_spectrum(rep: Report, p: dict) -> None:
 
 
 def _suite_walk_oracle(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import bhr_step, face_weights, h_measure
+
     for t in p["types"]:
         g = get_group(t)
         for x in p["xs"]:
@@ -171,6 +170,9 @@ def _suite_walk_oracle(rep: Report, p: dict) -> None:
 
 
 def _suite_nonnegativity(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import face_weights, h_measure
+
     for t, xs in p["grid"]:
         g = get_group(t)
         for x in xs:
@@ -186,6 +188,11 @@ def _suite_nonnegativity(rep: Report, p: dict) -> None:
 
 
 def _suite_problem1(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .measures import h_measure, pushforward_classes
+    from .orbits import (identity_class_label, identity_class_prediction,
+                         orbit_class_distribution, orbit_family)
+
     tag = rep.suite[-1]  # problem1_A or problem1_B
     spot_dist = None
     for n, q in p["grid"]:
@@ -220,6 +227,8 @@ def _suite_problem1(rep: Report, p: dict) -> None:
 
 
 def _suite_sl35(rep: Report, p: dict) -> None:
+    from .orbits import split_census_constant_one
+
     census, prediction = split_census_constant_one(p["n"], p["q"])
     rep.add("census of split monics with constant term 1", 5, census, "exhaustive")
     rep.add("orbit-side prediction", 7, int(prediction), "product-formula")
@@ -232,6 +241,8 @@ def _suite_sl35(rep: Report, p: dict) -> None:
 
 
 def _suite_gr_census(rep: Report, p: dict) -> None:
+    from .necklaces import cycles_string, descent_count, gessel_reutenauer, refine_census
+
     one, cyc = gessel_reutenauer([(1, 2), (1, 2), (2,), (2, 3), (2, 3, 2, 3, 3)])
     rep.add("worked multiset example", "(1 3)(2 4)(5)(6 9)(7 11 8 12 10)",
             cycles_string(cyc), "worked-example")
@@ -250,6 +261,9 @@ def _suite_gr_census(rep: Report, p: dict) -> None:
 
 
 def _suite_reiner_counts(rep: Report, p: dict) -> None:
+    from .group import get_group
+    from .necklaces import enumerate_signed_ornaments, s_vector_count
+
     for n, q in p["grid"]:
         if n < 1:
             raise ValueError(f"reiner_counts needs n >= 1, not n = {n}")
@@ -278,12 +292,16 @@ def _suite_reiner_counts(rep: Report, p: dict) -> None:
 
 
 def _suite_ornament_counts(rep: Report, p: dict) -> None:
+    from .necklaces import count_signed_ornaments
+
     for n, q in p["grid"]:
         c = count_signed_ornaments(n, q)
         rep.add(f"n={n} q={q}: number of signed ornaments", q**n, c, "exhaustive")
 
 
 def _suite_sampler_tv(rep: Report, p: dict) -> None:
+    from .shuffling import empirical_law, exact_law, tv_distance
+
     count, seed, tol = p["count"], p["seed"], Fraction(p["tolerance"])
     for model, n, x in [("gsr_a", 4, 2), ("typeB_flip", 3, 3)]:
         tv = tv_distance(empirical_law(model, n, x, count, seed), exact_law(model, n, x))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import coxshuffle
-from coxshuffle.cli import main
+from coxshuffle.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +226,83 @@ def test_abbreviated_option_is_a_usage_error(tmp_path):
         "coxshuffle: error: unrecognized arguments: --e 0"]
     assert "Traceback" not in run.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect(fresh_json):
+    # each `coxshuffle verify` is a fresh process, so the CLI import is paid per suite
+    code = (
+        "import json, sys\n"
+        "import coxshuffle.cli\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+    )
+    assert fresh_json(code) == []
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    ((), ("group", "lattice", "measures", "labels", "linalg", "necklaces", "orbits",
+          "shuffling", "gfpoly", "tables")),
+    # the exact law is the closed-form measure, so the sampler suite builds groups
+    (("verify", "sampler_tv"), ("linalg", "necklaces", "orbits", "gfpoly", "tables")),
+    (("verify", "gr_census"), ("group", "lattice", "measures", "labels", "linalg", "orbits",
+                               "shuffling", "tables")),
+], ids=["import", "sampler_tv", "gr_census"])
+def test_cli_loads_only_the_modules_its_command_runs(fresh_json, argv, unloaded):
+    # the CLI import, then one suite: each runner imports what it calls
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import coxshuffle.cli as cli\n"
+        f"argv = {list(argv)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(argv) if argv else 0\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    code, modules = fresh_json(code)
+    assert code == 0
+    assert [m for m in unloaded if f"coxshuffle.{m}" in modules] == []
+
+
+COMMAND_PATHS = [("coxeter",), ("coxeter", "dump"), ("lattice",), ("measure",), ("sample",),
+                 ("orbits",), ("bijection",), ("bijection", "gr"), ("bijection", "refine"),
+                 ("verify",)]
+
+
+def parse_exit(capsys, parser, argv):
+    """(exit code, stdout, stderr) of a parse that exits, as help and usage
+    errors do."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("path", COMMAND_PATHS, ids=" ".join)
+def test_one_command_parser_gives_the_full_parsers_help(capsys, path):
+    argv = [*path, "--help"]
+    help_text = parse_exit(capsys, build_parser(path[0]), argv)
+    assert help_text == parse_exit(capsys, build_parser(), argv)
+    code, out, err = help_text
+    assert code == 0 and err == "" and out.startswith(f"usage: coxshuffle {' '.join(path)} ")
+
+
+@pytest.mark.parametrize("argv,last_line", [
+    ((), "coxshuffle: error: the following arguments are required: cmd"),
+    (("nosuch",), "coxshuffle: error: argument cmd: invalid choice: 'nosuch' (choose from "
+                  "'coxeter', 'lattice', 'measure', 'sample', 'orbits', 'bijection', 'verify')"),
+    (("verify",), "coxshuffle verify: error: the following arguments are required: suite"),
+    (("coxeter",),
+     "coxshuffle coxeter: error: the following arguments are required: coxeter_cmd"),
+    (("bijection", "refine"),
+     "coxshuffle bijection refine: error: the following arguments are required: --n, --p"),
+])
+def test_usage_errors_match_the_full_parsers(capsys, argv, last_line):
+    # main builds only the named command's arguments; the message is the
+    # one the parser of every command gives
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == parse_exit(capsys, build_parser(), list(argv))
+    assert exc.value.code == 2 and out == "" and err.startswith("usage: coxshuffle")
+    assert err.splitlines()[-1] == last_line
 
 
 def test_verify_convolution_reports_known_counterexamples(capsys):

@@ -1,17 +1,11 @@
 """Intersection lattices: flats, W-orbits, Moebius values, characteristic polynomials."""
 
 import itertools
-import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import coxshuffle
 from coxshuffle.golden import GoldenRational
 from coxshuffle.group import CoxeterGroup, get_group
 from coxshuffle.lattice import (
@@ -478,15 +472,11 @@ def test_group_and_parabolic_data_read_only_the_simple_action(t, monkeypatch):
     assert len(lat) == expect
 
 
-def test_lattice_import_loads_no_linear_algebra_group_or_measure_code():
-    src = str(Path(coxshuffle.__file__).resolve().parents[1])
+def test_lattice_import_loads_no_linear_algebra_group_or_measure_code(fresh_json):
     code = (
         "import json, sys\n"
         "import coxshuffle.lattice\n"
         "print(json.dumps([m for m in ('coxshuffle.linalg', 'coxshuffle.group',\n"
         "                  'coxshuffle.measures') if m in sys.modules]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert json.loads(out) == []
+    assert fresh_json(code) == []

@@ -1,17 +1,11 @@
 """Orbit enumeration, the class map, and the distribution identities."""
 
-import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import coxshuffle
 from coxshuffle import gfpoly, orbits
 from coxshuffle.gfpoly import (FqContext, FqPoly, check_layers, degree_layers, factor,
                                layer_partition, monic_polys, poly_axpy, poly_frobenius,
@@ -372,8 +366,7 @@ def test_layer_checks_raise_on_a_corrupted_layer(monkeypatch):
         degree_layers(c5, f.coeffs)
 
 
-def test_orbits_import_loads_no_group_lattice_or_dataclass_code():
-    src = str(Path(coxshuffle.__file__).resolve().parents[1])
+def test_orbits_import_loads_no_group_lattice_or_dataclass_code(fresh_json):
     code = (
         "import json, sys\n"
         "import coxshuffle.orbits\n"
@@ -385,22 +378,5 @@ def test_orbits_import_loads_no_group_lattice_or_dataclass_code():
         "missing = [n for n in coxshuffle.__all__ if n not in ns]\n"
         "print(json.dumps([loaded, missing]))\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    loaded, missing = json.loads(out)
+    loaded, missing = fresh_json(code)
     assert loaded == [] and missing == []
-
-
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # each `coxshuffle verify` is a fresh process, so the CLI import is paid per suite
-    src = str(Path(coxshuffle.__file__).resolve().parents[1])
-    code = (
-        "import json, sys\n"
-        "import coxshuffle.cli\n"
-        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert json.loads(out) == []
