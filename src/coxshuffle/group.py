@@ -17,28 +17,36 @@ and the subsets equivalent to K are those whose standard flat lies in the
 same orbit.  A word's descent set, and a reduced word of the longest
 element of any W_K, are composed from ``RootSystem.simple_action`` alone.
 
-The element part (``ELEMENT_TABLES``) is built by ``_build`` the first
-time any of its tables is read; ``enumerate_group`` builds it at once.
-Elements act faithfully on the signed roots, so an element is fixed by
-the images of the r simple roots, and each element is keyed by those
+The element part (``ELEMENT_TABLES``) is built in two stages, each the
+first time any of its tables is read; ``enumerate_group`` builds both at
+once.  Elements act faithfully on the signed roots, so an element is fixed
+by the images of the r simple roots, and each element is keyed by those
 images packed into r bytes (``keys``; ``index`` maps a key to its
-element).  Breadth-first closure from the simple reflections yields the
-elements in length order, the right products by the generators
+element).  The closure (``CLOSURE_TABLES``, ``_build``) fills lists made at
+|W| slots by breadth-first search from the simple reflections.  It yields
+the elements in length order, the right products by the generators
 (``rmult``), and a tree: each element j is found as ``parent[j] *
 s_{gen_of[j]}``, with its parent earlier in index order.  The child w s_g
 sends simple root i to w(s_g alpha_i): one ``bytes.translate`` of r bytes
 by w's whole signed root permutation, a 256-byte table that is made only
-when w is new and dropped when w leaves the queue.  The left products and
-the inverses are then one lookup per element along the tree, s_h w_j =
-(s_h w_parent) s_g and w_j^-1 = s_g w_parent^-1, and a product w_i w_j
-follows w_j's word through ``rmult``.  Descent sets come from testing
-which simple roots an element sends negative, one pass over W per
-generator.  On H4 the element tables retain 3.08 MiB under tracemalloc,
-about 220 bytes per element; keeping each element's 2N-byte root
-permutation and 256-byte translate table as well retained 8.75 MiB, about
-640 bytes per element.  Reflection-representation matrices are exact and
-computed on demand (for H4, materializing all 14400 4x4 golden matrices up
-front would cost tens of MB).  Conjugacy classes, the per-element
+when w is new and dropped when w leaves the queue.  As s_g^2 = 1, each
+edge w - w s_g of the Cayley graph is set at both ends when it is first
+found, so a generator already set at a popped element (a descent) costs
+no translate and no lookup: each edge is walked once.  Descent sets come
+from testing which simple roots an element sends negative, one translate
+of its key.  The second stage (``PRODUCT_TABLES``,
+``_build_products``) makes the inverses, one translate and one lookup per
+element along the tree (w_j^-1 = s_g w_parent^-1), the left products
+s_h w = (w^-1 s_h)^-1, one ``map`` over W per generator, and the one-line
+forms of types A and B.  The chamber walk reads only the closure.  A
+product w_i w_j follows w_j's word through ``rmult``.  On H4 the closure
+retains 2.50 MiB under tracemalloc, about 180 bytes per element, and both
+stages 3.08 MiB, about 220 bytes per element; a build that also keeps
+each element's 2N-byte root permutation and 256-byte translate table
+retains 8.75 MiB, about 640 bytes per element.  Reflection-representation
+matrices are exact and computed on demand (for H4, materializing all
+14400 4x4 golden matrices up front would cost tens of MB).  Conjugacy
+classes, the per-element
 length-descent sets {s : l(ws) < l(w)} (read from lengths, not from the
 root action), the descent counts of each class, the structure constants of
 the descent algebra in Solomon's basis x_K (by Mackey's formula, one pass
@@ -81,9 +89,11 @@ class ParabolicData(NamedTuple):
     conjugacy_rep: tuple
 
 
-# the element part: the tables ``_build`` makes, all at the first read of any one
-ELEMENT_TABLES = ("keys", "index", "parent", "gen_of", "length", "rmult", "lmult",
-                  "inverse", "descent_mask", "one_line")
+# the element part in two stages, each built at the first read of any of its
+# tables: the closure (``_build``), then the left products (``_build_products``)
+CLOSURE_TABLES = ("keys", "index", "parent", "gen_of", "length", "rmult", "descent_mask")
+PRODUCT_TABLES = ("lmult", "inverse", "one_line")
+ELEMENT_TABLES = CLOSURE_TABLES + PRODUCT_TABLES
 
 
 class CoxeterGroup:
@@ -120,10 +130,13 @@ class CoxeterGroup:
 
     def __getattr__(self, name):
         # reached only for attributes not yet set: an element table is built
-        # with all the others on its first read
-        if name not in ELEMENT_TABLES:
+        # with the rest of its stage on its first read
+        if name in CLOSURE_TABLES:
+            self._build()
+        elif name in PRODUCT_TABLES:
+            self._build_products()
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._build()
         return self.__dict__[name]
 
     # -- the element part ----------------------------------------------------
@@ -132,63 +145,54 @@ class CoxeterGroup:
         rs = self.root_system
         r = rs.rank
         n_pos = self.n_pos
+        size = self.size
         simple, gen_tables = self._simple, self._gen_tables
         # w s_g sends simple root i to w(s_g alpha_i)
         gen_images = [bytes(t[j] for j in simple) for t in gen_tables]
 
         ident = bytes(simple)
-        keys = [ident]
+        keys = [ident] * size
         index = {ident: 0}
-        parent = [-1]
-        gen_of = [-1]
-        length = [0]
-        rmult: List[List[int]] = [[] for _ in range(r)]
-        for g in range(r):
-            rmult[g].append(-1)
+        parent = [-1] * size
+        gen_of = [-1] * size
+        length = [0] * size
+        rmult = [[-1] * size for _ in range(r)]
 
-        # an element's whole root permutation lives only while it is queued
+        # an element's whole root permutation lives only while it is queued;
+        # s_g^2 = 1, so each edge w - w s_g is set at both ends when first
+        # found, and a generator already set at a popped element is a descent
+        steps = list(zip(range(r), rmult, gen_images, gen_tables))
+        count = 1
         queue = deque([(0, bytes(range(256)))])
         while queue:
             i, ti = queue.popleft()
-            for g in range(r):
-                child = gen_images[g].translate(ti)  # w * s_g
+            for g, rg, image, table in steps:
+                if rg[i] >= 0:
+                    continue
+                child = image.translate(ti)  # w * s_g
                 j = index.get(child)
                 if j is None:
-                    j = len(keys)
+                    if count == size:  # no slot is left for it
+                        raise RuntimeError(f"{rs.type_name()}: enumerated more than {size} "
+                                           f"elements, expected {size}")
+                    j = count
+                    count += 1
                     index[child] = j
-                    keys.append(child)
-                    parent.append(i)
-                    gen_of.append(g)
-                    length.append(length[i] + 1)
-                    for h in range(r):
-                        rmult[h].append(-1)
-                    queue.append((j, gen_tables[g].translate(ti)))
-                rmult[g][i] = j
+                    keys[j] = child
+                    parent[j] = i
+                    gen_of[j] = g
+                    length[j] = length[i] + 1
+                    queue.append((j, table.translate(ti)))
+                rg[i] = j
+                rg[j] = i
+        if count != size:
+            raise RuntimeError(f"{rs.type_name()}: enumerated {count} elements, expected {size}")
 
-        size = len(keys)
-        if size != self.size:
-            raise RuntimeError(
-                f"{rs.type_name()}: enumerated {size} elements, expected {self.size}"
-            )
-
-        # element j is parent[j] * s_{gen_of[j]}, and parents come first, so
-        # s_h * w_j = (s_h * w_parent) * s_g and w_j^-1 = s_g * w_parent^-1
-        lmult: List[List[int]] = []
-        for h in range(r):
-            lh = [rmult[h][0]]
-            for p, g in zip(parent[1:], gen_of[1:]):
-                lh.append(rmult[g][lh[p]])
-            lmult.append(lh)
-        inverse = [0]
-        for p, g in zip(parent[1:], gen_of[1:]):
-            inverse.append(lmult[g][inverse[p]])
-
-        # one pass over W per generator: bit g is set iff the element sends
-        # simple root g to a negative root
-        descent_mask = [0] * size
-        for g in range(r):
-            bit = 1 << g
-            descent_mask = [d | bit if k[g] >= n_pos else d for d, k in zip(descent_mask, keys)]
+        # bit g is set iff the element sends simple root g to a negative
+        # root: one translate of its key marks those bytes with a 1
+        negative = bytes(b >= n_pos for b in range(256))
+        masks = {bytes(m >> g & 1 for g in range(r)): m for m in range(1 << r)}
+        descent_mask = [masks[k.translate(negative)] for k in keys]
 
         longest = self.longest_index
         if length[longest] != n_pos or descent_mask[longest] != (1 << r) - 1:
@@ -202,9 +206,19 @@ class CoxeterGroup:
         self.gen_of = gen_of
         self.length = length
         self.rmult = rmult
-        self.lmult = lmult
-        self.inverse = inverse
         self.descent_mask = descent_mask
+
+    def _build_products(self):
+        # element j is parent[j] * s_{gen_of[j]}, and parents come first, so
+        # w_j^-1 = s_g * w_parent^-1, whose key is w_parent^-1's key moved
+        # by s_g's root permutation; then s_h * w = (w^-1 * s_h)^-1
+        keys, index, gen_tables = self.keys, self.index, self._gen_tables
+        inverse = [0]
+        for p, g in zip(self.parent[1:], self.gen_of[1:]):
+            inverse.append(index[keys[inverse[p]].translate(gen_tables[g])])
+        inv = inverse.__getitem__
+        self.lmult = [list(map(inv, map(rg.__getitem__, inverse))) for rg in self.rmult]
+        self.inverse = inverse
         self.one_line = self._build_one_line()
 
     def _build_one_line(self):
@@ -639,6 +653,7 @@ def enumerate_group(rs: RootSystem) -> CoxeterGroup:
     closure of the simple reflections."""
     g = CoxeterGroup(rs)
     g._build()
+    g._build_products()
     return g
 
 

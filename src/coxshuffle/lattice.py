@@ -11,12 +11,15 @@ standard parabolic subgroup W_K (Orlik-Solomon, "Coxeter arrangements",
 there form the subsystem Phi_K = W_K . Delta_K.  So the flats are the
 W-orbits of the 2^r standard masks, enumerated breadth first under the
 permutations the simple reflections induce on the positive-root lines
-(read off ``RootSystem.simple_action``).  The build records the standard
-mask of every subset K, the W-orbit of every flat, and each orbit's size
-and the subsets whose standard flat lies in it; the group's parabolic data
-(normalizer order |W| / |orbit|, the count and representative of the
-equivalent subsets) is read from these.  The module does no linear
-algebra: flats are masks, never subspaces.
+(read off ``RootSystem.simple_action``).  A flat is queued as the list of
+its lines, a new image's being its preimage's permuted, and its image
+under s_g is the sum of one precomputed bit, 1 << s_g(line), per line.
+The build records the standard mask of every subset K, the W-orbit of
+every flat, and each orbit's size and the subsets whose standard flat
+lies in it; the group's parabolic data (normalizer order |W| / |orbit|,
+the count and representative of the equivalent subsets) is read from
+these.  The module does no linear algebra: flats are masks, never
+subspaces.
 
 mu(V, Y) and the restricted characteristic polynomial chi(A^Y, x) are
 W-invariant, so both are solved once per W-orbit of flats from one
@@ -83,16 +86,6 @@ def parabolic_mask(
     return sum(1 << j for j in lines)
 
 
-def permute_mask(mask: int, perm: Sequence[int]) -> int:
-    """Image of a root-line bitmask under a permutation of the lines."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 class IntersectionLattice:
     """Poset of arrangement flats under reverse inclusion, V at the bottom."""
 
@@ -104,6 +97,9 @@ class IntersectionLattice:
     def _build(self):
         rs = self.root_system
         perms, simple = root_line_action(rs)
+        # per generator, its line permutation and the bit of each line's
+        # image: a flat's image is the sum of its lines' bits
+        steps = [(p, [1 << k for k in p]) for p in perms]
         std_masks: List[int] = []  # per subset bitmask m, the standard mask of K
         orbit_of: Dict[int, int] = {}  # flat mask -> orbit id
         orbit_ranks: List[int] = []
@@ -117,16 +113,16 @@ class IntersectionLattice:
             if orbit is not None:  # K is conjugate to an earlier subset
                 orbit_subsets[orbit].append(m)
                 continue
-            # breadth-first W-orbit of the standard flat
+            # breadth-first W-orbit of the standard flat, by lists of lines
             orbit = len(orbit_sizes)
             orbit_of[seed] = orbit
-            queue = [seed]
-            for mask in queue:
-                for p in perms:
-                    img = permute_mask(mask, p)
+            queue = [[j for j in range(rs.n_positive) if seed >> j & 1]]
+            for lines in queue:
+                for perm, bits in steps:
+                    img = sum(map(bits.__getitem__, lines))
                     if img not in orbit_of:
                         orbit_of[img] = orbit
-                        queue.append(img)
+                        queue.append(list(map(perm.__getitem__, lines)))
             orbit_ranks.append(len(K))
             orbit_sizes.append(len(queue))
             orbit_subsets.append([m])

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from coxshuffle.group import (ELEMENT_TABLES, CoxeterGroup, cycle_type, enumerate_group,
-                              get_group, signed_cycle_type)
+from coxshuffle.group import (CLOSURE_TABLES, ELEMENT_TABLES, PRODUCT_TABLES, CoxeterGroup,
+                              cycle_type, enumerate_group, get_group, signed_cycle_type)
 from coxshuffle.rootdata import parse_type
 from coxshuffle.tables import fixed_space
 
@@ -253,6 +253,75 @@ def test_element_tables_against_the_byte_key_build(t):
     assert all(g.multiply(i, j) == product(i, j) for i in sample for j in sample)
 
 
+def one_stage_build(g):
+    """Oracle: the element tables of g by a one-stage closure that tries
+    every generator at every element, never reading g's own element tables.
+    The left products and the inverses follow along the tree: element j is
+    parent[j] * s_{gen_of[j]}, so s_h * w_j = (s_h * w_parent) * s_g and
+    w_j^-1 = s_g * w_parent^-1."""
+    r, n_pos = g.rank, g.n_pos
+    gen_images = [bytes(t[a] for a in g._simple) for t in g._gen_tables]
+    ident = bytes(g._simple)
+    keys, index = [ident], {ident: 0}
+    parent, gen_of, length = [-1], [-1], [0]
+    rmult = [[-1] for _ in range(r)]
+    queue = deque([(0, bytes(range(256)))])
+    while queue:
+        i, ti = queue.popleft()
+        for h in range(r):
+            child = gen_images[h].translate(ti)  # w_i * s_h
+            j = index.get(child)
+            if j is None:
+                j = index[child] = len(keys)
+                keys.append(child)
+                parent.append(i)
+                gen_of.append(h)
+                length.append(length[i] + 1)
+                for row in rmult:
+                    row.append(-1)
+                queue.append((j, g._gen_tables[h].translate(ti)))
+            rmult[h][i] = j
+    lmult = []
+    for h in range(r):
+        lh = [rmult[h][0]]
+        for p, s in zip(parent[1:], gen_of[1:]):
+            lh.append(rmult[s][lh[p]])
+        lmult.append(lh)
+    inverse = [0]
+    for p, s in zip(parent[1:], gen_of[1:]):
+        inverse.append(lmult[s][inverse[p]])
+    descent_mask = [sum(1 << s for s in range(r) if k[s] >= n_pos) for k in keys]
+    one_line = CoxeterGroup._build_one_line(SimpleNamespace(
+        root_system=g.root_system, size=len(keys), parent=parent, gen_of=gen_of))
+    return SimpleNamespace(keys=keys, index=index, parent=parent, gen_of=gen_of, length=length,
+                           rmult=rmult, lmult=lmult, inverse=inverse,
+                           descent_mask=descent_mask, one_line=one_line)
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2",
+                               "I2(5)", "I2(6)", "I2(10)", "H3", "H4"])
+def test_element_tables_against_the_one_stage_build(t):
+    # the D4 and H class labels number the classes in index order, so the
+    # order of every table counts, the index's insertion order included
+    g = CoxeterGroup(parse_type(t))
+    ref = one_stage_build(g)
+    for name in ELEMENT_TABLES:
+        assert getattr(g, name) == getattr(ref, name), name
+    assert list(g.index.items()) == list(ref.index.items())
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["one below", "one above"])
+@pytest.mark.parametrize("t", ["B3", "H3"])
+def test_element_count_off_by_one_raises_the_count_error(t, delta):
+    # the lists are made at |W| slots: one element too many, or one too few,
+    # is the count error, never an IndexError, and no table is kept
+    g = CoxeterGroup(parse_type(t))
+    g.size += delta
+    with pytest.raises(RuntimeError, match=rf"^{t}: enumerated .* expected {g.size}$"):
+        g._build()
+    assert not any(name in vars(g) for name in ELEMENT_TABLES)
+
+
 @pytest.mark.parametrize("t", ["A3", "B3", "H3"])
 def test_element_key_check_fails_on_a_swapped_or_changed_key(t):
     g = CoxeterGroup(parse_type(t))  # a private group: its keys are altered
@@ -288,10 +357,13 @@ def test_h4_element_build_keeps_no_per_element_permutation():
     tracemalloc.start()
     try:
         g._build()
+        closure = tracemalloc.get_traced_memory()[0]
+        g._build_products()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert retained < 4_000_000, retained
+    # measured: the closure stage 2,621,928 bytes, both stages 3,229,096
+    assert closure < retained < 4_000_000, (closure, retained)
     assert {len(key) for key in g.keys} == {len(key) for key in g.index} == {g.rank}
     assert "tables" not in ELEMENT_TABLES and per_element_byte_tables(g) == []
     g.tables = [key + bytes(256 - len(key)) for key in g.keys]
@@ -739,7 +811,30 @@ def test_enumerate_group_builds_the_elements_at_once():
     assert all(name in vars(enumerate_group(rs)) for name in ELEMENT_TABLES)
     lazy = CoxeterGroup(rs)
     assert not any(name in vars(lazy) for name in ELEMENT_TABLES)
-    lazy.inverse  # one read builds every table
-    assert all(name in vars(lazy) for name in ELEMENT_TABLES)
+    rmult = lazy.rmult  # one read builds the closure and no left product
+    assert all(name in vars(lazy) for name in CLOSURE_TABLES)
+    assert not any(name in vars(lazy) for name in PRODUCT_TABLES)
+    lazy.one_line  # the second stage reads the closure, built once
+    assert all(name in vars(lazy) for name in ELEMENT_TABLES) and lazy.rmult is rmult
+    other = CoxeterGroup(rs)
+    other.inverse  # one read of a left product builds both stages
+    assert all(name in vars(other) for name in ELEMENT_TABLES)
     with pytest.raises(AttributeError):
         lazy.no_such_table
+
+
+def test_walk_oracle_builds_no_left_product(fresh_json):
+    # the walk reads the right products, the lengths and the descent masks alone
+    code = (
+        "import contextlib, io, json\n"
+        "import coxshuffle.cli as cli\n"
+        "from coxshuffle import group\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'walk_oracle'])\n"
+        "print(json.dumps([code, {t: [n for n in group.ELEMENT_TABLES if n in vars(g)]\n"
+        "                         for t, g in group._GROUPS.items()}]))\n"
+    )
+    code, built = fresh_json(code)
+    assert code == 0
+    assert built["H4"] == list(CLOSURE_TABLES) and len(built) == 11
+    assert {t: names for t, names in built.items() if set(names) & set(PRODUCT_TABLES)} == {}

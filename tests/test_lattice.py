@@ -11,7 +11,6 @@ from coxshuffle.group import CoxeterGroup, get_group
 from coxshuffle.lattice import (
     build_lattice,
     parabolic_mask,
-    permute_mask,
     root_line_action,
 )
 from coxshuffle.linalg import canonicalize
@@ -21,6 +20,17 @@ from test_group import all_subsets
 
 SUPPORTED = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2", "I2(2)", "I2(3)",
              "I2(4)", "I2(5)", "I2(6)", "I2(10)", "H3", "H4"]
+
+
+def permute_mask(mask, perm):
+    """Oracle: the image of a root-line bitmask under a permutation of the
+    lines, one set bit at a time."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def permuted_b3():

@@ -476,10 +476,11 @@ def test_h4_measure_ops_read_no_dense_values(monkeypatch):
 
 
 def unbuilt(g):
-    """True while none of the group's element tables has been built."""
-    from coxshuffle.group import ELEMENT_TABLES
+    """True while none of the group's element tables, of either stage (the
+    closure or the left products), has been built."""
+    from coxshuffle.group import CLOSURE_TABLES, PRODUCT_TABLES
 
-    return not any(name in vars(g) for name in ELEMENT_TABLES)
+    return not any(name in vars(g) for name in CLOSURE_TABLES + PRODUCT_TABLES)
 
 
 def test_h4_descent_measures_enumerate_no_element():
