@@ -12,20 +12,24 @@ is the pair of partitions (blinking sizes, twisted sizes).
 The polynomial encodings: a root of an irreducible factor is written in a
 normal basis (conjugation becomes rotation of coordinates), or its discrete
 log is expanded in base p (Golomb's encoding).  Either way an irreducible
-of degree i becomes a primitive plain i-necklace.  The root is the first
-one in the extension field's element order, read from the field's one
-table of minimal polynomials (``FqContext.first_roots``), not searched for;
-a linear factor's one root is read off its constant term.
+of degree i becomes a primitive plain i-necklace, by one function from
+the root (``_root_necklace``).  The root is the first one in the extension
+field's element order, read from the field's one table of minimal
+polynomials (``FqContext.first_roots``), not searched for; a linear
+factor's one root is read off its constant term.  ``refine_phi_A``
+factors one polynomial and encodes its factors; ``refine_census`` factors
+none: it reads each irreducible with its root from that table, encodes it
+once, and counts the monics as the multisets of irreducibles they are.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .gfpoly import (FqContext, FqPoly, base_p_digits, check_table_size, factor, is_prime,
-                     monic_polys)
+from .gfpoly import FqContext, FqPoly, base_p_digits, check_table_size, factor, is_prime
 
 
 # -- canonical forms ------------------------------------------------------------
@@ -318,19 +322,33 @@ def _root_of_irreducible(phi: FqPoly) -> Tuple[FqContext, object]:
     raise ValueError("polynomial is not irreducible")
 
 
-def normal_basis_encode(phi: FqPoly) -> tuple:
-    """Primitive plain necklace of an irreducible: normal-basis coordinates
-    of any root (root choice only rotates the word)."""
-    p = phi.ctx.p
-    if phi.ctx.e != 1:
-        raise ValueError("prime base fields only")
-    _check_normal_basis_size(p, phi.degree)  # before the root table is built
-    ext, beta = _root_of_irreducible(phi)
-    coords = _normal_coordinates(ext, p, phi.degree, beta)
-    canon, primitive = canonicalize_necklace("plain", tuple(coords))
+def _root_necklace(ext: FqContext, root: int, mode: str, beta=None) -> tuple:
+    """Primitive plain necklace of an irreducible of degree ext.e over GF(p),
+    from a root of it in ext = GF(p^ext.e): the root's normal-basis
+    coordinates, or the base-p digits of its discrete log to a generator
+    beta (Golomb; by default the field's smallest generator, and ``dlog``
+    rejects any other beta).  Another root of the same irreducible only
+    rotates the word."""
+    p, m = ext.p, ext.e
+    if mode == "normal_basis":
+        word = _normal_coordinates(ext, p, m, root)
+    elif mode == "golomb":
+        word = base_p_digits(ext.dlog(root, beta), p, m)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    canon, primitive = canonicalize_necklace("plain", tuple(word))
     if not primitive:
         raise RuntimeError("encoding produced an imprimitive necklace")
     return canon
+
+
+def normal_basis_encode(phi: FqPoly) -> tuple:
+    """Primitive plain necklace of an irreducible: normal-basis coordinates
+    of any root (root choice only rotates the word)."""
+    if phi.ctx.e != 1:
+        raise ValueError("prime base fields only")
+    _check_normal_basis_size(phi.ctx.p, phi.degree)  # before the root table is built
+    return _root_necklace(*_root_of_irreducible(phi), "normal_basis")
 
 
 def golomb_encode(phi: FqPoly, beta=None) -> tuple:
@@ -338,20 +356,27 @@ def golomb_encode(phi: FqPoly, beta=None) -> tuple:
     the discrete log of any root with respect to a generator beta (by
     default the field's smallest generator; ``dlog`` rejects any other
     beta)."""
-    p = phi.ctx.p
     if phi.ctx.e != 1:
         raise ValueError("prime base fields only")
     if phi.coeffs == (0, 1):
         raise ValueError("z has no discrete log; it is not encodable")
     ext, root = _root_of_irreducible(phi)
-    digits = base_p_digits(ext.dlog(root, beta), p, phi.degree)
-    canon, primitive = canonicalize_necklace("plain", tuple(digits))
-    if not primitive:
-        raise RuntimeError("encoding produced an imprimitive necklace")
-    return canon
+    return _root_necklace(ext, root, "golomb", beta)
 
 
 # -- the refinement pipeline for type A --------------------------------------------
+
+
+def _checked_permutation(necklaces: List[tuple],
+                         factor_type: tuple) -> Tuple[tuple, List[List[int]]]:
+    """The Gessel-Reutenauer image of the sorted necklaces, whose cycle type
+    must be factor_type, the degree partition of the factorization they
+    encode."""
+    necklaces.sort()
+    one_line, cycles = gessel_reutenauer(necklaces)
+    if tuple(sorted(map(len, cycles), reverse=True)) != factor_type:
+        raise RuntimeError("cycle type disagrees with the factorization type")
+    return one_line, cycles
 
 
 def refine_phi_A(f: FqPoly, mode: str = "normal_basis") -> Tuple[tuple, List[List[int]]]:
@@ -378,24 +403,59 @@ def refine_phi_A(f: FqPoly, mode: str = "normal_basis") -> Tuple[tuple, List[Lis
         else:
             raise ValueError(f"unknown mode {mode!r}")
         necklaces.extend([neck] * k)
-    necklaces.sort()
-    one_line, cycles = gessel_reutenauer(necklaces)
-    expected = fac.degree_partition()
-    got = tuple(sorted((len(c) for c in cycles), reverse=True))
-    if got != expected:
-        raise RuntimeError("cycle type disagrees with the factorization type")
-    return one_line, cycles
+    return _checked_permutation(necklaces, fac.degree_partition())
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple]:
+    """The partitions of n into parts of at most largest, each descending."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _irreducible_necklaces(p: int, d: int, mode: str) -> List[tuple]:
+    """The necklace of each monic irreducible of degree d over F_p, one each:
+    z + c from its root -c, and for d >= 2 each key of length d + 1 of
+    GF(p^d)'s first-roots table from the root it maps to (the shorter keys
+    are the minimal polynomials of subfield elements).  In golomb mode z,
+    the root 0, is (p-1,), as in ``refine_phi_A``."""
+    if d == 1:
+        ext, roots = FqContext.get(p), [-c % p for c in range(p)]
+    else:
+        ext = FqContext.get(p, d)
+        roots = [root for key, root in ext.first_roots().items() if len(key) == d + 1]
+    return [(p - 1,) if mode == "golomb" and not root else _root_necklace(ext, root, mode)
+            for root in roots]
 
 
 def refine_census(p: int, n: int, mode: str) -> Dict[tuple, int]:
     """How many monics of degree n over F_p ``refine_phi_A`` sends to each
-    permutation; past 10^6 monics the census is refused before the first."""
+    permutation, counted without factoring any of them.
+
+    A monic is exactly one multiset of monic irreducibles, so the census
+    walks those multisets: each irreducible of degree at most n is encoded
+    once (``_irreducible_necklaces``), and for each partition of n, the
+    factorization type, the combinations with replacement of each degree's
+    necklaces go through the Gessel-Reutenauer bijection.  Past 10^6
+    monics, or in normal-basis mode past 10^5 elements of GF(p^n), the
+    census is refused before any field table is built."""
     if p**n > 10**6:
         raise ValueError(f"enumeration would need {p**n} polynomials")
+    if n < 1:
+        raise ValueError("expected a monic polynomial of degree >= 1")
+    if mode == "normal_basis":
+        _check_normal_basis_size(p, n)  # a degree-n irreducible always occurs
+    by_degree = {d: _irreducible_necklaces(p, d, mode) for d in range(1, n + 1)}
     counts: Dict[tuple, int] = {}
-    for f in monic_polys(FqContext.get(p), n):
-        w, _ = refine_phi_A(f, mode)
-        counts[w] = counts.get(w, 0) + 1
+    for factor_type in _partitions(n, n):
+        for combos in itertools.product(*(
+                itertools.combinations_with_replacement(by_degree[d], k)
+                for d, k in Counter(factor_type).items())):
+            w, _ = _checked_permutation(list(itertools.chain(*combos)), factor_type)
+            counts[w] = counts.get(w, 0) + 1
     return counts
 
 

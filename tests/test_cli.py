@@ -533,7 +533,7 @@ def _walk_started(*_):
      "coxshuffle.gfpoly.FqContext.first_roots",
      "GF(10007^2) would need tables of 100140049 elements"),
     (("bijection", "refine", "--census", "--mode", "golomb", "--n", "12", "--p", "13"),
-     "coxshuffle.necklaces.refine_phi_A", f"enumeration would need {13**12} polynomials"),
+     "coxshuffle.gfpoly.FqContext.first_roots", f"enumeration would need {13**12} polynomials"),
     (("verify", "ornament_counts", "--n", "40", "--q", "3"),
      "coxshuffle.necklaces.primitive_necklaces", f"enumeration would need {3**40} ornaments"),
     (("verify", "reiner_counts", "--n", "3", "--q", "10007"),
@@ -547,6 +547,27 @@ def test_enumeration_past_a_million_is_one_error_line(capsys, monkeypatch, argv,
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {needs}\n"
+
+
+def test_normal_basis_census_past_its_bound_builds_no_field_table(capsys, monkeypatch):
+    # 2^17 monics are within the census bound, but GF(2^17) is past the
+    # normal-basis search's; a degree-17 irreducible always occurs
+    monkeypatch.setattr("coxshuffle.gfpoly.FqContext.first_roots", _walk_started)
+    monkeypatch.setattr("coxshuffle.gfpoly.FqContext._build_tables", _walk_started)
+    code, out, err = run_cli(capsys, "bijection", "refine", "--census", "--mode", "normal_basis",
+                             "--n", "17", "--p", "2")
+    assert code == 2 and out == ""
+    assert err == "error: field too large for exhaustive normal-basis search\n"
+
+
+def test_gr_census_factors_no_polynomial(capsys, monkeypatch):
+    def no_factor(f):
+        raise AssertionError(f"{f} factored")
+
+    monkeypatch.setattr("coxshuffle.gfpoly.factor", no_factor)
+    monkeypatch.setattr("coxshuffle.necklaces.factor", no_factor)
+    code, _, _ = run_cli(capsys, "verify", "gr_census")
+    assert code == 0
 
 
 @pytest.mark.parametrize("argv,needs", [

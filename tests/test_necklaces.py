@@ -24,6 +24,7 @@ from coxshuffle.necklaces import (
     normal_basis,
     normal_basis_encode,
     primitive_necklaces,
+    refine_census,
     refine_phi_A,
     s_vector_count,
 )
@@ -559,15 +560,33 @@ def _binom_int(x, n):
     return int(v)
 
 
-@pytest.mark.parametrize("p,n,mode", [(5, 3, "golomb"), (3, 3, "normal_basis"), (3, 4, "golomb")])
-def test_refine_census(p, n, mode):
-    ctx = FqContext.get(p)
+def per_polynomial_census(p: int, n: int, mode: str) -> dict:
+    """Oracle: ``refine_census`` by factoring and refining every monic."""
     counts = {}
-    for f in monic_polys(ctx, n):
+    for f in monic_polys(FqContext.get(p), n):
         w, _ = refine_phi_A(f, mode)
         counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("p,n,mode", [(5, 3, "golomb"), (3, 3, "normal_basis"), (3, 4, "golomb")])
+def test_refine_census(p, n, mode):
+    counts = per_polynomial_census(p, n, mode)
     for w in itertools.permutations(range(1, n + 1)):
         assert counts.get(w, 0) == _binom_int(p + n - 1 - descent_count(w), n)
+
+
+MODES = ("normal_basis", "golomb")
+
+
+@pytest.mark.parametrize("p,n,mode", [
+    *SUITES["gr_census"][1]["grid"],
+    *[(2, n, mode) for n in range(1, 7) for mode in MODES],
+    *[(p, n, mode) for p, n in ((7, 3), (11, 2)) for mode in MODES],
+])
+def test_refine_census_against_the_per_polynomial_count(p, n, mode):
+    # the census walks multisets of irreducibles and factors nothing
+    assert refine_census(p, n, mode) == per_polynomial_census(p, n, mode)
 
 
 def test_reiner_per_type_counts():
