@@ -381,20 +381,22 @@ _COMMANDS = {
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every subcommand is listed with its help, but only
-    ``command``'s arguments are added, or every command's when it is None;
-    a run parses one command, so it need not build the other six."""
+    """The CLI's parser: ``command``'s subparser alone, or every command's
+    when it is None; a run parses one command, so it need not build the
+    other six.  The usage line names every command either way, through the
+    metavar when there is one subparser; the full parser keeps argparse's
+    own, as its error messages name the argument by it."""
     parser = argparse.ArgumentParser(
         prog="coxshuffle",
         allow_abbrev=False,
         description="Exact shuffling measures on finite Coxeter groups, orbit models "
         "over finite fields, and exhaustive verification suites.",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
     for name, (help_text, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if command in (None, name):
-            add_arguments(p)
+            add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 

@@ -125,6 +125,9 @@ class CoxeterGroup:
         # the measures' integer polynomial tables, keyed by method name
         # (``measures.polynomial_tables``)
         self._measure_tables: Dict[str, tuple] = {}
+        # per method name, the class labels and the class table its H table
+        # pushes forward to (``measures.class_tables``)
+        self._class_tables: Dict[str, tuple] = {}
         self._exponents: Optional[Tuple[int, ...]] = None
         self._lattice: Optional[IntersectionLattice] = None
 

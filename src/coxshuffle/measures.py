@@ -63,9 +63,18 @@ closed forms are expanded to the same shape.  ``h_measure`` and
 sum of c_k a^k b^(r-k) over den a^r, one integer dot product per mask.
 Both keep the numerators over den a^r, ``h_measure`` as a ``WMeasure`` and
 ``face_weights`` as a ``FaceWeights`` table, which the walk step reads as
-integers; neither makes a Fraction per mask.  The class pushforward sums
-the numerators per class against ``class_descent_counts`` and makes one
-Fraction per class, the class measure's values.
+integers; neither makes a Fraction per mask.
+
+The class pushforward is linear in the measure, so each method's H table
+pushes forward to one integer class table (``class_tables``), built on the
+first pushforward and kept on the group: row C is the sum over descent
+masks D of |C and D| times row D.  ``h_measure`` records its method on the
+measure, and the pushforward of such a measure is that class table at x,
+one (r + 1)-term dot product per class.  A measure with no polynomial
+source (a product, a walk step, a table of values) is pushed forward by
+one dot product per class over its descent masks, against
+``class_descent_counts``.  Either way the class measure's values are one
+Fraction per class.
 """
 
 from __future__ import annotations
@@ -105,9 +114,11 @@ class WMeasure:
 
     ``WMeasure(group, x, kind, table)`` takes the values; the builders here
     pass numerators through ``_from_numerators``.  Both go through the one
-    check: the right number of values, summing to one."""
+    check: the right number of values, summing to one.  ``method`` names
+    the polynomial table that ``h_measure`` evaluated at ``x_param``, and
+    is None on every other measure."""
 
-    __slots__ = ("group", "x_param", "kind", "nums", "den", "_table")
+    __slots__ = ("group", "x_param", "kind", "nums", "den", "method", "_table")
 
     def __init__(self, group: CoxeterGroup, x_param: Optional[Rational], kind: str, table):
         self._set(group, x_param, kind, *_over_common_denominator(table))
@@ -134,6 +145,7 @@ class WMeasure:
         self.kind = kind
         self.nums = tuple(nums)
         self.den = den
+        self.method = None
         self._table = None
 
     @property
@@ -282,6 +294,24 @@ def polynomial_tables(g: CoxeterGroup, method: str) -> Tuple[Optional[PolyTable]
     return tables
 
 
+def class_tables(g: CoxeterGroup, method: str) -> Tuple[Tuple[ClassLabel, ...], PolyTable]:
+    """(class labels, class table) of a method, in ``conjugacy_classes()``
+    order, built on first use and kept on the group under the method's
+    name.  Row C of the class table is x^r times H's mass on class C: the
+    sum over descent masks D of |C and D| times row D of the H table
+    (``class_descent_counts``), over the H table's denominator."""
+    tables = g._class_tables.get(method)
+    if tables is None:
+        h_rows, den = polynomial_tables(g, method)[1]
+        columns = list(zip(*h_rows))
+        rows = [tuple(sum(map(mul, counts, map(column.__getitem__, masks)))
+                      for column in columns)
+                for masks, counts in g.class_descent_counts()]
+        tables = (tuple(c.label for c in g.conjugacy_classes()), (rows, den))
+        g._class_tables[method] = tables
+    return tables
+
+
 def _face_rows(g: CoxeterGroup, method: str) -> Tuple[List[Tuple[int, ...]], int]:
     """The coefficients of c_K chi_K per mask of K, over one common denominator."""
     lat = g.lattice()
@@ -405,10 +435,13 @@ def face_weights(g: CoxeterGroup, x, method: str = "definition") -> FaceWeights:
 
 def h_measure(g: CoxeterGroup, x, method: str = "definition") -> WMeasure:
     """The shuffling measure, by one of the three independent methods: the
-    method's H table at x."""
+    method's H table at x.  The measure records the method, so that its
+    pushforward reads the method's class table."""
     x = _nonzero(x)
     nums, den = _evaluate(polynomial_tables(g, method)[1], x)
-    return WMeasure._from_numerators(g, x, "descent", nums, den)
+    m = WMeasure._from_numerators(g, x, "descent", nums, den)
+    m.method = method
+    return m
 
 
 # -- identity / longest element ------------------------------------------------
@@ -586,12 +619,17 @@ def _over_common_denominator(values) -> Tuple[List[int], int]:
 
 
 def pushforward_classes(m: WMeasure) -> ClassMeasure:
-    """Total measure of each conjugacy class, as the sum over descent masks D
-    of m[D] times the number of class members in descent class D
-    (``g.class_descent_counts()``): one integer dot product per class on
-    the measure's numerators, over its denominator.  The measure must be
-    constant on descent classes (ValueError otherwise)."""
+    """Total measure of each conjugacy class.  For a measure that
+    ``h_measure`` made, its method's class table (``class_tables``) at its
+    x: one (r + 1)-term dot product per class.  For any other, the sum over
+    descent masks D of m[D] times the number of class members in descent
+    class D (``g.class_descent_counts()``): one integer dot product per
+    class on the measure's numerators, over its denominator; the measure
+    must be constant on descent classes (ValueError otherwise)."""
     g = m.group
+    if m.method is not None:
+        labels, table = class_tables(g, m.method)
+        return ClassMeasure._from_numerators(labels, *_evaluate(table, m.x_param))
     nums = m._descent_nums()
     return ClassMeasure._from_numerators(
         [c.label for c in g.conjugacy_classes()],

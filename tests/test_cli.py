@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -293,6 +294,10 @@ def test_one_command_parser_gives_the_full_parsers_help(capsys, path):
      "coxshuffle coxeter: error: the following arguments are required: coxeter_cmd"),
     (("bijection", "refine"),
      "coxshuffle bijection refine: error: the following arguments are required: --n, --p"),
+    # the top-level parser's own usage line, which lists every command
+    (("verify", "gr_census", "--bogus"), "coxshuffle: error: unrecognized arguments: --bogus"),
+    (("lattice", "--bogus"),
+     "coxshuffle lattice: error: the following arguments are required: --type"),
 ])
 def test_usage_errors_match_the_full_parsers(capsys, argv, last_line):
     # main builds only the named command's arguments; the message is the
@@ -303,6 +308,19 @@ def test_usage_errors_match_the_full_parsers(capsys, argv, last_line):
     assert (exc.value.code, out, err) == parse_exit(capsys, build_parser(), list(argv))
     assert exc.value.code == 2 and out == "" and err.startswith("usage: coxshuffle")
     assert err.splitlines()[-1] == last_line
+
+
+def subparser_names(parser):
+    """The commands that a parser holds a subparser for."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_one_command_parser_holds_no_other_commands_parser():
+    assert subparser_names(build_parser()) == [
+        "coxeter", "lattice", "measure", "sample", "orbits", "bijection", "verify"]
+    for name in subparser_names(build_parser()):
+        assert subparser_names(build_parser(name)) == [name]
 
 
 def test_verify_convolution_reports_known_counterexamples(capsys):

@@ -13,6 +13,7 @@ from coxshuffle.measures import (
     FaceWeights,
     WMeasure,
     bhr_step,
+    class_tables,
     convolve,
     face_weights,
     h_measure,
@@ -382,6 +383,12 @@ def pushforward_or_none(m):
         return None
 
 
+def per_x(m):
+    """The same measure with no method recorded: its pushforward takes the
+    per-x path, one dot product per class over its descent masks."""
+    return WMeasure._from_numerators(m.group, m.x_param, m.kind, m.nums, m.den)
+
+
 @pytest.mark.parametrize("t", ["A3", "B3", "D4", "H3"])
 def test_a_class_count_off_by_one_changes_the_pushforward(t, monkeypatch):
     from coxshuffle.group import CoxeterGroup
@@ -391,7 +398,9 @@ def test_a_class_count_off_by_one_changes_the_pushforward(t, monkeypatch):
     # every numerator is nonzero, so every count enters the sums
     assert all(m.nums)
     expect = fraction_pushforward(m)
-    assert pushforward_or_none(m) == expect
+    # the class table's path and the per-x path
+    paths = (m, per_x(m))
+    assert [pushforward_or_none(pm) for pm in paths] == [expect, expect]
     rows = g.class_descent_counts()
     for i, (masks, counts) in enumerate(rows):
         for j, d in enumerate(masks):
@@ -406,11 +415,124 @@ def test_a_class_count_off_by_one_changes_the_pushforward(t, monkeypatch):
                     at = ms.index(d)
                     bumped[other] = (ms, cs[:at] + (cs[at] - 1,) + cs[at + 1:])
                 monkeypatch.setattr(CoxeterGroup, "class_descent_counts", lambda self: bumped)
-                got = pushforward_or_none(m)
+                # the class tables are built anew, from the bumped counts
+                monkeypatch.setattr(g, "_class_tables", {})
+                got = [pushforward_or_none(pm) for pm in paths]
                 monkeypatch.undo()
-                assert got != expect, (i, d, moved)
-                assert (got is None) != moved, (i, d, moved)
-    assert pushforward_or_none(m) == expect
+                for path, values in zip(("class table", "per x"), got):
+                    assert values != expect, (i, d, moved, path)
+                    assert (values is None) != moved, (i, d, moved, path)
+    assert [pushforward_or_none(pm) for pm in paths] == [expect, expect]
+
+
+# r + 2 values of x for every supported rank, negative and non-integral ones
+# among them: a class table that agrees with the per-x path at all of them
+# agrees with it for every x
+CLASS_TABLE_XS = [2, Fraction(1, 2), -1, Fraction(7, 3), Fraction(-5, 2), Fraction(10007, 3),
+                  Fraction(-3, 4)]
+
+
+def class_tables_agree(g, method):
+    """The pushforward by the method's class table against the per-x path at
+    each of ``CLASS_TABLE_XS``; a table whose class measure does not sum to
+    1 fails in the class measure's constructor, and the comparison with it."""
+    try:
+        return all(pushforward_classes(m).values == pushforward_classes(per_x(m)).values
+                   for m in (h_measure(g, x, method) for x in CLASS_TABLE_XS))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_class_tables_equal_the_per_x_pushforward(t):
+    g = get_group(t)
+    assert len(CLASS_TABLE_XS) >= g.rank + 2
+    for method in methods_of(t):
+        assert class_tables_agree(g, method), method
+        labels, (rows, _) = class_tables(g, method)
+        assert labels == tuple(c.label for c in g.conjugacy_classes())
+        assert len(rows) == len(labels) and all(len(row) == g.rank + 1 for row in rows)
+
+
+def expand_product(shifts):
+    """Oracle: the coefficients, x^0 up, of the product of x + c over the
+    shifts, one polynomial product per factor."""
+    out = [1]
+    for c in shifts:
+        out = [c * u + v for u, v in zip(out + [0], [0] + out)]
+    return out
+
+
+@pytest.mark.parametrize("t", SUPPORTED)
+def test_the_identity_class_row_is_the_product_formula(t):
+    # the identity is alone in its class, so the class's mass is
+    # prod(x + m_i) / (|W| x^r) at every x
+    g = get_group(t)
+    expected = [Fraction(c, g.size) for c in expand_product(g.exponents())]
+    for method in methods_of(t):
+        labels, (rows, den) = class_tables(g, method)
+        row = rows[g.class_of(0)]
+        assert [Fraction(c, den) for c in row] == expected, method
+
+
+@pytest.mark.parametrize("t", ["B3", "H3"])
+def test_a_class_table_off_by_one_fails_the_comparison(t):
+    from coxshuffle.group import CoxeterGroup
+
+    g = CoxeterGroup(parse_type(t))  # a private group, safe to corrupt
+    for method in methods_of(t):
+        assert class_tables_agree(g, method)
+        tables = class_tables(g, method)
+        labels, (rows, den) = tables
+        for k in range(g.rank + 1):
+            for i in range(len(rows)):
+                # one coefficient off by one; then the same coefficient of
+                # the next class off by one the other way, which keeps the sum
+                for moved in (False, True):
+                    bad = [list(row) for row in rows]
+                    bad[i][k] += 1
+                    if moved:
+                        bad[(i + 1) % len(rows)][k] -= 1
+                    g._class_tables[method] = (labels, (bad, den))
+                    assert not class_tables_agree(g, method), (method, i, k, moved)
+        g._class_tables[method] = tables
+        assert class_tables_agree(g, method)
+
+
+def test_class_tables_are_built_once_per_group_and_method(monkeypatch):
+    from coxshuffle.group import CoxeterGroup
+
+    g = CoxeterGroup(parse_type("B3"))  # a private group: nothing is built yet
+    builds = []
+    counts = CoxeterGroup.class_descent_counts
+
+    def spy(self):
+        builds.append(self)
+        return counts(self)
+
+    monkeypatch.setattr(CoxeterGroup, "class_descent_counts", spy)
+    ms = [h_measure(g, x, method) for x in CLASS_TABLE_XS for method in METHODS]
+    assert [m.method for m in ms] == list(METHODS) * len(CLASS_TABLE_XS)
+    # only h_measure records a method; measures without a polynomial source
+    # push forward by the per-x path
+    others = (WMeasure(g, Fraction(2), "descent", ms[0].table), bhr_step(g, face_weights(g, 2)),
+              convolve(ms[0], ms[1]), per_x(ms[0]), unreduced(ms[0]))
+    for m in others:
+        assert m.method is None
+        pushforward_classes(m)
+    assert g._class_tables == {} and builds == [g] * len(others)
+    builds.clear()
+    first = [pushforward_classes(m) for m in ms]
+    tables = {method: g._class_tables[method] for method in METHODS}
+    assert builds == [g] * len(METHODS) and set(tables) == set(METHODS)
+    # keyed by the method's name: an equal string that is another object
+    # finds the same table
+    method = "".join(["defin", "ition"])
+    assert method == METHODS[0] and method is not METHODS[0]
+    again = [pushforward_classes(h_measure(g, x, m)) for x in CLASS_TABLE_XS for m in
+             (method, "os_sign", "closed_form")]
+    assert builds == [g] * len(METHODS) and again == first
+    assert all(g._class_tables[m] is tables[m] for m in METHODS)
 
 
 def test_pushforward_rejects_non_descent_constant_measure():
