@@ -13,7 +13,7 @@ Exit codes: 0 pass, 1 fail, 2 usage error (a bad argument, a flag the
 chosen suite does not read, or an output file that cannot be written).
 
 Each ``coxshuffle verify`` is a fresh process, so start-up is paid per
-suite.  A run adds the arguments of its own command only, and each command
+suite.  A run builds the subparser of its own command only, and each command
 imports the modules it runs when it runs: the import of this module loads
 no group, lattice, measure, orbit or F_q code, and ``verify`` loads just
 its suite's modules, inside the suite, so they count in the report's
