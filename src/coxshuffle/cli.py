@@ -148,7 +148,7 @@ def cmd_sample(args) -> int:
         _flip_even(args.model, args.x)
     except ValueError as exc:
         raise ValueError(f"sample --model {args.model} --x {args.x}: {exc}") from None
-    # an exact comparison needs the group A_{n-1} or B_n
+    # an exact comparison is bounded by the exact law's domain: A_{n-1} or B_n on n cards
     n_range = card_range("A" if args.model == "gsr_a" else "B") if args.compare else (1, None)
     _check_n(args.n, *n_range, f"sample --model {args.model}")
     # the printed list holds one entry per card per sample; bounded before any draw

@@ -82,7 +82,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from numbers import Rational
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -90,7 +90,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .group import CoxeterGroup
 from .labels import ClassLabel, ClassMeasure
 from .lattice import IntersectionLattice
-from .rootdata import affine_data, p_count
+from .rootdata import affine_data, card_law, p_count
 
 
 def get_lattice(g: CoxeterGroup) -> IntersectionLattice:
@@ -374,14 +374,10 @@ def _closed_form_rows(g: CoxeterGroup) -> Tuple[List[List[int]], int]:
     fam = g.root_system.family
     r = g.rank
     masks = range(1 << r)
-    if fam == "A":
-        # binom(x + r - d, r + 1) / x^(r+1) is the product of x + c over
-        # c = -d..r-d, over (r+1)! x^(r+1); the factor with c = 0 cancels one x
-        return [_expand(c for c in range(-D.bit_count(), r + 1 - D.bit_count()) if c)
-                for D in masks], factorial(r + 1)
-    if fam == "B":
-        return [_expand(2 * i - 1 - 2 * D.bit_count() for i in range(1, r + 1))
-                for D in masks], 2**r * factorial(r)
+    if fam in ("A", "B"):
+        # A_r's law is over x^(r+1): its shift 0 is the x that x^r cancels; B's are odd
+        shifts, den = card_law(fam, r + (fam == "A"))
+        return [_expand(c for c in shifts[D.bit_count()] if c) for D in masks], den
     if fam == "H3":
         return [_expand(_H3_SHIFTS[D.bit_count()]) for D in masks], 120
     if fam == "H4":

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .gfpoly import FqContext, FqPoly, base_p_digits, check_table_size, factor, is_prime
@@ -176,19 +175,6 @@ def enumerate_signed_ornaments(n: int, q: int) -> Iterator[SignedOrnament]:
 
 def count_signed_ornaments(n: int, q: int) -> int:
     return sum(1 for _ in enumerate_signed_ornaments(n, q))
-
-
-# -- Reiner-style s-vector counts ---------------------------------------------------
-
-
-def s_vector_count(group, w_index: int, q: int) -> int:
-    """Number of weakly decreasing s in {0..(q-1)/2}^n strictly decreasing at
-    the descents of w (sentinel s_(n+1) = 0): the binomial
-    C((q-1)/2 + n - d(w), n)."""
-    if q % 2 == 0 or q < 1:
-        raise ValueError("q must be odd and positive")
-    n = group.rank
-    return comb((q - 1) // 2 + n - group.descent_mask[w_index].bit_count(), n)
 
 
 # -- the Gessel-Reutenauer bijection ---------------------------------------------
@@ -457,7 +443,3 @@ def refine_census(p: int, n: int, mode: str) -> Dict[tuple, int]:
             w, _ = _checked_permutation(list(itertools.chain(*combos)), factor_type)
             counts[w] = counts.get(w, 0) + 1
     return counts
-
-
-def descent_count(one_line: Sequence[int]) -> int:
-    return sum(1 for i in range(len(one_line) - 1) if one_line[i] > one_line[i + 1])

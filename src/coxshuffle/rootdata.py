@@ -300,6 +300,23 @@ def card_range(family: str) -> Tuple[int, int]:
     return min(ranks) + shift, max(ranks) + shift
 
 
+def card_law(family: str, n: int) -> Tuple[List[Tuple[int, ...]], int]:
+    """(shifts per descent number d, den) of the riffle ("A") or flip ("B") shuffle
+    on n cards: H_x at w in A_{n-1} or B_n is the product of x + c over shifts[d(w)]
+    over den x^n, a binomial over x^n at an integer x (odd for B)."""
+    if family == "A":
+        return [tuple(range(-d, n - d)) for d in range(n)], factorial(n)
+    return [tuple(range(1 - 2 * d, 2 * n - 2 * d, 2)) for d in range(n + 1)], 2**n * factorial(n)
+
+
+def descent_number(line: Sequence[int]) -> int:
+    """The descent number of a (signed) permutation in one-line form, as
+    ``CoxeterGroup.descent_mask`` counts it: descents in the order
+    1 < ... < n < -n < ... < -1, plus one when the last entry is negative."""
+    keys = [v % (2 * len(line) + 1) for v in line]
+    return sum(u > v for u, v in zip(keys, keys[1:])) + (line[-1] < 0)
+
+
 # -- affine data -------------------------------------------------------------
 
 

@@ -51,12 +51,16 @@ on the running interpreter.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterator, Optional, Sequence, Tuple
+
+from .rootdata import card_law, card_range, descent_number
 
 # 32-bit outputs per block of the empirical law's draw (16 KB)
 _BLOCK = 4096
@@ -228,14 +232,24 @@ def empirical_law(
     return {_perm_of_code(code, n): Fraction(c, count) for code, c in counts.items()}
 
 
-def exact_law(model: str, n: int, x: int) -> Dict[Tuple[int, ...], Fraction]:
-    """The law the model's samples follow: the closed-form H_x on A_{n-1}
-    (gsr_a) or B_n (typeB_flip), keyed by one-line form."""
-    from .group import get_group
-    from .measures import h_measure
-
-    g = get_group(f"A{n - 1}" if model == "gsr_a" else f"B{n}")
-    return {g.one_line[i]: v for i, v in enumerate(h_measure(g, x, "closed_form").dense())}
+def exact_law(model: str, n: int, x) -> Dict[Tuple[int, ...], Fraction]:
+    """The law the model's samples follow at a nonzero rational x, keyed by
+    one-line form: the closed-form H_x on A_{n-1} (gsr_a) or B_n (typeB_flip)."""
+    family = {"gsr_a": "A", "typeB_flip": "B"}.get(model)
+    if family is None:
+        raise ValueError(f"unknown shuffle model {model!r}")
+    least, greatest = card_range(family)
+    if not least <= n <= greatest:
+        raise ValueError(f"{model} has an exact law for n in {least}..{greatest}, not {n}")
+    a, b = Fraction(x).as_integer_ratio()
+    if not a:
+        raise ValueError("x must be nonzero")
+    shifts, den = card_law(family, n)
+    values = [Fraction(prod(a + c * b for c in s), den * a**n) for s in shifts]
+    signs = (1, -1) if family == "B" else (1,)
+    return {line: values[descent_number(line)]
+            for perm in itertools.permutations(range(1, n + 1))
+            for line in itertools.product(*[[v * s for s in signs] for v in perm])}
 
 
 def tv_distance(p: Dict, q: Dict) -> Fraction:

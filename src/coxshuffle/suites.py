@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import prod
 from typing import Dict, Optional
 
 from .report import Report, exact_str
-from .rootdata import card_range
+from .rootdata import card_law, card_range, descent_number
 
 ALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "G2", "I2(5)", "I2(6)", "H3", "H4"]
 
@@ -241,18 +241,18 @@ def _suite_sl35(rep: Report, p: dict) -> None:
 
 
 def _suite_gr_census(rep: Report, p: dict) -> None:
-    from .necklaces import cycles_string, descent_count, gessel_reutenauer, refine_census
+    from .necklaces import cycles_string, gessel_reutenauer, refine_census
 
     one, cyc = gessel_reutenauer([(1, 2), (1, 2), (2,), (2, 3), (2, 3, 2, 3, 3)])
     rep.add("worked multiset example", "(1 3)(2 4)(5)(6 9)(7 11 8 12 10)",
             cycles_string(cyc), "worked-example")
     for q, n, mode in p["grid"]:
         counts = refine_census(q, n, mode)
-        bad = []
-        for w in itertools.permutations(range(1, n + 1)):
-            expect = comb(q + n - 1 - descent_count(w), n)
-            if counts.get(tuple(w), 0) != expect:
-                bad.append(w)
+        # w's count C(q + n - 1 - d, n) is q^n times the riffle shuffle's law
+        shifts, den = card_law("A", n)
+        expect = [prod(q + c for c in s) // den for s in shifts]
+        bad = [w for w in itertools.permutations(range(1, n + 1))
+               if counts.get(w, 0) != expect[descent_number(w)]]
         rep.add(f"p={q} n={n} {mode}: per-element counts C(p+n-1-d(w), n)",
                 "all match", "all match" if not bad else f"mismatch at {bad[:3]}",
                 "exhaustive")
@@ -262,24 +262,25 @@ def _suite_gr_census(rep: Report, p: dict) -> None:
 
 def _suite_reiner_counts(rep: Report, p: dict) -> None:
     from .group import get_group
-    from .necklaces import enumerate_signed_ornaments, s_vector_count
+    from .necklaces import enumerate_signed_ornaments
 
     for n, q in p["grid"]:
-        if n < 1:
-            raise ValueError(f"reiner_counts needs n >= 1, not n = {n}")
-        g = get_group(f"B{n}") if n >= 2 else None
+        if n < 1 or q < 1 or q % 2 == 0:
+            raise ValueError(f"reiner_counts needs n >= 1 and an odd q >= 1, not n = {n}, q = {q}")
+        # w's s-vector count C((q-1)/2 + n - d, n) is q^n times the flip shuffle's law
+        shifts, den = card_law("B", n)
+        counts = [prod(q + c for c in s) // den for s in shifts]
         if n == 1:
             # rank-1 hyperoctahedral group: two elements, d(id) = 0, d(s) = 1
-            total = comb((q - 1) // 2 + 1, 1) + comb((q - 1) // 2, 1)
+            total = sum(counts)
         else:
-            total = sum(s_vector_count(g, i, q) for i in range(g.size))
+            g = get_group(f"B{n}")
+            by_type = {c.label.data: sum(k * counts[D.bit_count()] for D, k in zip(*row))
+                       for c, row in zip(g.conjugacy_classes(), g.class_descent_counts())}
+            total = sum(by_type.values())
         rep.add(f"n={n} q={q}: sum over the group of s-vector counts", q**n, total,
                 "bijection-cardinality")
         if n >= 2:
-            by_type: Dict[tuple, int] = {}
-            for i in range(g.size):
-                label = g.conjugacy_classes()[g.class_of(i)].label
-                by_type[label.data] = by_type.get(label.data, 0) + s_vector_count(g, i, q)
             orn_by_type: Dict[tuple, int] = {}
             for o in enumerate_signed_ornaments(n, q):
                 tp = o.type_pair()

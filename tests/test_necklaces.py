@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -16,7 +16,6 @@ from coxshuffle.necklaces import (
     canonicalize_necklace,
     count_signed_ornaments,
     cycles_string,
-    descent_count,
     enumerate_signed_ornaments,
     gessel_reutenauer,
     golomb_encode,
@@ -26,9 +25,9 @@ from coxshuffle.necklaces import (
     primitive_necklaces,
     refine_census,
     refine_phi_A,
-    s_vector_count,
 )
 from coxshuffle.orbits import enumerate_orbits, orbit_family, phi_map
+from coxshuffle.rootdata import card_law, descent_number
 from coxshuffle.suites import SUITES, run_suite
 from test_gfpoly import conjugate_monic, digits
 from test_orbits import b_pair_type
@@ -205,19 +204,28 @@ def s_vector_count_brute(group, w_index: int, q: int) -> int:
     return count(0, bound)
 
 
+def s_vector_law(group, w_index: int, q: int) -> int:
+    """The s-vector count as the suite reads it: q^n times the flip
+    shuffle's law at x = q, at the descent number of w's one-line form."""
+    shifts, den = card_law("B", group.rank)
+    count, rest = divmod(prod(q + c for c in shifts[descent_number(group.one_line[w_index])]), den)
+    assert rest == 0
+    return count
+
+
 def test_s_vector_counts_match_brute_force():
     for t, q in [("B2", 3), ("B2", 5), ("B3", 3), ("B3", 7), ("B4", 3)]:
         g = get_group(t)
         for i in range(g.size):
-            assert s_vector_count(g, i, q) == s_vector_count_brute(g, i, q)
+            assert s_vector_law(g, i, q) == s_vector_count_brute(g, i, q)
 
 
 def test_s_vector_examples():
     g2 = get_group("B2")
     w0 = g2.longest_index
     # w = w0 has d = n, so the count is C((q-1)/2, n)
-    assert s_vector_count(g2, w0, 5) == 1  # C(2, 2)
-    assert sum(s_vector_count(g2, i, 3) for i in range(g2.size)) == 9
+    assert s_vector_law(g2, w0, 5) == s_vector_count_brute(g2, w0, 5) == 1  # C(2, 2)
+    assert sum(s_vector_law(g2, i, 3) for i in range(g2.size)) == 9
 
 
 def test_gr_worked_example_exact_bytes():
@@ -551,6 +559,11 @@ def test_refine_phi_a_examples():
     assert tuple(len(c) for c in cycles) == (3,)
 
 
+def descent_count(one_line):
+    """Oracle: the descents of a permutation, in the integer order."""
+    return sum(1 for i in range(len(one_line) - 1) if one_line[i] > one_line[i + 1])
+
+
 def _binom_int(x, n):
     num = 1
     for j in range(n):
@@ -589,13 +602,20 @@ def test_refine_census_against_the_per_polynomial_count(p, n, mode):
     assert refine_census(p, n, mode) == per_polynomial_census(p, n, mode)
 
 
+@pytest.mark.parametrize("n,q", [(0, 3), (1, 4), (2, 4), (2, -1)])
+def test_reiner_counts_rejects_n_below_one_or_an_even_q(n, q):
+    # the s-vector law is a count only at an odd q
+    with pytest.raises(ValueError, match="reiner_counts needs n >= 1 and an odd q >= 1"):
+        run_suite("reiner_counts", {"grid": [(n, q)]})
+
+
 def test_reiner_per_type_counts():
     for n, q in [(2, 3), (2, 5), (3, 3)]:
         g = get_group(f"B{n}")
         by_type = {}
         for i in range(g.size):
             label = g.conjugacy_classes()[g.class_of(i)].label
-            by_type[label.data] = by_type.get(label.data, 0) + s_vector_count(g, i, q)
+            by_type[label.data] = by_type.get(label.data, 0) + s_vector_law(g, i, q)
         orn = {}
         for o in enumerate_signed_ornaments(n, q):
             orn[o.type_pair()] = orn.get(o.type_pair(), 0) + 1

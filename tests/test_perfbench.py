@@ -68,6 +68,7 @@ UNREAD_ALLOWED = {
     "CoxeterGroup.coset_minreps": BENCHMARK_READS,
     "CoxeterGroup.standard_parabolic_mask": BENCHMARK_READS,
     "IntersectionLattice.bottom_id": BENCHMARK_READS,
+    "WMeasure.dense": BENCHMARK_READS,
     "CoxeterGroup.multiply": "element-level API of an exported class; tests use it as an oracle",
     "WMeasure.value": "element-level API of an exported class; tests use it as an oracle",
     "necklace_irreducible_count": "ROADMAP item 5 (orbit class distributions) reads it",

@@ -2,17 +2,21 @@
 
 import itertools
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
 from coxshuffle.golden import GoldenRational, golden_sign
+from coxshuffle.group import get_group
 from coxshuffle.rootdata import (
     RootSystem,
     UnsupportedTypeError,
     _root_closure,
     affine_data,
     build_root_system,
+    card_law,
     card_range,
+    descent_number,
     p_count,
     parse_type,
 )
@@ -104,6 +108,27 @@ def test_card_range_is_read_from_the_family_table(family, shift, expected):
         assert build_root_system(family, n - shift).rank == n - shift
     with pytest.raises(UnsupportedTypeError):
         build_root_system(family, greatest + 1 - shift)
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4"])
+def test_descent_number_counts_the_descent_mask(t):
+    # a signed line orders its entries 1 < ... < n < -n < ... < -1, not as integers
+    g = get_group(t)
+    for i, line in enumerate(g.one_line):
+        assert descent_number(line) == g.descent_mask[i].bit_count()
+
+
+def test_card_law_counts_are_binomials():
+    # at an integer x (odd for B), den x^n H is C(x + n - 1 - d, n) on A_{n-1}
+    # and C((x - 1)/2 + n - d, n) on B_n, for every descent number d
+    for n in range(1, 9):
+        for family, xs in (("A", range(1, 13)), ("B", range(1, 13, 2))):
+            shifts, den = card_law(family, n)
+            assert len(shifts) == (n if family == "A" else n + 1)
+            for x in xs:
+                for d, s in enumerate(shifts):
+                    top = x + n - 1 - d if family == "A" else (x - 1) // 2 + n - d
+                    assert len(s) == n and prod(x + c for c in s) == den * comb(top, n)
 
 
 @pytest.mark.parametrize("m", [7, 8, 9, 11, 12, 13])

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxshuffle import shuffling
 from coxshuffle.group import get_group
 from coxshuffle.measures import h_measure
 from coxshuffle.shuffling import (
@@ -17,6 +18,7 @@ from coxshuffle.shuffling import (
     _flip_even,
     _inverse_deal,
     empirical_law,
+    exact_law,
     sample_shuffle,
     tv_distance,
 )
@@ -82,6 +84,9 @@ def per_sample_law(model, n, param, count, seed):
         ("typeB_flip", 2, 3, "B2"),
         ("typeB_flip", 2, 5, "B2"),
         ("typeB_flip", 3, 3, "B3"),
+        ("gsr_a", 5, 2, "A4"),
+        ("gsr_a", 6, 2, "A5"),
+        ("typeB_flip", 4, 3, "B4"),
     ],
 )
 def test_exact_law_equals_measure(model, n, x, t):
@@ -90,6 +95,22 @@ def test_exact_law_equals_measure(model, n, x, t):
     m = h_measure(g, x, "closed_form")
     for i in range(g.size):
         assert law.get(g.one_line[i], Fraction(0)) == m.value(i)
+    # the descent-number law equals the group's dense closed form at r + 2 or
+    # more values of x, more than degree-r numerators need to agree as polynomials
+    for y in (x, -1, Fraction(-5, 2), Fraction(7, 3), 1, Fraction(1, 2), -4, 11):
+        dense = h_measure(g, y, "closed_form").dense()
+        assert exact_law(model, n, y) == {g.one_line[i]: v for i, v in enumerate(dense)}
+
+
+@pytest.mark.parametrize("model,n,x", [("gsr_a", 1, 3), ("gsr_a", 7, 3), ("typeB_flip", 1, 3),
+                                       ("typeB_flip", 5, 3), ("bogus", 3, 3), ("gsr_a", 3, 0),
+                                       ("typeB_flip", 3, 0)])
+def test_exact_law_rejects_a_model_n_or_x_outside_its_domain(monkeypatch, model, n, x):
+    # refused before the law is read or any line enumerated
+    monkeypatch.setattr(shuffling, "card_law", None)
+    refusals = "unknown shuffle model|exact law for n in|x must be nonzero"
+    with pytest.raises(ValueError, match=refusals):
+        exact_law(model, n, x)
 
 
 class GivenOutputs:
